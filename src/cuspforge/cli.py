@@ -59,12 +59,23 @@ class _Timer:
         return _Phase()
 
 
+def _jsonable(value):
+    """``value`` with numpy scalars and arrays turned into Python ones."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
 def _emit(command, inputs, seed, results, timer):
     report = {
         "command": command,
         "inputs": {path: _sha256(path) for path in inputs},
         "seed": seed,
-        "results": results,
+        "results": _jsonable(results),
         "timings_ms": timer.phases,
     }
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
@@ -103,19 +114,15 @@ def cmd_solve(args):
     timer = _Timer()
     tri, idx, sys_ = _build(args.path, timer)
     with timer.time("maximize"):
+        probe = None
         if args.starts > 1:
             probe = optimizer.uniqueness_probe(
                 sys_, args.starts, seed=args.seed, tol=args.tol,
                 max_iter=args.max_iter)
-            best = int(np.argmax(probe.volumes))
-            point = probe.points[best]
-            res = optimizer.maximize_volume(
-                sys_, tol=args.tol, max_iter=args.max_iter, seed=args.seed,
-                start=point)
+            res = max(probe.results, key=lambda r: r.volume)
         else:
-            probe = None
             res = optimizer.maximize_volume(
-                sys_, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+                sys_, tol=args.tol, max_iter=args.max_iter)
     if res.status == "empty-closure":
         _emit("solve", [args.path], args.seed, {"status": res.status}, timer)
         return EXIT_EMPTY_CLOSURE
@@ -125,11 +132,11 @@ def cmd_solve(args):
         classes = optimizer.classify_tetrahedra(res.point)
     candidate = (res.status == "converged" and cert.signs_ok
                  and cert.gradient_residual < 1e-6
-                 and "invalid" not in classes)
+                 and all(c == "positive" for c in classes))
     results = {
         "status": res.status,
         "volume": res.volume,
-        "point": list(res.point),
+        "point": res.point,
         "ordering": polytope.ORDERING_CONVENTION,
         "iterations": res.iterations,
         "kkt_residual": res.kkt_residual,
@@ -146,7 +153,7 @@ def cmd_solve(args):
         results["multi_start"] = {
             "n_starts": args.starts,
             "max_spread": probe.max_spread,
-            "volumes": list(probe.volumes),
+            "volumes": probe.volumes,
         }
     _emit("solve", [args.path], args.seed, results, timer)
     if res.status == "iteration-cap":
@@ -165,7 +172,7 @@ def cmd_certify(args):
         "membership": membership.kind,
         "gradient_residual": cert.gradient_residual,
         "signs_ok": cert.signs_ok,
-        "multipliers": list(cert.multipliers),
+        "multipliers": cert.multipliers,
         "active_multipliers": [[i, v] for i, v in cert.active_multipliers],
     }
     _emit("certify", [args.path, args.angles], args.seed, results, timer)

@@ -1,20 +1,20 @@
 """Volume maximization over the closed angle-structure polytope.
 
-The equalities are eliminated by a null-space parametrization; ascent runs
-as projected gradient with Barzilai-Borwein step initialization and Armijo
-backtracking, clipped to the box [0, pi].  The gradient -0.5 log|2 sin x_i|
-diverges at the box faces, so near-boundary behaviour is handled by pinning
-coordinates to an active set and testing release with the one-sided
-derivative limit (the smooth-plus-entropy formula), never with the raw
-gradient.
+Damped Newton in Casson-Rivin coordinates: opposite edges carry equal angles
+on the closure, so a tetrahedron has angles A, B, C = pi - A - B and adds
+Lambda(A) + Lambda(B) + Lambda(C) to the volume.  Its Hessian in (A, B),
+-[[cot A + cot C, cot C], [cot C, cot B + cot C]], is negative definite with
+determinant 1; tetrahedra couple only through the edge equations, solved by
+their Schur complement.  Newton runs on the free angles of the minimal face
+from ``polytope.interior_point``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 from . import lobachevsky as lob
 from . import polytope
@@ -22,6 +22,12 @@ from . import polytope
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
 FLAT_TOL = 1e-8
+
+# Slot k of a tetrahedron carries angle _ANGLE_OF_SLOT[k]: the slots of the
+# opposite edge pairs (01, 23), (02, 13), (03, 12) carry A, B and C.
+_ANGLE_OF_SLOT = np.array([0, 1, 2, 2, 1, 0])
+# Share of the distance to the box taken by a step that would leave it.
+_TO_BOUNDARY = 0.99
 
 
 @dataclass(frozen=True)
@@ -55,15 +61,17 @@ class DominanceReport:
 class UniquenessReport:
     max_spread: float
     volumes: tuple
-    points: tuple = field(repr=False, default=())
+    results: tuple = field(repr=False, default=())
 
 
 def classify_tetrahedra(p, tol=FLAT_TOL):
     """Per-tetrahedron classification: positive / flat / invalid.
 
     Flat means the (0, 0, pi) pattern on opposite edge pairs; positive means
-    all six angles at least tol; anything else is invalid and flags numbers
-    that cannot arise at a closure point.
+    all six angles at least tol; anything else is invalid.  Invalid
+    tetrahedra do occur at closure points, and at maximizers: when the
+    closure forces one angle to 0, a tetrahedron keeps the angles
+    (0, a, pi - a).
     """
     p = np.asarray(p, dtype=float)
     out = []
@@ -83,169 +91,170 @@ def classify_tetrahedra(p, tol=FLAT_TOL):
     return out
 
 
-def _reduced_system(sys, pinned):
-    """Particular solution and null-space basis with pinned slots fixed.
+class _Face:
+    """The free angles of a face of the closure as Newton variables.
 
-    ``pinned`` maps slot -> fixed value (0 or pi).  Returns (x_template,
-    free_idx, x_free_particular, basis) or None when inconsistent.
+    A "curved" tetrahedron has three free angles and the variables (A, B).
+    A "linear" one has an angle fixed at 0 and one variable moving its free
+    angles (p, q) as (p, pi - p); its volume is then constant, so the
+    variable enters only the edge equations.  Flat tetrahedra have none.
     """
-    n = sys.dim
-    free = np.array([i for i in range(n) if i not in pinned], dtype=int)
-    template = np.zeros(n)
-    for i, v in pinned.items():
-        template[i] = v
-    a_free = sys.a_eq[:, free]
-    rhs = sys.b_eq - sys.a_eq @ template
-    x_free, *_ = np.linalg.lstsq(a_free, rhs, rcond=None)
-    if np.max(np.abs(a_free @ x_free - rhs)) > 1e-8:
-        return None
-    basis = scipy.linalg.null_space(a_free)
-    return template, free, x_free, basis
+
+    def __init__(self, sys, fixed_slots):
+        n = sys.dim // 6
+        fixed = np.zeros(sys.dim, dtype=bool)
+        fixed[list(fixed_slots)] = True
+        fixed = fixed.reshape(n, 6)
+        self.free = ~(fixed[:, :3] | fixed[:, :2:-1])
+        n_free = self.free.sum(axis=1)
+        self.curved = np.flatnonzero(n_free == 3)
+        self.linear = np.flatnonzero(n_free == 2)
+        self.p, self.q = np.argsort(~self.free[self.linear], axis=1,
+                                    kind="stable")[:, :2].T
+        self.a_edge = sys.a_eq[sys.n_triple_rows:]
+        self.b_edge = sys.b_eq[sys.n_triple_rows:]
+        # edge rows in angle coordinates: edges x tetrahedra x (A, B, C)
+        m = self.a_edge.reshape(-1, n, 6)
+        m = m[:, :, :3] + m[:, :, :2:-1]
+        self.m_a = m[:, self.curved, 0] - m[:, self.curved, 2]
+        self.m_b = m[:, self.curved, 1] - m[:, self.curved, 2]
+        self.m_z = m[:, self.linear, self.p] - m[:, self.linear, self.q]
+
+    def angles(self, x):
+        """Angles (A, B, C) of a closure point, fixed ones exact and each
+        row summing to pi through its last free angle."""
+        six = np.asarray(x, dtype=float).reshape(-1, 6)
+        ang = np.where(self.free, 0.5 * (six[:, :3] + six[:, :2:-1]),
+                       np.pi * (six[:, :3] > 0.5 * np.pi))
+        rows = np.flatnonzero(self.free.any(axis=1))
+        last = 2 - np.argmax(self.free[rows, ::-1], axis=1)
+        ang[rows, last] = 0.0
+        ang[rows, last] = np.pi - ang[rows].sum(axis=1)
+        return ang
+
+    def step(self, ang):
+        """Newton direction in angle coordinates, the edge-row normal of the
+        multipliers in slot coordinates, the Lagrangian's ascent rate along
+        the direction, and the KKT residual.
+
+        The Schur complement of the edge rows is singular: the rows are
+        dependent (one relation per cusp) and the columns of linear
+        tetrahedra carry no curvature, so the solve drops null eigenvalues.
+        """
+        a, b, c = ang[self.curved].T
+        log_sin_c = np.log(np.sin(c))
+        g_a = log_sin_c - np.log(np.sin(a))
+        g_b = log_sin_c - np.log(np.sin(b))
+        cot_a, cot_b, cot_c = 1.0 / np.tan(a), 1.0 / np.tan(b), 1.0 / np.tan(c)
+        # inverse of the Hessian block, exact since its determinant is 1
+        h_aa, h_ab, h_bb = -(cot_b + cot_c), cot_c, -(cot_a + cot_c)
+        mh_a = self.m_a * h_aa + self.m_b * h_ab
+        mh_b = self.m_a * h_ab + self.m_b * h_bb
+        n_edges, n_lin = self.m_z.shape
+        kkt = np.block([[mh_a @ self.m_a.T + mh_b @ self.m_b.T, self.m_z],
+                        [self.m_z.T, np.zeros((n_lin, n_lin))]])
+        rhs = np.concatenate([self.b_edge - self.a_edge @ _slots(ang)
+                              + mh_a @ g_a + mh_b @ g_b, np.zeros(n_lin)])
+        w, v = np.linalg.eigh(kkt)
+        keep = np.abs(w) > (w.size * np.finfo(float).eps
+                            * np.max(np.abs(w), initial=0.0))
+        sol = v[:, keep] @ ((v[:, keep].T @ rhs) / w[keep])
+        lam = sol[:n_edges]
+        r_a = self.m_a.T @ lam - g_a
+        r_b = self.m_b.T @ lam - g_b
+        d_a = h_aa * r_a + h_ab * r_b
+        d_b = h_ab * r_a + h_bb * r_b
+        d = np.zeros_like(ang)
+        d[self.curved] = np.column_stack([d_a, d_b, -d_a - d_b])
+        d[self.linear, self.p] = sol[n_edges:]
+        d[self.linear, self.q] = -sol[n_edges:]
+        residual = float(np.max(np.abs(np.concatenate([r_a, r_b])),
+                                initial=0.0))
+        return d, self.a_edge.T @ lam, -float(r_a @ d_a + r_b @ d_b), residual
 
 
-def _assemble(template, free, x_free):
-    x = template.copy()
-    x[free] = x_free
-    return x
+def _slots(ang):
+    return ang[:, _ANGLE_OF_SLOT].ravel()
 
 
 def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                    seed=0, start=None, flat_tol=FLAT_TOL):
+                    start=None, flat_tol=FLAT_TOL):
     """Ascend the volume functional to its maximum over the closure.
 
-    Concavity makes any point with vanishing projected gradient (and no
-    improving one-sided direction off the active face) a global maximizer up
-    to tolerance.
+    Newton runs on the free angles of the minimal face, from ``start`` (a
+    point with those angles positive) or from the interior-point LP's point,
+    and stops when the KKT residual is below ``tol``.  A tetrahedron that the
+    ascent drives within ``flat_tol`` of (0, 0, pi) is pinned flat, and the
+    ascent restarts on the face the pins cut out.  At most one restart per
+    tetrahedron: pinned tetrahedra stay fixed.
     """
     ip = polytope.interior_point(sys)
     if ip.status == "empty-closure":
         return OptimizationResult(None, float("nan"), "empty-closure", (),
                                   polytope.FlatSet(frozenset()),
                                   float("nan"), 0)
-    if start is None:
-        start = ip.point
-    x = np.clip(np.asarray(start, dtype=float), 0.0, np.pi)
-
-    rng = np.random.default_rng(seed)
+    face = _Face(sys, ip.fixed.indices)
+    ang = face.angles(ip.point if start is None else start)
+    if np.any(ang[face.free] <= 0.0):
+        raise ValueError("start point is not in the relative interior of "
+                         "the minimal face")
     pinned = {}
-    # seed the active set from coordinates already stuck at the box
-    for i in np.flatnonzero(np.minimum(x, np.pi - x) <= 1e-12):
-        pinned[int(i)] = 0.0 if x[i] < 1.0 else np.pi
-
-    red = _reduced_system(sys, pinned)
-    if red is None:
-        return OptimizationResult(None, float("nan"), "empty-closure", (),
-                                  polytope.FlatSet(frozenset()),
-                                  float("nan"), 0)
-    template, free, xf, basis = red
-    # project the start onto the reduced parametrization
-    if basis.size:
-        xf = xf + basis @ (basis.T @ (x[free] - xf))
-    xf = np.clip(xf, 0.0, np.pi)
-
-    def vol_at(xf_):
-        return lob.volume(_assemble(template, free, xf_))
-
     iters = 0
-    prev_step = None
-    stall = 0
-    last_vol = vol_at(xf)
-    pin_tol = 1e-7
     status = "iteration-cap"
+    residual = float("nan")
+    vol = lob.volume(_slots(ang))
     while iters < max_iter:
         iters += 1
-        x = _assemble(template, free, xf)
-        with np.errstate(over="ignore"):
-            g = lob.volume_gradient(np.clip(x[free], 1e-300, np.pi))
-        g = np.where(np.isfinite(g), g, 1e12 * np.sign(g))
-        gu = basis.T @ g
-        grad_norm = float(np.linalg.norm(gu, np.inf)) if gu.size else 0.0
-        if grad_norm < tol:
-            status = "converged"
-            break
-        d = basis @ gu
-        # largest feasible step inside the box for the free coordinates
+        d, normal, slope, residual = face.step(ang)
+        # A tetrahedron within sqrt(flat_tol) of flat that the full step
+        # takes within flat_tol is pinned flat: closer to flat, rounding in
+        # the step outgrows the step.
+        flat = ((np.sort(ang, axis=1)[:, 1] <= np.sqrt(flat_tol))
+                & (np.sort(ang + d, axis=1)[:, 1] <= flat_tol))
+        flat = np.flatnonzero(flat & face.free.any(axis=1))
+        if flat.size and residual >= tol:
+            for t in flat:
+                big = np.argmax(ang[t])
+                pinned.update((6 * t + k, np.pi * (_ANGLE_OF_SLOT[k] == big))
+                              for k in range(6))
+            ip = polytope.interior_point(sys, pinned=pinned)
+            if ip.status == "empty-closure":
+                break
+            face = _Face(sys, ip.fixed.indices)
+            ang = face.angles(ip.point)
+            vol = lob.volume(_slots(ang))
+            continue
+        # The line search runs on the Lagrangian, which takes out of the
+        # volume the first-order effect of the rounding error in the edge
+        # equations; that error grows as a tetrahedron flattens.
+        drift = float(normal @ _slots(d))
         with np.errstate(divide="ignore", invalid="ignore"):
-            hi = np.where(d > 1e-15, (np.pi - xf) / d, np.inf)
-            lo = np.where(d < -1e-15, -xf / d, np.inf)
-        alpha_max = float(min(np.min(hi, initial=np.inf),
-                              np.min(lo, initial=np.inf)))
-        alpha = prev_step if prev_step is not None else 1.0
-        alpha = min(alpha, 0.999 * alpha_max)
-        gg = float(gu @ gu)
-        base = vol_at(xf)
+            limits = np.where(face.free & (d < 0.0), -ang / d, np.inf)
+        alpha = min(1.0, _TO_BOUNDARY * float(np.min(limits)))
         accepted = False
         for _ in range(60):
-            cand = xf + alpha * d
-            if vol_at(cand) >= base + 1e-4 * alpha * gg:
-                accepted = True
+            trial = ang + alpha * d
+            trial_vol = lob.volume(_slots(trial))
+            accepted = (trial_vol - alpha * drift >= vol + 1e-4 * alpha * slope
+                        - 1e-14 * max(1.0, abs(vol)))
+            if accepted:
+                ang, vol = trial, trial_vol
                 break
             alpha *= 0.5
-        if not accepted:
-            # gradient direction no longer improves at line-search resolution
+        # the step taken from a point within tol squares its residual
+        if residual < tol:
             status = "converged"
             break
-        new_xf = np.clip(xf + alpha * d, 0.0, np.pi)
-        # BB step for the next iteration
-        x_new = _assemble(template, free, new_xf)
-        with np.errstate(over="ignore"):
-            g_new = lob.volume_gradient(np.clip(x_new[free], 1e-300, np.pi))
-        g_new = np.where(np.isfinite(g_new), g_new, 1e12 * np.sign(g_new))
-        s = basis.T @ (new_xf - xf)
-        y = basis.T @ (g_new - g)
-        sy = float(s @ y)
-        prev_step = float(s @ s) / abs(sy) if abs(sy) > 1e-300 else 1.0
-        xf = new_xf
+        if not accepted:
+            break  # no ascent at rounding level: reported as not converged
 
-        # pin coordinates converging onto the box with outward pressure
-        to_pin = []
-        for j in np.flatnonzero(np.pi - xf < pin_tol):
-            if d[j] > 0:
-                to_pin.append((int(free[j]), np.pi))
-        for j in np.flatnonzero(xf < pin_tol):
-            if d[j] < 0:
-                to_pin.append((int(free[j]), 0.0))
-        if to_pin:
-            for slot, val in to_pin:
-                pinned[slot] = val
-            red = _reduced_system(sys, pinned)
-            if red is None:
-                break
-            template, free, xf, basis = red
-            xf = np.clip(xf, 0.0, np.pi)
-            prev_step = None
-
-        v = vol_at(xf)
-        if abs(v - last_vol) <= 1e-13 * max(1.0, abs(v)):
-            stall += 1
-            if stall >= 10:
-                status = "converged"
-                break
-        else:
-            stall = 0
-        last_vol = v
-
-    x = _assemble(template, free, xf)
-    # release test: can leaving the active face still improve?
-    if pinned and status == "converged":
-        flat = polytope.FlatSet(frozenset(pinned))
-        for q in polytope.sample_closure_points(sys, rng, 32, start=ip.point):
-            rep = lob.boundary_derivative_limit(x, q, flat)
-            if rep.value > 1e-7:
-                status = "iteration-cap"  # improving direction left
-                break
-
-    with np.errstate(over="ignore"):
-        g = lob.volume_gradient(np.clip(x[free], 1e-300, np.pi))
-    g = np.where(np.isfinite(g), g, 0.0)
-    kkt = float(np.linalg.norm(basis.T @ g, np.inf)) if basis.size else 0.0
-    membership = polytope.classify_membership(sys, x, tol=flat_tol)
-    active = membership.flat if membership.flat is not None \
-        else polytope.FlatSet(frozenset())
+    x = _slots(ang)
+    active = (polytope.classify_membership(sys, x, tol=flat_tol).flat
+              or polytope.FlatSet(frozenset()))
     classes = classify_tetrahedra(x, tol=flat_tol)
     flat_tets = tuple(t for t, c in enumerate(classes) if c == "flat")
     return OptimizationResult(x, lob.volume(x), status, flat_tets, active,
-                              kkt, iters)
+                              residual, iters)
 
 
 def certify(sys, p, tol=FLAT_TOL, n_probes=200, seed=0):
@@ -289,30 +298,26 @@ def certify(sys, p, tol=FLAT_TOL, n_probes=200, seed=0):
 
 def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
                      max_iter=DEFAULT_MAX_ITER):
-    """Multi-start consistency check for the uniqueness of the maximizer."""
+    """Multi-start consistency check for the uniqueness of the maximizer.
+
+    The first start is the interior-point LP's point, the others random
+    points of the relative interior of the minimal face; ``results`` keeps
+    each start's OptimizationResult (one empty-closure result when the
+    closure is empty).
+    """
     rng = np.random.default_rng(seed)
     ip = polytope.interior_point(sys)
-    if ip.point is None:
-        raise ValueError("closure is empty")
-    points = []
-    volumes = []
-    for k in range(n_starts):
-        if k == 0:
-            start = ip.point
-        else:
-            start = polytope.sample_closure_points(
-                sys, rng, 1, start=ip.point, boundary_fraction=0.0)[0]
-        res = maximize_volume(sys, tol=tol, max_iter=max_iter,
-                              seed=seed + k, start=start)
-        if res.point is not None:
-            points.append(res.point)
-            volumes.append(res.volume)
-    spread = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            spread = max(spread, float(np.linalg.norm(points[i] - points[j],
-                                                      np.inf)))
-    return UniquenessReport(spread, tuple(volumes), tuple(points))
+    starts = [None]
+    if ip.point is not None:
+        starts += polytope.sample_closure_points(
+            sys, rng, n_starts - 1, start=ip.point, boundary_fraction=0.0)
+    results = tuple(maximize_volume(sys, tol=tol, max_iter=max_iter,
+                                    start=start) for start in starts)
+    points = [r.point for r in results if r.point is not None]
+    spread = max((float(np.linalg.norm(p - q, np.inf))
+                  for p, q in combinations(points, 2)), default=0.0)
+    return UniquenessReport(spread, tuple(r.volume for r in results if
+                                          r.point is not None), results)
 
 
 def dominance_check(sys, p, n_samples, seed=0, strict_distance=1e-4,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 ORDERING_CONVENTION = "tet-lex;edges=01,02,03,12,13,23"
 
@@ -66,6 +67,7 @@ class InteriorPointResult:
     status: str  # "ok" | "empty-interior" | "empty-closure"
     point: np.ndarray | None
     min_slack: float
+    fixed: FlatSet
     witness: int | None = None
 
 
@@ -124,84 +126,55 @@ def null_space(sys):
     return scipy.linalg.null_space(sys.a_eq)
 
 
-def particular_solution(sys, tol=1e-9):
-    """Least-squares solution of the equalities; None when inconsistent."""
-    x, *_ = np.linalg.lstsq(sys.a_eq, sys.b_eq, rcond=None)
-    if equality_residual(sys, x) > tol:
-        return None
-    return x
+def interior_point(sys, pinned=None):
+    """A point in the relative interior of the minimal face, and the face's
+    fixed slots.
 
+    One linear program, the homogenised Freund-Roundy-Todd problem in the
+    variables (x, t, theta):
 
-def interior_point(sys, tol=1e-9):
-    """Maximize the minimum slack min_i min(x_i, pi - x_i) over the
-    equality-constrained box (a linear program)."""
-    if particular_solution(sys, tol=tol) is None:
-        return InteriorPointResult("empty-closure", None, -np.inf)
-    n = sys.dim
-    # variables z = (x, s); maximize s
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    a_eq = np.hstack([sys.a_eq, np.zeros((sys.a_eq.shape[0], 1))])
-    a_ub = np.vstack([
-        np.hstack([-np.eye(n), np.ones((n, 1))]),        # s - x_i <= 0
-        np.hstack([np.eye(n), np.ones((n, 1))]),         # x_i + s <= pi
-    ])
-    b_ub = np.concatenate([np.zeros(n), np.full(n, np.pi)])
-    res = scipy.optimize.linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=sys.b_eq,
-        bounds=[(None, None)] * (n + 1), method="highs")
-    if not res.success:
-        return InteriorPointResult("empty-closure", None, -np.inf)
-    x = res.x[:n]
-    slacks = np.minimum(x, np.pi - x)
-    slack = float(np.min(slacks))
-    witness = int(np.argmin(slacks))
-    if slack <= 1e-12:
-        return InteriorPointResult("empty-interior", x, slack, witness)
-    return InteriorPointResult("ok", x, slack, witness)
+        maximize sum t  subject to  A x = b theta,  t_i <= x_i,
+        t_i <= pi theta - x_i,  0 <= t_i <= 1,  theta >= 1.
 
-
-def face_point(sys, pinned, tol=1e-9):
-    """Max-min-slack point on the face with the given slots pinned.
-
-    ``pinned`` maps slot index -> fixed value (typically 0 or pi).  Returns
-    an InteriorPointResult whose slack refers to the free coordinates only;
-    "empty-closure" when the pinned system is infeasible.
+    At an optimum t_i = 1 on every slot that varies over the closure and
+    t_i = 0 on every slot fixed at 0 or pi, so x / theta lies in the relative
+    interior of the minimal face.  The closure is empty exactly when the
+    program is infeasible.  ``pinned`` maps slots to 0 or pi and adds the rows
+    x_i = v theta, i.e. the minimal face of the closure cut by those pins.
+    The status is "ok" when no slot outside ``pinned`` is fixed and
+    ``min_slack`` refers to those slots only.
     """
+    pinned = pinned or {}
     n = sys.dim
-    rows = np.zeros((len(pinned), n))
-    vals = np.zeros(len(pinned))
-    for k, (i, v) in enumerate(sorted(pinned.items())):
-        rows[k, i] = 1.0
-        vals[k] = v
-    a_eq = np.vstack([sys.a_eq, rows])
-    b_eq = np.concatenate([sys.b_eq, vals])
-    free = [i for i in range(n) if i not in pinned]
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    a_ub = []
-    b_ub = []
-    for i in free:
-        row = np.zeros(n + 1)
-        row[i], row[-1] = -1.0, 1.0
-        a_ub.append(row)
-        b_ub.append(0.0)
-        row = np.zeros(n + 1)
-        row[i], row[-1] = 1.0, 1.0
-        a_ub.append(row)
-        b_ub.append(np.pi)
-    res = scipy.optimize.linprog(
-        c, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-        A_eq=np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))]), b_eq=b_eq,
-        bounds=[(0.0, np.pi)] * n + [(None, None)], method="highs")
+    slots = np.array(sorted(pinned), dtype=int)
+    eye = scipy.sparse.identity(n, format="csr")
+    rows = scipy.sparse.vstack([scipy.sparse.csr_array(sys.a_eq), eye[slots]])
+    rhs = np.concatenate([sys.b_eq, [pinned[i] for i in slots]])
+    a_eq = scipy.sparse.hstack(
+        [rows, scipy.sparse.csr_array(rows.shape), -rhs[:, None]],
+        format="csr")
+    a_ub = scipy.sparse.block_array(
+        [[-eye, eye, None], [eye, eye, np.full((n, 1), -np.pi)]],
+        format="csr")
+    c = np.concatenate([np.zeros(n), -np.ones(n), [0.0]])
+    bounds = [(None, None)] * n + [(0.0, 1.0)] * n + [(1.0, None)]
+    res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * n),
+                                 A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]),
+                                 bounds=bounds, method="highs")
     if not res.success:
-        return InteriorPointResult("empty-closure", None, -np.inf)
-    x = res.x[:n]
-    slacks = np.minimum(x[free], np.pi - x[free])
-    slack = float(np.min(slacks)) if free else 0.0
-    witness = int(free[int(np.argmin(slacks))]) if free else None
-    status = "ok" if slack > 1e-12 else "empty-interior"
-    return InteriorPointResult(status, x, slack, witness)
+        return InteriorPointResult("empty-closure", None, -np.inf,
+                                   FlatSet(frozenset()))
+    x = res.x[:n] / res.x[-1]
+    fixed = res.x[n:2 * n] < 0.5
+    fixed[slots] = True
+    x[fixed] = np.pi * (x[fixed] > 0.5 * np.pi)
+    slacks = np.minimum(x, np.pi - x)
+    slacks[slots] = np.inf
+    witness = int(np.argmin(slacks))
+    slack = float(slacks[witness]) if slots.size < n else 0.0
+    return InteriorPointResult("ok" if slack > 0.0 else "empty-interior", x,
+                               slack, FlatSet(frozenset(
+                                   np.flatnonzero(fixed).tolist())), witness)
 
 
 def segment(p, q, t):
@@ -221,15 +194,24 @@ def difference_vector(p, q):
 
 def sample_closure_points(sys, rng, n_samples, start=None,
                           boundary_fraction=0.25):
-    """Random points of the closure: random null-space rays from an interior
-    point, scaled to a uniform fraction of the distance to the box; a
-    ``boundary_fraction`` share goes all the way to the boundary."""
+    """Random points of the closure: random rays from ``start`` (by default
+    the interior-point LP's point, in the relative interior of the minimal
+    face) scaled to a uniform fraction of the distance to the box; a
+    ``boundary_fraction`` share goes all the way to the boundary.
+
+    Rays lie in the null space of the equalities and of the rows fixing the
+    slots where ``start`` sits at 0 or pi, so from a boundary point they
+    sweep the face it lies in instead of stopping at once.
+    """
     if start is None:
         res = interior_point(sys)
         if res.point is None:
             raise ValueError("closure is empty")
         start = res.point
-    basis = null_space(sys)
+    free = np.minimum(start, np.pi - start) > DEFAULT_BOUNDARY_TOL
+    free_basis = scipy.linalg.null_space(sys.a_eq[:, free])
+    basis = np.zeros((sys.dim, free_basis.shape[1]))
+    basis[free] = free_basis
     out = []
     for _ in range(n_samples):
         d = basis @ rng.standard_normal(basis.shape[1])
@@ -239,7 +221,7 @@ def sample_closure_points(sys, rng, n_samples, start=None,
             continue
         d /= norm
         # largest alpha with start + alpha d inside the box
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             hi = np.where(d > 1e-15, (np.pi - start) / d, np.inf)
             lo = np.where(d < -1e-15, -start / d, np.inf)
         alpha = float(min(np.min(hi), np.min(lo)))

@@ -67,6 +67,18 @@ def self_glued():
                                              label="self-glued")
 
 
+@pytest.fixture(scope="session")
+def degenerate4_path():
+    return os.path.join(DATA_DIR, "degenerate4.tri")
+
+
+@pytest.fixture(scope="session")
+def degenerate4_sys(degenerate4_path):
+    with open(degenerate4_path) as fh:
+        tri = triangulation.parse_triangulation(fh.read())
+    return polytope.build_constraints(triangulation.incidence(tri))
+
+
 @pytest.fixture()
 def doubled_path(tmp_path):
     path = tmp_path / "doubled.tri"
@@ -81,3 +93,10 @@ def movable_face(tri):
             if tri.gluings[(t, f)][0] != t:
                 return (t, f)
     raise AssertionError("no movable face")
+
+
+def movable_chain(tri, n_moves):
+    """``tri`` after ``n_moves`` 2-3 moves, each on its first movable face."""
+    for _ in range(n_moves):
+        tri = triangulation.pachner_23(tri, movable_face(tri))
+    return tri

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library code paths it checks:
 quadrature instead of the series kernel, breadth-first orbit enumeration
 instead of union-find, explicit surface assembly for links, point-to-point
-hyperbolic distances for decorated edge lengths.
+hyperbolic distances for decorated edge lengths, and box-bounded linear
+programs for the shape of the angle polytope.
 """
 
 import math
@@ -12,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import linprog
 
 
 def lobachevsky_quadrature(theta):
@@ -166,3 +168,40 @@ def aitken_limit(values):
     if d2 == d1:
         return values[2]
     return values[2] - d2 * d2 / (d2 - d1)
+
+
+def closure_status(a_eq, b_eq):
+    """"empty-closure", "empty-interior" or "ok" for {A x = b, 0 <= x <= pi}:
+    a feasibility program with box bounds, then a max-min-slack one."""
+    n = a_eq.shape[1]
+    feasible = linprog(np.zeros(n), A_eq=a_eq, b_eq=b_eq,
+                       bounds=[(0.0, np.pi)] * n, method="highs")
+    if feasible.status != 0:
+        return "empty-closure"
+    # variables (x, s): maximize s with s <= x_i and s <= pi - x_i
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    a_ub = np.vstack([np.hstack([-np.eye(n), np.ones((n, 1))]),
+                      np.hstack([np.eye(n), np.ones((n, 1))])])
+    b_ub = np.concatenate([np.zeros(n), np.full(n, np.pi)])
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub,
+                  A_eq=np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))]),
+                  b_eq=b_eq, bounds=[(0.0, np.pi)] * n + [(None, None)],
+                  method="highs")
+    return "ok" if -res.fun > 1e-9 else "empty-interior"
+
+
+def fixed_slots(a_eq, b_eq):
+    """Slots constant over the closure, from the range of each coordinate
+    (two box-bounded linear programs per slot)."""
+    n = a_eq.shape[1]
+    out = set()
+    for i in range(n):
+        c = np.zeros(n)
+        c[i] = 1.0
+        lo, hi = (linprog(sign * c, A_eq=a_eq, b_eq=b_eq,
+                          bounds=[(0.0, np.pi)] * n, method="highs").fun
+                  for sign in (1.0, -1.0))
+        if lo + hi > -1e-9:
+            out.add(i)
+    return out

@@ -15,8 +15,8 @@ from cuspforge import lobachevsky as lob
 from cuspforge import optimizer, polytope
 from cuspforge import triangulation as tr
 
-from conftest import movable_face
-from helpers import aitken_limit, lobachevsky_quadrature
+from conftest import movable_chain, movable_face
+from helpers import aitken_limit, closure_status, lobachevsky_quadrature
 
 LAMBDA_PI_6 = 0.50747080320482681   # quadrature oracle, frozen
 LAMBDA_PI_3 = 0.33831386880321788   # quadrature oracle, frozen
@@ -112,7 +112,7 @@ def test_criterion_06_derivative_consistency(capsys, fig8_sys):
         worst_rel = max(worst_rel, abs(val - fd) / max(abs(val), 1e-3))
     # extrapolated one-sided limits at a flat-boundary point
     pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
-    face = polytope.face_point(fig8_sys, pinned)
+    face = polytope.interior_point(fig8_sys, pinned=pinned)
     assert face.status == "ok"
     flat = polytope.classify_membership(fig8_sys, face.point).flat
     worst_lim = 0.0
@@ -194,16 +194,15 @@ def test_criterion_11_combinatorics(capsys, fig8):
     move_ok = (moved.n_tets == 3 and len(tr.edge_classes(moved)) == 3
                and sorted(l.euler_characteristic for l in moved_links)
                == sorted(l.euler_characteristic for l in links))
-    chain = fig8
-    for _ in range(5):
-        chain = tr.pachner_23(chain, movable_face(chain))
+    chain = movable_chain(fig8, 5)
     sys_ = polytope.build_constraints(tr.incidence(chain))
     ip = polytope.interior_point(sys_)
-    chain_ok = chain.n_tets == 7 and ip.status in ("ok", "empty-interior")
+    expected = closure_status(sys_.a_eq, sys_.b_eq)
+    chain_ok = chain.n_tets == 7 and ip.status == expected
     ok = base_ok and move_ok and chain_ok
     emit(capsys, 11, "combinatorics", ok,
-         "fig8 ok=%s, 2-3 ok=%s, 7-tet interior_point=%s"
-         % (base_ok, move_ok, ip.status))
+         "fig8 ok=%s, 2-3 ok=%s, 7-tet interior_point=%s (oracle %s)"
+         % (base_ok, move_ok, ip.status, expected))
 
 
 def test_criterion_12_identity_suite(capsys):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from cuspforge import cli, polytope, triangulation
+from cuspforge import cli, optimizer, polytope, triangulation
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "docs", "report_schema.json")
@@ -69,6 +69,39 @@ def test_solve_multi_start(capsys, fig8_path):
     ms = report["results"]["multi_start"]
     assert ms["n_starts"] == 4
     assert ms["max_spread"] < 1e-6
+
+
+def test_solve_multi_start_reports_a_probe_result(capsys, fig8_path,
+                                                monkeypatch):
+    calls = []
+    original = optimizer.maximize_volume
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("start"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "maximize_volume", counted)
+    code, report, _ = run_json(capsys, "solve", fig8_path, "--starts", "3")
+    assert code == 0
+    assert len(calls) == 3  # one solve per start, no re-solve of the best
+    res = report["results"]
+    assert res["volume"] == max(res["multi_start"]["volumes"])
+
+
+def test_solve_boundary_maximizer_report(capsys, degenerate4_path):
+    # non-empty active set and flat tetrahedra: the report is plain JSON
+    code, report, _ = run_json(capsys, "solve", degenerate4_path)
+    assert code == 0
+    validate_schema(report)
+    res = report["results"]
+    assert res["status"] == "converged"
+    assert abs(res["volume"] - 1.7619532174) < 1e-8
+    assert res["flat_tets"] == [0, 3]
+    assert res["active_set"] == list(range(6)) + list(range(18, 24))
+    assert res["tetrahedra"] == ["flat", "positive", "positive", "flat"]
+    assert res["certificate"]["gradient_residual"] < 1e-6
+    assert res["certificate"]["signs_ok"] is True
+    assert res["candidate_complete"] is False
 
 
 def test_solve_results_are_deterministic(capsys, fig8_path):

@@ -6,6 +6,8 @@ import pytest
 from cuspforge import lobachevsky as lob
 from cuspforge import optimizer, polytope, triangulation
 
+from conftest import movable_chain
+
 
 def test_fig8_maximizer_is_regular(fig8_sys, fig8_optimum, fig8_center):
     res = fig8_optimum
@@ -70,7 +72,7 @@ def test_certify_boundary_point_finds_improving_direction(fig8_sys):
     # a face point with a flat tetrahedron admits improving directions into
     # the polytope, so the sign check must fail there
     pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
-    res = polytope.face_point(fig8_sys, pinned)
+    res = polytope.interior_point(fig8_sys, pinned=pinned)
     assert res.status == "ok"
     cert = optimizer.certify(fig8_sys, res.point)
     assert not cert.signs_ok
@@ -79,6 +81,7 @@ def test_certify_boundary_point_finds_improving_direction(fig8_sys):
 def test_uniqueness_probe(fig8_sys):
     rep = optimizer.uniqueness_probe(fig8_sys, 6, seed=1)
     assert len(rep.volumes) == 6
+    assert [r.volume for r in rep.results] == list(rep.volumes)
     assert rep.max_spread < 1e-6
     assert max(rep.volumes) - min(rep.volumes) < 1e-10
 
@@ -105,3 +108,42 @@ def test_iteration_cap_status(fig8_sys):
                                            boundary_fraction=0.0)[0]
     res = optimizer.maximize_volume(fig8_sys, max_iter=1, start=start)
     assert res.status == "iteration-cap"
+
+
+def test_degenerate4_boundary_maximizer(degenerate4_sys):
+    # empty interior: the ascent runs on the minimal face, where tetrahedra
+    # 0 and 3 are flat
+    res = optimizer.maximize_volume(degenerate4_sys)
+    assert res.status == "converged"
+    assert abs(res.volume - 1.7619532174) < 1e-8
+    assert res.flat_tets == (0, 3)
+    cert = optimizer.certify(degenerate4_sys, res.point)
+    assert cert.gradient_residual < 1e-6
+    assert cert.signs_ok
+    dom = optimizer.dominance_check(degenerate4_sys, res.point, 200, seed=4)
+    assert dom.all_dominated
+    assert np.isfinite(dom.worst_gap)  # some sample is away from the point
+
+
+def test_flattening_chain_maximizer(fig8):
+    # three 2-3 moves: the interior is not empty, but the ascent drives
+    # tetrahedron 3 flat; the other four are the geometric 4-tet
+    # triangulation, so the maximum is exactly the fig8 volume
+    sys_ = polytope.build_constraints(
+        triangulation.incidence(movable_chain(fig8, 3)))
+    assert polytope.interior_point(sys_).status == "ok"
+    res = optimizer.maximize_volume(sys_)
+    assert res.status == "converged"
+    assert abs(res.volume - 2.029883212819307) < 1e-10
+    assert res.flat_tets == (3,)
+    assert optimizer.classify_tetrahedra(res.point)[3] == "flat"
+    assert polytope.equality_residual(sys_, res.point) < 1e-12
+
+
+def test_maximize_rejects_start_off_the_face(degenerate4_sys):
+    # tetrahedron 1 is free on the minimal face; a start with one of its
+    # angles at 0 is on the face's boundary
+    start = polytope.interior_point(degenerate4_sys).point.copy()
+    start[6:12] = np.array([0.0, 0.5, 0.5, 0.5, 0.5, 0.0]) * np.pi
+    with pytest.raises(ValueError, match="relative interior"):
+        optimizer.maximize_volume(degenerate4_sys, start=start)

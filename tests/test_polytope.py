@@ -5,6 +5,17 @@ import pytest
 
 from cuspforge import polytope, triangulation
 
+from helpers import fixed_slots
+
+# Slot k of a tetrahedron carries angle A, B or C: opposite edges pair up.
+ANGLE_OF_SLOT = (0, 1, 2, 2, 1, 0)
+
+
+def flat_pins(*big):
+    """Slot -> angle pins making tetrahedron t flat with angle big[t] at pi."""
+    return {6 * t + k: np.pi * (ANGLE_OF_SLOT[k] == b)
+            for t, b in enumerate(big) for k in range(6)}
+
 
 def test_constraint_shapes_and_rhs(fig8_sys):
     assert fig8_sys.a_eq.shape == (10, 12)
@@ -69,6 +80,7 @@ def test_null_space_annihilates_rows(fig8_sys):
 def test_interior_point_fig8(fig8_sys):
     res = polytope.interior_point(fig8_sys)
     assert res.status == "ok"
+    assert not res.fixed
     assert res.min_slack > 0.1
     assert polytope.equality_residual(fig8_sys, res.point) < 1e-9
 
@@ -82,7 +94,8 @@ def test_interior_point_empty_closure(doubled):
 
 def test_face_point_respects_pins(fig8_sys):
     pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
-    res = polytope.face_point(fig8_sys, pinned)
+    res = polytope.interior_point(fig8_sys, pinned=pinned)
+    assert set(res.fixed.indices) == set(pinned)
     assert res.status == "ok"
     for i, v in pinned.items():
         assert abs(res.point[i] - v) < 1e-9
@@ -90,6 +103,45 @@ def test_face_point_respects_pins(fig8_sys):
     m = polytope.classify_membership(fig8_sys, res.point)
     assert m.kind == "boundary"
     assert set(pinned) <= set(m.flat.indices)
+
+
+def test_interior_point_single_point_closure(fig8_sys):
+    # both tetrahedra pinned flat: the pinned face is one point
+    pinned = flat_pins(0, 1)
+    res = polytope.interior_point(fig8_sys, pinned=pinned)
+    assert res.status == "empty-interior"
+    assert res.min_slack == 0.0
+    assert set(res.fixed.indices) == set(pinned)
+    np.testing.assert_array_equal(res.point, [pinned[i] for i in range(12)])
+    bad = polytope.interior_point(fig8_sys, pinned=flat_pins(0, 0))
+    assert bad.status == "empty-closure"
+    assert bad.point is None
+
+
+def test_interior_point_minimal_face(degenerate4_sys):
+    # the fixed slots agree with the ranges of the coordinates over the
+    # closure: tetrahedra 0 and 3 are flat on all of it
+    res = polytope.interior_point(degenerate4_sys)
+    assert res.status == "empty-interior"
+    fixed = fixed_slots(degenerate4_sys.a_eq, degenerate4_sys.b_eq)
+    assert fixed == set(range(6)) | set(range(18, 24))
+    assert set(res.fixed.indices) == fixed
+    assert polytope.equality_residual(degenerate4_sys, res.point) < 1e-12
+    free = np.setdiff1d(np.arange(24), sorted(fixed))
+    assert np.min(np.minimum(res.point[free], np.pi - res.point[free])) > 0.1
+
+
+def test_sample_closure_points_sweep_the_minimal_face(degenerate4_sys):
+    start = polytope.interior_point(degenerate4_sys).point
+    fixed = sorted(fixed_slots(degenerate4_sys.a_eq, degenerate4_sys.b_eq))
+    rng = np.random.default_rng(13)
+    pts = polytope.sample_closure_points(degenerate4_sys, rng, 50)
+    for x in pts:
+        assert np.max(np.abs(x - start)) > 1e-6
+        assert polytope.equality_residual(degenerate4_sys, x) < 1e-9
+        assert np.all(x >= -1e-12) and np.all(x <= np.pi + 1e-12)
+        np.testing.assert_array_equal(x[fixed], start[fixed])
+        assert set(np.unique(x[fixed])) <= {0.0, np.pi}
 
 
 def test_flat_set_tetrahedron_closure():

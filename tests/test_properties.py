@@ -1,0 +1,56 @@
+"""Seeded property test over random 2-3 move chains from fig8.
+
+Random chains quickly lose their interior, and then their closure, so they
+cover the degenerate polytopes: empty closure, empty interior, flat and
+invalid tetrahedra at the maximizer.
+"""
+
+import json
+import random
+
+import numpy as np
+import pytest
+
+from cuspforge import cli, optimizer, polytope
+from cuspforge import lobachevsky as lob
+from cuspforge import triangulation as tr
+
+from helpers import closure_status
+
+
+def random_chain(tri, rng, n_moves):
+    for _ in range(n_moves):
+        faces = [(t, f) for t in range(tri.n_tets) for f in range(4)
+                 if tri.gluings[(t, f)][0] != t]
+        tri = tr.pachner_23(tri, rng.choice(faces))
+    return tri
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_chain(seed, fig8, tmp_path, capsys):
+    rng = random.Random(seed)
+    tri = random_chain(fig8, rng, rng.randrange(7))
+    sys_ = polytope.build_constraints(tr.incidence(tri))
+    expected = closure_status(sys_.a_eq, sys_.b_eq)
+
+    ip = polytope.interior_point(sys_)
+    res = optimizer.maximize_volume(sys_)
+    assert ip.status == expected
+    assert (res.status == "empty-closure") == (expected == "empty-closure")
+
+    path = tmp_path / "chain.tri"
+    path.write_text(tr.format_triangulation(tri))
+    code = cli.main(["solve", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["status"] == res.status
+    if expected == "empty-closure":
+        assert code == cli.EXIT_EMPTY_CLOSURE
+        return
+    assert code == cli.EXIT_OK
+    assert res.status == "converged"
+    samples = polytope.sample_closure_points(
+        sys_, np.random.default_rng(seed), 100)
+    assert max(lob.volume(q) for q in samples) <= res.volume + 1e-12
+    if len(ip.fixed.indices) < sys_.dim:
+        # the minimal face is not a point: no sample is vacuous
+        assert min(np.max(np.abs(q - ip.point)) for q in samples) > 1e-6
