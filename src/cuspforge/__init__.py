@@ -1,7 +1,8 @@
 """Angle structures and volume maximization on ideal triangulated cusped
 3-manifolds."""
 
-from ._kernels import BACKEND as KERNEL_BACKEND
+# the Lobachevsky kernel has one implementation, NumPy, in lobachevsky.py
+KERNEL_BACKEND = "pure"
 
 __version__ = "0.1.0"
 

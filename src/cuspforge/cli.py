@@ -41,6 +41,15 @@ def _default_seed():
     return int(os.environ.get("CUSPFORGE_SEED", "0"))
 
 
+def _positive_int(text):
+    """argparse type for sample counts: a sampled check over zero samples
+    would pass vacuously."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 class _Timer:
     def __init__(self):
         self.phases = {}
@@ -213,6 +222,8 @@ def cmd_volume(args):
 
 
 def cmd_lambda(args):
+    if not math.isfinite(args.theta):
+        raise ValueError("theta must be finite, got %r" % args.theta)
     timer = _Timer()
     with timer.time("eval"):
         value = lobachevsky.lobachevsky(args.theta)
@@ -388,7 +399,7 @@ def build_parser():
     p = add("dominate", cmd_dominate, help="sampled dominance check")
     p.add_argument("path")
     p.add_argument("angles")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=_default_seed())
 
     p = add("segment", cmd_segment,
@@ -396,7 +407,7 @@ def build_parser():
     p.add_argument("path")
     p.add_argument("p")
     p.add_argument("q")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_positive_int, default=50)
 
     p = add("lambda", cmd_lambda, help="evaluate the Lobachevsky function")
     p.add_argument("theta", type=float)
@@ -406,7 +417,7 @@ def build_parser():
     p.add_argument("angles")
 
     p = add("lemmas", cmd_lemmas, help="run the geometry sampling suites")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--perturb", type=float, default=0.0,
                    help="inject a length-identity error (suite self-test)")

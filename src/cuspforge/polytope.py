@@ -4,6 +4,9 @@ Points live in R^I ordered by the incidence index: one coordinate per
 (tetrahedron, edge) slot.  The closure is cut out by one equality per
 per-vertex triple (sum pi), one equality per edge class (sum 2 pi), and the
 box bounds 0 <= x_i <= pi.
+
+scipy is imported inside the functions that need it, so commands that never
+solve an LP or take a null space do not pay its import time.
 """
 
 from __future__ import annotations
@@ -12,9 +15,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
-import scipy.sparse
 
 ORDERING_CONVENTION = "tet-lex;edges=01,02,03,12,13,23"
 
@@ -123,6 +123,8 @@ def classify_membership(sys, x, tol=DEFAULT_BOUNDARY_TOL):
 
 def null_space(sys):
     """Orthonormal basis of the homogeneous equality solutions (columns)."""
+    import scipy.linalg
+
     return scipy.linalg.null_space(sys.a_eq)
 
 
@@ -144,6 +146,9 @@ def interior_point(sys, pinned=None):
     The status is "ok" when no slot outside ``pinned`` is fixed and
     ``min_slack`` refers to those slots only.
     """
+    import scipy.optimize
+    import scipy.sparse
+
     pinned = pinned or {}
     n = sys.dim
     slots = np.array(sorted(pinned), dtype=int)
@@ -203,6 +208,8 @@ def sample_closure_points(sys, rng, n_samples, start=None,
     slots where ``start`` sits at 0 or pi, so from a boundary point they
     sweep the face it lies in instead of stopping at once.
     """
+    import scipy.linalg
+
     if start is None:
         res = interior_point(sys)
         if res.point is None:
@@ -245,14 +252,22 @@ def angles_to_json(x):
 
 
 def angles_from_json(text, expected_size=None):
+    """Angle vector from ``angles_to_json`` output or a bare JSON array;
+    ValueError on anything else."""
     data = json.loads(text)
     if isinstance(data, dict):
+        if "angles" not in data:
+            raise ValueError("angle file has no 'angles' key")
         values = data["angles"]
     else:
         values = data  # bare array accepted
-    x = np.asarray(values, dtype=float)
+    flat_finite = "angle vector must be a flat array of finite numbers"
+    try:
+        x = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(flat_finite) from None
     if x.ndim != 1 or not np.all(np.isfinite(x)):
-        raise ValueError("angle vector must be a flat array of finite numbers")
+        raise ValueError(flat_finite)
     if expected_size is not None and x.size != expected_size:
         raise ValueError("angle vector has length %d, expected %d"
                          % (x.size, expected_size))

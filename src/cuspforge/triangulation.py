@@ -156,8 +156,6 @@ class IncidenceIndex:
     def slot(self, tet, pair):
         return 6 * tet + PAIR_POSITION[tuple(sorted(pair))]
 
-    ORDERING_CONVENTION = "tet-lex;edges=01,02,03,12,13,23"
-
 
 # ---------------------------------------------------------------------------
 # Parsing and formatting

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -247,3 +249,42 @@ def test_seed_env_var_default(capsys, monkeypatch):
     code, report, _ = run_json(capsys, "lemmas", "--samples", "5")
     assert code == 0
     assert report["seed"] == 77
+
+
+@pytest.mark.parametrize("content", ['{"foo": 1}', '{"angles": {"a": 1}}'])
+def test_malformed_angle_file_exit_code(capsys, fig8_path, tmp_path,
+                                        content):
+    path = tmp_path / "angles.json"
+    path.write_text(content)
+    code, out, err = run_cli(capsys, "volume", fig8_path, str(path))
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_zero_samples_is_a_usage_error(capsys, fig8_path, center_angles_path):
+    for argv in (["dominate", fig8_path, center_angles_path, "--samples", "0"],
+                 ["lemmas", "--samples", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples" in captured.err
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_lambda_rejects_non_finite_theta(capsys, theta):
+    code, out, err = run_cli(capsys, "lambda", theta)
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert "finite" in err
+
+
+def test_cli_import_does_not_load_scipy():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cuspforge.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
