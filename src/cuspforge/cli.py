@@ -42,11 +42,32 @@ def _default_seed():
 
 
 def _positive_int(text):
-    """argparse type for sample counts: a sampled check over zero samples
-    would pass vacuously."""
+    """argparse type for sample, start and iteration counts: a sampled check
+    over zero samples passes vacuously, and a solve with zero iterations
+    reports no residual."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
+def _positive_float(text):
+    """argparse type for tolerances: no residual falls below a zero,
+    negative or NaN tolerance, so the solve would run to its cap."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            "must be finite and positive, got %s" % text)
+    return value
+
+
+def _nonnegative_float(text):
+    """argparse type for injected errors: a negative or NaN perturbation
+    would hide the failure it is meant to provoke."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            "must be finite and non-negative, got %s" % text)
     return value
 
 
@@ -331,7 +352,7 @@ def cmd_lemmas(args):
 def cmd_move23(args):
     timer = _Timer()
     tri, idx, sys_ = _build(args.path, timer)
-    before_edges = len(triangulation.edge_classes(tri))
+    before_edges = len(idx.edges)
     with timer.time("move"):
         moved = triangulation.pachner_23(tri, (args.tet, args.face))
     after_edges = len(triangulation.edge_classes(moved))
@@ -352,11 +373,11 @@ def cmd_check(args):
     timer = _Timer()
     tri, idx, sys_ = _build(args.path, timer)
     with timer.time("combinatorics"):
-        classes = triangulation.edge_classes(tri)
         links = triangulation.vertex_links(tri)
     results = {
         "tets": tri.n_tets,
-        "edge_classes": [{"id": c.id, "degree": c.degree} for c in classes],
+        "edge_classes": [{"id": e, "degree": len(members)}
+                         for e, members in enumerate(idx.edges)],
         "vertex_links": [{
             "id": l.id,
             "euler_characteristic": l.euler_characteristic,
@@ -386,10 +407,12 @@ def build_parser():
 
     p = add("solve", cmd_solve, help="maximize volume over the closure")
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=optimizer.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=optimizer.DEFAULT_MAX_ITER)
+    p.add_argument("--tol", type=_positive_float,
+                   default=optimizer.DEFAULT_TOL)
+    p.add_argument("--max-iter", type=_positive_int,
+                   default=optimizer.DEFAULT_MAX_ITER)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--starts", type=int, default=1)
+    p.add_argument("--starts", type=_positive_int, default=1)
 
     p = add("certify", cmd_certify, help="KKT certificate at a point")
     p.add_argument("path")
@@ -419,7 +442,7 @@ def build_parser():
     p = add("lemmas", cmd_lemmas, help="run the geometry sampling suites")
     p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--perturb", type=float, default=0.0,
+    p.add_argument("--perturb", type=_nonnegative_float, default=0.0,
                    help="inject a length-identity error (suite self-test)")
 
     p = add("move23", cmd_move23, help="apply a 2-3 move and write the result")

@@ -74,22 +74,14 @@ class InteriorPointResult:
 def build_constraints(idx):
     """LinearSystem for an IncidenceIndex: triple rows (rhs pi) first, then
     edge rows (rhs 2 pi), coefficients all 0/1."""
-    n = idx.size
-    rows = []
-    rhs = []
-    for triple in idx.triples:
-        row = np.zeros(n)
-        row[list(triple)] = 1.0
-        rows.append(row)
-        rhs.append(np.pi)
-    for members in idx.edges:
-        row = np.zeros(n)
-        for slot in members:
-            row[slot] += 1.0
-        rows.append(row)
-        rhs.append(2.0 * np.pi)
-    return LinearSystem(np.array(rows), np.array(rhs),
-                        len(idx.triples), len(idx.edges))
+    n, n_triples, n_edges = idx.size, len(idx.triples), len(idx.edges)
+    a_eq = np.zeros((n_triples + n_edges, n))
+    for i, triple in enumerate(idx.triples):
+        a_eq[i, list(triple)] = 1.0
+    # every slot lies in exactly one edge class
+    a_eq[n_triples + np.asarray(idx.edge_of), np.arange(n)] = 1.0
+    b_eq = np.repeat([np.pi, 2.0 * np.pi], [n_triples, n_edges])
+    return LinearSystem(a_eq, b_eq, n_triples, n_edges)
 
 
 def equality_residual(sys, x):

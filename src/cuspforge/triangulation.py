@@ -225,8 +225,10 @@ def format_triangulation(tri, comment=None):
 # Derived combinatorics
 
 class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+    """Union-find over the integers 0..size-1."""
+
+    def __init__(self, size):
+        self.parent = list(range(size))
 
     def find(self, x):
         p = self.parent
@@ -240,120 +242,81 @@ class _UnionFind:
         if ra != rb:
             self.parent[ra] = rb
 
-    def classes(self):
-        groups = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return groups
 
-
-def edge_classes(tri):
-    """Partition the 6 * n_tets (tet, vertex pair) slots into edge orbits."""
-    slots = [(t, p) for t in range(tri.n_tets) for p in VERTEX_PAIRS]
-    uf = _UnionFind(slots)
+def _edge_slot_classes(tri):
+    """Edge classes as ascending lists of slot ids 6 t + k, ordered by their
+    least slot."""
+    uf = _UnionFind(6 * tri.n_tets)
     for (t, f), (t2, perm) in tri.gluings.items():
         verts = [v for v in range(4) if v != f]
         for a, b in combinations(verts, 2):
             image = tuple(sorted((perm[a], perm[b])))
-            uf.union((t, (a, b)), (t2, image))
-    groups = sorted(uf.classes().values(),
-                    key=lambda g: min((t, PAIR_POSITION[p]) for t, p in g))
-    return [EdgeClass(i, tuple(sorted(g, key=lambda s: (s[0], PAIR_POSITION[s[1]]))))
-            for i, g in enumerate(groups)]
+            uf.union(6 * t + PAIR_POSITION[(a, b)],
+                     6 * t2 + PAIR_POSITION[image])
+    groups = {}
+    for s in range(6 * tri.n_tets):
+        groups.setdefault(uf.find(s), []).append(s)
+    return list(groups.values())
 
 
-def _link_side_pairs(tri):
-    """Glued pairs of link-triangle sides, with their endpoint maps.
+def edge_classes(tri):
+    """Partition the 6 * n_tets (tet, vertex pair) slots into edge orbits."""
+    return [EdgeClass(i, tuple((s // 6, VERTEX_PAIRS[s % 6]) for s in g))
+            for i, g in enumerate(_edge_slot_classes(tri))]
 
-    The link triangle of corner (t, v) has one side on each face f != v of t;
-    the side on face f joins the corner's intersections with edges {v, u1},
-    {v, u2} where {u1, u2} = {0..3} \\ {v, f}.  A face gluing carries sides to
-    sides by the vertex permutation.
-    """
-    pairs = []
-    seen = set()
-    for (t, f), (t2, perm) in tri.gluings.items():
-        f2 = perm[f]
-        for v in range(4):
-            if v == f:
-                continue
-            side_a = (t, v, f)
-            side_b = (t2, perm[v], f2)
-            if side_a in seen or side_b in seen:
-                continue
-            seen.add(side_a)
-            seen.add(side_b)
-            pairs.append((side_a, side_b, perm))
-    return pairs
+
+def _is_odd(perm):
+    return sum(perm[i] > perm[j] for i, j in combinations(range(4), 2)) % 2
 
 
 def vertex_links(tri):
-    """One VertexLink per vertex class: Euler characteristic, orientability."""
-    corners = [(t, v) for t in range(tri.n_tets) for v in range(4)]
-    vert_uf = _UnionFind(corners)
-    # corners of link triangles: (t, v, u) with u != v
-    tri_corners = [(t, v, u) for t, v in corners for u in range(4) if u != v]
-    corner_uf = _UnionFind(tri_corners)
+    """One VertexLink per vertex class: Euler characteristic, orientability.
+
+    The link of a class is a closed surface made of the corner triangles
+    (t, v) of the class.  Every side is glued to exactly one other side, so
+    E = 3F/2 and chi = V - F/2, where V counts the classes of edge ends
+    (t, v, u).  A corner triangle is oriented by its tetrahedron, and a
+    gluing keeps two orientations compatible exactly when its permutation is
+    odd, so one 2-colouring search per class decides orientability.
+    """
+    n = tri.n_tets
+    ends = _UnionFind(16 * n)  # edge end (t, v, u) is 16 t + 4 v + u
     for (t, f), (t2, perm) in tri.gluings.items():
         for v in range(4):
-            if v == f:
-                continue
-            vert_uf.union((t, v), (t2, perm[v]))
             for u in range(4):
-                if u not in (v, f):
-                    corner_uf.union((t, v, u), (t2, perm[v], perm[u]))
-
-    side_pairs = _link_side_pairs(tri)
-
-    # Orientation: reference cyclic order of each link triangle is its three
-    # u-labels ascending; two triangles glued along a side are compatibly
-    # oriented iff the side is traversed in opposite directions.
-    def side_direction(t, v, f):
-        labels = sorted(u for u in range(4) if u != v)
-        ends = [u for u in labels if u != f]
-        i, j = labels.index(ends[0]), labels.index(ends[1])
-        if (i + 1) % 3 == j:
-            return ends[0], ends[1]
-        return ends[1], ends[0]
-
-    adjacency = {}
-    for (ta, va, fa), (tb, vb, fb), perm in side_pairs:
-        a_dir = side_direction(ta, va, fa)
-        b_dir = side_direction(tb, vb, fb)
-        mapped = (perm[a_dir[0]], perm[a_dir[1]])
-        # same direction after mapping -> orientations must differ
-        flip = 1 if mapped == b_dir else -1
-        adjacency.setdefault((ta, va), []).append(((tb, vb), flip))
-        adjacency.setdefault((tb, vb), []).append(((ta, va), flip))
-
-    groups = sorted(vert_uf.classes().values(), key=min)
+                if u != v and f not in (u, v):
+                    ends.union(16 * t + 4 * v + u,
+                               16 * t2 + 4 * perm[v] + perm[u])
+    sign = {}
     links = []
-    for i, group in enumerate(groups):
-        group = sorted(group)
-        f_count = len(group)
-        e_count = sum(1 for (sa, sb, _) in side_pairs if sa[:2] in set(group))
-        v_count = len({corner_uf.find((t, v, u))
-                       for t, v in group for u in range(4) if u != v})
-        chi = v_count - e_count + f_count
-        # 2-color BFS over the triangle adjacency with flip constraints
-        orientable = True
-        sign = {}
-        for start in group:
-            if start in sign:
-                continue
-            sign[start] = 1
-            stack = [start]
-            while stack:
-                cur = stack.pop()
-                for nbr, flip in adjacency.get(cur, ()):
-                    want = sign[cur] * flip * -1  # flip=-1: same sign
-                    if nbr in sign:
-                        if sign[nbr] != want:
-                            orientable = False
-                    else:
-                        sign[nbr] = want
-                        stack.append(nbr)
-        links.append(VertexLink(i, chi, orientable, tuple(group)))
+    for start in range(4 * n):
+        if start in sign:
+            continue
+        # one search per class, from its least corner 4 t + v, so the
+        # classes come out in order of their least corners
+        sign[start] = 1
+        stack, group, orientable = [start], [], True
+        while stack:
+            c = stack.pop()
+            group.append(c)
+            t, v = divmod(c, 4)
+            for f in range(4):
+                if f == v:
+                    continue
+                t2, perm = tri.gluings[(t, f)]
+                nbr = 4 * t2 + perm[v]
+                want = sign[c] if _is_odd(perm) else -sign[c]
+                if nbr not in sign:
+                    sign[nbr] = want
+                    stack.append(nbr)
+                elif sign[nbr] != want:
+                    orientable = False
+        group.sort()
+        v_count = len({ends.find(4 * c + u)
+                       for c in group for u in range(4) if u != c % 4})
+        links.append(VertexLink(len(links), v_count - len(group) // 2,
+                                orientable,
+                                tuple(divmod(c, 4) for c in group)))
     return links
 
 
@@ -373,14 +336,11 @@ def incidence(tri):
                 for u in range(4) if u != v))
     opposite = tuple(
         6 * t + PAIR_POSITION[opposite_pair(p)] for t, p in entries)
-    classes = edge_classes(tri)
+    edges = [tuple(g) for g in _edge_slot_classes(tri)]
     edge_of = [None] * len(entries)
-    edges = []
-    for cls in classes:
-        members = tuple(6 * t + PAIR_POSITION[p] for t, p in cls.members)
-        edges.append(members)
+    for e, members in enumerate(edges):
         for slot in members:
-            edge_of[slot] = cls.id
+            edge_of[slot] = e
     return IncidenceIndex(tri.n_tets, entries, tuple(triples), opposite,
                           tuple(edge_of), tuple(edges))
 

@@ -79,6 +79,17 @@ def degenerate4_sys(degenerate4_path):
     return polytope.build_constraints(triangulation.incidence(tri))
 
 
+@pytest.fixture(scope="session")
+def gieseking_path():
+    return os.path.join(DATA_DIR, "gieseking.tri")
+
+
+@pytest.fixture(scope="session")
+def gieseking(gieseking_path):
+    with open(gieseking_path) as fh:
+        return triangulation.parse_triangulation(fh.read(), label="gieseking")
+
+
 @pytest.fixture()
 def doubled_path(tmp_path):
     path = tmp_path / "doubled.tri"

@@ -58,9 +58,13 @@ def orbit_edge_classes(tri):
 def assemble_links(tri):
     """Vertex links by explicit surface assembly.
 
-    Returns a list of (chi, n_triangles) per vertex class, computed from
-    scratch: triangles are corners (t, v), edges are glued side pairs,
-    vertices are breadth-first orbits of triangle corners.
+    Returns a list of (chi, n_triangles, orientable) per vertex class, in
+    order of each class's least corner, computed from scratch: triangles are
+    corners (t, v), edges are glued side pairs, vertices are breadth-first
+    orbits of triangle corners.  Orientability comes from side directions:
+    each triangle is first traversed along its labels u != v in ascending
+    cyclic order, and two triangles glued along a side are compatibly
+    oriented when they traverse that side in opposite directions.
     """
     corners = [(t, v) for t in range(tri.n_tets) for v in range(4)]
 
@@ -93,6 +97,34 @@ def assemble_links(tri):
                 out.append((t2, perm[v]))
         return out
 
+    def direction(v, x, y):
+        """+1 when the side x -> y of a triangle at vertex v follows the
+        ascending cyclic order of its labels, -1 otherwise."""
+        labels = sorted(u for u in range(4) if u != v)
+        return 1 if labels[(labels.index(x) + 1) % 3] == y else -1
+
+    def oriented(group):
+        # relative orientation of each triangle against its label order;
+        # a side x -> y is traversed direction * orientation
+        orient = {group[0]: 1}
+        todo = [group[0]]
+        while todo:
+            t, v = todo.pop()
+            for f in range(4):
+                if f == v:
+                    continue
+                x, y = [u for u in range(4) if u not in (v, f)]
+                t2, perm = tri.gluings[(t, f)]
+                other = (t2, perm[v])
+                want = -orient[(t, v)] * direction(v, x, y) \
+                    * direction(perm[v], perm[x], perm[y])
+                if other not in orient:
+                    orient[other] = want
+                    todo.append(other)
+                elif orient[other] != want:
+                    return False
+        return True
+
     seen = set()
     classes = []
     for c in corners:
@@ -123,7 +155,7 @@ def assemble_links(tri):
             done |= o
             vertex_orbits.add(o)
         chi = len(vertex_orbits) - edges + faces
-        results.append((chi, faces))
+        results.append((chi, faces, oriented(group)))
     return results
 
 

@@ -273,6 +273,50 @@ def test_zero_samples_is_a_usage_error(capsys, fig8_path, center_angles_path):
         assert "--samples" in captured.err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["solve", "FIG8", "--max-iter", "0"], "--max-iter"),
+    (["solve", "FIG8", "--starts", "0"], "--starts"),
+    (["solve", "FIG8", "--starts", "-3"], "--starts"),
+    (["solve", "FIG8", "--tol", "nan"], "--tol"),
+    (["solve", "FIG8", "--tol", "0"], "--tol"),
+    (["solve", "FIG8", "--tol", "-1"], "--tol"),
+    (["solve", "FIG8", "--tol", "inf"], "--tol"),
+    (["lemmas", "--samples", "3", "--perturb", "nan"], "--perturb"),
+    (["lemmas", "--samples", "3", "--perturb", "-1"], "--perturb"),
+], ids=["max-iter=0", "starts=0", "starts=-3", "tol=nan", "tol=0", "tol=-1",
+        "tol=inf", "perturb=nan", "perturb=-1"])
+def test_vacuous_or_endless_numeric_flag_is_a_usage_error(capsys, fig8_path,
+                                                          argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([fig8_path if a == "FIG8" else a for a in argv])
+    assert exc.value.code == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_check_gieseking_is_cusped(capsys, gieseking_path):
+    code, report, _ = run_json(capsys, "check", gieseking_path)
+    assert code == 0
+    validate_schema(report)
+    res = report["results"]
+    assert res["edge_classes"] == [{"id": 0, "degree": 6}]
+    assert res["vertex_links"] == [
+        {"id": 0, "euler_characteristic": 0, "orientable": False}]
+    assert res["is_cusped"] is True
+
+
+def test_solve_gieseking(capsys, gieseking_path):
+    code, report, _ = run_json(capsys, "solve", gieseking_path)
+    assert code == 0
+    validate_schema(report)
+    res = report["results"]
+    assert res["status"] == "converged"
+    assert abs(res["volume"] - 2.029883212819307 / 2) < 1e-10
+    assert np.allclose(res["point"], np.pi / 3, rtol=0.0, atol=1e-10)
+    assert res["candidate_complete"] is True
+
+
 @pytest.mark.parametrize("theta", ["nan", "inf"])
 def test_lambda_rejects_non_finite_theta(capsys, theta):
     code, out, err = run_cli(capsys, "lambda", theta)

@@ -1,5 +1,8 @@
 """Gluing data, parsing, derived combinatorics, and the 2-3 move."""
 
+import random
+from itertools import permutations, product
+
 import pytest
 
 from cuspforge import optimizer, polytope
@@ -95,7 +98,7 @@ def test_fig8_vertex_link_is_a_torus(fig8):
     assert links[0].orientable
     assert len(links[0].corners) == 8
     assert tr.is_cusped(fig8)
-    assert assemble_links(fig8) == [(0, 8)]
+    assert assemble_links(fig8) == [(0, 8, True)]
 
 
 def test_doubled_combinatorics(doubled):
@@ -108,7 +111,7 @@ def test_doubled_combinatorics(doubled):
     links = tr.vertex_links(doubled)
     assert [l.euler_characteristic for l in links] == [2, 2, 2, 2]
     assert not tr.is_cusped(doubled)
-    assert sorted(assemble_links(doubled)) == [(2, 2)] * 4
+    assert sorted(assemble_links(doubled)) == [(2, 2, True)] * 4
 
 
 def test_self_glued_matches_oracles(self_glued):
@@ -117,8 +120,71 @@ def test_self_glued_matches_oracles(self_glued):
     assert sorted((frozenset(c.members) for c in classes),
                   key=sorted) == oracle
     links = tr.vertex_links(self_glued)
-    assert sorted((l.euler_characteristic, len(l.corners)) for l in links) \
-        == sorted(assemble_links(self_glued))
+    assert sorted((l.euler_characteristic, len(l.corners), l.orientable)
+                  for l in links) == sorted(assemble_links(self_glued))
+
+
+def test_gieseking_link_is_a_klein_bottle(gieseking):
+    links = tr.vertex_links(gieseking)
+    assert len(links) == 1
+    assert links[0].euler_characteristic == 0
+    assert not links[0].orientable
+    assert links[0].corners == tuple((0, v) for v in range(4))
+    assert tr.is_cusped(gieseking)
+    assert assemble_links(gieseking) == [(0, 4, False)]
+    classes = tr.edge_classes(gieseking)
+    assert [c.degree for c in classes] == [6]
+    assert tr.incidence(gieseking).edges == (tuple(range(6)),)
+
+
+def one_tetrahedron_gluings():
+    """All 108 valid gluings of one tetrahedron: three pairings of its four
+    faces, six permutations carrying each face onto its partner."""
+    perms = list(permutations(range(4)))
+    for pairing in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        options = [[p for p in perms if p[f] == f2] for f, f2 in pairing]
+        for chosen in product(*options):
+            gluings = {}
+            for (f, f2), p in zip(pairing, chosen):
+                gluings[(0, f)] = (0, p)
+                gluings[(0, f2)] = (0, tuple(p.index(i) for i in range(4)))
+            yield tr.Triangulation(1, gluings)
+
+
+def random_gluing(rng, n_tets):
+    """Faces paired at random, each pair glued by a random permutation."""
+    faces = [(t, f) for t in range(n_tets) for f in range(4)]
+    rng.shuffle(faces)
+    gluings = {}
+    for (t, f), (t2, f2) in zip(faces[::2], faces[1::2]):
+        p = [f2] + rng.sample([i for i in range(4) if i != f2], 3)
+        p[0], p[f] = p[f], p[0]
+        gluings[(t, f)] = (t2, tuple(p))
+        gluings[(t2, f2)] = (t, tuple(p.index(i) for i in range(4)))
+    return tr.Triangulation(n_tets, gluings)
+
+
+def _check_against_oracles(tris):
+    non_orientable = 0
+    for tri in tris:
+        links = tr.vertex_links(tri)
+        assert [(l.euler_characteristic, len(l.corners), l.orientable)
+                for l in links] == assemble_links(tri)
+        non_orientable += not all(l.orientable for l in links)
+        assert {frozenset(c.members) for c in tr.edge_classes(tri)} \
+            == set(orbit_edge_classes(tri))
+    assert non_orientable > 0
+
+
+def test_links_and_edges_match_oracles_on_one_tetrahedron_gluings():
+    tris = list(one_tetrahedron_gluings())
+    assert len({tuple(sorted(tri.gluings.items())) for tri in tris}) == 108
+    _check_against_oracles(tris)
+
+
+def test_links_and_edges_match_oracles_on_random_gluings():
+    rng = random.Random(5)
+    _check_against_oracles([random_gluing(rng, 2 + k % 2) for k in range(300)])
 
 
 # ---------------------------------------------------------------------------
