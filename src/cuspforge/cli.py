@@ -5,8 +5,8 @@ move23, check.  Reports are JSON on stdout (segment emits CSV); the
 ``results`` payload is deterministic for fixed inputs, flags and seed, while
 ``timings`` are informational only.
 
-Exit codes: 0 ok, 2 parse/usage error, 3 empty closure, 4 iteration cap,
-5 lemma suite failure.
+Exit codes: 0 ok, 2 parse/usage error, 3 empty closure, 4 not converged
+(iteration cap or stall), 5 lemma suite failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import geometry, lobachevsky, optimizer, polytope, triangulation
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_EMPTY_CLOSURE = 3
-EXIT_ITERATION_CAP = 4
+EXIT_NOT_CONVERGED = 4
 EXIT_SUITE_FAILURE = 5
 
 
@@ -186,9 +186,7 @@ def cmd_solve(args):
             "volumes": probe.volumes,
         }
     _emit("solve", [args.path], args.seed, results, timer)
-    if res.status == "iteration-cap":
-        return EXIT_ITERATION_CAP
-    return EXIT_OK
+    return EXIT_OK if res.status == "converged" else EXIT_NOT_CONVERGED
 
 
 def cmd_certify(args):
@@ -202,6 +200,7 @@ def cmd_certify(args):
         "membership": membership.kind,
         "gradient_residual": cert.gradient_residual,
         "signs_ok": cert.signs_ok,
+        "fit_iterations": cert.fit_iterations,
         "multipliers": cert.multipliers,
         "active_multipliers": [[i, v] for i, v in cert.active_multipliers],
     }

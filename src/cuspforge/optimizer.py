@@ -5,8 +5,8 @@ on the closure, so a tetrahedron has angles A, B, C = pi - A - B and adds
 Lambda(A) + Lambda(B) + Lambda(C) to the volume.  Its Hessian in (A, B),
 -[[cot A + cot C, cot C], [cot C, cot B + cot C]], is negative definite with
 determinant 1; tetrahedra couple only through the edge equations, solved by
-their Schur complement.  Newton runs on the free angles of the minimal face
-from ``polytope.interior_point``.
+their Schur complement.  Newton runs on the free angles of the minimal face,
+from the centre of the box or from ``polytope.interior_point``.
 """
 
 from __future__ import annotations
@@ -26,15 +26,21 @@ FLAT_TOL = 1e-8
 # Slot k of a tetrahedron carries angle _ANGLE_OF_SLOT[k]: the slots of the
 # opposite edge pairs (01, 23), (02, 13), (03, 12) carry A, B and C.
 _ANGLE_OF_SLOT = np.array([0, 1, 2, 2, 1, 0])
-# Share of the distance to the box taken by a step that would leave it.
-_TO_BOUNDARY = 0.99
+# Share of the distance to the box taken by a step that would leave it; at
+# 0.99 the angle such a step left near 0 cost three or four more steps.
+_TO_BOUNDARY = 0.75
+# Newton steps from the centre of the box allowed to reach the equalities.
+_CENTRE_STEPS = 5
+# Accepted steps with no new least KKT residual after which a step gaining
+# no volume beyond rounding ends the ascent as "stalled".
+_STALL_STEPS = 3
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
     point: np.ndarray | None
     volume: float
-    status: str  # "converged" | "iteration-cap" | "empty-closure"
+    status: str  # "converged" | "stalled" | "iteration-cap" | "empty-closure"
     flat_tets: tuple
     active_set: polytope.FlatSet
     kkt_residual: float
@@ -47,6 +53,7 @@ class MaximalityCertificate:
     active_multipliers: tuple  # of (slot, fitted finite part)
     gradient_residual: float
     signs_ok: bool
+    fit_iterations: int
 
 
 @dataclass(frozen=True)
@@ -73,22 +80,15 @@ def classify_tetrahedra(p, tol=FLAT_TOL):
     closure forces one angle to 0, a tetrahedron keeps the angles
     (0, a, pi - a).
     """
-    p = np.asarray(p, dtype=float)
-    out = []
-    for t in range(p.size // 6):
-        six = p[6 * t:6 * t + 6]
-        # opposite pairs in slot order: (0,5), (1,4), (2,3)
-        pairs_ok = all(abs(six[k] - six[5 - k]) <= tol for k in range(3))
-        pair_vals = sorted(0.5 * (six[k] + six[5 - k]) for k in range(3))
-        if np.all(six >= tol) and np.all(six <= np.pi - tol):
-            out.append("positive")
-        elif (pairs_ok and abs(pair_vals[0]) <= tol
-              and abs(pair_vals[1]) <= tol
-              and abs(pair_vals[2] - np.pi) <= tol):
-            out.append("flat")
-        else:
-            out.append("invalid")
-    return out
+    six = np.asarray(p, dtype=float).reshape(-1, 6)
+    # opposite pairs in slot order: (0,5), (1,4), (2,3)
+    pairs_ok = np.all(np.abs(six[:, :3] - six[:, :2:-1]) <= tol, axis=1)
+    pair_vals = np.sort(0.5 * (six[:, :3] + six[:, :2:-1]), axis=1)
+    positive = np.all((six >= tol) & (six <= np.pi - tol), axis=1)
+    flat = (pairs_ok & np.all(np.abs(pair_vals - [0.0, 0.0, np.pi]) <= tol,
+                              axis=1))
+    return np.where(positive, "positive",
+                    np.where(flat, "flat", "invalid")).tolist()
 
 
 class _Face:
@@ -177,35 +177,86 @@ def _slots(ang):
     return ang[:, _ANGLE_OF_SLOT].ravel()
 
 
+def _line_search(face, ang, vol, step):
+    """Backtrack from the longest step inside the box to one that ascends the
+    Lagrangian, which takes out of the volume the first-order effect of the
+    error in the edge equations: rounding, which grows as a tetrahedron
+    flattens, or off the equalities the distance to them.  Returns the step
+    length, 0.0 when no step ascends, and the angles and volume after it."""
+    d, normal, slope, _ = step
+    drift = float(normal @ _slots(d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        limits = np.where(face.free & (d < 0.0), -ang / d, np.inf)
+    alpha = min(1.0, _TO_BOUNDARY * float(np.min(limits)))
+    for _ in range(60):
+        trial = ang + alpha * d
+        trial_vol = lob.volume(_slots(trial))
+        if (trial_vol - alpha * drift
+                >= vol + 1e-4 * alpha * slope - 1e-14 * max(1.0, abs(vol))):
+            return alpha, trial, trial_vol
+        alpha *= 0.5
+    return 0.0, ang, vol
+
+
+def _centre_start(sys, face, max_steps):
+    """Newton from the centre of the box, every angle pi/3, off the edge
+    equations: a step of length alpha scales their error by 1 - alpha, so
+    the first full step lands on them when they are consistent.  Returns
+    that point, strictly inside the box, and the steps taken; the point is
+    None when it is not in the closure, or when a step shrinks or
+    ``max_steps`` pass first, as they do when the closure has no interior."""
+    ang = np.full((face.free.shape[0], 3), np.pi / 3.0)
+    vol, last = lob.volume(_slots(ang)), 0.0
+    for k in range(1, max_steps + 1):
+        alpha, ang, vol = _line_search(face, ang, vol, face.step(ang))
+        if alpha == 1.0 and polytope.classify_membership(
+                sys, _slots(ang)).kind == "interior":
+            return ang, k
+        if alpha in (0.0, 1.0) or alpha < last:
+            return None, k
+        last = alpha
+    return None, max_steps
+
+
 def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
                     start=None, flat_tol=FLAT_TOL):
     """Ascend the volume functional to its maximum over the closure.
 
     Newton runs on the free angles of the minimal face, from ``start`` (a
-    point with those angles positive) or from the interior-point LP's point,
-    and stops when the KKT residual is below ``tol``.  A tetrahedron that the
-    ascent drives within ``flat_tol`` of (0, 0, pi) is pinned flat, and the
-    ascent restarts on the face the pins cut out.  At most one restart per
-    tetrahedron: pinned tetrahedra stay fixed.
+    point with those angles positive), or from where Newton from the centre
+    of the box meets the equalities (``_centre_start``): the closure has
+    interior there, so no LP runs and the labeling does not matter.  Else it
+    starts from the interior-point LP's point.  It stops when the KKT
+    residual is below ``tol``, or as "stalled" when no step ascends or
+    neither residual nor volume improves beyond rounding.  A tetrahedron
+    that the ascent drives within ``flat_tol`` of (0, 0, pi) is pinned flat,
+    and the ascent restarts on the face the pins cut out.  At most one
+    restart per tetrahedron: pinned tetrahedra stay fixed.
     """
-    ip = polytope.interior_point(sys)
-    if ip.status == "empty-closure":
-        return OptimizationResult(None, float("nan"), "empty-closure", (),
-                                  polytope.FlatSet(frozenset()),
-                                  float("nan"), 0)
-    face = _Face(sys, ip.fixed.indices)
-    ang = face.angles(ip.point if start is None else start)
-    if np.any(ang[face.free] <= 0.0):
-        raise ValueError("start point is not in the relative interior of "
-                         "the minimal face")
+    ang, iters = None, 0
+    if start is None:
+        face = _Face(sys, ())
+        ang, iters = _centre_start(sys, face, min(_CENTRE_STEPS, max_iter))
+    if ang is None:
+        ip = polytope.interior_point(sys)
+        if ip.status == "empty-closure":
+            return OptimizationResult(None, float("nan"), "empty-closure", (),
+                                      polytope.FlatSet(frozenset()),
+                                      float("nan"), iters)
+        face = _Face(sys, ip.fixed.indices)
+        ang = face.angles(ip.point if start is None else start)
+        if np.any(ang[face.free] <= 0.0):
+            raise ValueError("start point is not in the relative interior "
+                             "of the minimal face")
     pinned = {}
-    iters = 0
+    best, stale = np.inf, 0
     status = "iteration-cap"
     residual = float("nan")
     vol = lob.volume(_slots(ang))
     while iters < max_iter:
         iters += 1
-        d, normal, slope, residual = face.step(ang)
+        step = face.step(ang)
+        d, _, _, residual = step
         # A tetrahedron within sqrt(flat_tol) of flat that the full step
         # takes within flat_tol is pinned flat: closer to flat, rounding in
         # the step outgrows the step.
@@ -223,30 +274,20 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
             face = _Face(sys, ip.fixed.indices)
             ang = face.angles(ip.point)
             vol = lob.volume(_slots(ang))
+            best, stale = np.inf, 0
             continue
-        # The line search runs on the Lagrangian, which takes out of the
-        # volume the first-order effect of the rounding error in the edge
-        # equations; that error grows as a tetrahedron flattens.
-        drift = float(normal @ _slots(d))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            limits = np.where(face.free & (d < 0.0), -ang / d, np.inf)
-        alpha = min(1.0, _TO_BOUNDARY * float(np.min(limits)))
-        accepted = False
-        for _ in range(60):
-            trial = ang + alpha * d
-            trial_vol = lob.volume(_slots(trial))
-            accepted = (trial_vol - alpha * drift >= vol + 1e-4 * alpha * slope
-                        - 1e-14 * max(1.0, abs(vol)))
-            if accepted:
-                ang, vol = trial, trial_vol
-                break
-            alpha *= 0.5
+        slack = 1e-14 * max(1.0, abs(vol))
+        alpha, ang, new_vol = _line_search(face, ang, vol, step)
+        gain, vol = new_vol - vol, new_vol
         # the step taken from a point within tol squares its residual
         if residual < tol:
             status = "converged"
             break
-        if not accepted:
-            break  # no ascent at rounding level: reported as not converged
+        stale = 0 if residual < best else stale + 1
+        best = min(best, residual)
+        if not alpha or (stale >= _STALL_STEPS and gain <= slack):
+            status = "stalled"
+            break
 
     x = _slots(ang)
     active = (polytope.classify_membership(sys, x, tol=flat_tol).flat
@@ -257,13 +298,36 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
                               residual, iters)
 
 
+def _min_norm_fit(rows, g, n_rows, eps=1e-14):
+    """CGLS for the least-squares lam of A^T lam = g, column s of A having
+    ones in rows[s]: from lam = 0 the iterates stay in range(A), so the fit
+    is the minimum-norm one.  Stops at |A r| <= eps |A g|; also returns the
+    iteration count."""
+    lam, r = np.zeros(n_rows), np.array(g, dtype=float)
+    s = np.bincount(rows.ravel(), np.repeat(r, 3), n_rows)  # A r
+    p, gamma = s, float(s @ s)
+    stop, iters = eps * eps * gamma, 0
+    while gamma > stop and iters < 4 * n_rows:
+        iters += 1
+        q = p[rows].sum(axis=1)  # A^T p
+        alpha = gamma / float(q @ q)
+        lam += alpha * p
+        r -= alpha * q
+        s = np.bincount(rows.ravel(), np.repeat(r, 3), n_rows)
+        gamma, gamma_old = float(s @ s), gamma
+        p = s + (gamma / gamma_old) * p
+    return lam, iters
+
+
 def certify(sys, p, tol=FLAT_TOL, n_probes=200, seed=0):
     """Least-squares KKT certificate at a feasible point.
 
     Fits the volume gradient over the free coordinates into the span of the
-    equality normals.  Active bounds are not certified through the (divergent)
-    raw gradient; instead signs_ok additionally requires all sampled one-sided
-    derivative limits off the point to be non-improving.
+    equality normals: minimum-norm least-squares multipliers, found
+    matrix-free in ``fit_iterations`` CGLS steps, and the residual
+    recomputed from them.  Active bounds are not certified through the
+    (divergent) raw gradient; instead signs_ok additionally requires all
+    sampled one-sided derivative limits off the point to be non-improving.
     """
     p = np.asarray(p, dtype=float)
     membership = polytope.classify_membership(sys, p, tol=tol)
@@ -272,11 +336,10 @@ def certify(sys, p, tol=FLAT_TOL, n_probes=200, seed=0):
                          "(equality violation %g)" % membership.equality_violation)
     free = (p > tol) & (p < np.pi - tol)
     g = lob.volume_gradient(p)
-    a_free = sys.a_eq[:, free]
-    lam, *_ = np.linalg.lstsq(a_free.T, g[free], rcond=None)
-    residual = float(np.linalg.norm(a_free.T @ lam - g[free], np.inf))
-
-    fitted = sys.a_eq.T @ lam
+    rows = sys.rows_of_slot
+    lam, iters = _min_norm_fit(rows[free], g[free], sys.a_eq.shape[0])
+    fitted = lam[rows].sum(axis=1)
+    residual = float(np.max(np.abs(fitted[free] - g[free]), initial=0.0))
     active = tuple((int(i), float(fitted[i]))
                    for i in np.flatnonzero(~free))
 
@@ -293,7 +356,7 @@ def certify(sys, p, tol=FLAT_TOL, n_probes=200, seed=0):
             if rep.value > 1e-8:
                 signs_ok = False
                 break
-    return MaximalityCertificate(lam, active, residual, signs_ok)
+    return MaximalityCertificate(lam, active, residual, signs_ok, iters)
 
 
 def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,

@@ -29,6 +29,7 @@ class LinearSystem:
     b_eq: np.ndarray
     n_triple_rows: int
     n_edge_rows: int
+    rows_of_slot: np.ndarray  # (dim, 3): two triple rows, then edge row
 
     @property
     def dim(self):
@@ -75,13 +76,16 @@ def build_constraints(idx):
     """LinearSystem for an IncidenceIndex: triple rows (rhs pi) first, then
     edge rows (rhs 2 pi), coefficients all 0/1."""
     n, n_triples, n_edges = idx.size, len(idx.triples), len(idx.edges)
+    # every slot lies in the triples of its edge's two ends and in one edge
+    # class, so the stable sort of the triples' slots pairs up their rows
+    triple_rows = np.argsort(np.ravel([sorted(t) for t in idx.triples]),
+                             kind="stable") // 3
+    rows_of_slot = np.column_stack([triple_rows.reshape(n, 2),
+                                    n_triples + np.asarray(idx.edge_of)])
     a_eq = np.zeros((n_triples + n_edges, n))
-    for i, triple in enumerate(idx.triples):
-        a_eq[i, list(triple)] = 1.0
-    # every slot lies in exactly one edge class
-    a_eq[n_triples + np.asarray(idx.edge_of), np.arange(n)] = 1.0
+    a_eq[rows_of_slot, np.arange(n)[:, None]] = 1.0
     b_eq = np.repeat([np.pi, 2.0 * np.pi], [n_triples, n_edges])
-    return LinearSystem(a_eq, b_eq, n_triples, n_edges)
+    return LinearSystem(a_eq, b_eq, n_triples, n_edges, rows_of_slot)
 
 
 def equality_residual(sys, x):

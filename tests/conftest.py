@@ -1,4 +1,5 @@
 import os
+import random
 import sys
 
 import numpy as np
@@ -97,6 +98,12 @@ def doubled_path(tmp_path):
     return str(path)
 
 
+def load_data(name):
+    """The triangulation ``data/<name>.tri``."""
+    with open(os.path.join(DATA_DIR, name + ".tri")) as fh:
+        return triangulation.parse_triangulation(fh.read(), label=name)
+
+
 def movable_face(tri):
     """First face shared by two distinct tetrahedra (2-3 move applicable)."""
     for t in range(tri.n_tets):
@@ -111,3 +118,33 @@ def movable_chain(tri, n_moves):
     for _ in range(n_moves):
         tri = triangulation.pachner_23(tri, movable_face(tri))
     return tri
+
+
+def random_chain(tri, rng, n_moves):
+    """``tri`` after ``n_moves`` 2-3 moves, each on a face drawn by ``rng``
+    among those shared by two distinct tetrahedra."""
+    for _ in range(n_moves):
+        faces = [(t, f) for t in range(tri.n_tets) for f in range(4)
+                 if tri.gluings[(t, f)][0] != t]
+        tri = triangulation.pachner_23(tri, rng.choice(faces))
+    return tri
+
+
+def property_chain(fig8, seed):
+    """The seeded random chain of the property test: up to six 2-3 moves
+    from fig8."""
+    rng = random.Random(seed)
+    return random_chain(fig8, rng, rng.randrange(7))
+
+
+def relabel(tri, rng):
+    """``tri`` with its tetrahedra permuted and the vertices of each one
+    relabeled, both drawn by ``rng``."""
+    order = rng.sample(range(tri.n_tets), tri.n_tets)
+    sigma = [rng.sample(range(4), 4) for _ in range(tri.n_tets)]
+    gluings = {}
+    for (t, f), (t2, perm) in tri.gluings.items():
+        s, s2 = sigma[t], sigma[t2]
+        gluings[(order[t], s[f])] = (
+            order[t2], tuple(s2[perm[s.index(w)]] for w in range(4)))
+    return triangulation.Triangulation(tri.n_tets, gluings, label=tri.label)

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library code paths it checks:
 quadrature instead of the series kernel, breadth-first orbit enumeration
 instead of union-find, explicit surface assembly for links, point-to-point
-hyperbolic distances for decorated edge lengths, and box-bounded linear
-programs for the shape of the angle polytope.
+hyperbolic distances for decorated edge lengths, box-bounded linear
+programs for the shape of the angle polytope, and a dense least-squares
+solve for the certificate's multipliers.
 """
 
 import math
@@ -237,3 +238,22 @@ def fixed_slots(a_eq, b_eq):
         if lo + hi > -1e-9:
             out.add(i)
     return out
+
+
+def lstsq_certificate(a_eq, p, tol=1e-8):
+    """The least-squares KKT fit at p by a dense solve: the minimum-norm
+    multipliers fitting the volume gradient -0.5 log(2 sin p_i) over the
+    slots strictly inside (tol, pi - tol), the fitted values on the other
+    slots, and the largest residual on the free ones."""
+    p = np.asarray(p, dtype=float)
+    free = (p > tol) & (p < np.pi - tol)
+    g = -0.5 * np.log(2.0 * np.sin(p[free]))
+    a_free = a_eq[:, free]
+    if free.any():
+        lam = np.linalg.lstsq(a_free.T, g, rcond=None)[0]
+    else:
+        lam = np.zeros(a_eq.shape[0])
+    residual = float(np.max(np.abs(a_free.T @ lam - g), initial=0.0))
+    fitted = a_eq.T @ lam
+    active = tuple((int(i), float(fitted[i])) for i in np.flatnonzero(~free))
+    return lam, active, residual

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -130,8 +131,22 @@ def test_solve_iteration_cap_exit_code(capsys, fig8, tmp_path):
     path = tmp_path / "moved.tri"
     path.write_text(triangulation.format_triangulation(moved))
     code, report, _ = run_json(capsys, "solve", str(path), "--max-iter", "1")
-    assert code == cli.EXIT_ITERATION_CAP
+    assert code == cli.EXIT_NOT_CONVERGED
     assert report["results"]["status"] == "iteration-cap"
+
+
+def test_solve_stall_exit_code(capsys, degenerate4_path):
+    # no residual falls below this tolerance: the ascent must stop at the
+    # rounding floor instead of running to the iteration cap
+    t0 = time.perf_counter()
+    code, report, _ = run_json(capsys, "solve", degenerate4_path,
+                               "--tol", "1e-300", "--max-iter", "2000")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == cli.EXIT_NOT_CONVERGED
+    res = report["results"]
+    assert res["status"] == "stalled"
+    assert res["iterations"] < 2000
+    assert abs(res["volume"] - 1.7619532174) < 1e-8
 
 
 def test_certify_center(capsys, fig8_path, center_angles_path):
@@ -143,6 +158,7 @@ def test_certify_center(capsys, fig8_path, center_angles_path):
     assert res["membership"] == "interior"
     assert res["gradient_residual"] < 1e-10
     assert res["signs_ok"] is True
+    assert res["fit_iterations"] >= 1
 
 
 def test_volume_center(capsys, fig8_path, center_angles_path):
@@ -325,10 +341,37 @@ def test_lambda_rejects_non_finite_theta(capsys, theta):
     assert "finite" in err
 
 
-def test_cli_import_does_not_load_scipy():
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cuspforge.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True)
+def test_cli_import_does_not_load_scipy(tmp_path, fig8_path, fig8_sys,
+                                       fig8_center):
+    # the commands that never solve an LP or take a null space start and
+    # run without scipy, whose import would dominate their run time; so
+    # does solve when Newton from the centre of the box needs no LP start
+    rng = np.random.default_rng(41)
+    q = polytope.sample_closure_points(fig8_sys, rng, 1,
+                                       boundary_fraction=0.0)[0]
+    p_path, q_path = tmp_path / "p.json", tmp_path / "q.json"
+    p_path.write_text(polytope.angles_to_json(fig8_center))
+    q_path.write_text(polytope.angles_to_json(q))
+    commands = [
+        ["lambda", "1.0"],
+        ["check", fig8_path],
+        ["volume", fig8_path, str(p_path)],
+        ["certify", fig8_path, str(p_path)],
+        ["move23", fig8_path, "0", "0", str(tmp_path / "moved.tri")],
+        ["segment", fig8_path, str(p_path), str(q_path), "--samples", "3"],
+        ["solve", fig8_path],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import cuspforge.cli as cli\n"
+        "loaded = {'import': 'scipy' in sys.modules}\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    loaded[argv[0]] = 'scipy' in sys.modules\n"
+        "print(json.dumps(loaded))\n")
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout) == {
+        name: False for name in ["import"] + [c[0] for c in commands]}

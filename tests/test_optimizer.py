@@ -1,12 +1,29 @@
 """Volume maximization, certificates, uniqueness, and dominance."""
 
+import random
+
 import numpy as np
 import pytest
 
 from cuspforge import lobachevsky as lob
 from cuspforge import optimizer, polytope, triangulation
 
-from conftest import movable_chain
+from conftest import load_data, movable_chain, property_chain, relabel
+from helpers import lstsq_certificate
+
+# Property-test seeds whose chain has a non-empty closure; the closure of
+# seed 0 is a single point.
+CHAIN_SEEDS_WITH_CLOSURE = (0, 1, 3, 4, 7, 8, 9, 11, 12, 13, 14, 15)
+
+# A geometric four-tetrahedron triangulation of the figure-eight knot
+# complement, in a labeling on which the ascent from the LP's point took
+# four more steps than on most others.
+GEO4_TEXT = "tri 1\ntets 4\n" + "".join(
+    "glue %s\n" % g for g in (
+        "0 0 2 2130", "0 1 1 1320", "0 2 3 3210", "0 3 1 1032",
+        "1 0 3 0132", "1 1 2 1023", "1 2 0 1032", "1 3 0 3021",
+        "2 0 1 1023", "2 1 3 1230", "2 2 0 3102", "2 3 3 2103",
+        "3 0 1 0132", "3 1 0 3210", "3 2 2 3012", "3 3 2 2103"))
 
 
 def test_fig8_maximizer_is_regular(fig8_sys, fig8_optimum, fig8_center):
@@ -29,11 +46,77 @@ def test_maximize_respects_custom_start(fig8_sys, fig8_center):
     assert np.max(np.abs(res.point - fig8_center)) < 1e-6
 
 
+def test_ascent_step_count_does_not_depend_on_the_labeling():
+    tri = triangulation.parse_triangulation(GEO4_TEXT)
+    rng = random.Random(5)
+    steps = set()
+    for t in [tri] + [relabel(tri, rng) for _ in range(30)]:
+        res = optimizer.maximize_volume(
+            polytope.build_constraints(triangulation.incidence(t)))
+        assert res.status == "converged"
+        assert abs(res.volume - 2.029883212819307) < 1e-10
+        steps.add(res.iterations)
+    assert len(steps) == 1, steps
+
+
+def test_centre_start_needs_no_lp(monkeypatch):
+    # from the centre the ascent meets the equalities inside the box, so the
+    # interior-point LP never runs
+    sys_ = polytope.build_constraints(
+        triangulation.incidence(triangulation.parse_triangulation(GEO4_TEXT)))
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("interior-point LP called")
+
+    monkeypatch.setattr(polytope, "interior_point", no_lp)
+    res = optimizer.maximize_volume(sys_)
+    assert res.status == "converged"
+    assert abs(res.volume - 2.029883212819307) < 1e-10
+    assert polytope.equality_residual(sys_, res.point) < 1e-12
+
+
 def test_maximize_empty_closure(doubled):
     sys_ = polytope.build_constraints(triangulation.incidence(doubled))
     res = optimizer.maximize_volume(sys_)
     assert res.status == "empty-closure"
     assert res.point is None
+
+
+def classify_tetrahedra_loop(p, tol=optimizer.FLAT_TOL):
+    """The per-tetrahedron loop that ``classify_tetrahedra`` replaced."""
+    out = []
+    for t in range(p.size // 6):
+        six = p[6 * t:6 * t + 6]
+        pairs_ok = all(abs(six[k] - six[5 - k]) <= tol for k in range(3))
+        pair_vals = sorted(0.5 * (six[k] + six[5 - k]) for k in range(3))
+        if np.all(six >= tol) and np.all(six <= np.pi - tol):
+            out.append("positive")
+        elif (pairs_ok and abs(pair_vals[0]) <= tol
+              and abs(pair_vals[1]) <= tol
+              and abs(pair_vals[2] - np.pi) <= tol):
+            out.append("flat")
+        else:
+            out.append("invalid")
+    return out
+
+
+def test_classify_tetrahedra_matches_loop():
+    rng = np.random.default_rng(32)
+    tol = optimizer.FLAT_TOL
+    flat = np.array([0.0, 0.0, np.pi, np.pi, 0.0, 0.0])
+    rows = [rng.uniform(0.1, np.pi - 0.1, size=(200, 6)),
+            np.tile(flat, (50, 1)),
+            np.tile(flat[[2, 0, 1, 4, 5, 3]], (50, 1)),
+            rng.uniform(-1.0, 4.0, size=(200, 6))]
+    # within a few tol of the bounds and of the flat pattern
+    for base in (flat, np.full(6, tol), np.full(6, np.pi - tol)):
+        rows.append(base + tol * rng.uniform(-3.0, 3.0, size=(300, 6)))
+        rows.append(base + tol * rng.choice([-1.0, 0.0, 1.0], (300, 6)))
+    x = np.concatenate([r.ravel() for r in rows])
+    x = x.reshape(-1, 6)[rng.permutation(x.size // 6)].ravel()
+    classes = optimizer.classify_tetrahedra(x)
+    assert classes == classify_tetrahedra_loop(x)
+    assert {"positive", "flat", "invalid"} <= set(classes)
 
 
 def test_classify_tetrahedra_patterns():
@@ -50,6 +133,62 @@ def test_certify_at_optimum(fig8_sys, fig8_optimum):
     assert cert.signs_ok
     assert cert.active_multipliers == ()
     assert cert.multipliers.shape == (fig8_sys.a_eq.shape[0],)
+
+
+def certify_points(sys_):
+    """The maximizer, a random point of the relative interior of the
+    minimal face and a random boundary point."""
+    rng = np.random.default_rng(33)
+    res = optimizer.maximize_volume(sys_)
+    assert res.status == "converged"
+    inner, outer = (polytope.sample_closure_points(
+        sys_, rng, 1, boundary_fraction=fraction)[0] for fraction in (0.0, 1.0))
+    return {"maximizer": res.point, "interior": inner, "boundary": outer}
+
+
+def assert_fit_matches_dense(sys_, p):
+    cert = optimizer.certify(sys_, p, n_probes=1)
+    lam, active, residual = lstsq_certificate(sys_.a_eq, p)
+    np.testing.assert_allclose(cert.multipliers, lam, rtol=0.0, atol=1e-10)
+    assert [i for i, _ in cert.active_multipliers] == [i for i, _ in active]
+    np.testing.assert_allclose([v for _, v in cert.active_multipliers],
+                               [v for _, v in active], rtol=0.0, atol=1e-10)
+    assert abs(cert.gradient_residual - residual) <= 1e-10
+    return cert
+
+
+@pytest.mark.parametrize("name", ["fig8", "degenerate4", "gieseking"])
+def test_certify_fit_matches_dense_lstsq_on_fixtures(name):
+    sys_ = polytope.build_constraints(triangulation.incidence(load_data(name)))
+    points = certify_points(sys_)
+    fits = {kind: assert_fit_matches_dense(sys_, p)
+            for kind, p in points.items()}
+    assert fits["maximizer"].gradient_residual < 1e-12
+    assert fits["interior"].gradient_residual > 1e-3
+    assert polytope.classify_membership(sys_, points["boundary"]).kind \
+        == "boundary"
+
+
+@pytest.mark.parametrize("seed", CHAIN_SEEDS_WITH_CLOSURE)
+def test_certify_fit_matches_dense_lstsq_on_chains(seed, fig8):
+    sys_ = polytope.build_constraints(
+        triangulation.incidence(property_chain(fig8, seed)))
+    for p in certify_points(sys_).values():
+        assert_fit_matches_dense(sys_, p)
+
+
+def test_certify_single_point_closure(fig8):
+    # every slot is fixed at 0 or pi over this chain's closure, so no slot
+    # is free and nothing is fitted
+    sys_ = polytope.build_constraints(
+        triangulation.incidence(property_chain(fig8, 0)))
+    ip = polytope.interior_point(sys_)
+    assert len(ip.fixed.indices) == sys_.dim
+    cert = assert_fit_matches_dense(sys_, ip.point)
+    assert cert.fit_iterations == 0
+    assert cert.gradient_residual == 0.0
+    assert not np.any(cert.multipliers)
+    assert [i for i, _ in cert.active_multipliers] == list(range(sys_.dim))
 
 
 def test_certify_flags_non_critical_point(fig8_sys, fig8_center):

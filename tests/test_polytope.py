@@ -5,6 +5,7 @@ import pytest
 
 from cuspforge import polytope, triangulation
 
+from conftest import load_data, movable_chain
 from helpers import fixed_slots
 
 # Slot k of a tetrahedron carries angle A, B or C: opposite edges pair up.
@@ -26,6 +27,22 @@ def test_constraint_shapes_and_rhs(fig8_sys):
     # triple rows have three unit entries; edge rows cover all slots
     assert np.all(fig8_sys.a_eq[:8].sum(axis=1) == 3.0)
     np.testing.assert_allclose(fig8_sys.a_eq[8:].sum(axis=0), 1.0)
+
+
+@pytest.mark.parametrize("name", ["fig8", "degenerate4", "gieseking",
+                                  "chain5"])
+def test_rows_of_slot_index_the_nonzero_rows(name, fig8):
+    tri = movable_chain(fig8, 5) if name == "chain5" else load_data(name)
+    idx = triangulation.incidence(tri)
+    sys_ = polytope.build_constraints(idx)
+    rows = sys_.rows_of_slot
+    assert rows.shape == (sys_.dim, 3)
+    for s in range(sys_.dim):
+        assert list(np.flatnonzero(sys_.a_eq[:, s])) == sorted(rows[s])
+        assert list(rows[s, :2]) == [i for i, t in enumerate(idx.triples)
+                                     if s in t]
+        assert rows[s, 1] < sys_.n_triple_rows <= rows[s, 2]
+        assert rows[s, 2] == sys_.n_triple_rows + idx.edge_of[s]
 
 
 def test_regular_point_satisfies_equalities(fig8_sys, fig8_center):

@@ -6,7 +6,6 @@ invalid tetrahedra at the maximizer.
 """
 
 import json
-import random
 
 import numpy as np
 import pytest
@@ -15,21 +14,13 @@ from cuspforge import cli, optimizer, polytope
 from cuspforge import lobachevsky as lob
 from cuspforge import triangulation as tr
 
+from conftest import property_chain
 from helpers import closure_status
-
-
-def random_chain(tri, rng, n_moves):
-    for _ in range(n_moves):
-        faces = [(t, f) for t in range(tri.n_tets) for f in range(4)
-                 if tri.gluings[(t, f)][0] != t]
-        tri = tr.pachner_23(tri, rng.choice(faces))
-    return tri
 
 
 @pytest.mark.parametrize("seed", range(16))
 def test_random_chain(seed, fig8, tmp_path, capsys):
-    rng = random.Random(seed)
-    tri = random_chain(fig8, rng, rng.randrange(7))
+    tri = property_chain(fig8, seed)
     sys_ = polytope.build_constraints(tr.incidence(tri))
     expected = closure_status(sys_.a_eq, sys_.b_eq)
 
