@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 parse/usage error, 3 empty closure, 4 not converged
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ import time
 import numpy as np
 
 from . import geometry, lobachevsky, optimizer, polytope, triangulation
+from .triangulation import opposite_pair
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -75,18 +77,11 @@ class _Timer:
     def __init__(self):
         self.phases = {}
 
+    @contextlib.contextmanager
     def time(self, name):
-        timer = self
-
-        class _Phase:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.phases[name] = round(
-                    1000.0 * (time.perf_counter() - self.t0), 3)
-
-        return _Phase()
+        t0 = time.perf_counter()
+        yield
+        self.phases[name] = round(1000.0 * (time.perf_counter() - t0), 3)
 
 
 def _jsonable(value):
@@ -257,15 +252,14 @@ def cmd_segment(args):
     tri, idx, sys_ = _build(args.path, timer)
     p = _load_angles(args.p, sys_.dim)
     q = _load_angles(args.q, sys_.dim)
-    for name, x in (("p", p), ("q", q)):
-        membership = polytope.classify_membership(sys_, x)
+    memberships = [polytope.classify_membership(sys_, x) for x in (p, q)]
+    for name, membership in zip("pq", memberships):
         if membership.kind == "infeasible":
             print("error: %s is not in the closure (violation %g)"
                   % (name, membership.equality_violation), file=sys.stderr)
             return EXIT_PARSE
-    membership = polytope.classify_membership(sys_, p)
     limit = lobachevsky.boundary_derivative_limit(
-        p, q, membership.flat or polytope.FlatSet(frozenset()))
+        p, q, memberships[0].flat or polytope.FlatSet(frozenset()))
     out = sys.stdout
     out.write("# one-sided derivative limit at t=0+: %.17g\n" % limit.value)
     out.write("t,f,fprime\n")
@@ -303,7 +297,7 @@ def cmd_lemmas(args):
                         worst["cosine_law_residual"], res)
             for pair in triangulation.VERTEX_PAIRS:
                 u, v = pair
-                faces = triangulation.opposite_pair(pair)
+                faces = opposite_pair(pair)
                 s = sum(math.log(arcs.of(f, u)) + math.log(arcs.of(f, v))
                         for f in faces)
                 worst["edge_length_sum_residual"] = max(
@@ -384,7 +378,7 @@ def cmd_check(args):
         } for l in links],
         "is_cusped": all(l.euler_characteristic == 0 for l in links),
         "incidence_size": idx.size,
-        "triples": len(idx.triples),
+        "triples": 4 * tri.n_tets,
     }
     _emit("check", [args.path], _default_seed(), results, timer)
     return EXIT_OK

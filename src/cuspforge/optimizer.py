@@ -23,9 +23,6 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
 FLAT_TOL = 1e-8
 
-# Slot k of a tetrahedron carries angle _ANGLE_OF_SLOT[k]: the slots of the
-# opposite edge pairs (01, 23), (02, 13), (03, 12) carry A, B and C.
-_ANGLE_OF_SLOT = np.array([0, 1, 2, 2, 1, 0])
 # Share of the distance to the box taken by a step that would leave it; at
 # 0.99 the angle such a step left near 0 cost three or four more steps.
 _TO_BOUNDARY = 0.75
@@ -50,7 +47,7 @@ class OptimizationResult:
 @dataclass(frozen=True)
 class MaximalityCertificate:
     multipliers: np.ndarray
-    active_multipliers: tuple  # of (slot, fitted finite part)
+    active_multipliers: tuple  # of (angle, fitted finite part)
     gradient_residual: float
     signs_ok: bool
     fit_iterations: int
@@ -83,7 +80,7 @@ def classify_tetrahedra(p, tol=FLAT_TOL):
     six = np.asarray(p, dtype=float).reshape(-1, 6)
     # opposite pairs in slot order: (0,5), (1,4), (2,3)
     pairs_ok = np.all(np.abs(six[:, :3] - six[:, :2:-1]) <= tol, axis=1)
-    pair_vals = np.sort(0.5 * (six[:, :3] + six[:, :2:-1]), axis=1)
+    pair_vals = np.sort(polytope.to_angles(p).reshape(-1, 3), axis=1)
     positive = np.all((six >= tol) & (six <= np.pi - tol), axis=1)
     flat = (pairs_ok & np.all(np.abs(pair_vals - [0.0, 0.0, np.pi]) <= tol,
                               axis=1))
@@ -101,31 +98,27 @@ class _Face:
     """
 
     def __init__(self, sys, fixed_slots):
-        n = sys.dim // 6
-        fixed = np.zeros(sys.dim, dtype=bool)
-        fixed[list(fixed_slots)] = True
-        fixed = fixed.reshape(n, 6)
-        self.free = ~(fixed[:, :3] | fixed[:, :2:-1])
+        n = sys.rows.shape[0] // 3
+        self.free = np.ones((n, 3), dtype=bool)
+        self.free.flat[polytope.angle_of(list(fixed_slots))] = False
         n_free = self.free.sum(axis=1)
         self.curved = np.flatnonzero(n_free == 3)
         self.linear = np.flatnonzero(n_free == 2)
         self.p, self.q = np.argsort(~self.free[self.linear], axis=1,
                                     kind="stable")[:, :2].T
-        self.a_edge = sys.a_eq[sys.n_triple_rows:]
-        self.b_edge = sys.b_eq[sys.n_triple_rows:]
-        # edge rows in angle coordinates: edges x tetrahedra x (A, B, C)
-        m = self.a_edge.reshape(-1, n, 6)
-        m = m[:, :, :3] + m[:, :, :2:-1]
+        self.a_edge = sys.matrix()[n:]
+        self.b_edge = sys.b[n:]
+        # edges x tetrahedra x (A, B, C)
+        m = self.a_edge.reshape(-1, n, 3)
         self.m_a = m[:, self.curved, 0] - m[:, self.curved, 2]
         self.m_b = m[:, self.curved, 1] - m[:, self.curved, 2]
         self.m_z = m[:, self.linear, self.p] - m[:, self.linear, self.q]
 
     def angles(self, x):
-        """Angles (A, B, C) of a closure point, fixed ones exact and each
-        row summing to pi through its last free angle."""
-        six = np.asarray(x, dtype=float).reshape(-1, 6)
-        ang = np.where(self.free, 0.5 * (six[:, :3] + six[:, :2:-1]),
-                       np.pi * (six[:, :3] > 0.5 * np.pi))
+        """Angles (A, B, C) of a closure point's slot vector, fixed ones
+        exact and each row summing to pi through its last free angle."""
+        ang = polytope.to_angles(x).reshape(self.free.shape)
+        ang = np.where(self.free, ang, np.pi * (ang > 0.5 * np.pi))
         rows = np.flatnonzero(self.free.any(axis=1))
         last = 2 - np.argmax(self.free[rows, ::-1], axis=1)
         ang[rows, last] = 0.0
@@ -133,9 +126,8 @@ class _Face:
         return ang
 
     def step(self, ang):
-        """Newton direction in angle coordinates, the edge-row normal of the
-        multipliers in slot coordinates, the Lagrangian's ascent rate along
-        the direction, and the KKT residual.
+        """Newton direction, the edge-row normal of the multipliers, the
+        Lagrangian's ascent rate along the direction, and the KKT residual.
 
         The Schur complement of the edge rows is singular: the rows are
         dependent (one relation per cusp) and the columns of linear
@@ -153,7 +145,7 @@ class _Face:
         n_edges, n_lin = self.m_z.shape
         kkt = np.block([[mh_a @ self.m_a.T + mh_b @ self.m_b.T, self.m_z],
                         [self.m_z.T, np.zeros((n_lin, n_lin))]])
-        rhs = np.concatenate([self.b_edge - self.a_edge @ _slots(ang)
+        rhs = np.concatenate([self.b_edge - self.a_edge @ ang.ravel()
                               + mh_a @ g_a + mh_b @ g_b, np.zeros(n_lin)])
         w, v = np.linalg.eigh(kkt)
         keep = np.abs(w) > (w.size * np.finfo(float).eps
@@ -173,8 +165,9 @@ class _Face:
         return d, self.a_edge.T @ lam, -float(r_a @ d_a + r_b @ d_b), residual
 
 
-def _slots(ang):
-    return ang[:, _ANGLE_OF_SLOT].ravel()
+def _volume(ang):
+    """The volume at angles (A, B, C): each angle sits on two slots."""
+    return 2.0 * lob.volume(ang)
 
 
 def _line_search(face, ang, vol, step):
@@ -184,13 +177,13 @@ def _line_search(face, ang, vol, step):
     flattens, or off the equalities the distance to them.  Returns the step
     length, 0.0 when no step ascends, and the angles and volume after it."""
     d, normal, slope, _ = step
-    drift = float(normal @ _slots(d))
+    drift = float(normal @ d.ravel())
     with np.errstate(divide="ignore", invalid="ignore"):
         limits = np.where(face.free & (d < 0.0), -ang / d, np.inf)
     alpha = min(1.0, _TO_BOUNDARY * float(np.min(limits)))
     for _ in range(60):
         trial = ang + alpha * d
-        trial_vol = lob.volume(_slots(trial))
+        trial_vol = _volume(trial)
         if (trial_vol - alpha * drift
                 >= vol + 1e-4 * alpha * slope - 1e-14 * max(1.0, abs(vol))):
             return alpha, trial, trial_vol
@@ -205,12 +198,12 @@ def _centre_start(sys, face, max_steps):
     that point, strictly inside the box, and the steps taken; the point is
     None when it is not in the closure, or when a step shrinks or
     ``max_steps`` pass first, as they do when the closure has no interior."""
-    ang = np.full((face.free.shape[0], 3), np.pi / 3.0)
-    vol, last = lob.volume(_slots(ang)), 0.0
+    ang = np.full(face.free.shape, np.pi / 3.0)
+    vol, last = _volume(ang), 0.0
     for k in range(1, max_steps + 1):
         alpha, ang, vol = _line_search(face, ang, vol, face.step(ang))
         if alpha == 1.0 and polytope.classify_membership(
-                sys, _slots(ang)).kind == "interior":
+                sys, polytope.to_slots(ang)).kind == "interior":
             return ang, k
         if alpha in (0.0, 1.0) or alpha < last:
             return None, k
@@ -252,7 +245,7 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     best, stale = np.inf, 0
     status = "iteration-cap"
     residual = float("nan")
-    vol = lob.volume(_slots(ang))
+    vol = _volume(ang)
     while iters < max_iter:
         iters += 1
         step = face.step(ang)
@@ -265,15 +258,15 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         flat = np.flatnonzero(flat & face.free.any(axis=1))
         if flat.size and residual >= tol:
             for t in flat:
-                big = np.argmax(ang[t])
-                pinned.update((6 * t + k, np.pi * (_ANGLE_OF_SLOT[k] == big))
-                              for k in range(6))
+                big = np.pi * (np.arange(3) == np.argmax(ang[t]))
+                pinned.update(zip(range(6 * t, 6 * t + 6),
+                                  polytope.to_slots(big)))
             ip = polytope.interior_point(sys, pinned=pinned)
             if ip.status == "empty-closure":
                 break
             face = _Face(sys, ip.fixed.indices)
             ang = face.angles(ip.point)
-            vol = lob.volume(_slots(ang))
+            vol = _volume(ang)
             best, stale = np.inf, 0
             continue
         slack = 1e-14 * max(1.0, abs(vol))
@@ -289,7 +282,7 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
             status = "stalled"
             break
 
-    x = _slots(ang)
+    x = polytope.to_slots(ang)
     active = (polytope.classify_membership(sys, x, tol=flat_tol).flat
               or polytope.FlatSet(frozenset()))
     classes = classify_tetrahedra(x, tol=flat_tol)
@@ -299,10 +292,10 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
 
 
 def _min_norm_fit(rows, g, n_rows, eps=1e-14):
-    """CGLS for the least-squares lam of A^T lam = g, column s of A having
-    ones in rows[s]: from lam = 0 the iterates stay in range(A), so the fit
-    is the minimum-norm one.  Stops at |A r| <= eps |A g|; also returns the
-    iteration count."""
+    """CGLS for the least-squares lam of A^T lam = g, column a of A adding 1
+    at each entry of rows[a]: from lam = 0 the iterates stay in range(A), so
+    the fit is the minimum-norm one.  Stops at |A r| <= eps |A g|; also
+    returns the iteration count."""
     lam, r = np.zeros(n_rows), np.array(g, dtype=float)
     s = np.bincount(rows.ravel(), np.repeat(r, 3), n_rows)  # A r
     p, gamma = s, float(s @ s)
@@ -320,42 +313,37 @@ def _min_norm_fit(rows, g, n_rows, eps=1e-14):
 
 
 def certify(sys, p, tol=FLAT_TOL, n_probes=200, seed=0):
-    """Least-squares KKT certificate at a feasible point.
+    """Least-squares KKT certificate at a feasible slot vector.
 
-    Fits the volume gradient over the free coordinates into the span of the
-    equality normals: minimum-norm least-squares multipliers, found
-    matrix-free in ``fit_iterations`` CGLS steps, and the residual
-    recomputed from them.  Active bounds are not certified through the
-    (divergent) raw gradient; instead signs_ok additionally requires all
-    sampled one-sided derivative limits off the point to be non-improving.
+    Fits the gradient -log|2 sin theta| over the free angles into the span of
+    the equality rows: minimum-norm multipliers, one per row, found
+    matrix-free in ``fit_iterations`` CGLS steps, the fitted values on the
+    angles at 0 or pi, and the residual recomputed from them.  Active bounds
+    are not certified through the (divergent) raw gradient; instead signs_ok
+    requires all sampled one-sided derivative limits to be non-improving.
     """
-    p = np.asarray(p, dtype=float)
     membership = polytope.classify_membership(sys, p, tol=tol)
     if membership.kind == "infeasible":
         raise ValueError("cannot certify an infeasible point "
                          "(equality violation %g)" % membership.equality_violation)
-    free = (p > tol) & (p < np.pi - tol)
-    g = lob.volume_gradient(p)
-    rows = sys.rows_of_slot
-    lam, iters = _min_norm_fit(rows[free], g[free], sys.a_eq.shape[0])
-    fitted = lam[rows].sum(axis=1)
+    theta = polytope.to_angles(p)
+    free = (theta > tol) & (theta < np.pi - tol)
+    g = 2.0 * lob.volume_gradient(theta)  # each angle sits on two slots
+    lam, iters = _min_norm_fit(sys.rows[free], g[free], sys.b.size)
+    fitted = lam[sys.rows].sum(axis=1)
     residual = float(np.max(np.abs(fitted[free] - g[free]), initial=0.0))
     active = tuple((int(i), float(fitted[i]))
                    for i in np.flatnonzero(~free))
 
-    signs_ok = True
+    probes = []
     if membership.kind == "boundary":
         rng = np.random.default_rng(seed)
-        flat = membership.flat
         try:
             probes = polytope.sample_closure_points(sys, rng, n_probes)
         except ValueError:
-            probes = []
-        for q in probes:
-            rep = lob.boundary_derivative_limit(p, q, flat)
-            if rep.value > 1e-8:
-                signs_ok = False
-                break
+            pass
+    signs_ok = all(lob.boundary_derivative_limit(p, q, membership.flat).value
+                   <= 1e-8 for q in probes)
     return MaximalityCertificate(lam, active, residual, signs_ok, iters)
 
 
@@ -395,8 +383,7 @@ def dominance_check(sys, p, n_samples, seed=0, strict_distance=1e-4,
     membership = polytope.classify_membership(sys, p)
     if membership.kind == "infeasible":
         raise ValueError("reference point is infeasible")
-    flat = membership.flat if membership.flat is not None \
-        else polytope.FlatSet(frozenset())
+    flat = membership.flat or polytope.FlatSet(frozenset())
     rng = np.random.default_rng(seed)
     vp = lob.volume(p)
     samples = polytope.sample_closure_points(sys, rng, n_samples)

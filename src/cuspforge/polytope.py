@@ -1,9 +1,11 @@
 """The angle-structure polytope and its closure as a linear system.
 
-Points live in R^I ordered by the incidence index: one coordinate per
-(tetrahedron, edge) slot.  The closure is cut out by one equality per
-per-vertex triple (sum pi), one equality per edge class (sum 2 pi), and the
-box bounds 0 <= x_i <= pi.
+The system is posed over Casson-Rivin angles: angle 3 t + k of tetrahedron t
+sits on its opposite edge pair k (01|23, 02|13, 03|12).  The closure is cut
+out by one equality per tetrahedron (sum pi), one per edge class (sum 2 pi)
+and the box 0 <= theta <= pi.  Slot vectors, one coordinate per (tetrahedron,
+edge) slot in incidence order, are the program's input and output;
+``to_angles`` and ``to_slots`` convert.
 
 scipy is imported inside the functions that need it, so commands that never
 solve an LP or take a null space do not pay its import time.
@@ -20,20 +22,52 @@ ORDERING_CONVENTION = "tet-lex;edges=01,02,03,12,13,23"
 
 DEFAULT_BOUNDARY_TOL = 1e-8
 
+# Slot k of a tetrahedron, edge VERTEX_PAIRS[k], carries angle _PAIR_OF[k].
+_PAIR_OF = np.array([0, 1, 2, 2, 1, 0])
+
+
+def to_slots(theta):
+    """The slot vector of an angle vector: both slots carry their angle."""
+    return np.asarray(theta, dtype=float).reshape(-1, 3)[:, _PAIR_OF].ravel()
+
+
+def to_angles(x):
+    """The angle vector of a slot vector: the mean of each pair's slots."""
+    six = np.asarray(x, dtype=float).reshape(-1, 6)
+    return (0.5 * (six[:, :3] + six[:, :2:-1])).ravel()
+
+
+def angle_of(slots):
+    """The angle carried by each slot of ``slots``."""
+    slots = np.asarray(slots, dtype=int)
+    return 3 * (slots // 6) + _PAIR_OF[slots % 6]
+
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Equality rows (triples then edge classes) plus the implicit box."""
+    """The equalities A theta = b over the 3n angles, plus the implicit box:
+    row t < n sums tetrahedron t, row n + e the angles around edge class e.
+    ``rows[a]`` holds angle a's tetrahedron row, then the edge rows of its two
+    slots; when they are one row, the angle has coefficient 2 there."""
 
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    n_triple_rows: int
-    n_edge_rows: int
-    rows_of_slot: np.ndarray  # (dim, 3): two triple rows, then edge row
+    rows: np.ndarray  # (3n, 3) integers
+    b: np.ndarray     # pi on the n tetrahedron rows, 2 pi on the edge rows
 
     @property
     def dim(self):
-        return self.a_eq.shape[1]
+        """The length of a slot vector, 6n."""
+        return 2 * self.rows.shape[0]
+
+    def apply(self, theta):
+        """A theta."""
+        return np.bincount(self.rows.ravel(), np.repeat(theta, 3),
+                           self.b.size)
+
+    def matrix(self):
+        """A as a dense (n + N, 3n) array; add.at sums repeated rows."""
+        a = np.zeros((self.b.size, self.rows.shape[0]))
+        np.add.at(a, (self.rows, np.arange(a.shape[1])[:, None]), 1.0)
+        return a
 
 
 @dataclass(frozen=True)
@@ -44,9 +78,6 @@ class FlatSet:
 
     def __bool__(self):
         return bool(self.indices)
-
-    def tetrahedra(self):
-        return sorted({i // 6 for i in self.indices})
 
     def is_tetrahedron_closed(self):
         """Flat tetrahedra are flat at every edge: each touched tetrahedron
@@ -59,6 +90,8 @@ class FlatSet:
 class Membership:
     kind: str  # "interior" | "boundary" | "infeasible"
     flat: FlatSet | None = None
+    # the slot outside the box, or the violated equality: a row of the
+    # system, or past them n + N + a for angle a whose slots differ
     witness: int | None = None
     equality_violation: float = 0.0
 
@@ -69,38 +102,43 @@ class InteriorPointResult:
     point: np.ndarray | None
     min_slack: float
     fixed: FlatSet
-    witness: int | None = None
 
 
 def build_constraints(idx):
-    """LinearSystem for an IncidenceIndex: triple rows (rhs pi) first, then
-    edge rows (rhs 2 pi), coefficients all 0/1."""
-    n, n_triples, n_edges = idx.size, len(idx.triples), len(idx.edges)
-    # every slot lies in the triples of its edge's two ends and in one edge
-    # class, so the stable sort of the triples' slots pairs up their rows
-    triple_rows = np.argsort(np.ravel([sorted(t) for t in idx.triples]),
-                             kind="stable") // 3
-    rows_of_slot = np.column_stack([triple_rows.reshape(n, 2),
-                                    n_triples + np.asarray(idx.edge_of)])
-    a_eq = np.zeros((n_triples + n_edges, n))
-    a_eq[rows_of_slot, np.arange(n)[:, None]] = 1.0
-    b_eq = np.repeat([np.pi, 2.0 * np.pi], [n_triples, n_edges])
-    return LinearSystem(a_eq, b_eq, n_triples, n_edges, rows_of_slot)
+    """LinearSystem for an IncidenceIndex: angle 3 t + k lies in tetrahedron
+    row t and in the edge rows of slots 6 t + k and 6 t + 5 - k."""
+    n = idx.n_tets
+    edge_of = np.asarray(idx.edge_of).reshape(n, 6)
+    rows = np.column_stack([np.repeat(np.arange(n), 3),
+                            n + edge_of[:, :3].ravel(),
+                            n + edge_of[:, :2:-1].ravel()])
+    b = np.repeat([np.pi, 2.0 * np.pi], [n, len(idx.edges)])
+    return LinearSystem(rows, b)
+
+
+def _equality_errors(sys, x):
+    """The rows' errors at the mean angles of slot vector x, then each
+    angle's difference between its two slots."""
+    six = np.asarray(x, dtype=float).reshape(-1, 6)
+    return np.concatenate([sys.apply(to_angles(x)) - sys.b,
+                           (six[:, :3] - six[:, :2:-1]).ravel()])
 
 
 def equality_residual(sys, x):
-    return float(np.max(np.abs(sys.a_eq @ x - sys.b_eq)))
+    return float(np.max(np.abs(_equality_errors(sys, x))))
 
 
 def classify_membership(sys, x, tol=DEFAULT_BOUNDARY_TOL):
-    """Interior / boundary(J) / infeasible classification at tolerance tol."""
+    """Interior / boundary(J) / infeasible classification of a slot vector
+    at tolerance tol; opposite slots must agree within tol."""
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.dim,):
         raise ValueError("angle vector has length %d, expected %d"
                          % (x.size, sys.dim))
-    violation = equality_residual(sys, x)
+    errors = np.abs(_equality_errors(sys, x))
+    worst = int(np.argmax(errors))
+    violation = float(errors[worst])
     if violation > tol:
-        worst = int(np.argmax(np.abs(sys.a_eq @ x - sys.b_eq)))
         return Membership("infeasible", witness=worst,
                           equality_violation=violation)
     below = x < -tol
@@ -117,41 +155,35 @@ def classify_membership(sys, x, tol=DEFAULT_BOUNDARY_TOL):
     return Membership("interior", equality_violation=violation)
 
 
-def null_space(sys):
-    """Orthonormal basis of the homogeneous equality solutions (columns)."""
-    import scipy.linalg
-
-    return scipy.linalg.null_space(sys.a_eq)
-
-
 def interior_point(sys, pinned=None):
-    """A point in the relative interior of the minimal face, and the face's
-    fixed slots.
+    """A slot vector in the relative interior of the minimal face, and the
+    face's fixed slots, from the homogenised Freund-Roundy-Todd program
 
-    One linear program, the homogenised Freund-Roundy-Todd problem in the
-    variables (x, t, theta):
+        maximize sum t  subject to  A theta = b tau,  t_a <= theta_a,
+        t_a <= pi tau - theta_a,  0 <= t_a <= 1,  tau >= 1.
 
-        maximize sum t  subject to  A x = b theta,  t_i <= x_i,
-        t_i <= pi theta - x_i,  0 <= t_i <= 1,  theta >= 1.
-
-    At an optimum t_i = 1 on every slot that varies over the closure and
-    t_i = 0 on every slot fixed at 0 or pi, so x / theta lies in the relative
-    interior of the minimal face.  The closure is empty exactly when the
-    program is infeasible.  ``pinned`` maps slots to 0 or pi and adds the rows
-    x_i = v theta, i.e. the minimal face of the closure cut by those pins.
-    The status is "ok" when no slot outside ``pinned`` is fixed and
-    ``min_slack`` refers to those slots only.
+    At an optimum t_a = 1 on every angle that varies over the closure and
+    t_a = 0 on every angle fixed at 0 or pi, so theta / tau lies in the
+    relative interior of the minimal face.  The closure is empty exactly
+    when the program is infeasible.  ``pinned`` maps slots to 0 or pi and
+    adds the rows theta_a = v tau for their angles, i.e. the minimal face of
+    the closure cut by those pins.  The status is "ok" when no slot outside
+    ``pinned`` is fixed and ``min_slack`` refers to those slots only.
     """
     import scipy.optimize
     import scipy.sparse
 
     pinned = pinned or {}
-    n = sys.dim
+    n = sys.rows.shape[0]
     slots = np.array(sorted(pinned), dtype=int)
     eye = scipy.sparse.identity(n, format="csr")
-    rows = scipy.sparse.vstack([scipy.sparse.csr_array(sys.a_eq), eye[slots]])
-    rhs = np.concatenate([sys.b_eq, [pinned[i] for i in slots]])
-    a_eq = scipy.sparse.hstack(
+    # COO -> CSR sums the duplicate entries of coefficient-2 angles
+    a = scipy.sparse.csr_array(
+        (np.ones(3 * n), (sys.rows.ravel(), np.repeat(np.arange(n), 3))),
+        shape=(sys.b.size, n))
+    rows = scipy.sparse.vstack([a, eye[angle_of(slots)]])
+    rhs = np.concatenate([sys.b, [pinned[i] for i in slots]])
+    lhs = scipy.sparse.hstack(
         [rows, scipy.sparse.csr_array(rows.shape), -rhs[:, None]],
         format="csr")
     a_ub = scipy.sparse.block_array(
@@ -160,48 +192,38 @@ def interior_point(sys, pinned=None):
     c = np.concatenate([np.zeros(n), -np.ones(n), [0.0]])
     bounds = [(None, None)] * n + [(0.0, 1.0)] * n + [(1.0, None)]
     res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * n),
-                                 A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]),
+                                 A_eq=lhs, b_eq=np.zeros(lhs.shape[0]),
                                  bounds=bounds, method="highs")
     if not res.success:
         return InteriorPointResult("empty-closure", None, -np.inf,
                                    FlatSet(frozenset()))
-    x = res.x[:n] / res.x[-1]
+    theta = res.x[:n] / res.x[-1]
     fixed = res.x[n:2 * n] < 0.5
-    fixed[slots] = True
-    x[fixed] = np.pi * (x[fixed] > 0.5 * np.pi)
+    fixed[angle_of(slots)] = True
+    theta[fixed] = np.pi * (theta[fixed] > 0.5 * np.pi)
+    x = to_slots(theta)
     slacks = np.minimum(x, np.pi - x)
     slacks[slots] = np.inf
-    witness = int(np.argmin(slacks))
-    slack = float(slacks[witness]) if slots.size < n else 0.0
+    slack = float(np.min(slacks)) if slots.size < x.size else 0.0
+    fixed = FlatSet(frozenset(np.flatnonzero(to_slots(fixed)).tolist()))
     return InteriorPointResult("ok" if slack > 0.0 else "empty-interior", x,
-                               slack, FlatSet(frozenset(
-                                   np.flatnonzero(fixed).tolist())), witness)
+                               slack, fixed)
 
 
 def segment(p, q, t):
     """The convex combination (1 - t) p + t q, t in [0, 1]."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("segment parameter %g outside [0, 1]" % t)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return (1.0 - t) * p + t * q
-
-
-def difference_vector(p, q):
-    """a = q - p; annihilates all homogeneous equality rows when p, q both
-    satisfy the inhomogeneous system."""
-    return np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
+    return (1.0 - t) * np.asarray(p, dtype=float) + t * np.asarray(q, float)
 
 
 def sample_closure_points(sys, rng, n_samples, start=None,
                           boundary_fraction=0.25):
-    """Random points of the closure: random rays from ``start`` (by default
-    the interior-point LP's point, in the relative interior of the minimal
-    face) scaled to a uniform fraction of the distance to the box; a
-    ``boundary_fraction`` share goes all the way to the boundary.
-
-    Rays lie in the null space of the equalities and of the rows fixing the
-    slots where ``start`` sits at 0 or pi, so from a boundary point they
+    """Random slot vectors of the closure: random rays from ``start`` (by
+    default the interior-point LP's point, in the relative interior of the
+    minimal face) scaled to a uniform fraction of the distance to the box; a
+    ``boundary_fraction`` share goes all the way to the boundary.  Rays keep
+    the angles where ``start`` sits at 0 or pi, so from a boundary point they
     sweep the face it lies in instead of stopping at once.
     """
     import scipy.linalg
@@ -211,29 +233,21 @@ def sample_closure_points(sys, rng, n_samples, start=None,
         if res.point is None:
             raise ValueError("closure is empty")
         start = res.point
-    free = np.minimum(start, np.pi - start) > DEFAULT_BOUNDARY_TOL
-    free_basis = scipy.linalg.null_space(sys.a_eq[:, free])
-    basis = np.zeros((sys.dim, free_basis.shape[1]))
-    basis[free] = free_basis
-    out = []
-    for _ in range(n_samples):
-        d = basis @ rng.standard_normal(basis.shape[1])
-        norm = np.linalg.norm(d)
-        if norm < 1e-15:
-            out.append(start.copy())
-            continue
-        d /= norm
-        # largest alpha with start + alpha d inside the box
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hi = np.where(d > 1e-15, (np.pi - start) / d, np.inf)
-            lo = np.where(d < -1e-15, -start / d, np.inf)
-        alpha = float(min(np.min(hi), np.min(lo)))
-        if rng.uniform() < boundary_fraction:
-            t = alpha
-        else:
-            t = alpha * rng.uniform()
-        out.append(start + t * d)
-    return out
+    theta = to_angles(start)[:, None]
+    free = np.minimum(theta, np.pi - theta)[:, 0] > DEFAULT_BOUNDARY_TOL
+    basis = scipy.linalg.null_space(sys.matrix()[:, free])
+    d = np.zeros((theta.size, n_samples))
+    d[free] = basis @ rng.standard_normal((basis.shape[1], n_samples))
+    norm = np.linalg.norm(d, axis=0)
+    d /= np.where(norm < 1e-15, np.inf, norm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where(d > 1e-15, (np.pi - theta) / d, np.inf)
+        reach = np.where(d < -1e-15, -theta / d, reach)
+    # the largest alpha with theta + alpha d inside the box, 0 when d = 0
+    alpha = np.where(norm < 1e-15, 0.0, np.min(reach, axis=0, initial=np.inf))
+    to_box = rng.uniform(size=n_samples) < boundary_fraction
+    t = np.where(to_box, alpha, alpha * rng.uniform(size=n_samples))
+    return [to_slots(x) for x in (theta + t * d).T]
 
 
 # ---------------------------------------------------------------------------

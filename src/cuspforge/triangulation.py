@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 # The six edges of a tetrahedron as sorted vertex pairs, in the fixed order
-# used everywhere (incidence entries, angle vectors, reports).
+# used everywhere (incidence slots, angle vectors, reports).
 VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PAIR_POSITION = {p: k for k, p in enumerate(VERTEX_PAIRS)}
 
@@ -135,26 +135,17 @@ class VertexLink:
 class IncidenceIndex:
     """Deterministic indexing of the (tet, edge) slots of a triangulation.
 
-    ``entries[i]`` is the i-th slot (tet, vertex pair), ordered
-    lexicographically by tet then by VERTEX_PAIRS position.  ``triples`` are
-    the per-vertex index triples (four per tetrahedron), ``opposite[i]`` the
-    slot of the complementary edge in the same tetrahedron, ``edge_of[i]``
-    the edge-class id, and ``edges[e]`` the slots belonging to class ``e``.
+    Slot 6 t + k is edge VERTEX_PAIRS[k] of tetrahedron t.  ``edge_of[i]``
+    is the edge-class id of slot i, and ``edges[e]`` the slots of class e.
     """
 
     n_tets: int
-    entries: tuple
-    triples: tuple
-    opposite: tuple
     edge_of: tuple
     edges: tuple
 
     @property
     def size(self):
-        return len(self.entries)
-
-    def slot(self, tet, pair):
-        return 6 * tet + PAIR_POSITION[tuple(sorted(pair))]
+        return 6 * self.n_tets
 
 
 # ---------------------------------------------------------------------------
@@ -327,22 +318,12 @@ def is_cusped(tri):
 
 def incidence(tri):
     """The deterministic incidence index of a valid triangulation."""
-    entries = tuple((t, p) for t in range(tri.n_tets) for p in VERTEX_PAIRS)
-    triples = []
-    for t in range(tri.n_tets):
-        for v in range(4):
-            triples.append(frozenset(
-                6 * t + PAIR_POSITION[tuple(sorted((v, u)))]
-                for u in range(4) if u != v))
-    opposite = tuple(
-        6 * t + PAIR_POSITION[opposite_pair(p)] for t, p in entries)
     edges = [tuple(g) for g in _edge_slot_classes(tri)]
-    edge_of = [None] * len(entries)
+    edge_of = [None] * (6 * tri.n_tets)
     for e, members in enumerate(edges):
         for slot in members:
             edge_of[slot] = e
-    return IncidenceIndex(tri.n_tets, entries, tuple(triples), opposite,
-                          tuple(edge_of), tuple(edges))
+    return IncidenceIndex(tri.n_tets, tuple(edge_of), tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library code paths it checks:
 quadrature instead of the series kernel, breadth-first orbit enumeration
 instead of union-find, explicit surface assembly for links, point-to-point
 hyperbolic distances for decorated edge lengths, box-bounded linear
-programs for the shape of the angle polytope, and a dense least-squares
-solve for the certificate's multipliers.
+programs over a slot system built from those orbits and the vertex triples
+for the shape of the angle polytope, and a dense least-squares solve in
+angle coordinates for the certificate's multipliers.
 """
 
 import math
@@ -14,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 
@@ -203,6 +205,37 @@ def aitken_limit(values):
     return values[2] - d2 * d2 / (d2 - d1)
 
 
+# The six edges of a tetrahedron in slot order, and the slot of the edge
+# opposite each one.
+PAIRS = list(combinations(range(4), 2))
+OPPOSITE = [PAIRS.index(tuple(sorted(set(range(4)) - set(p)))) for p in PAIRS]
+
+
+def slot_system(tri):
+    """The closure's equalities over the 6n slots as a dense (a_eq, b_eq):
+    one row per vertex of each tetrahedron, whose three edges sum to pi,
+    then one row per edge orbit, whose slots sum to 2 pi."""
+    n = tri.n_tets
+    orbits = orbit_edge_classes(tri)
+    a_eq = np.zeros((4 * n + len(orbits), 6 * n))
+    for t in range(n):
+        for v in range(4):
+            for k, pair in enumerate(PAIRS):
+                if v in pair:
+                    a_eq[4 * t + v, 6 * t + k] = 1.0
+    for e, orbit in enumerate(orbits):
+        for t, pair in orbit:
+            a_eq[4 * n + e, 6 * t + PAIRS.index(pair)] = 1.0
+    b_eq = np.repeat([np.pi, 2.0 * np.pi], [4 * n, len(orbits)])
+    return a_eq, b_eq
+
+
+def null_directions(tri):
+    """Orthonormal columns spanning the homogeneous solutions of the slot
+    system."""
+    return null_space(slot_system(tri)[0])
+
+
 def closure_status(a_eq, b_eq):
     """"empty-closure", "empty-interior" or "ok" for {A x = b, 0 <= x <= pi}:
     a feasibility program with box bounds, then a max-min-slack one."""
@@ -240,20 +273,40 @@ def fixed_slots(a_eq, b_eq):
     return out
 
 
-def lstsq_certificate(a_eq, p, tol=1e-8):
-    """The least-squares KKT fit at p by a dense solve: the minimum-norm
-    multipliers fitting the volume gradient -0.5 log(2 sin p_i) over the
-    slots strictly inside (tol, pi - tol), the fitted values on the other
-    slots, and the largest residual on the free ones."""
-    p = np.asarray(p, dtype=float)
-    free = (p > tol) & (p < np.pi - tol)
-    g = -0.5 * np.log(2.0 * np.sin(p[free]))
-    a_free = a_eq[:, free]
+def angle_matrix(tri):
+    """The closure's equality rows over the 3n angles as a dense array.
+    Angle 3 t + k of tetrahedron t is carried by its slots k and 5 - k.
+    There is one row per tetrahedron, summing its angles, then one per edge
+    orbit, where each slot of an angle in the orbit adds 1."""
+    n = tri.n_tets
+    orbits = orbit_edge_classes(tri)
+    a = np.zeros((n + len(orbits), 3 * n))
+    for t in range(n):
+        a[t, 3 * t:3 * t + 3] = 1.0
+    for e, orbit in enumerate(orbits):
+        for t, pair in orbit:
+            k = PAIRS.index(pair)
+            a[n + e, 3 * t + min(k, OPPOSITE[k])] += 1.0
+    return a
+
+
+def lstsq_certificate(tri, p, tol=1e-8):
+    """The least-squares KKT fit at slot vector p by a dense solve over
+    ``angle_matrix``, each angle the mean of its two slots.  Returns the
+    minimum-norm multipliers fitting -log(2 sin theta) over the angles
+    strictly inside (tol, pi - tol), the fitted values (angle, value) on the
+    other angles, and the largest residual on the free ones."""
+    a = angle_matrix(tri)
+    six = np.asarray(p, dtype=float).reshape(tri.n_tets, 6)
+    theta = 0.5 * (six[:, :3] + six[:, OPPOSITE[:3]]).ravel()
+    free = (theta > tol) & (theta < np.pi - tol)
+    g = -np.log(2.0 * np.sin(theta[free]))
+    a_free = a[:, free]
     if free.any():
         lam = np.linalg.lstsq(a_free.T, g, rcond=None)[0]
     else:
-        lam = np.zeros(a_eq.shape[0])
+        lam = np.zeros(a.shape[0])
     residual = float(np.max(np.abs(a_free.T @ lam - g), initial=0.0))
-    fitted = a_eq.T @ lam
+    fitted = a.T @ lam
     active = tuple((int(i), float(fitted[i])) for i in np.flatnonzero(~free))
     return lam, active, residual

@@ -16,7 +16,8 @@ from cuspforge import optimizer, polytope
 from cuspforge import triangulation as tr
 
 from conftest import movable_chain, movable_face
-from helpers import aitken_limit, closure_status, lobachevsky_quadrature
+from helpers import (aitken_limit, closure_status, lobachevsky_quadrature,
+                     null_directions, slot_system)
 
 LAMBDA_PI_6 = 0.50747080320482681   # quadrature oracle, frozen
 LAMBDA_PI_3 = 0.33831386880321788   # quadrature oracle, frozen
@@ -61,10 +62,10 @@ def test_criterion_02_fig8_end_to_end(capsys, fig8_path):
          "dist %.3g, vol err %.3g, %.2fs" % (dist, vol_err, elapsed))
 
 
-def test_criterion_03_maximality_certificate(capsys, fig8_sys, fig8_optimum,
-                                             fig8_center):
+def test_criterion_03_maximality_certificate(capsys, fig8, fig8_sys,
+                                             fig8_optimum, fig8_center):
     cert = optimizer.certify(fig8_sys, fig8_optimum.point)
-    basis = polytope.null_space(fig8_sys)
+    basis = null_directions(fig8)
     perturbed = fig8_center + 0.2 * basis[:, 0]
     assert polytope.classify_membership(fig8_sys, perturbed).kind == "interior"
     bad = optimizer.certify(fig8_sys, perturbed)
@@ -197,7 +198,7 @@ def test_criterion_11_combinatorics(capsys, fig8):
     chain = movable_chain(fig8, 5)
     sys_ = polytope.build_constraints(tr.incidence(chain))
     ip = polytope.interior_point(sys_)
-    expected = closure_status(sys_.a_eq, sys_.b_eq)
+    expected = closure_status(*slot_system(chain))
     chain_ok = chain.n_tets == 7 and ip.status == expected
     ok = base_ok and move_ok and chain_ok
     emit(capsys, 11, "combinatorics", ok,

@@ -50,6 +50,7 @@ def test_check_reports_combinatorics(capsys, fig8_path):
     assert [l["euler_characteristic"] for l in res["vertex_links"]] == [0]
     assert res["is_cusped"] is True
     assert res["incidence_size"] == 12
+    assert res["triples"] == 8
 
 
 def test_solve_fig8(capsys, fig8_path):

@@ -9,7 +9,7 @@ from cuspforge import lobachevsky as lob
 from cuspforge import optimizer, polytope, triangulation
 
 from conftest import load_data, movable_chain, property_chain, relabel
-from helpers import lstsq_certificate
+from helpers import lstsq_certificate, null_directions
 
 # Property-test seeds whose chain has a non-empty closure; the closure of
 # seed 0 is a single point.
@@ -132,7 +132,8 @@ def test_certify_at_optimum(fig8_sys, fig8_optimum):
     assert cert.gradient_residual < 1e-8
     assert cert.signs_ok
     assert cert.active_multipliers == ()
-    assert cert.multipliers.shape == (fig8_sys.a_eq.shape[0],)
+    # two tetrahedron rows, then two edge rows
+    assert cert.multipliers.shape == (4,)
 
 
 def certify_points(sys_):
@@ -146,9 +147,9 @@ def certify_points(sys_):
     return {"maximizer": res.point, "interior": inner, "boundary": outer}
 
 
-def assert_fit_matches_dense(sys_, p):
+def assert_fit_matches_dense(tri, sys_, p):
     cert = optimizer.certify(sys_, p, n_probes=1)
-    lam, active, residual = lstsq_certificate(sys_.a_eq, p)
+    lam, active, residual = lstsq_certificate(tri, p)
     np.testing.assert_allclose(cert.multipliers, lam, rtol=0.0, atol=1e-10)
     assert [i for i, _ in cert.active_multipliers] == [i for i, _ in active]
     np.testing.assert_allclose([v for _, v in cert.active_multipliers],
@@ -159,9 +160,10 @@ def assert_fit_matches_dense(sys_, p):
 
 @pytest.mark.parametrize("name", ["fig8", "degenerate4", "gieseking"])
 def test_certify_fit_matches_dense_lstsq_on_fixtures(name):
-    sys_ = polytope.build_constraints(triangulation.incidence(load_data(name)))
+    tri = load_data(name)
+    sys_ = polytope.build_constraints(triangulation.incidence(tri))
     points = certify_points(sys_)
-    fits = {kind: assert_fit_matches_dense(sys_, p)
+    fits = {kind: assert_fit_matches_dense(tri, sys_, p)
             for kind, p in points.items()}
     assert fits["maximizer"].gradient_residual < 1e-12
     assert fits["interior"].gradient_residual > 1e-3
@@ -171,29 +173,30 @@ def test_certify_fit_matches_dense_lstsq_on_fixtures(name):
 
 @pytest.mark.parametrize("seed", CHAIN_SEEDS_WITH_CLOSURE)
 def test_certify_fit_matches_dense_lstsq_on_chains(seed, fig8):
-    sys_ = polytope.build_constraints(
-        triangulation.incidence(property_chain(fig8, seed)))
+    tri = property_chain(fig8, seed)
+    sys_ = polytope.build_constraints(triangulation.incidence(tri))
     for p in certify_points(sys_).values():
-        assert_fit_matches_dense(sys_, p)
+        assert_fit_matches_dense(tri, sys_, p)
 
 
 def test_certify_single_point_closure(fig8):
-    # every slot is fixed at 0 or pi over this chain's closure, so no slot
+    # every slot is fixed at 0 or pi over this chain's closure, so no angle
     # is free and nothing is fitted
-    sys_ = polytope.build_constraints(
-        triangulation.incidence(property_chain(fig8, 0)))
+    tri = property_chain(fig8, 0)
+    sys_ = polytope.build_constraints(triangulation.incidence(tri))
     ip = polytope.interior_point(sys_)
     assert len(ip.fixed.indices) == sys_.dim
-    cert = assert_fit_matches_dense(sys_, ip.point)
+    cert = assert_fit_matches_dense(tri, sys_, ip.point)
     assert cert.fit_iterations == 0
     assert cert.gradient_residual == 0.0
     assert not np.any(cert.multipliers)
-    assert [i for i, _ in cert.active_multipliers] == list(range(sys_.dim))
+    assert [i for i, _ in cert.active_multipliers] \
+        == list(range(3 * tri.n_tets))
 
 
-def test_certify_flags_non_critical_point(fig8_sys, fig8_center):
+def test_certify_flags_non_critical_point(fig8, fig8_sys, fig8_center):
     # an interior point displaced along a null direction is not critical
-    basis = polytope.null_space(fig8_sys)
+    basis = null_directions(fig8)
     perturbed = fig8_center + 0.2 * basis[:, 0]
     assert polytope.classify_membership(fig8_sys, perturbed).kind == "interior"
     cert = optimizer.certify(fig8_sys, perturbed)
@@ -233,8 +236,8 @@ def test_dominance_at_optimum(fig8_sys, fig8_optimum):
     assert rep.witness is None
 
 
-def test_dominance_rejected_at_non_optimum(fig8_sys, fig8_center):
-    basis = polytope.null_space(fig8_sys)
+def test_dominance_rejected_at_non_optimum(fig8, fig8_sys, fig8_center):
+    basis = null_directions(fig8)
     perturbed = fig8_center + 0.2 * basis[:, 0]
     rep = optimizer.dominance_check(fig8_sys, perturbed, 200, seed=3)
     assert not rep.all_dominated

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from cuspforge import polytope, triangulation
+from scipy.linalg import null_space
+
+from cuspforge import optimizer, polytope, triangulation
 
 from conftest import load_data, movable_chain
-from helpers import fixed_slots
+from helpers import angle_matrix, fixed_slots, null_directions, slot_system
 
 # Slot k of a tetrahedron carries angle A, B or C: opposite edges pair up.
 ANGLE_OF_SLOT = (0, 1, 2, 2, 1, 0)
@@ -19,30 +21,53 @@ def flat_pins(*big):
 
 
 def test_constraint_shapes_and_rhs(fig8_sys):
-    assert fig8_sys.a_eq.shape == (10, 12)
-    assert fig8_sys.n_triple_rows == 8
-    assert fig8_sys.n_edge_rows == 2
-    np.testing.assert_allclose(fig8_sys.b_eq[:8], np.pi)
-    np.testing.assert_allclose(fig8_sys.b_eq[8:], 2.0 * np.pi)
-    # triple rows have three unit entries; edge rows cover all slots
-    assert np.all(fig8_sys.a_eq[:8].sum(axis=1) == 3.0)
-    np.testing.assert_allclose(fig8_sys.a_eq[8:].sum(axis=0), 1.0)
+    assert fig8_sys.rows.shape == (6, 3)
+    assert fig8_sys.dim == 12
+    np.testing.assert_allclose(fig8_sys.b[:2], np.pi)
+    np.testing.assert_allclose(fig8_sys.b[2:], 2.0 * np.pi)
+    # tetrahedron rows hold their three angles; the edge rows hold each
+    # angle twice, once per slot
+    a = fig8_sys.matrix()
+    np.testing.assert_array_equal(a[:2], np.repeat(np.eye(2), 3, axis=1))
+    np.testing.assert_array_equal(a[2:].sum(axis=0), 2.0)
 
 
 @pytest.mark.parametrize("name", ["fig8", "degenerate4", "gieseking",
                                   "chain5"])
 def test_rows_of_slot_index_the_nonzero_rows(name, fig8):
+    # slot s carries the angle a of its opposite pair, and rows[a] holds the
+    # tetrahedron row, then the edge rows of the pair's two slots
     tri = movable_chain(fig8, 5) if name == "chain5" else load_data(name)
     idx = triangulation.incidence(tri)
     sys_ = polytope.build_constraints(idx)
-    rows = sys_.rows_of_slot
-    assert rows.shape == (sys_.dim, 3)
+    n, rows, a = tri.n_tets, sys_.rows, sys_.matrix()
+    assert rows.shape == (3 * n, 3)
     for s in range(sys_.dim):
-        assert list(np.flatnonzero(sys_.a_eq[:, s])) == sorted(rows[s])
-        assert list(rows[s, :2]) == [i for i, t in enumerate(idx.triples)
-                                     if s in t]
-        assert rows[s, 1] < sys_.n_triple_rows <= rows[s, 2]
-        assert rows[s, 2] == sys_.n_triple_rows + idx.edge_of[s]
+        t, k = divmod(s, 6)
+        angle = 3 * t + min(k, 5 - k)
+        assert list(rows[angle]) == [t, n + idx.edge_of[6 * t + min(k, 5 - k)],
+                                     n + idx.edge_of[6 * t + max(k, 5 - k)]]
+        assert list(np.flatnonzero(a[:, angle])) == sorted(set(rows[angle]))
+        assert a[:, angle].sum() == 3.0
+
+
+@pytest.mark.parametrize("name, doubled, volume", [
+    ("fig8", 4, 2.029883212819307), ("gieseking", 3, 2.029883212819307 / 2)])
+def test_angles_in_one_edge_class_have_coefficient_two(name, doubled, volume):
+    # an angle whose two slots lie in one edge class adds 2 to its row: four
+    # of fig8's six angles and all three of gieseking's
+    tri = load_data(name)
+    sys_ = polytope.build_constraints(triangulation.incidence(tri))
+    a = sys_.matrix()
+    np.testing.assert_array_equal(a, angle_matrix(tri))
+    assert np.count_nonzero(a == 2.0) == doubled
+    rng = np.random.default_rng(14)
+    theta = rng.standard_normal(a.shape[1])
+    np.testing.assert_allclose(sys_.apply(theta), a @ theta, atol=1e-14)
+    assert polytope.interior_point(sys_).status == "ok"
+    res = optimizer.maximize_volume(sys_)
+    assert res.status == "converged"
+    assert abs(res.volume - volume) < 1e-10
 
 
 def test_regular_point_satisfies_equalities(fig8_sys, fig8_center):
@@ -55,8 +80,8 @@ def test_membership_interior(fig8_sys, fig8_center):
     assert m.flat is None
 
 
-def test_membership_boundary_reports_flat_slots(fig8_sys, fig8_center):
-    basis = polytope.null_space(fig8_sys)
+def test_membership_boundary_reports_flat_slots(fig8, fig8_sys, fig8_center):
+    basis = null_directions(fig8)
     d = basis[:, 0]
     # walk to the box along a null direction
     up = d > 1e-12
@@ -80,18 +105,44 @@ def test_membership_infeasible(fig8_sys, fig8_center):
     assert m.witness is not None
 
 
+def test_membership_requires_equal_opposite_slots(fig8, fig8_idx, fig8_sys,
+                                                  fig8_center):
+    # slots 0 and 5 (edges 01 and 23 of tetrahedron 0) both lie in edge
+    # class 0: moving them apart keeps the edge rows and the mean angles,
+    # but breaks the four vertex triples of tetrahedron 0 by 0.1
+    assert fig8_idx.edge_of[0] == fig8_idx.edge_of[5] == 0
+    x = fig8_center.copy()
+    x[0] += 0.1
+    x[5] -= 0.1
+    a_eq, b_eq = slot_system(fig8)
+    errors = np.abs(a_eq @ x - b_eq)
+    np.testing.assert_allclose(errors[:4], 0.1)
+    assert np.max(errors[4:]) < 1e-14
+    np.testing.assert_allclose(fig8_sys.apply(polytope.to_angles(x)),
+                               fig8_sys.b, atol=1e-14)
+    m = polytope.classify_membership(fig8_sys, x)
+    assert m.kind == "infeasible"
+    assert m.equality_violation > 0.1
+    with pytest.raises(ValueError, match="infeasible"):
+        optimizer.certify(fig8_sys, x)
+
+
 def test_membership_rejects_wrong_length(fig8_sys):
     with pytest.raises(ValueError, match="length"):
         polytope.classify_membership(fig8_sys, np.zeros(5))
 
 
-def test_null_space_annihilates_rows(fig8_sys):
-    basis = polytope.null_space(fig8_sys)
+def test_null_space_annihilates_rows(fig8, fig8_sys):
+    # the slot system's null directions have equal opposite slots, and their
+    # angles span the null space of the angle rows
+    basis = null_directions(fig8)
     assert basis.shape[0] == 12
     assert basis.shape[1] >= 1
-    assert np.max(np.abs(fig8_sys.a_eq @ basis)) < 1e-12
-    np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]),
-                               atol=1e-12)
+    six = basis.T.reshape(-1, 2, 6)
+    np.testing.assert_allclose(six[:, :, :3], six[:, :, :2:-1], atol=1e-12)
+    angles = np.array([polytope.to_angles(d) for d in basis.T]).T
+    assert np.max(np.abs(fig8_sys.matrix() @ angles)) < 1e-12
+    assert null_space(fig8_sys.matrix()).shape[1] == basis.shape[1]
 
 
 def test_interior_point_fig8(fig8_sys):
@@ -140,7 +191,7 @@ def test_interior_point_minimal_face(degenerate4_sys):
     # closure: tetrahedra 0 and 3 are flat on all of it
     res = polytope.interior_point(degenerate4_sys)
     assert res.status == "empty-interior"
-    fixed = fixed_slots(degenerate4_sys.a_eq, degenerate4_sys.b_eq)
+    fixed = fixed_slots(*slot_system(load_data("degenerate4")))
     assert fixed == set(range(6)) | set(range(18, 24))
     assert set(res.fixed.indices) == fixed
     assert polytope.equality_residual(degenerate4_sys, res.point) < 1e-12
@@ -150,7 +201,7 @@ def test_interior_point_minimal_face(degenerate4_sys):
 
 def test_sample_closure_points_sweep_the_minimal_face(degenerate4_sys):
     start = polytope.interior_point(degenerate4_sys).point
-    fixed = sorted(fixed_slots(degenerate4_sys.a_eq, degenerate4_sys.b_eq))
+    fixed = sorted(fixed_slots(*slot_system(load_data("degenerate4"))))
     rng = np.random.default_rng(13)
     pts = polytope.sample_closure_points(degenerate4_sys, rng, 50)
     for x in pts:
@@ -178,11 +229,11 @@ def test_segment_endpoints_and_range():
         polytope.segment(p, q, 1.5)
 
 
-def test_difference_vector_in_null_space(fig8_sys, fig8_center):
+def test_difference_vector_in_null_space(fig8, fig8_sys, fig8_center):
     rng = np.random.default_rng(11)
     q = polytope.sample_closure_points(fig8_sys, rng, 1)[0]
-    a = polytope.difference_vector(fig8_center, q)
-    assert np.max(np.abs(fig8_sys.a_eq @ a)) < 1e-9
+    a = q - fig8_center
+    assert np.max(np.abs(slot_system(fig8)[0] @ a)) < 1e-9
 
 
 def test_sample_closure_points_feasible(fig8_sys):

@@ -15,14 +15,14 @@ from cuspforge import lobachevsky as lob
 from cuspforge import triangulation as tr
 
 from conftest import property_chain
-from helpers import closure_status
+from helpers import closure_status, slot_system
 
 
 @pytest.mark.parametrize("seed", range(16))
 def test_random_chain(seed, fig8, tmp_path, capsys):
     tri = property_chain(fig8, seed)
     sys_ = polytope.build_constraints(tr.incidence(tri))
-    expected = closure_status(sys_.a_eq, sys_.b_eq)
+    expected = closure_status(*slot_system(tri))
 
     ip = polytope.interior_point(sys_)
     res = optimizer.maximize_volume(sys_)

@@ -190,26 +190,15 @@ def test_links_and_edges_match_oracles_on_random_gluings():
 # ---------------------------------------------------------------------------
 # incidence
 
-def test_incidence_ordering_and_triples(fig8_idx):
+def test_incidence_slot_order(fig8, fig8_idx):
+    # slot 6 t + k is edge VERTEX_PAIRS[k] of tetrahedron t
     assert fig8_idx.size == 12
-    assert fig8_idx.entries[:6] == tuple((0, p) for p in tr.VERTEX_PAIRS)
-    assert len(fig8_idx.triples) == 8
-    for t in range(2):
-        for v in range(4):
-            triple = fig8_idx.triples[4 * t + v]
-            assert len(triple) == 3
-            for slot in triple:
-                pair = fig8_idx.entries[slot][1]
-                assert v in pair
-
-
-def test_incidence_opposite_is_an_involution(fig8_idx):
-    for i, j in enumerate(fig8_idx.opposite):
-        assert fig8_idx.opposite[j] == i
-        t_i, p_i = fig8_idx.entries[i]
-        t_j, p_j = fig8_idx.entries[j]
-        assert t_i == t_j
-        assert set(p_i) | set(p_j) == {0, 1, 2, 3}
+    for orbit in orbit_edge_classes(fig8):
+        slots = [6 * t + tr.VERTEX_PAIRS.index(p) for t, p in orbit]
+        assert {fig8_idx.edge_of[s] for s in slots} == {fig8_idx.edge_of[
+            slots[0]]}
+        assert sorted(slots) == list(fig8_idx.edges[fig8_idx.edge_of[
+            slots[0]]])
 
 
 def test_incidence_edge_partition(fig8_idx):
