@@ -152,12 +152,13 @@ def cmd_solve(args):
         _emit("solve", [args.path], args.seed, {"status": res.status}, timer)
         return EXIT_EMPTY_CLOSURE
     with timer.time("certify"):
-        cert = optimizer.certify(sys_, res.point, seed=args.seed)
+        cert = optimizer.certify(sys_, res.point)
     with timer.time("classify"):
         classes = optimizer.classify_tetrahedra(res.point)
+    tol = optimizer.COMPLETE_TOL
     candidate = (res.status == "converged" and cert.signs_ok
-                 and cert.gradient_residual < 1e-6
-                 and all(c == "positive" for c in classes))
+                 and cert.gradient_residual < tol and "invalid" not in classes
+                 and all(abs(m) <= tol for _, m, _ in cert.margins))
     results = {
         "status": res.status,
         "volume": res.volume,
@@ -166,11 +167,12 @@ def cmd_solve(args):
         "iterations": res.iterations,
         "kkt_residual": res.kkt_residual,
         "flat_tets": list(res.flat_tets),
-        "active_set": sorted(res.active_set.indices),
+        "active_set": sorted(res.active_set),
         "tetrahedra": classes,
         "certificate": {
             "gradient_residual": cert.gradient_residual,
             "signs_ok": cert.signs_ok,
+            "margins": cert.margins,
         },
         "candidate_complete": candidate,
     }
@@ -189,12 +191,12 @@ def cmd_certify(args):
     tri, idx, sys_ = _build(args.path, timer)
     p = _load_angles(args.angles, sys_.dim)
     with timer.time("certify"):
-        cert = optimizer.certify(sys_, p, seed=args.seed)
-    membership = polytope.classify_membership(sys_, p)
+        cert = optimizer.certify(sys_, p)
     results = {
-        "membership": membership.kind,
+        "membership": cert.membership,
         "gradient_residual": cert.gradient_residual,
         "signs_ok": cert.signs_ok,
+        "margins": cert.margins,
         "fit_iterations": cert.fit_iterations,
         "multipliers": cert.multipliers,
         "active_multipliers": [[i, v] for i, v in cert.active_multipliers],
@@ -229,8 +231,7 @@ def cmd_volume(args):
     results = {
         "volume": vol,
         "membership": membership.kind,
-        "flat_slots": sorted(membership.flat.indices)
-        if membership.flat else [],
+        "flat_slots": sorted(membership.flat),
     }
     _emit("volume", [args.path, args.angles], _default_seed(), results, timer)
     return EXIT_OK
@@ -258,8 +259,7 @@ def cmd_segment(args):
             print("error: %s is not in the closure (violation %g)"
                   % (name, membership.equality_violation), file=sys.stderr)
             return EXIT_PARSE
-    limit = lobachevsky.boundary_derivative_limit(
-        p, q, memberships[0].flat or polytope.FlatSet(frozenset()))
+    limit = lobachevsky.boundary_derivative_limit(p, q, memberships[0].flat)
     out = sys.stdout
     out.write("# one-sided derivative limit at t=0+: %.17g\n" % limit.value)
     out.write("t,f,fprime\n")
@@ -410,7 +410,8 @@ def build_parser():
     p = add("certify", cmd_certify, help="KKT certificate at a point")
     p.add_argument("path")
     p.add_argument("angles")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=_default_seed(),
+                   help="recorded in the report; certify draws no samples")
 
     p = add("dominate", cmd_dominate, help="sampled dominance check")
     p.add_argument("path")

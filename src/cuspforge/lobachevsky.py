@@ -171,11 +171,7 @@ def boundary_derivative_limit(p, q, flat):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     a = q - p
-    n = p.size
-    in_flat = np.zeros(n, dtype=bool)
-    if flat is not None:
-        idxs = list(flat.indices) if hasattr(flat, "indices") else list(flat)
-        in_flat[idxs] = True
+    in_flat = np.isin(np.arange(p.size), list(flat))
     s = np.abs(np.sin(p))
     bad = (~in_flat) & (s < _SIN_ZERO)
     if bad.any():

@@ -22,6 +22,9 @@ from . import polytope
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
 FLAT_TOL = 1e-8
+# A maximizer is a candidate complete structure when its certificate's
+# residual and every flat tetrahedron's |margin| lie within this.
+COMPLETE_TOL = 1e-6
 
 # Share of the distance to the box taken by a step that would leave it; at
 # 0.99 the angle such a step left near 0 cost three or four more steps.
@@ -39,7 +42,7 @@ class OptimizationResult:
     volume: float
     status: str  # "converged" | "stalled" | "iteration-cap" | "empty-closure"
     flat_tets: tuple
-    active_set: polytope.FlatSet
+    active_set: frozenset  # the slots at 0 or pi
     kkt_residual: float
     iterations: int
 
@@ -51,6 +54,8 @@ class MaximalityCertificate:
     gradient_residual: float
     signs_ok: bool
     fit_iterations: int
+    margins: tuple  # of (flat tetrahedron, margin, face_fixed)
+    membership: str  # "interior" | "boundary"
 
 
 @dataclass(frozen=True)
@@ -234,9 +239,8 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         ip = polytope.interior_point(sys)
         if ip.status == "empty-closure":
             return OptimizationResult(None, float("nan"), "empty-closure", (),
-                                      polytope.FlatSet(frozenset()),
-                                      float("nan"), iters)
-        face = _Face(sys, ip.fixed.indices)
+                                      frozenset(), float("nan"), iters)
+        face = _Face(sys, ip.fixed)
         ang = face.angles(ip.point if start is None else start)
         if np.any(ang[face.free] <= 0.0):
             raise ValueError("start point is not in the relative interior "
@@ -264,7 +268,7 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
             ip = polytope.interior_point(sys, pinned=pinned)
             if ip.status == "empty-closure":
                 break
-            face = _Face(sys, ip.fixed.indices)
+            face = _Face(sys, ip.fixed)
             ang = face.angles(ip.point)
             vol = _volume(ang)
             best, stale = np.inf, 0
@@ -283,8 +287,7 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
             break
 
     x = polytope.to_slots(ang)
-    active = (polytope.classify_membership(sys, x, tol=flat_tol).flat
-              or polytope.FlatSet(frozenset()))
+    active = polytope.classify_membership(sys, x, tol=flat_tol).flat
     classes = classify_tetrahedra(x, tol=flat_tol)
     flat_tets = tuple(t for t, c in enumerate(classes) if c == "flat")
     return OptimizationResult(x, lob.volume(x), status, flat_tets, active,
@@ -312,15 +315,23 @@ def _min_norm_fit(rows, g, n_rows, eps=1e-14):
     return lam, iters
 
 
-def certify(sys, p, tol=FLAT_TOL, n_probes=200, seed=0):
+def certify(sys, p, tol=FLAT_TOL):
     """Least-squares KKT certificate at a feasible slot vector.
 
     Fits the gradient -log|2 sin theta| over the free angles into the span of
     the equality rows: minimum-norm multipliers, one per row, found
-    matrix-free in ``fit_iterations`` CGLS steps, the fitted values on the
-    angles at 0 or pi, and the residual recomputed from them.  Active bounds
-    are not certified through the (divergent) raw gradient; instead signs_ok
-    requires all sampled one-sided derivative limits to be non-improving.
+    matrix-free in ``fit_iterations`` CGLS steps, the fitted values F on the
+    angles at 0 or pi, and the residual recomputed from them.
+
+    The bounds are certified in closed form.  Toward a closure point the fit
+    turns the one-sided derivative into a sum over the angles at 0 or pi.  A
+    flat tetrahedron, (A, B, C) = (0, 0, pi) moving as (x, y, -x - y), adds
+    the lhs of ``lobachevsky.entropy_inequality`` with c - a = F_A - F_C and
+    c - b = F_B - F_C; it is <= 0 for all x, y >= 0 iff the margin
+    -F_C - log(e^-F_A + e^-F_B) is >= 0, and for y = 0 iff F_A >= F_C.  Any
+    other angle at 0 or pi adds an unbounded log(1/t).  signs_ok applies
+    this to the angles that the minimal face leaves free; ``margins`` holds
+    (tetrahedron, margin, face_fixed) for each flat tetrahedron.
     """
     membership = polytope.classify_membership(sys, p, tol=tol)
     if membership.kind == "infeasible":
@@ -332,19 +343,24 @@ def certify(sys, p, tol=FLAT_TOL, n_probes=200, seed=0):
     lam, iters = _min_norm_fit(sys.rows[free], g[free], sys.b.size)
     fitted = lam[sys.rows].sum(axis=1)
     residual = float(np.max(np.abs(fitted[free] - g[free]), initial=0.0))
-    active = tuple((int(i), float(fitted[i]))
-                   for i in np.flatnonzero(~free))
-
-    probes = []
-    if membership.kind == "boundary":
-        rng = np.random.default_rng(seed)
-        try:
-            probes = polytope.sample_closure_points(sys, rng, n_probes)
-        except ValueError:
-            pass
-    signs_ok = all(lob.boundary_derivative_limit(p, q, membership.flat).value
-                   <= 1e-8 for q in probes)
-    return MaximalityCertificate(lam, active, residual, signs_ok, iters)
+    active = tuple((int(i), float(fitted[i])) for i in np.flatnonzero(~free))
+    signs_ok, margins = True, []
+    if not free.all():
+        move = np.ones_like(free)
+        move[polytope.angle_of(sorted(polytope.interior_point(sys).fixed))] = 0
+        flat = np.repeat(np.array(classify_tetrahedra(p, tol)) == "flat", 3)
+        signs_ok = not np.any(~free & move & ~flat)
+        for t in np.flatnonzero(flat[::3]):
+            c = 3 * t + int(np.argmax(theta[3 * t:3 * t + 3]))
+            a, b = (k for k in range(3 * t, 3 * t + 3) if k != c)
+            margin = float(-fitted[c] - np.logaddexp(-fitted[a], -fitted[b]))
+            if move[a] and move[b]:
+                signs_ok &= margin >= -tol
+            elif move[a] or move[b]:
+                signs_ok &= fitted[a if move[a] else b] >= fitted[c] - tol
+            margins.append((int(t), margin, not (move[a] or move[b])))
+    return MaximalityCertificate(lam, active, residual, bool(signs_ok), iters,
+                                 tuple(margins), membership.kind)
 
 
 def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
@@ -383,7 +399,6 @@ def dominance_check(sys, p, n_samples, seed=0, strict_distance=1e-4,
     membership = polytope.classify_membership(sys, p)
     if membership.kind == "infeasible":
         raise ValueError("reference point is infeasible")
-    flat = membership.flat or polytope.FlatSet(frozenset())
     rng = np.random.default_rng(seed)
     vp = lob.volume(p)
     samples = polytope.sample_closure_points(sys, rng, n_samples)
@@ -402,7 +417,7 @@ def dominance_check(sys, p, n_samples, seed=0, strict_distance=1e-4,
         elif gap < -1e-10:
             all_dominated = False
             witness = q
-        rep = lob.boundary_derivative_limit(p, q, flat)
+        rep = lob.boundary_derivative_limit(p, q, membership.flat)
         worst_dir = max(worst_dir, rep.value)
         if rep.value > directional_tol:
             all_dominated = False

@@ -71,25 +71,9 @@ class LinearSystem:
 
 
 @dataclass(frozen=True)
-class FlatSet:
-    """Slots where a boundary point sits at 0 or pi."""
-
-    indices: frozenset
-
-    def __bool__(self):
-        return bool(self.indices)
-
-    def is_tetrahedron_closed(self):
-        """Flat tetrahedra are flat at every edge: each touched tetrahedron
-        must contribute all six of its slots."""
-        tets = {i // 6 for i in self.indices}
-        return all(6 * t + k in self.indices for t in tets for k in range(6))
-
-
-@dataclass(frozen=True)
 class Membership:
     kind: str  # "interior" | "boundary" | "infeasible"
-    flat: FlatSet | None = None
+    flat: frozenset = frozenset()  # the slots at 0 or pi
     # the slot outside the box, or the violated equality: a row of the
     # system, or past them n + N + a for angle a whose slots differ
     witness: int | None = None
@@ -101,7 +85,7 @@ class InteriorPointResult:
     status: str  # "ok" | "empty-interior" | "empty-closure"
     point: np.ndarray | None
     min_slack: float
-    fixed: FlatSet
+    fixed: frozenset  # the slots the minimal face fixes at 0 or pi
 
 
 def build_constraints(idx):
@@ -150,7 +134,7 @@ def classify_membership(sys, x, tol=DEFAULT_BOUNDARY_TOL):
     at_bound = (x < tol) | (x > np.pi - tol)
     if at_bound.any():
         return Membership("boundary",
-                          flat=FlatSet(frozenset(np.flatnonzero(at_bound))),
+                          flat=frozenset(np.flatnonzero(at_bound).tolist()),
                           equality_violation=violation)
     return Membership("interior", equality_violation=violation)
 
@@ -196,7 +180,7 @@ def interior_point(sys, pinned=None):
                                  bounds=bounds, method="highs")
     if not res.success:
         return InteriorPointResult("empty-closure", None, -np.inf,
-                                   FlatSet(frozenset()))
+                                   frozenset())
     theta = res.x[:n] / res.x[-1]
     fixed = res.x[n:2 * n] < 0.5
     fixed[angle_of(slots)] = True
@@ -205,7 +189,7 @@ def interior_point(sys, pinned=None):
     slacks = np.minimum(x, np.pi - x)
     slacks[slots] = np.inf
     slack = float(np.min(slacks)) if slots.size < x.size else 0.0
-    fixed = FlatSet(frozenset(np.flatnonzero(to_slots(fixed)).tolist()))
+    fixed = frozenset(np.flatnonzero(to_slots(fixed)).tolist())
     return InteriorPointResult("ok" if slack > 0.0 else "empty-interior", x,
                                slack, fixed)
 

@@ -81,6 +81,11 @@ def degenerate4_sys(degenerate4_path):
 
 
 @pytest.fixture(scope="session")
+def flatten3_path():
+    return os.path.join(DATA_DIR, "flatten3.tri")
+
+
+@pytest.fixture(scope="session")
 def gieseking_path():
     return os.path.join(DATA_DIR, "gieseking.tri")
 

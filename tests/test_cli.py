@@ -105,7 +105,27 @@ def test_solve_boundary_maximizer_report(capsys, degenerate4_path):
     assert res["tetrahedra"] == ["flat", "positive", "positive", "flat"]
     assert res["certificate"]["gradient_residual"] < 1e-6
     assert res["certificate"]["signs_ok"] is True
+    # flat on the whole closure, so not the complete structure
+    margins = res["certificate"]["margins"]
+    assert [(t, fixed) for t, _, fixed in margins] == [(0, True), (3, True)]
+    assert all(m < -0.4 for _, m, _ in margins)
     assert res["candidate_complete"] is False
+
+
+def test_solve_flat_complete_structure(capsys, flatten3_path):
+    # the complete structure with tetrahedron 3 flat, margin 0
+    code, report, _ = run_json(capsys, "solve", flatten3_path)
+    assert code == 0
+    validate_schema(report)
+    res = report["results"]
+    assert res["status"] == "converged"
+    assert abs(res["volume"] - 2.029883212819307) < 1e-10
+    assert res["flat_tets"] == [3]
+    assert res["certificate"]["signs_ok"] is True
+    [[tet, margin, face_fixed]] = res["certificate"]["margins"]
+    assert tet == 3 and face_fixed is False
+    assert abs(margin) < 1e-9
+    assert res["candidate_complete"] is True
 
 
 def test_solve_results_are_deterministic(capsys, fig8_path):
@@ -159,7 +179,25 @@ def test_certify_center(capsys, fig8_path, center_angles_path):
     assert res["membership"] == "interior"
     assert res["gradient_residual"] < 1e-10
     assert res["signs_ok"] is True
+    assert res["margins"] == []
     assert res["fit_iterations"] >= 1
+
+
+def test_certify_seed_is_recorded_but_inert(capsys, tmp_path, fig8_path,
+                                            fig8_sys):
+    # certify draws no samples, at a boundary point neither
+    pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
+    path = tmp_path / "face.json"
+    path.write_text(polytope.angles_to_json(
+        polytope.interior_point(fig8_sys, pinned=pinned).point))
+    reports = [run_json(capsys, "certify", fig8_path, str(path),
+                        "--seed", seed)[1] for seed in ("1", "2")]
+    assert [r["seed"] for r in reports] == [1, 2]
+    assert reports[0]["results"] == reports[1]["results"]
+    res = reports[0]["results"]
+    assert res["membership"] == "boundary"
+    assert res["signs_ok"] is False
+    assert [t for t, _, _ in res["margins"]] == [0]
 
 
 def test_volume_center(capsys, fig8_path, center_angles_path):

@@ -104,7 +104,7 @@ def test_boundary_limit_interior_case_is_directional_derivative(fig8_sys):
     rng = np.random.default_rng(5)
     p, q = polytope.sample_closure_points(fig8_sys, rng, 2,
                                           boundary_fraction=0.0)
-    rep = lob.boundary_derivative_limit(p, q, polytope.FlatSet(frozenset()))
+    rep = lob.boundary_derivative_limit(p, q, frozenset())
     assert abs(rep.entropy_part) == 0.0
     ts = [1e-3, 5e-4, 2.5e-4]
     vals = [lob.segment_derivative(p, q, t).value for t in ts]
@@ -116,7 +116,7 @@ def test_boundary_limit_matches_extrapolated_derivative_flat_case():
     # interior target that keeps both triple sums fixed
     p = np.array([0.0, 0.0, np.pi, 0.4, 0.6, np.pi - 1.0])
     q = np.array([0.3, 0.5, np.pi - 0.8, 0.5, 0.8, np.pi - 1.3])
-    flat = polytope.FlatSet(frozenset({0, 1, 2}))
+    flat = frozenset({0, 1, 2})
     rep = lob.boundary_derivative_limit(p, q, flat)
     ts = [1e-4, 5e-5, 2.5e-5]
     vals = [lob.segment_derivative(p, q, t).value for t in ts]
@@ -127,7 +127,7 @@ def test_boundary_limit_rejects_inconsistent_flat_set():
     p = np.array([0.0, 0.5, np.pi - 0.5])
     q = np.array([0.2, 0.6, np.pi - 0.8])
     with pytest.raises(ValueError):
-        lob.boundary_derivative_limit(p, q, polytope.FlatSet(frozenset()))
+        lob.boundary_derivative_limit(p, q, frozenset())
 
 
 def test_entropy_inequality_equality_case_exact():

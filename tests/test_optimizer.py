@@ -9,7 +9,8 @@ from cuspforge import lobachevsky as lob
 from cuspforge import optimizer, polytope, triangulation
 
 from conftest import load_data, movable_chain, property_chain, relabel
-from helpers import lstsq_certificate, null_directions
+from helpers import (fixed_slots, lstsq_certificate, null_directions,
+                     slot_system)
 
 # Property-test seeds whose chain has a non-empty closure; the closure of
 # seed 0 is a single point.
@@ -148,7 +149,7 @@ def certify_points(sys_):
 
 
 def assert_fit_matches_dense(tri, sys_, p):
-    cert = optimizer.certify(sys_, p, n_probes=1)
+    cert = optimizer.certify(sys_, p)
     lam, active, residual = lstsq_certificate(tri, p)
     np.testing.assert_allclose(cert.multipliers, lam, rtol=0.0, atol=1e-10)
     assert [i for i, _ in cert.active_multipliers] == [i for i, _ in active]
@@ -185,7 +186,7 @@ def test_certify_single_point_closure(fig8):
     tri = property_chain(fig8, 0)
     sys_ = polytope.build_constraints(triangulation.incidence(tri))
     ip = polytope.interior_point(sys_)
-    assert len(ip.fixed.indices) == sys_.dim
+    assert len(ip.fixed) == sys_.dim
     cert = assert_fit_matches_dense(tri, sys_, ip.point)
     assert cert.fit_iterations == 0
     assert cert.gradient_residual == 0.0
@@ -212,12 +213,89 @@ def test_certify_rejects_infeasible(fig8_sys, fig8_center):
 
 def test_certify_boundary_point_finds_improving_direction(fig8_sys):
     # a face point with a flat tetrahedron admits improving directions into
-    # the polytope, so the sign check must fail there
+    # the polytope, so the sign check must fail there: the fitted values are
+    # equal on the three angles, so the margin is -log 2
     pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
     res = polytope.interior_point(fig8_sys, pinned=pinned)
     assert res.status == "ok"
     cert = optimizer.certify(fig8_sys, res.point)
     assert not cert.signs_ok
+    assert cert.membership == "boundary"
+    [(tet, margin, face_fixed)] = cert.margins
+    assert tet == 0 and not face_fixed
+    assert abs(margin + np.log(2.0)) < 1e-12
+
+
+def test_certify_rejects_a_movable_zero_angle(fig8_sys):
+    # one angle of tetrahedron 0 at 0, the other two positive: the angle is
+    # free over the closure, and moving it off 0 gains volume at an
+    # unbounded rate
+    res = polytope.interior_point(fig8_sys, pinned={0: 0.0, 5: 0.0})
+    assert res.status == "ok"
+    assert optimizer.classify_tetrahedra(res.point)[0] == "invalid"
+    cert = optimizer.certify(fig8_sys, res.point)
+    assert not cert.signs_ok
+    assert cert.margins == ()
+
+
+def sampled_signs_ok(sys_, p, n_samples=200):
+    """No sampled one-sided derivative limit from p toward the closure is
+    positive."""
+    flat = polytope.classify_membership(sys_, p).flat
+    rng = np.random.default_rng(0)
+    return all(lob.boundary_derivative_limit(p, q, flat).value <= 1e-8
+               for q in polytope.sample_closure_points(sys_, rng, n_samples))
+
+
+@pytest.mark.parametrize("seed, tet, zero, expected",
+                         [(12, 2, 0, True), (58, 4, 2, False)])
+def test_certify_flat_tetrahedron_with_one_movable_angle(fig8, seed, tet,
+                                                         zero, expected):
+    # the closure fixes one angle of the tetrahedron at 0; the pins put
+    # angle ``zero`` at 0 and the third at pi, so only ``zero`` moves off 0
+    tri = property_chain(fig8, seed)
+    sys_ = polytope.build_constraints(triangulation.incidence(tri))
+    own = fixed_slots(*slot_system(tri)) & set(range(6 * tet, 6 * tet + 6))
+    [fixed] = set(polytope.angle_of(sorted(own)) % 3)
+    angles = np.full(3, np.pi)
+    angles[[fixed, zero]] = 0.0
+    pins = dict(enumerate(polytope.to_slots(angles), start=6 * tet))
+    p = polytope.interior_point(sys_, pinned=pins).point
+    cert = optimizer.certify(sys_, p)
+    assert [ff for t, _, ff in cert.margins if t == tet] == [False]
+    assert cert.signs_ok is expected
+    assert sampled_signs_ok(sys_, p) is expected
+
+
+def entropy_grid_max(f_a, f_b, f_c, n=20001):
+    """The largest lhs of ``entropy_inequality`` over x + y = 1 on a grid,
+    with decorations shifted to be nonnegative: c - a = F_A - F_C and
+    c - b = F_B - F_C."""
+    k = max(f_a, f_b, f_c)
+    a, b, c = k - f_a, k - f_b, k - f_c
+    return max(lob.entropy_inequality(x, 1.0 - x, a, b, c).lhs
+               for x in np.linspace(0.0, 1.0, n))
+
+
+@pytest.mark.parametrize("case", ["pinned-fig8", "degenerate4", "flatten3"])
+def test_margin_is_the_entropy_inequality_maximum(case, fig8_sys):
+    if case == "pinned-fig8":
+        sys_ = fig8_sys
+        pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
+        p = polytope.interior_point(sys_, pinned=pinned).point
+    else:
+        sys_ = polytope.build_constraints(
+            triangulation.incidence(load_data(case)))
+        p = optimizer.maximize_volume(sys_).point
+    cert = optimizer.certify(sys_, p)
+    fitted = dict(cert.active_multipliers)
+    theta = polytope.to_angles(p)
+    assert cert.margins
+    for tet, margin, _ in cert.margins:
+        c = 3 * tet + int(np.argmax(theta[3 * tet:3 * tet + 3]))
+        a, b = (3 * tet + k for k in range(3) if 3 * tet + k != c)
+        assert abs(margin + entropy_grid_max(fitted[a], fitted[b],
+                                             fitted[c])) < 1e-8
 
 
 def test_uniqueness_probe(fig8_sys):
@@ -261,7 +339,12 @@ def test_degenerate4_boundary_maximizer(degenerate4_sys):
     assert res.flat_tets == (0, 3)
     cert = optimizer.certify(degenerate4_sys, res.point)
     assert cert.gradient_residual < 1e-6
+    # both flat tetrahedra are flat on the whole closure: their negative
+    # margins constrain no direction
     assert cert.signs_ok
+    assert [(t, fixed) for t, _, fixed in cert.margins] \
+        == [(0, True), (3, True)]
+    assert all(m < -0.4 for _, m, _ in cert.margins)
     dom = optimizer.dominance_check(degenerate4_sys, res.point, 200, seed=4)
     assert dom.all_dominated
     assert np.isfinite(dom.worst_gap)  # some sample is away from the point
@@ -271,8 +354,9 @@ def test_flattening_chain_maximizer(fig8):
     # three 2-3 moves: the interior is not empty, but the ascent drives
     # tetrahedron 3 flat; the other four are the geometric 4-tet
     # triangulation, so the maximum is exactly the fig8 volume
-    sys_ = polytope.build_constraints(
-        triangulation.incidence(movable_chain(fig8, 3)))
+    tri = load_data("flatten3")
+    assert tri == movable_chain(fig8, 3)
+    sys_ = polytope.build_constraints(triangulation.incidence(tri))
     assert polytope.interior_point(sys_).status == "ok"
     res = optimizer.maximize_volume(sys_)
     assert res.status == "converged"
@@ -280,6 +364,13 @@ def test_flattening_chain_maximizer(fig8):
     assert res.flat_tets == (3,)
     assert optimizer.classify_tetrahedra(res.point)[3] == "flat"
     assert polytope.equality_residual(sys_, res.point) < 1e-12
+    # the flat tetrahedron can move, and it is non-improving with margin 0:
+    # the degenerate-triangle case of the paper's inequality
+    cert = optimizer.certify(sys_, res.point)
+    assert cert.signs_ok
+    [(tet, margin, face_fixed)] = cert.margins
+    assert tet == 3 and not face_fixed
+    assert abs(margin) < 1e-9
 
 
 def test_maximize_rejects_start_off_the_face(degenerate4_sys):

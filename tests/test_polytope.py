@@ -77,7 +77,7 @@ def test_regular_point_satisfies_equalities(fig8_sys, fig8_center):
 def test_membership_interior(fig8_sys, fig8_center):
     m = polytope.classify_membership(fig8_sys, fig8_center)
     assert m.kind == "interior"
-    assert m.flat is None
+    assert m.flat == frozenset()
 
 
 def test_membership_boundary_reports_flat_slots(fig8, fig8_sys, fig8_center):
@@ -92,7 +92,7 @@ def test_membership_boundary_reports_flat_slots(fig8, fig8_sys, fig8_center):
     m = polytope.classify_membership(fig8_sys, x)
     assert m.kind == "boundary"
     assert m.flat
-    for i in m.flat.indices:
+    for i in m.flat:
         assert min(x[i], np.pi - x[i]) < 1e-8
 
 
@@ -163,14 +163,14 @@ def test_interior_point_empty_closure(doubled):
 def test_face_point_respects_pins(fig8_sys):
     pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
     res = polytope.interior_point(fig8_sys, pinned=pinned)
-    assert set(res.fixed.indices) == set(pinned)
+    assert set(res.fixed) == set(pinned)
     assert res.status == "ok"
     for i, v in pinned.items():
         assert abs(res.point[i] - v) < 1e-9
     assert polytope.equality_residual(fig8_sys, res.point) < 1e-8
     m = polytope.classify_membership(fig8_sys, res.point)
     assert m.kind == "boundary"
-    assert set(pinned) <= set(m.flat.indices)
+    assert set(pinned) <= set(m.flat)
 
 
 def test_interior_point_single_point_closure(fig8_sys):
@@ -179,7 +179,7 @@ def test_interior_point_single_point_closure(fig8_sys):
     res = polytope.interior_point(fig8_sys, pinned=pinned)
     assert res.status == "empty-interior"
     assert res.min_slack == 0.0
-    assert set(res.fixed.indices) == set(pinned)
+    assert set(res.fixed) == set(pinned)
     np.testing.assert_array_equal(res.point, [pinned[i] for i in range(12)])
     bad = polytope.interior_point(fig8_sys, pinned=flat_pins(0, 0))
     assert bad.status == "empty-closure"
@@ -193,7 +193,7 @@ def test_interior_point_minimal_face(degenerate4_sys):
     assert res.status == "empty-interior"
     fixed = fixed_slots(*slot_system(load_data("degenerate4")))
     assert fixed == set(range(6)) | set(range(18, 24))
-    assert set(res.fixed.indices) == fixed
+    assert set(res.fixed) == fixed
     assert polytope.equality_residual(degenerate4_sys, res.point) < 1e-12
     free = np.setdiff1d(np.arange(24), sorted(fixed))
     assert np.min(np.minimum(res.point[free], np.pi - res.point[free])) > 0.1
@@ -210,13 +210,6 @@ def test_sample_closure_points_sweep_the_minimal_face(degenerate4_sys):
         assert np.all(x >= -1e-12) and np.all(x <= np.pi + 1e-12)
         np.testing.assert_array_equal(x[fixed], start[fixed])
         assert set(np.unique(x[fixed])) <= {0.0, np.pi}
-
-
-def test_flat_set_tetrahedron_closure():
-    assert polytope.FlatSet(frozenset(range(6))).is_tetrahedron_closed()
-    assert not polytope.FlatSet(frozenset({0, 1})).is_tetrahedron_closed()
-    assert polytope.FlatSet(frozenset()).is_tetrahedron_closed()
-    assert not polytope.FlatSet(frozenset())
 
 
 def test_segment_endpoints_and_range():
