@@ -152,7 +152,7 @@ def cmd_solve(args):
         _emit("solve", [args.path], args.seed, {"status": res.status}, timer)
         return EXIT_EMPTY_CLOSURE
     with timer.time("certify"):
-        cert = optimizer.certify(sys_, res.point)
+        cert = optimizer.certify(sys_, res.point, fixed=res.face_fixed)
     with timer.time("classify"):
         classes = optimizer.classify_tetrahedra(res.point)
     tol = optimizer.COMPLETE_TOL

@@ -6,7 +6,7 @@ Lambda(A) + Lambda(B) + Lambda(C) to the volume.  Its Hessian in (A, B),
 -[[cot A + cot C, cot C], [cot C, cot B + cot C]], is negative definite with
 determinant 1; tetrahedra couple only through the edge equations, solved by
 their Schur complement.  Newton runs on the free angles of the minimal face,
-from the centre of the box or from ``polytope.interior_point``.
+which ``minimal_face`` finds from the centre of the box or by an LP.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ COMPLETE_TOL = 1e-6
 # Share of the distance to the box taken by a step that would leave it; at
 # 0.99 the angle such a step left near 0 cost three or four more steps.
 _TO_BOUNDARY = 0.75
-# Newton steps from the centre of the box allowed to reach the equalities.
+# Newton steps from the centre of the box allowed to reach the equalities
+# before ``minimal_face`` runs the LP.
 _CENTRE_STEPS = 5
 # Accepted steps with no new least KKT residual after which a step gaining
 # no volume beyond rounding ends the ascent as "stalled".
@@ -45,6 +46,7 @@ class OptimizationResult:
     active_set: frozenset  # the slots at 0 or pi
     kkt_residual: float
     iterations: int
+    face_fixed: frozenset  # the slots the unpinned minimal face fixes
 
 
 @dataclass(frozen=True)
@@ -104,8 +106,9 @@ class _Face:
 
     def __init__(self, sys, fixed_slots):
         n = sys.rows.shape[0] // 3
+        self.fixed = frozenset(fixed_slots)
         self.free = np.ones((n, 3), dtype=bool)
-        self.free.flat[polytope.angle_of(list(fixed_slots))] = False
+        self.free.flat[polytope.angle_of(list(self.fixed))] = False
         n_free = self.free.sum(axis=1)
         self.curved = np.flatnonzero(n_free == 3)
         self.linear = np.flatnonzero(n_free == 2)
@@ -196,59 +199,65 @@ def _line_search(face, ang, vol, step):
     return 0.0, ang, vol
 
 
-def _centre_start(sys, face, max_steps):
-    """Newton from the centre of the box, every angle pi/3, off the edge
-    equations: a step of length alpha scales their error by 1 - alpha, so
-    the first full step lands on them when they are consistent.  Returns
-    that point, strictly inside the box, and the steps taken; the point is
-    None when it is not in the closure, or when a step shrinks or
-    ``max_steps`` pass first, as they do when the closure has no interior."""
+def minimal_face(sys):
+    """The minimal face of the closure as ``(face, ang)``: a ``_Face``, whose
+    ``fixed`` holds the slots it fixes at 0 or pi, and the angles of a point
+    in its relative interior; None when the closure is empty.
+
+    Newton from the centre of the box, every angle pi/3, scales the error in
+    the edge equations by 1 - alpha at a step of length alpha.  When a full
+    step lands strictly inside the box, the closure has interior: no slot is
+    fixed, no LP runs and the labeling does not matter.  Else (a shrinking
+    step, or ``_CENTRE_STEPS`` steps) the interior-point LP decides.
+    """
+    face = _Face(sys, ())
     ang = np.full(face.free.shape, np.pi / 3.0)
     vol, last = _volume(ang), 0.0
-    for k in range(1, max_steps + 1):
+    for _ in range(_CENTRE_STEPS):
         alpha, ang, vol = _line_search(face, ang, vol, face.step(ang))
         if alpha == 1.0 and polytope.classify_membership(
                 sys, polytope.to_slots(ang)).kind == "interior":
-            return ang, k
+            return face, ang
         if alpha in (0.0, 1.0) or alpha < last:
-            return None, k
+            break
         last = alpha
-    return None, max_steps
+    ip = polytope.interior_point(sys)
+    if ip.point is None:
+        return None
+    face = _Face(sys, ip.fixed)
+    return face, face.angles(ip.point)
 
 
 def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
                     start=None, flat_tol=FLAT_TOL):
     """Ascend the volume functional to its maximum over the closure.
 
-    Newton runs on the free angles of the minimal face, from ``start`` (a
-    point with those angles positive), or from where Newton from the centre
-    of the box meets the equalities (``_centre_start``): the closure has
-    interior there, so no LP runs and the labeling does not matter.  Else it
-    starts from the interior-point LP's point.  It stops when the KKT
-    residual is below ``tol``, or as "stalled" when no step ascends or
-    neither residual nor volume improves beyond rounding.  A tetrahedron
-    that the ascent drives within ``flat_tol`` of (0, 0, pi) is pinned flat,
-    and the ascent restarts on the face the pins cut out.  At most one
-    restart per tetrahedron: pinned tetrahedra stay fixed.
+    Newton runs on the free angles of the minimal face (``minimal_face``),
+    from ``start`` (a point with those angles positive) or from the face's
+    point.  It stops when the KKT residual is below ``tol``, or as "stalled"
+    when no step ascends or neither residual nor volume improves beyond
+    rounding.  A tetrahedron that the ascent drives within ``flat_tol`` of
+    (0, 0, pi) is pinned flat, and the ascent restarts on the face the pins
+    cut out.  At most one restart per tetrahedron: pinned tetrahedra stay
+    fixed.  ``iterations`` counts the steps and restarts of the ascent, at
+    most ``max_iter``; finding the minimal face is not one of them.
     """
-    ang, iters = None, 0
-    if start is None:
-        face = _Face(sys, ())
-        ang, iters = _centre_start(sys, face, min(_CENTRE_STEPS, max_iter))
-    if ang is None:
-        ip = polytope.interior_point(sys)
-        if ip.status == "empty-closure":
-            return OptimizationResult(None, float("nan"), "empty-closure", (),
-                                      frozenset(), float("nan"), iters)
-        face = _Face(sys, ip.fixed)
-        ang = face.angles(ip.point if start is None else start)
+    return _ascend(sys, minimal_face(sys), start, tol, max_iter, flat_tol)
+
+
+def _ascend(sys, found, start, tol, max_iter, flat_tol):
+    """``maximize_volume`` on ``found``, the closure's ``minimal_face``."""
+    if found is None:
+        return OptimizationResult(None, float("nan"), "empty-closure", (),
+                                  frozenset(), float("nan"), 0, frozenset())
+    face, ang = found
+    if start is not None:
+        ang = face.angles(start)
         if np.any(ang[face.free] <= 0.0):
             raise ValueError("start point is not in the relative interior "
                              "of the minimal face")
-    pinned = {}
-    best, stale = np.inf, 0
-    status = "iteration-cap"
-    residual = float("nan")
+    pinned, best, stale, iters = {}, np.inf, 0, 0
+    status, residual = "iteration-cap", float("nan")
     vol = _volume(ang)
     while iters < max_iter:
         iters += 1
@@ -291,7 +300,7 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     classes = classify_tetrahedra(x, tol=flat_tol)
     flat_tets = tuple(t for t, c in enumerate(classes) if c == "flat")
     return OptimizationResult(x, lob.volume(x), status, flat_tets, active,
-                              residual, iters)
+                              residual, iters, found[0].fixed)
 
 
 def _min_norm_fit(rows, g, n_rows, eps=1e-14):
@@ -315,7 +324,7 @@ def _min_norm_fit(rows, g, n_rows, eps=1e-14):
     return lam, iters
 
 
-def certify(sys, p, tol=FLAT_TOL):
+def certify(sys, p, tol=FLAT_TOL, fixed=None):
     """Least-squares KKT certificate at a feasible slot vector.
 
     Fits the gradient -log|2 sin theta| over the free angles into the span of
@@ -330,8 +339,9 @@ def certify(sys, p, tol=FLAT_TOL):
     c - b = F_B - F_C; it is <= 0 for all x, y >= 0 iff the margin
     -F_C - log(e^-F_A + e^-F_B) is >= 0, and for y = 0 iff F_A >= F_C.  Any
     other angle at 0 or pi adds an unbounded log(1/t).  signs_ok applies
-    this to the angles that the minimal face leaves free; ``margins`` holds
-    (tetrahedron, margin, face_fixed) for each flat tetrahedron.
+    this to the angles that the minimal face leaves free, all but ``fixed``
+    (default: ``minimal_face``'s); ``margins`` holds (tetrahedron, margin,
+    face_fixed) for each flat tetrahedron.
     """
     membership = polytope.classify_membership(sys, p, tol=tol)
     if membership.kind == "infeasible":
@@ -346,8 +356,9 @@ def certify(sys, p, tol=FLAT_TOL):
     active = tuple((int(i), float(fitted[i])) for i in np.flatnonzero(~free))
     signs_ok, margins = True, []
     if not free.all():
+        fixed = minimal_face(sys)[0].fixed if fixed is None else fixed
         move = np.ones_like(free)
-        move[polytope.angle_of(sorted(polytope.interior_point(sys).fixed))] = 0
+        move[polytope.angle_of(sorted(fixed))] = 0
         flat = np.repeat(np.array(classify_tetrahedra(p, tol)) == "flat", 3)
         signs_ok = not np.any(~free & move & ~flat)
         for t in np.flatnonzero(flat[::3]):
@@ -367,19 +378,20 @@ def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
                      max_iter=DEFAULT_MAX_ITER):
     """Multi-start consistency check for the uniqueness of the maximizer.
 
-    The first start is the interior-point LP's point, the others random
-    points of the relative interior of the minimal face; ``results`` keeps
-    each start's OptimizationResult (one empty-closure result when the
+    ``minimal_face`` runs once.  The first start is the face's own point,
+    the others random points of its relative interior around it; ``results``
+    keeps each start's OptimizationResult (one empty-closure result when the
     closure is empty).
     """
     rng = np.random.default_rng(seed)
-    ip = polytope.interior_point(sys)
+    found = minimal_face(sys)
     starts = [None]
-    if ip.point is not None:
+    if found is not None:
         starts += polytope.sample_closure_points(
-            sys, rng, n_starts - 1, start=ip.point, boundary_fraction=0.0)
-    results = tuple(maximize_volume(sys, tol=tol, max_iter=max_iter,
-                                    start=start) for start in starts)
+            sys, rng, n_starts - 1, polytope.to_slots(found[1]),
+            boundary_fraction=0.0)
+    results = tuple(_ascend(sys, found, start, tol, max_iter, FLAT_TOL)
+                    for start in starts)
     points = [r.point for r in results if r.point is not None]
     spread = max((float(np.linalg.norm(p - q, np.inf))
                   for p, q in combinations(points, 2)), default=0.0)
@@ -393,7 +405,8 @@ def dominance_check(sys, p, n_samples, seed=0, strict_distance=1e-4,
 
     Checks vol(p) >= vol(q) for sampled closure points q (strictly when q is
     farther than ``strict_distance``) and that every one-sided derivative
-    limit from p toward q is <= directional_tol.
+    limit from p toward q is <= directional_tol.  The samples are rays from
+    the point of ``minimal_face``, which exists since p is in the closure.
     """
     p = np.asarray(p, dtype=float)
     membership = polytope.classify_membership(sys, p)
@@ -401,25 +414,18 @@ def dominance_check(sys, p, n_samples, seed=0, strict_distance=1e-4,
         raise ValueError("reference point is infeasible")
     rng = np.random.default_rng(seed)
     vp = lob.volume(p)
-    samples = polytope.sample_closure_points(sys, rng, n_samples)
-    all_dominated = True
-    worst_gap = float("inf")
-    worst_dir = float("-inf")
-    witness = None
+    samples = polytope.sample_closure_points(
+        sys, rng, n_samples, polytope.to_slots(minimal_face(sys)[1]))
+    worst_gap, worst_dir, witness = np.inf, -np.inf, None
     for q in samples:
         gap = vp - lob.volume(q)
-        dist = float(np.linalg.norm(q - p, np.inf))
-        if dist > strict_distance:
+        far = float(np.linalg.norm(q - p, np.inf)) > strict_distance
+        if far:
             worst_gap = min(worst_gap, gap)
-            if gap <= 0.0:
-                all_dominated = False
-                witness = q
-        elif gap < -1e-10:
-            all_dominated = False
+        if (gap <= 0.0) if far else (gap < -1e-10):
             witness = q
         rep = lob.boundary_derivative_limit(p, q, membership.flat)
         worst_dir = max(worst_dir, rep.value)
-        if rep.value > directional_tol:
-            all_dominated = False
-            witness = q if witness is None else witness
-    return DominanceReport(all_dominated, worst_gap, worst_dir, witness)
+        if rep.value > directional_tol and witness is None:
+            witness = q
+    return DominanceReport(witness is None, worst_gap, worst_dir, witness)

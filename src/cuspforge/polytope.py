@@ -7,8 +7,8 @@ and the box 0 <= theta <= pi.  Slot vectors, one coordinate per (tetrahedron,
 edge) slot in incidence order, are the program's input and output;
 ``to_angles`` and ``to_slots`` convert.
 
-scipy is imported inside the functions that need it, so commands that never
-solve an LP or take a null space do not pay its import time.
+scipy is imported inside ``interior_point``, the one function that needs
+it, so commands that never solve an LP do not pay its import time.
 """
 
 from __future__ import annotations
@@ -201,25 +201,22 @@ def segment(p, q, t):
     return (1.0 - t) * np.asarray(p, dtype=float) + t * np.asarray(q, float)
 
 
-def sample_closure_points(sys, rng, n_samples, start=None,
+def sample_closure_points(sys, rng, n_samples, start,
                           boundary_fraction=0.25):
-    """Random slot vectors of the closure: random rays from ``start`` (by
-    default the interior-point LP's point, in the relative interior of the
-    minimal face) scaled to a uniform fraction of the distance to the box; a
+    """Random slot vectors of the closure: random rays from the closure point
+    ``start`` scaled to a uniform fraction of the distance to the box; a
     ``boundary_fraction`` share goes all the way to the boundary.  Rays keep
     the angles where ``start`` sits at 0 or pi, so from a boundary point they
-    sweep the face it lies in instead of stopping at once.
+    sweep the face it lies in instead of stopping at once.  Their directions
+    are Gaussian on the null space of the free columns.
     """
-    import scipy.linalg
-
-    if start is None:
-        res = interior_point(sys)
-        if res.point is None:
-            raise ValueError("closure is empty")
-        start = res.point
     theta = to_angles(start)[:, None]
     free = np.minimum(theta, np.pi - theta)[:, 0] > DEFAULT_BOUNDARY_TOL
-    basis = scipy.linalg.null_space(sys.matrix()[:, free])
+    a = sys.matrix()[:, free]
+    _, sv, vh = np.linalg.svd(a)
+    # the right singular vectors past the numerical rank span the null space
+    rank_tol = np.finfo(float).eps * max(a.shape) * sv.max(initial=0.0)
+    basis = vh[np.count_nonzero(sv > rank_tol):].T
     d = np.zeros((theta.size, n_samples))
     d[free] = basis @ rng.standard_normal((basis.shape[1], n_samples))
     norm = np.linalg.norm(d, axis=0)

@@ -99,9 +99,9 @@ def test_criterion_06_derivative_consistency(capsys, fig8_sys):
     rng = np.random.default_rng(106)
     h = 1e-6
     worst_rel = 0.0
-    pts = polytope.sample_closure_points(fig8_sys, rng, 200,
-                                         boundary_fraction=0.0)
     center = polytope.interior_point(fig8_sys).point
+    pts = polytope.sample_closure_points(fig8_sys, rng, 200, start=center,
+                                         boundary_fraction=0.0)
     for p, q in zip(pts[::2], pts[1::2]):
         # shrink toward the interior point so t +- h stays interior
         p = center + 0.9 * (p - center)
@@ -117,7 +117,7 @@ def test_criterion_06_derivative_consistency(capsys, fig8_sys):
     assert face.status == "ok"
     flat = polytope.classify_membership(fig8_sys, face.point).flat
     worst_lim = 0.0
-    for q in polytope.sample_closure_points(fig8_sys, rng, 10,
+    for q in polytope.sample_closure_points(fig8_sys, rng, 10, start=center,
                                             boundary_fraction=0.0):
         rep = lob.boundary_derivative_limit(face.point, q, flat)
         ts = [1e-4, 5e-5, 2.5e-5]
@@ -132,7 +132,8 @@ def test_criterion_07_concavity(capsys, fig8_sys):
     rng = np.random.default_rng(107)
     h = 1e-3
     worst = -np.inf
-    pts = polytope.sample_closure_points(fig8_sys, rng, 200)
+    pts = polytope.sample_closure_points(
+        fig8_sys, rng, 200, start=polytope.interior_point(fig8_sys).point)
     for p, q in zip(pts[::2], pts[1::2]):
         for t in np.linspace(h, 1.0 - h, 9):
             d2 = (lob.volume(polytope.segment(p, q, t + h))

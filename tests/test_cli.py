@@ -1,6 +1,7 @@
 """The command-line front end: reports, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,16 +79,16 @@ def test_solve_multi_start(capsys, fig8_path):
 def test_solve_multi_start_reports_a_probe_result(capsys, fig8_path,
                                                 monkeypatch):
     calls = []
-    original = optimizer.maximize_volume
+    original = optimizer._ascend
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("start"))
+        calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "maximize_volume", counted)
+    monkeypatch.setattr(optimizer, "_ascend", counted)
     code, report, _ = run_json(capsys, "solve", fig8_path, "--starts", "3")
     assert code == 0
-    assert len(calls) == 3  # one solve per start, no re-solve of the best
+    assert len(calls) == 3  # one ascent per start, no re-solve of the best
     res = report["results"]
     assert res["volume"] == max(res["multi_start"]["volumes"])
 
@@ -144,8 +145,8 @@ def test_solve_empty_closure_exit_code(capsys, doubled_path):
 
 
 def test_solve_iteration_cap_exit_code(capsys, fig8, tmp_path):
-    # on fig8 itself (and its 3-tet retriangulation) the interior-point LP
-    # already returns the maximizer; after two 2-3 moves it does not, and one
+    # on fig8 itself (and its 3-tet retriangulation) the point of the minimal
+    # face is already the maximizer; after two 2-3 moves it is not, and one
     # iteration cannot converge
     moved = triangulation.pachner_23(triangulation.pachner_23(fig8, (0, 0)),
                                      (0, 0))
@@ -154,6 +155,49 @@ def test_solve_iteration_cap_exit_code(capsys, fig8, tmp_path):
     code, report, _ = run_json(capsys, "solve", str(path), "--max-iter", "1")
     assert code == cli.EXIT_NOT_CONVERGED
     assert report["results"]["status"] == "iteration-cap"
+
+
+@pytest.mark.parametrize("name, expected", [("fig8", cli.EXIT_OK),
+                                            ("flatten3", cli.EXIT_NOT_CONVERGED)])
+def test_solve_one_iteration_report_is_strict_json(capsys, request, name,
+                                                   expected):
+    # finding the minimal face takes none of the --max-iter budget, so one
+    # ascent step always runs and reports a finite KKT residual
+    def reject(constant):
+        raise ValueError("non-JSON constant %s" % constant)
+
+    code, out, _ = run_cli(capsys, "solve",
+                           request.getfixturevalue(name + "_path"),
+                           "--max-iter", "1")
+    assert code == expected
+    res = json.loads(out, parse_constant=reject)["results"]
+    assert res["iterations"] == 1
+    assert math.isfinite(res["kkt_residual"])
+
+
+@pytest.mark.parametrize("name, argv, unpinned, pinned", [
+    ("degenerate4", [], 1, 0),
+    ("degenerate4", ["--starts", "4"], 1, 0),
+    ("flatten3", [], 0, 1),
+    ("fig8", ["--starts", "4"], 0, 0),
+])
+def test_solve_finds_the_minimal_face_once(capsys, monkeypatch, request,
+                                           name, argv, unpinned, pinned):
+    # the unpinned LP runs only when the closure has no interior, once per
+    # solve: every start and the certificate share its face; the pinned LP
+    # is the ascent's restart after a tetrahedron flattens
+    calls = []
+    original = polytope.interior_point
+
+    def counted(sys_, pinned=None):
+        calls.append(bool(pinned))
+        return original(sys_, pinned=pinned)
+
+    monkeypatch.setattr(polytope, "interior_point", counted)
+    code, _, _ = run_cli(capsys, "solve",
+                         request.getfixturevalue(name + "_path"), *argv)
+    assert code == cli.EXIT_OK
+    assert (calls.count(False), calls.count(True)) == (unpinned, pinned)
 
 
 def test_solve_stall_exit_code(capsys, degenerate4_path):
@@ -225,8 +269,9 @@ def test_lambda_command(capsys):
 
 def test_segment_csv(capsys, fig8_path, tmp_path, fig8_sys, fig8_center):
     rng = np.random.default_rng(40)
-    q = polytope.sample_closure_points(fig8_sys, rng, 1,
-                                       boundary_fraction=0.0)[0]
+    q = polytope.sample_closure_points(
+        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys).point,
+        boundary_fraction=0.0)[0]
     p_path = tmp_path / "p.json"
     q_path = tmp_path / "q.json"
     p_path.write_text(polytope.angles_to_json(fig8_center))
@@ -382,12 +427,14 @@ def test_lambda_rejects_non_finite_theta(capsys, theta):
 
 def test_cli_import_does_not_load_scipy(tmp_path, fig8_path, fig8_sys,
                                        fig8_center):
-    # the commands that never solve an LP or take a null space start and
-    # run without scipy, whose import would dominate their run time; so
-    # does solve when Newton from the centre of the box needs no LP start
+    # the commands that never solve an LP start and run without scipy,
+    # whose import would dominate their run time; so do solve, with one
+    # start or several, and dominate when the closure has interior: Newton
+    # from the centre of the box then finds the minimal face with no LP
     rng = np.random.default_rng(41)
-    q = polytope.sample_closure_points(fig8_sys, rng, 1,
-                                       boundary_fraction=0.0)[0]
+    q = polytope.sample_closure_points(
+        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys).point,
+        boundary_fraction=0.0)[0]
     p_path, q_path = tmp_path / "p.json", tmp_path / "q.json"
     p_path.write_text(polytope.angles_to_json(fig8_center))
     q_path.write_text(polytope.angles_to_json(q))
@@ -399,6 +446,8 @@ def test_cli_import_does_not_load_scipy(tmp_path, fig8_path, fig8_sys,
         ["move23", fig8_path, "0", "0", str(tmp_path / "moved.tri")],
         ["segment", fig8_path, str(p_path), str(q_path), "--samples", "3"],
         ["solve", fig8_path],
+        ["solve", fig8_path, "--starts", "4"],
+        ["dominate", fig8_path, str(p_path), "--samples", "50"],
     ]
     script = (
         "import contextlib, io, json, sys\n"
@@ -407,10 +456,10 @@ def test_cli_import_does_not_load_scipy(tmp_path, fig8_path, fig8_sys,
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "    loaded[argv[0]] = 'scipy' in sys.modules\n"
+        "    loaded[' '.join(argv[:1] + argv[2:])] = 'scipy' in sys.modules\n"
         "print(json.dumps(loaded))\n")
     out = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == {
-        name: False for name in ["import"] + [c[0] for c in commands]}
+    assert json.loads(out.stdout) == {name: False for name in ["import"] + [
+        " ".join(c[:1] + c[2:]) for c in commands]}

@@ -61,8 +61,9 @@ def test_volume_gradient_diverges_at_bounds():
 
 def test_segment_derivative_matches_finite_differences(fig8_sys):
     rng = np.random.default_rng(3)
-    pts = polytope.sample_closure_points(fig8_sys, rng, 8,
-                                         boundary_fraction=0.0)
+    pts = polytope.sample_closure_points(
+        fig8_sys, rng, 8, start=polytope.interior_point(fig8_sys).point,
+        boundary_fraction=0.0)
     h = 1e-6
     for p, q in zip(pts[::2], pts[1::2]):
         for t in (0.25, 0.5, 0.75):
@@ -76,8 +77,9 @@ def test_segment_derivative_reduced_form_equivalent(fig8_sys):
     # the difference vector of two closure points sums to zero over every
     # triple, so dropping the log 2 factors changes nothing
     rng = np.random.default_rng(4)
-    p, q = polytope.sample_closure_points(fig8_sys, rng, 2,
-                                          boundary_fraction=0.0)
+    p, q = polytope.sample_closure_points(
+        fig8_sys, rng, 2, start=polytope.interior_point(fig8_sys).point,
+        boundary_fraction=0.0)
     a = lob.segment_derivative(p, q, 0.4, reduced=True).value
     b = lob.segment_derivative(p, q, 0.4, reduced=False).value
     assert abs(a - b) < 1e-10
@@ -102,8 +104,9 @@ def test_segment_derivative_convention_terms():
 
 def test_boundary_limit_interior_case_is_directional_derivative(fig8_sys):
     rng = np.random.default_rng(5)
-    p, q = polytope.sample_closure_points(fig8_sys, rng, 2,
-                                          boundary_fraction=0.0)
+    p, q = polytope.sample_closure_points(
+        fig8_sys, rng, 2, start=polytope.interior_point(fig8_sys).point,
+        boundary_fraction=0.0)
     rep = lob.boundary_derivative_limit(p, q, frozenset())
     assert abs(rep.entropy_part) == 0.0
     ts = [1e-3, 5e-4, 2.5e-4]

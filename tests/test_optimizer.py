@@ -39,8 +39,9 @@ def test_fig8_maximizer_is_regular(fig8_sys, fig8_optimum, fig8_center):
 
 def test_maximize_respects_custom_start(fig8_sys, fig8_center):
     rng = np.random.default_rng(30)
-    start = polytope.sample_closure_points(fig8_sys, rng, 1,
-                                           boundary_fraction=0.0)[0]
+    start = polytope.sample_closure_points(
+        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys).point,
+        boundary_fraction=0.0)[0]
     assert np.max(np.abs(start - fig8_center)) > 1e-3
     res = optimizer.maximize_volume(fig8_sys, start=start)
     assert res.status == "converged"
@@ -81,6 +82,7 @@ def test_maximize_empty_closure(doubled):
     res = optimizer.maximize_volume(sys_)
     assert res.status == "empty-closure"
     assert res.point is None
+    assert optimizer.minimal_face(sys_) is None
 
 
 def classify_tetrahedra_loop(p, tol=optimizer.FLAT_TOL):
@@ -143,8 +145,10 @@ def certify_points(sys_):
     rng = np.random.default_rng(33)
     res = optimizer.maximize_volume(sys_)
     assert res.status == "converged"
+    origin = polytope.interior_point(sys_).point
     inner, outer = (polytope.sample_closure_points(
-        sys_, rng, 1, boundary_fraction=fraction)[0] for fraction in (0.0, 1.0))
+        sys_, rng, 1, start=origin, boundary_fraction=fraction)[0]
+        for fraction in (0.0, 1.0))
     return {"maximizer": res.point, "interior": inner, "boundary": outer}
 
 
@@ -243,8 +247,10 @@ def sampled_signs_ok(sys_, p, n_samples=200):
     positive."""
     flat = polytope.classify_membership(sys_, p).flat
     rng = np.random.default_rng(0)
+    origin = polytope.interior_point(sys_).point
     return all(lob.boundary_derivative_limit(p, q, flat).value <= 1e-8
-               for q in polytope.sample_closure_points(sys_, rng, n_samples))
+               for q in polytope.sample_closure_points(sys_, rng, n_samples,
+                                                       start=origin))
 
 
 @pytest.mark.parametrize("seed, tet, zero, expected",
@@ -324,8 +330,9 @@ def test_dominance_rejected_at_non_optimum(fig8, fig8_sys, fig8_center):
 
 def test_iteration_cap_status(fig8_sys):
     rng = np.random.default_rng(31)
-    start = polytope.sample_closure_points(fig8_sys, rng, 1,
-                                           boundary_fraction=0.0)[0]
+    start = polytope.sample_closure_points(
+        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys).point,
+        boundary_fraction=0.0)[0]
     res = optimizer.maximize_volume(fig8_sys, max_iter=1, start=start)
     assert res.status == "iteration-cap"
 
@@ -337,6 +344,9 @@ def test_degenerate4_boundary_maximizer(degenerate4_sys):
     assert res.status == "converged"
     assert abs(res.volume - 1.7619532174) < 1e-8
     assert res.flat_tets == (0, 3)
+    # the minimal face fixes both flat tetrahedra, as the LP says
+    assert res.face_fixed == polytope.interior_point(degenerate4_sys).fixed
+    assert res.face_fixed == set(range(6)) | set(range(18, 24))
     cert = optimizer.certify(degenerate4_sys, res.point)
     assert cert.gradient_residual < 1e-6
     # both flat tetrahedra are flat on the whole closure: their negative
@@ -371,6 +381,11 @@ def test_flattening_chain_maximizer(fig8):
     [(tet, margin, face_fixed)] = cert.margins
     assert tet == 3 and not face_fixed
     assert abs(margin) < 1e-9
+    # the pin is the ascent's restart, not a slot the closure's minimal face
+    # fixes; handed to certify, the face gives the same certificate
+    assert res.face_fixed == frozenset()
+    given = optimizer.certify(sys_, res.point, fixed=res.face_fixed)
+    assert (given.signs_ok, given.margins) == (cert.signs_ok, cert.margins)
 
 
 def test_maximize_rejects_start_off_the_face(degenerate4_sys):

@@ -181,6 +181,10 @@ def test_interior_point_single_point_closure(fig8_sys):
     assert res.min_slack == 0.0
     assert set(res.fixed) == set(pinned)
     np.testing.assert_array_equal(res.point, [pinned[i] for i in range(12)])
+    # from a point that is a face of its own, no ray moves
+    rng = np.random.default_rng(14)
+    for x in polytope.sample_closure_points(fig8_sys, rng, 8, res.point):
+        np.testing.assert_array_equal(x, res.point)
     bad = polytope.interior_point(fig8_sys, pinned=flat_pins(0, 0))
     assert bad.status == "empty-closure"
     assert bad.point is None
@@ -203,7 +207,7 @@ def test_sample_closure_points_sweep_the_minimal_face(degenerate4_sys):
     start = polytope.interior_point(degenerate4_sys).point
     fixed = sorted(fixed_slots(*slot_system(load_data("degenerate4"))))
     rng = np.random.default_rng(13)
-    pts = polytope.sample_closure_points(degenerate4_sys, rng, 50)
+    pts = polytope.sample_closure_points(degenerate4_sys, rng, 50, start)
     for x in pts:
         assert np.max(np.abs(x - start)) > 1e-6
         assert polytope.equality_residual(degenerate4_sys, x) < 1e-9
@@ -224,14 +228,16 @@ def test_segment_endpoints_and_range():
 
 def test_difference_vector_in_null_space(fig8, fig8_sys, fig8_center):
     rng = np.random.default_rng(11)
-    q = polytope.sample_closure_points(fig8_sys, rng, 1)[0]
+    q = polytope.sample_closure_points(
+        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys).point)[0]
     a = q - fig8_center
     assert np.max(np.abs(slot_system(fig8)[0] @ a)) < 1e-9
 
 
 def test_sample_closure_points_feasible(fig8_sys):
     rng = np.random.default_rng(12)
-    pts = polytope.sample_closure_points(fig8_sys, rng, 200)
+    pts = polytope.sample_closure_points(
+        fig8_sys, rng, 200, start=polytope.interior_point(fig8_sys).point)
     assert len(pts) == 200
     hit_boundary = 0
     for x in pts:

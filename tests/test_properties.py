@@ -49,7 +49,7 @@ def test_random_chain(seed, fig8, tmp_path, capsys):
     # the closed-form certificate against the sampled oracle; not
     # all_dominated, whose strict gap fails on closures of volume 0
     samples = polytope.sample_closure_points(
-        sys_, np.random.default_rng(seed), 100)
+        sys_, np.random.default_rng(seed), 100, start=ip.point)
     assert max(lob.volume(q) for q in samples) <= res.volume + 1e-12
     dom = optimizer.dominance_check(sys_, res.point, 100, seed=seed)
     assert dom.worst_directional <= 1e-10
