@@ -165,6 +165,7 @@ def cmd_solve(args):
         "point": res.point,
         "ordering": polytope.ORDERING_CONVENTION,
         "iterations": res.iterations,
+        "inner_iterations": res.inner_iterations,
         "kkt_residual": res.kkt_residual,
         "flat_tets": list(res.flat_tets),
         "active_set": sorted(res.active_set),
@@ -216,6 +217,7 @@ def cmd_dominate(args):
         "worst_gap": rep.worst_gap,
         "worst_directional": rep.worst_directional,
         "samples": args.samples,
+        "informative_samples": rep.informative_samples,
     }
     _emit("dominate", [args.path, args.angles], args.seed, results, timer)
     return EXIT_OK

@@ -4,8 +4,11 @@ Damped Newton in Casson-Rivin coordinates: opposite edges carry equal angles
 on the closure, so a tetrahedron has angles A, B, C = pi - A - B and adds
 Lambda(A) + Lambda(B) + Lambda(C) to the volume.  Its Hessian in (A, B),
 -[[cot A + cot C, cot C], [cot C, cot B + cot C]], is negative definite with
-determinant 1; tetrahedra couple only through the edge equations, solved by
-their Schur complement.  Newton runs on the free angles of the minimal face,
+determinant 1; tetrahedra couple only through the edge equations.  Their
+Schur complement, bordered by the columns of tetrahedra whose volume is
+constant on the face, is solved by MINRES with no matrix built: each product
+is a gather over the edge rows of ``LinearSystem.rows``, the 2 x 2 blocks and
+a ``bincount`` scatter.  Newton runs on the free angles of the minimal face,
 which ``minimal_face`` finds from the centre of the box or by an LP.
 """
 
@@ -35,6 +38,8 @@ _CENTRE_STEPS = 5
 # Accepted steps with no new least KKT residual after which a step gaining
 # no volume beyond rounding ends the ascent as "stalled".
 _STALL_STEPS = 3
+# Signs of a reduced column's four edge-row entries in ``_Face.cols``.
+_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,7 @@ class OptimizationResult:
     kkt_residual: float
     iterations: int
     face_fixed: frozenset  # the slots the unpinned minimal face fixes
+    inner_iterations: int  # MINRES steps of the ascent's Newton steps
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,9 @@ class MaximalityCertificate:
 @dataclass(frozen=True)
 class DominanceReport:
     all_dominated: bool
-    worst_gap: float
+    worst_gap: float | None  # None when no sample is informative
     worst_directional: float
+    informative_samples: int  # samples farther than strict_distance
     witness: np.ndarray | None = None
 
 
@@ -102,6 +109,11 @@ class _Face:
     A "linear" one has an angle fixed at 0 and one variable moving its free
     angles (p, q) as (p, pi - p); its volume is then constant, so the
     variable enters only the edge equations.  Flat tetrahedra have none.
+
+    No matrix is built.  ``cols`` holds the reduced columns of the edge
+    rows, A - C and then B - C of each curved tetrahedron and p - q of each
+    linear one, as the edge rows of the two slots of the first angle
+    (sign +1) and of the second (sign -1); a row met twice adds twice.
     """
 
     def __init__(self, sys, fixed_slots):
@@ -114,13 +126,15 @@ class _Face:
         self.linear = np.flatnonzero(n_free == 2)
         self.p, self.q = np.argsort(~self.free[self.linear], axis=1,
                                     kind="stable")[:, :2].T
-        self.a_edge = sys.matrix()[n:]
+        self.edge_rows = sys.rows[:, 1:] - n  # each angle's two edge rows
         self.b_edge = sys.b[n:]
-        # edges x tetrahedra x (A, B, C)
-        m = self.a_edge.reshape(-1, n, 3)
-        self.m_a = m[:, self.curved, 0] - m[:, self.curved, 2]
-        self.m_b = m[:, self.curved, 1] - m[:, self.curved, 2]
-        self.m_z = m[:, self.linear, self.p] - m[:, self.linear, self.q]
+        ends = self.edge_rows.reshape(n, 3, 2)
+        c, lin = self.curved, self.linear
+        self.cols = np.concatenate([
+            np.hstack([ends[c, 0], ends[c, 2]]),
+            np.hstack([ends[c, 1], ends[c, 2]]),
+            np.hstack([ends[lin, self.p], ends[lin, self.q]])])
+        self.inner = 0  # the MINRES steps of the last ``step``
 
     def angles(self, x):
         """Angles (A, B, C) of a closure point's slot vector, fixed ones
@@ -133,13 +147,25 @@ class _Face:
         ang[rows, last] = np.pi - ang[rows].sum(axis=1)
         return ang
 
+    def _scatter(self, w):
+        """M w: each edge row's sum over the reduced columns, column i times
+        w[i]."""
+        return np.bincount(self.cols.ravel(), (w[:, None] * _SIGNS).ravel(),
+                           self.b_edge.size)
+
     def step(self, ang):
         """Newton direction, the edge-row normal of the multipliers, the
         Lagrangian's ascent rate along the direction, and the KKT residual.
 
-        The Schur complement of the edge rows is singular: the rows are
-        dependent (one relation per cusp) and the columns of linear
-        tetrahedra carry no curvature, so the solve drops null eigenvalues.
+        With M_c the curved columns, H the inverse Hessian blocks and M_z
+        the linear columns, the multipliers lam and the linear variables z
+        solve the bordered system [[M_c H M_c^T, M_z], [M_z^T, 0]] (lam, z)
+        = (b - A ang + M_c H g, 0) by ``_minres``, which applies it as a
+        gather, the 2 x 2 blocks and a scatter.  The system is singular (one
+        dependent edge row per cusp, and rows or columns the face empties),
+        but consistent when the equalities have a solution, and MINRES from
+        0 then stays in its range: the solution is the minimum-norm one.
+        ``inner`` records the MINRES steps.
         """
         a, b, c = ang[self.curved].T
         log_sin_c = np.log(np.sin(c))
@@ -148,29 +174,83 @@ class _Face:
         cot_a, cot_b, cot_c = 1.0 / np.tan(a), 1.0 / np.tan(b), 1.0 / np.tan(c)
         # inverse of the Hessian block, exact since its determinant is 1
         h_aa, h_ab, h_bb = -(cot_b + cot_c), cot_c, -(cot_a + cot_c)
-        mh_a = self.m_a * h_aa + self.m_b * h_ab
-        mh_b = self.m_a * h_ab + self.m_b * h_bb
-        n_edges, n_lin = self.m_z.shape
-        kkt = np.block([[mh_a @ self.m_a.T + mh_b @ self.m_b.T, self.m_z],
-                        [self.m_z.T, np.zeros((n_lin, n_lin))]])
-        rhs = np.concatenate([self.b_edge - self.a_edge @ ang.ravel()
-                              + mh_a @ g_a + mh_b @ g_b, np.zeros(n_lin)])
-        w, v = np.linalg.eigh(kkt)
-        keep = np.abs(w) > (w.size * np.finfo(float).eps
-                            * np.max(np.abs(w), initial=0.0))
-        sol = v[:, keep] @ ((v[:, keep].T @ rhs) / w[keep])
+        n_c, n_edges = a.size, self.b_edge.size
+        w = np.zeros(self.cols.shape[0])
+        w[:n_c] = h_aa * g_a + h_ab * g_b
+        w[n_c:2 * n_c] = h_ab * g_a + h_bb * g_b
+        mhg = self._scatter(w)
+        a_ang = np.bincount(self.edge_rows.ravel(), np.repeat(ang.ravel(), 2),
+                            n_edges)
+        rhs = np.zeros(n_edges + self.linear.size)
+        rhs[:n_edges] = self.b_edge - a_ang + mhg
+
+        def apply(x):
+            u = x[:n_edges][self.cols] @ _SIGNS  # M^T lam
+            w[:n_c] = h_aa * u[:n_c] + h_ab * u[n_c:2 * n_c]
+            w[n_c:2 * n_c] = h_ab * u[:n_c] + h_bb * u[n_c:2 * n_c]
+            w[2 * n_c:] = x[n_edges:]
+            out = np.empty_like(x)
+            out[:n_edges] = self._scatter(w)
+            out[n_edges:] = u[2 * n_c:]
+            return out
+
+        stop = 1e-14 * (np.linalg.norm(mhg) + np.linalg.norm(self.b_edge))
+        sol, self.inner = _minres(apply, rhs, stop, 2 * rhs.size)
         lam = sol[:n_edges]
-        r_a = self.m_a.T @ lam - g_a
-        r_b = self.m_b.T @ lam - g_b
+        u = lam[self.cols] @ _SIGNS
+        r_a = u[:n_c] - g_a
+        r_b = u[n_c:2 * n_c] - g_b
         d_a = h_aa * r_a + h_ab * r_b
         d_b = h_ab * r_a + h_bb * r_b
         d = np.zeros_like(ang)
-        d[self.curved] = np.column_stack([d_a, d_b, -d_a - d_b])
+        d[self.curved, 0] = d_a
+        d[self.curved, 1] = d_b
+        d[self.curved, 2] = -d_a - d_b
         d[self.linear, self.p] = sol[n_edges:]
         d[self.linear, self.q] = -sol[n_edges:]
         residual = float(np.max(np.abs(np.concatenate([r_a, r_b])),
                                 initial=0.0))
-        return d, self.a_edge.T @ lam, -float(r_a @ d_a + r_b @ d_b), residual
+        return (d, lam[self.edge_rows].sum(axis=1),
+                -float(r_a @ d_a + r_b @ d_b), residual)
+
+
+def _minres(apply, rhs, stop, max_iter):
+    """MINRES (Paige and Saunders, 1975) for the symmetric system
+    apply(x) = rhs, from x = 0, until the residual norm is at most ``stop``;
+    also returns the iteration count.  Lanczos builds an orthonormal basis
+    v of the Krylov space, Givens rotations keep the QR factors of its
+    tridiagonal matrix, and x moves along the directions w."""
+    x = np.zeros_like(rhs)
+    beta = float(np.linalg.norm(rhs))
+    phi, iters = beta, 0
+    if beta <= stop:
+        return x, iters
+    v, v_old = rhs / beta, np.zeros_like(rhs)
+    w, w_old = np.zeros_like(rhs), np.zeros_like(rhs)
+    beta_k, cs, sn, cs_old, sn_old = 0.0, 1.0, 0.0, 1.0, 0.0
+    while abs(phi) > stop and iters < max_iter:
+        iters += 1
+        p = apply(v) - beta_k * v_old
+        alpha = float(v @ p)
+        p -= alpha * v
+        beta = float(np.linalg.norm(p))
+        # rotate the new column of the tridiagonal matrix (beta_k, alpha,
+        # beta) by the two previous rotations, then zero its last entry
+        eps, delta_bar = sn_old * beta_k, cs_old * beta_k
+        delta = cs * delta_bar + sn * alpha
+        gamma_bar = cs * alpha - sn * delta_bar
+        gamma = float(np.hypot(gamma_bar, beta))
+        if gamma == 0.0:
+            break
+        cs_old, sn_old = cs, sn
+        cs, sn = gamma_bar / gamma, beta / gamma
+        w, w_old = (v - eps * w_old - delta * w) / gamma, w
+        x += cs * phi * w
+        phi = -sn * phi
+        if beta == 0.0:
+            break
+        v, v_old, beta_k = p / beta, v, beta
+    return x, iters
 
 
 def _volume(ang):
@@ -241,6 +321,7 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     cut out.  At most one restart per tetrahedron: pinned tetrahedra stay
     fixed.  ``iterations`` counts the steps and restarts of the ascent, at
     most ``max_iter``; finding the minimal face is not one of them.
+    ``inner_iterations`` sums the MINRES steps of those Newton steps.
     """
     return _ascend(sys, minimal_face(sys), start, tol, max_iter, flat_tol)
 
@@ -249,19 +330,20 @@ def _ascend(sys, found, start, tol, max_iter, flat_tol):
     """``maximize_volume`` on ``found``, the closure's ``minimal_face``."""
     if found is None:
         return OptimizationResult(None, float("nan"), "empty-closure", (),
-                                  frozenset(), float("nan"), 0, frozenset())
+                                  frozenset(), float("nan"), 0, frozenset(), 0)
     face, ang = found
     if start is not None:
         ang = face.angles(start)
         if np.any(ang[face.free] <= 0.0):
             raise ValueError("start point is not in the relative interior "
                              "of the minimal face")
-    pinned, best, stale, iters = {}, np.inf, 0, 0
+    pinned, best, stale, iters, inner = {}, np.inf, 0, 0, 0
     status, residual = "iteration-cap", float("nan")
     vol = _volume(ang)
     while iters < max_iter:
         iters += 1
         step = face.step(ang)
+        inner += face.inner
         d, _, _, residual = step
         # A tetrahedron within sqrt(flat_tol) of flat that the full step
         # takes within flat_tol is pinned flat: closer to flat, rounding in
@@ -300,7 +382,7 @@ def _ascend(sys, found, start, tol, max_iter, flat_tol):
     classes = classify_tetrahedra(x, tol=flat_tol)
     flat_tets = tuple(t for t, c in enumerate(classes) if c == "flat")
     return OptimizationResult(x, lob.volume(x), status, flat_tets, active,
-                              residual, iters, found[0].fixed)
+                              residual, iters, found[0].fixed, inner)
 
 
 def _min_norm_fit(rows, g, n_rows, eps=1e-14):
@@ -407,6 +489,9 @@ def dominance_check(sys, p, n_samples, seed=0, strict_distance=1e-4,
     farther than ``strict_distance``) and that every one-sided derivative
     limit from p toward q is <= directional_tol.  The samples are rays from
     the point of ``minimal_face``, which exists since p is in the closure.
+    ``worst_gap`` is the least vol(p) - vol(q) over the informative samples,
+    the ones farther than ``strict_distance``; None when there are none, as
+    at a closure that is a single point, where the check is vacuous.
     """
     p = np.asarray(p, dtype=float)
     membership = polytope.classify_membership(sys, p)
@@ -416,16 +501,18 @@ def dominance_check(sys, p, n_samples, seed=0, strict_distance=1e-4,
     vp = lob.volume(p)
     samples = polytope.sample_closure_points(
         sys, rng, n_samples, polytope.to_slots(minimal_face(sys)[1]))
-    worst_gap, worst_dir, witness = np.inf, -np.inf, None
+    worst_gap, worst_dir, witness, informative = None, -np.inf, None, 0
     for q in samples:
         gap = vp - lob.volume(q)
         far = float(np.linalg.norm(q - p, np.inf)) > strict_distance
         if far:
-            worst_gap = min(worst_gap, gap)
+            informative += 1
+            worst_gap = gap if worst_gap is None else min(worst_gap, gap)
         if (gap <= 0.0) if far else (gap < -1e-10):
             witness = q
         rep = lob.boundary_derivative_limit(p, q, membership.flat)
         worst_dir = max(worst_dir, rep.value)
         if rep.value > directional_tol and witness is None:
             witness = q
-    return DominanceReport(witness is None, worst_gap, worst_dir, witness)
+    return DominanceReport(witness is None, worst_gap, worst_dir, informative,
+                           witness)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 # The six edges of a tetrahedron as sorted vertex pairs, in the fixed order
 # used everywhere (incidence slots, angle vectors, reports).
@@ -256,8 +256,10 @@ def edge_classes(tri):
             for i, g in enumerate(_edge_slot_classes(tri))]
 
 
-def _is_odd(perm):
-    return sum(perm[i] > perm[j] for i, j in combinations(range(4), 2)) % 2
+# The parity of each permutation of 0..3: 1 when it has an odd number of
+# inversions.
+_ODD = {perm: sum(perm[i] > perm[j] for i, j in combinations(range(4), 2)) % 2
+        for perm in permutations(range(4))}
 
 
 def vertex_links(tri):
@@ -296,7 +298,7 @@ def vertex_links(tri):
                     continue
                 t2, perm = tri.gluings[(t, f)]
                 nbr = 4 * t2 + perm[v]
-                want = sign[c] if _is_odd(perm) else -sign[c]
+                want = sign[c] if _ODD[perm] else -sign[c]
                 if nbr not in sign:
                     sign[nbr] = want
                     stack.append(nbr)

@@ -153,3 +153,24 @@ def relabel(tri, rng):
         gluings[(order[t], s[f])] = (
             order[t2], tuple(s2[perm[s.index(w)]] for w in range(4)))
     return triangulation.Triangulation(tri.n_tets, gluings, label=tri.label)
+
+
+def cyclic_cover(tri, cocycle, fold):
+    """The ``fold``-fold cyclic cover of ``tri``: sheet k of tetrahedron t is
+    k n + t, and crossing the i-th face pairing (t, f) < (t', f'), in sorted
+    order, moves from sheet k to sheet k + cocycle[i] mod fold (back across
+    it, to k - cocycle[i]).  The cover is unbranched when the cocycle sums
+    to zero around every edge class."""
+    n = tri.n_tets
+    pairs = sorted(((t, f), (t2, perm[f]))
+                   for (t, f), (t2, perm) in tri.gluings.items()
+                   if (t, f) < (t2, perm[f]))
+    shift = {}
+    for (face, back), c in zip(pairs, cocycle, strict=True):
+        shift[face], shift[back] = c, -c
+    gluings = {}
+    for k in range(fold):
+        for (t, f), (t2, perm) in tri.gluings.items():
+            k2 = (k + shift[(t, f)]) % fold
+            gluings[(k * n + t, f)] = (k2 * n + t2, perm)
+    return triangulation.Triangulation(fold * n, gluings, label=tri.label)

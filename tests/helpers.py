@@ -5,8 +5,8 @@ quadrature instead of the series kernel, breadth-first orbit enumeration
 instead of union-find, explicit surface assembly for links, point-to-point
 hyperbolic distances for decorated edge lengths, box-bounded linear
 programs over a slot system built from those orbits and the vertex triples
-for the shape of the angle polytope, and a dense least-squares solve in
-angle coordinates for the certificate's multipliers.
+for the shape of the angle polytope, and dense least-squares solves in
+angle coordinates for the certificate's multipliers and the Newton step.
 """
 
 import math
@@ -310,3 +310,46 @@ def lstsq_certificate(tri, p, tol=1e-8):
     fitted = a.T @ lam
     active = tuple((int(i), float(fitted[i])) for i in np.flatnonzero(~free))
     return lam, active, residual
+
+
+def dense_newton_step(tri, face, ang):
+    """The Newton step of ``face`` (an ``optimizer._Face``, for its curved
+    and linear tetrahedra) at angles ``ang``, by a dense minimum-norm
+    least-squares solve of the bordered system over ``angle_matrix``:
+    [[M_c H^-1 M_c^T, M_z], [M_z^T, 0]] (lam, z) = (2 pi - A ang +
+    M_c H^-1 g, 0), with H the volume's Hessian in the (A, B) of each curved
+    tetrahedron, inverted as a matrix.  Returns the direction, the edge-row
+    normal A^T lam, the slope -r H^-1 r and the residual max |r|, where
+    r = M_c^T lam - g."""
+    n = tri.n_tets
+    a_edge = angle_matrix(tri)[n:]
+    m = a_edge.reshape(-1, n, 3)
+    c, lin = face.curved, face.linear
+    m_c = np.hstack([m[:, c, 0] - m[:, c, 2], m[:, c, 1] - m[:, c, 2]])
+    m_z = m[:, lin, face.p] - m[:, lin, face.q]
+    x, y, z = ang[c].T
+    g = np.concatenate([np.log(np.sin(z) / np.sin(x)),
+                        np.log(np.sin(z) / np.sin(y))])
+    k = c.size
+    hess = np.zeros((2 * k, 2 * k))
+    i = np.arange(k)
+    hess[i, i] = -(1.0 / np.tan(x) + 1.0 / np.tan(z))
+    hess[k + i, k + i] = -(1.0 / np.tan(y) + 1.0 / np.tan(z))
+    hess[i, k + i] = hess[k + i, i] = -1.0 / np.tan(z)
+    h_inv = np.linalg.inv(hess)
+    n_edges, n_lin = m_z.shape
+    kkt = np.block([[m_c @ h_inv @ m_c.T, m_z],
+                    [m_z.T, np.zeros((n_lin, n_lin))]])
+    rhs = np.concatenate([2.0 * np.pi - a_edge @ ang.ravel()
+                          + m_c @ h_inv @ g, np.zeros(n_lin)])
+    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    lam = sol[:n_edges]
+    r = m_c.T @ lam - g
+    d_ab = h_inv @ r
+    d = np.zeros_like(ang)
+    d[c, 0], d[c, 1] = d_ab[:k], d_ab[k:]
+    d[c, 2] = -d_ab[:k] - d_ab[k:]
+    d[lin, face.p] = sol[n_edges:]
+    d[lin, face.q] = -sol[n_edges:]
+    return d, a_edge.T @ lam, -float(r @ d_ab), float(np.max(np.abs(r),
+                                                            initial=0.0))

@@ -12,6 +12,8 @@ import pytest
 
 from cuspforge import cli, optimizer, polytope, triangulation
 
+from conftest import property_chain
+
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "docs", "report_schema.json")
 
@@ -66,6 +68,20 @@ def test_solve_fig8(capsys, fig8_path):
     assert res["candidate_complete"] is True
     assert res["certificate"]["signs_ok"] is True
     assert fig8_path in report["inputs"]
+
+
+def test_solve_reports_inner_iterations(capsys, fig8_path, flatten3_path):
+    # the MINRES steps of the ascent, a deterministic counter; fig8's one
+    # step starts at the maximizer, where the system's right-hand side is
+    # already below the stop
+    def count(path):
+        return run_json(capsys, "solve", path)[1]["results"][
+            "inner_iterations"]
+
+    assert count(fig8_path) == 0
+    counts = [count(flatten3_path) for _ in range(2)]
+    assert type(counts[0]) is int and counts[0] > 0
+    assert counts[0] == counts[1]
 
 
 def test_solve_multi_start(capsys, fig8_path):
@@ -259,6 +275,31 @@ def test_dominate_center(capsys, fig8_path, center_angles_path):
     res = report["results"]
     assert res["all_dominated"] is True
     assert res["samples"] == 100
+    assert 0 < res["informative_samples"] <= 100
+
+
+def test_dominate_single_point_closure_is_strict_json(capsys, tmp_path,
+                                                      fig8):
+    # every slot of this chain's closure is fixed: each sample equals the
+    # maximizer, none is informative, and the report says so in strict JSON
+    tri_path = tmp_path / "chain142.tri"
+    tri_path.write_text(triangulation.format_triangulation(
+        property_chain(fig8, 142)))
+    code, report, _ = run_json(capsys, "solve", str(tri_path))
+    assert code == 0
+    point_path = tmp_path / "maximizer.json"
+    point_path.write_text(json.dumps({"angles": report["results"]["point"]}))
+    code, out, _ = run_cli(capsys, "dominate", str(tri_path), str(point_path),
+                           "--samples", "20")
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError("not strict JSON: " + constant)
+
+    res = json.loads(out, parse_constant=reject)["results"]
+    assert res["samples"] == 20
+    assert res["informative_samples"] == 0
+    assert res["worst_gap"] is None
 
 
 def test_lambda_command(capsys):

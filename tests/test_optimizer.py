@@ -8,9 +8,10 @@ import pytest
 from cuspforge import lobachevsky as lob
 from cuspforge import optimizer, polytope, triangulation
 
-from conftest import load_data, movable_chain, property_chain, relabel
-from helpers import (fixed_slots, lstsq_certificate, null_directions,
-                     slot_system)
+from conftest import (cyclic_cover, load_data, movable_chain,
+                      property_chain, relabel)
+from helpers import (dense_newton_step, fixed_slots, lstsq_certificate,
+                     null_directions, slot_system)
 
 # Property-test seeds whose chain has a non-empty closure; the closure of
 # seed 0 is a single point.
@@ -25,6 +26,15 @@ GEO4_TEXT = "tri 1\ntets 4\n" + "".join(
         "1 0 3 0132", "1 1 2 1023", "1 2 0 1032", "1 3 0 3021",
         "2 0 1 1023", "2 1 3 1230", "2 2 0 3102", "2 3 3 2103",
         "3 0 1 0132", "3 1 0 3210", "3 2 2 3012", "3 3 2 2103"))
+# Sheet shifts of GEO4_TEXT's face pairings, in sorted order, summing to
+# zero around each of its four edge classes: every cyclic cover is
+# unbranched, and its volume is the fold times the fig8 volume.
+GEO4_COCYCLE = (-1, 1, -1, 0, 1, -1, 1, 0)
+FIG8_VOLUME = 2.0298832128193072
+
+# Property-test seeds whose minimal face has linear tetrahedra (an angle at
+# 0, the other two free), the bordered case of the Newton step.
+CHAIN_SEEDS_WITH_LINEAR = (12, 19, 105)
 
 
 def test_fig8_maximizer_is_regular(fig8_sys, fig8_optimum, fig8_center):
@@ -395,3 +405,64 @@ def test_maximize_rejects_start_off_the_face(degenerate4_sys):
     start[6:12] = np.array([0.0, 0.5, 0.5, 0.5, 0.5, 0.0]) * np.pi
     with pytest.raises(ValueError, match="relative interior"):
         optimizer.maximize_volume(degenerate4_sys, start=start)
+
+
+def assert_step_matches_dense(tri, face, ang):
+    d, normal, slope, residual = face.step(ang)
+    d_ref, normal_ref, slope_ref, residual_ref = dense_newton_step(
+        tri, face, ang)
+    scale = max(1.0, float(np.max(np.abs(d_ref))))
+    assert np.max(np.abs(d - d_ref)) <= 1e-10 * scale
+    assert np.max(np.abs(normal - normal_ref)) <= 1e-10 * max(
+        1.0, float(np.max(np.abs(normal_ref))))
+    assert abs(slope - slope_ref) <= 1e-10 * max(1.0, abs(slope_ref))
+    assert abs(residual - residual_ref) <= 1e-10 * max(1.0, residual_ref)
+
+
+@pytest.mark.parametrize("name", ["fig8", "gieseking", "flatten3",
+                                  "degenerate4"])
+def test_newton_step_matches_dense_oracle(name):
+    tri = load_data(name)
+    sys_ = polytope.build_constraints(triangulation.incidence(tri))
+    # off the edge equations, from the centre of the box with every angle
+    # free, and at the point of the minimal face
+    centre = optimizer._Face(sys_, ())
+    assert_step_matches_dense(tri, centre, np.full(centre.free.shape,
+                                                   np.pi / 3.0))
+    face, ang = optimizer.minimal_face(sys_)
+    assert_step_matches_dense(tri, face, ang)
+
+
+@pytest.mark.parametrize("seed", CHAIN_SEEDS_WITH_LINEAR)
+def test_bordered_newton_step_matches_dense_oracle(seed, fig8):
+    tri = property_chain(fig8, seed)
+    sys_ = polytope.build_constraints(triangulation.incidence(tri))
+    face, ang = optimizer.minimal_face(sys_)
+    assert face.linear.size
+    assert_step_matches_dense(tri, face, ang)
+    # and after a step along the face, where the linear angles have moved
+    alpha, ang, _ = optimizer._line_search(
+        face, ang, optimizer._volume(ang), face.step(ang))
+    assert alpha > 0.0
+    assert_step_matches_dense(tri, face, ang)
+
+
+def test_solve_and_certify_build_no_matrix(monkeypatch):
+    def no_matrix(self):
+        raise AssertionError("LinearSystem.matrix called")
+
+    monkeypatch.setattr(polytope.LinearSystem, "matrix", no_matrix)
+    for name in ("fig8", "gieseking", "flatten3", "degenerate4"):
+        sys_ = polytope.build_constraints(
+            triangulation.incidence(load_data(name)))
+        res = optimizer.maximize_volume(sys_)
+        assert res.status == "converged", name
+        assert optimizer.certify(sys_, res.point).signs_ok, name
+    base = triangulation.parse_triangulation(GEO4_TEXT)
+    tri = relabel(cyclic_cover(base, GEO4_COCYCLE, 512), random.Random(8))
+    sys_ = polytope.build_constraints(triangulation.incidence(tri))
+    assert sys_.b.size == 2 * 2048  # one edge class per tetrahedron
+    res = optimizer.maximize_volume(sys_)
+    assert res.status == "converged"
+    assert abs(res.volume - 512 * FIG8_VOLUME) <= 1e-12
+    assert optimizer.certify(sys_, res.point, fixed=res.face_fixed).signs_ok
