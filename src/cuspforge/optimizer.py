@@ -126,6 +126,7 @@ class _Face:
         self.linear = np.flatnonzero(n_free == 2)
         self.p, self.q = np.argsort(~self.free[self.linear], axis=1,
                                     kind="stable")[:, :2].T
+        self.sys = sys
         self.edge_rows = sys.rows[:, 1:] - n  # each angle's two edge rows
         self.b_edge = sys.b[n:]
         ends = self.edge_rows.reshape(n, 3, 2)
@@ -179,10 +180,9 @@ class _Face:
         w[:n_c] = h_aa * g_a + h_ab * g_b
         w[n_c:2 * n_c] = h_ab * g_a + h_bb * g_b
         mhg = self._scatter(w)
-        a_ang = np.bincount(self.edge_rows.ravel(), np.repeat(ang.ravel(), 2),
-                            n_edges)
+        error = self.sys.b - self.sys.apply(ang.ravel())
         rhs = np.zeros(n_edges + self.linear.size)
-        rhs[:n_edges] = self.b_edge - a_ang + mhg
+        rhs[:n_edges] = error[self.free.shape[0]:] + mhg
 
         def apply(x):
             u = x[:n_edges][self.cols] @ _SIGNS  # M^T lam
