@@ -224,12 +224,11 @@ def lemma25_check(tet, vertex, tol=1e-12):
     return Lemma25Report(lhs, rhs, bool(slack >= -tol), slack)
 
 
-def random_decorated_tetrahedron(rng, min_angle=1e-3, decoration_scale=1.0):
+def random_decorated_tetrahedron(rng, min_angle=1e-3):
     """Random non-flat decorated tetrahedron for sampling suites."""
     while True:
         raw = rng.dirichlet((1.0, 1.0, 1.0)) * math.pi
         if min(raw) >= min_angle:
             break
-    decorations = tuple(decoration_scale * math.exp(rng.uniform(-1.2, 1.2))
-                        for _ in range(4))
+    decorations = tuple(math.exp(rng.uniform(-1.2, 1.2)) for _ in range(4))
     return tetrahedron_from_angles(raw[0], raw[1], raw[2], decorations)

@@ -8,12 +8,14 @@ determinant 1; tetrahedra couple only through the edge equations.  Their
 Schur complement, bordered by the columns of tetrahedra whose volume is
 constant on the face, is solved by MINRES with no matrix built: each product
 is a gather over the edge rows of ``LinearSystem.rows``, the 2 x 2 blocks and
-a ``bincount`` scatter.  Newton runs on the free angles of the minimal face,
-which ``minimal_face`` finds from the centre of the box or by an LP.
+a ``bincount`` scatter, as in ``certify``'s fit.  Newton runs on the free
+angles of the minimal face, which ``minimal_face`` finds from the centre of
+the box or by an LP, also after the ascent pins tetrahedra flat.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -24,7 +26,6 @@ from . import polytope
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
-FLAT_TOL = 1e-8
 # A maximizer is a candidate complete structure when its certificate's
 # residual and every flat tetrahedron's |margin| lie within this.
 COMPLETE_TOL = 1e-6
@@ -82,15 +83,16 @@ class UniquenessReport:
     results: tuple = field(repr=False, default=())
 
 
-def classify_tetrahedra(p, tol=FLAT_TOL):
+def classify_tetrahedra(p):
     """Per-tetrahedron classification: positive / flat / invalid.
 
     Flat means the (0, 0, pi) pattern on opposite edge pairs; positive means
-    all six angles at least tol; anything else is invalid.  Invalid
-    tetrahedra do occur at closure points, and at maximizers: when the
-    closure forces one angle to 0, a tetrahedron keeps the angles
-    (0, a, pi - a).
+    all six angles at least tol = ``polytope.BOUNDARY_TOL`` from the bounds;
+    anything else is invalid.  Invalid tetrahedra do occur at closure points,
+    and at maximizers: when the closure forces one angle to 0, a tetrahedron
+    keeps the angles (0, a, pi - a).
     """
+    tol = polytope.BOUNDARY_TOL
     six = np.asarray(p, dtype=float).reshape(-1, 6)
     # opposite pairs in slot order: (0,5), (1,4), (2,3)
     pairs_ok = np.all(np.abs(six[:, :3] - six[:, :2:-1]) <= tol, axis=1)
@@ -195,7 +197,7 @@ class _Face:
             return out
 
         stop = 1e-14 * (np.linalg.norm(mhg) + np.linalg.norm(self.b_edge))
-        sol, self.inner = _minres(apply, rhs, stop, 2 * rhs.size)
+        sol, self.inner = _minres(apply, rhs, stop)
         lam = sol[:n_edges]
         u = lam[self.cols] @ _SIGNS
         r_a = u[:n_c] - g_a
@@ -214,32 +216,32 @@ class _Face:
                 -float(r_a @ d_a + r_b @ d_b), residual)
 
 
-def _minres(apply, rhs, stop, max_iter):
+def _minres(apply, rhs, stop):
     """MINRES (Paige and Saunders, 1975) for the symmetric system
-    apply(x) = rhs, from x = 0, until the residual norm is at most ``stop``;
-    also returns the iteration count.  Lanczos builds an orthonormal basis
-    v of the Krylov space, Givens rotations keep the QR factors of its
-    tridiagonal matrix, and x moves along the directions w."""
+    apply(x) = rhs, from x = 0, until the residual norm is at most ``stop``
+    or for twice the system's size of steps; also returns the step count.
+    Lanczos builds an orthonormal basis v of the Krylov space, Givens rotations
+    keep the QR factors of its tridiagonal matrix, x moves along w."""
     x = np.zeros_like(rhs)
-    beta = float(np.linalg.norm(rhs))
+    beta = math.sqrt(rhs @ rhs)
     phi, iters = beta, 0
     if beta <= stop:
         return x, iters
     v, v_old = rhs / beta, np.zeros_like(rhs)
     w, w_old = np.zeros_like(rhs), np.zeros_like(rhs)
     beta_k, cs, sn, cs_old, sn_old = 0.0, 1.0, 0.0, 1.0, 0.0
-    while abs(phi) > stop and iters < max_iter:
+    while abs(phi) > stop and iters < 2 * rhs.size:
         iters += 1
         p = apply(v) - beta_k * v_old
         alpha = float(v @ p)
         p -= alpha * v
-        beta = float(np.linalg.norm(p))
+        beta = math.sqrt(p @ p)
         # rotate the new column of the tridiagonal matrix (beta_k, alpha,
         # beta) by the two previous rotations, then zero its last entry
         eps, delta_bar = sn_old * beta_k, cs_old * beta_k
         delta = cs * delta_bar + sn * alpha
         gamma_bar = cs * alpha - sn * delta_bar
-        gamma = float(np.hypot(gamma_bar, beta))
+        gamma = math.hypot(gamma_bar, beta)
         if gamma == 0.0:
             break
         cs_old, sn_old = cs, sn
@@ -279,29 +281,35 @@ def _line_search(face, ang, vol, step):
     return 0.0, ang, vol
 
 
-def minimal_face(sys):
+def minimal_face(sys, pinned=None):
     """The minimal face of the closure as ``(face, ang)``: a ``_Face``, whose
     ``fixed`` holds the slots it fixes at 0 or pi, and the angles of a point
-    in its relative interior; None when the closure is empty.
+    in its relative interior; None when the closure is empty.  With
+    ``pinned``, slots to 0 or pi as in ``polytope.interior_point``, the face
+    of the closure cut by the pins.
 
-    Newton from the centre of the box, every angle pi/3, scales the error in
-    the edge equations by 1 - alpha at a step of length alpha.  When a full
-    step lands strictly inside the box, the closure has interior: no slot is
-    fixed, no LP runs and the labeling does not matter.  Else (a shrinking
-    step, or ``_CENTRE_STEPS`` steps) the interior-point LP decides.
+    Newton from the centre of the box, every angle pi/3 but the pinned ones,
+    scales the error in the edge equations by 1 - alpha at a step of length
+    alpha.  When a full step lands where the slots at 0 or pi are exactly the
+    pinned ones, no other slot is fixed, no LP runs and the labeling does
+    not matter.  Else (a shrinking step, or ``_CENTRE_STEPS`` steps) the
+    interior-point LP decides.
     """
-    face = _Face(sys, ())
+    slots = sorted(pinned or {})
+    face = _Face(sys, slots)
     ang = np.full(face.free.shape, np.pi / 3.0)
+    ang.flat[polytope.angle_of(slots)] = [pinned[i] for i in slots]
     vol, last = _volume(ang), 0.0
     for _ in range(_CENTRE_STEPS):
         alpha, ang, vol = _line_search(face, ang, vol, face.step(ang))
-        if alpha == 1.0 and polytope.classify_membership(
-                sys, polytope.to_slots(ang)).kind == "interior":
-            return face, ang
+        if alpha == 1.0:
+            m = polytope.classify_membership(sys, polytope.to_slots(ang))
+            if m.kind != "infeasible" and m.flat == face.fixed:
+                return face, ang
         if alpha in (0.0, 1.0) or alpha < last:
             break
         last = alpha
-    ip = polytope.interior_point(sys)
+    ip = polytope.interior_point(sys, pinned)
     if ip.point is None:
         return None
     face = _Face(sys, ip.fixed)
@@ -309,24 +317,26 @@ def minimal_face(sys):
 
 
 def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                    start=None, flat_tol=FLAT_TOL):
+                    start=None):
     """Ascend the volume functional to its maximum over the closure.
 
     Newton runs on the free angles of the minimal face (``minimal_face``),
     from ``start`` (a point with those angles positive) or from the face's
     point.  It stops when the KKT residual is below ``tol``, or as "stalled"
     when no step ascends or neither residual nor volume improves beyond
-    rounding.  A tetrahedron that the ascent drives within ``flat_tol`` of
-    (0, 0, pi) is pinned flat, and the ascent restarts on the face the pins
-    cut out.  At most one restart per tetrahedron: pinned tetrahedra stay
-    fixed.  ``iterations`` counts the steps and restarts of the ascent, at
-    most ``max_iter``; finding the minimal face is not one of them.
-    ``inner_iterations`` sums the MINRES steps of those Newton steps.
+    rounding.  A tetrahedron that the ascent drives within
+    ``polytope.BOUNDARY_TOL`` of (0, 0, pi) is pinned flat, and the ascent
+    restarts on the minimal face of the closure cut by the pins.  At most
+    one restart per tetrahedron: pinned tetrahedra stay fixed.
+    ``iterations`` counts the steps and restarts of the ascent, at most
+    ``max_iter``; finding a minimal face, the unpinned one or a restart's,
+    takes none of them.  ``inner_iterations`` sums the MINRES steps of
+    those Newton steps.
     """
-    return _ascend(sys, minimal_face(sys), start, tol, max_iter, flat_tol)
+    return _ascend(sys, minimal_face(sys), start, tol, max_iter)
 
 
-def _ascend(sys, found, start, tol, max_iter, flat_tol):
+def _ascend(sys, found, start, tol, max_iter):
     """``maximize_volume`` on ``found``, the closure's ``minimal_face``."""
     if found is None:
         return OptimizationResult(None, float("nan"), "empty-closure", (),
@@ -345,22 +355,21 @@ def _ascend(sys, found, start, tol, max_iter, flat_tol):
         step = face.step(ang)
         inner += face.inner
         d, _, _, residual = step
-        # A tetrahedron within sqrt(flat_tol) of flat that the full step
-        # takes within flat_tol is pinned flat: closer to flat, rounding in
-        # the step outgrows the step.
-        flat = ((np.sort(ang, axis=1)[:, 1] <= np.sqrt(flat_tol))
-                & (np.sort(ang + d, axis=1)[:, 1] <= flat_tol))
+        # A tetrahedron within sqrt(BOUNDARY_TOL) of flat that the full step
+        # takes within BOUNDARY_TOL is pinned flat: closer to flat, rounding
+        # in the step outgrows the step.
+        flat = ((np.sort(ang, axis=1)[:, 1] <= np.sqrt(polytope.BOUNDARY_TOL))
+                & (np.sort(ang + d, axis=1)[:, 1] <= polytope.BOUNDARY_TOL))
         flat = np.flatnonzero(flat & face.free.any(axis=1))
         if flat.size and residual >= tol:
             for t in flat:
                 big = np.pi * (np.arange(3) == np.argmax(ang[t]))
                 pinned.update(zip(range(6 * t, 6 * t + 6),
                                   polytope.to_slots(big)))
-            ip = polytope.interior_point(sys, pinned=pinned)
-            if ip.status == "empty-closure":
+            restart = minimal_face(sys, pinned)
+            if restart is None:
                 break
-            face = _Face(sys, ip.fixed)
-            ang = face.angles(ip.point)
+            face, ang = restart
             vol = _volume(ang)
             best, stale = np.inf, 0
             continue
@@ -378,41 +387,23 @@ def _ascend(sys, found, start, tol, max_iter, flat_tol):
             break
 
     x = polytope.to_slots(ang)
-    active = polytope.classify_membership(sys, x, tol=flat_tol).flat
-    classes = classify_tetrahedra(x, tol=flat_tol)
+    active = polytope.classify_membership(sys, x).flat
+    classes = classify_tetrahedra(x)
     flat_tets = tuple(t for t, c in enumerate(classes) if c == "flat")
     return OptimizationResult(x, lob.volume(x), status, flat_tets, active,
                               residual, iters, found[0].fixed, inner)
 
 
-def _min_norm_fit(rows, g, n_rows, eps=1e-14):
-    """CGLS for the least-squares lam of A^T lam = g, column a of A adding 1
-    at each entry of rows[a]: from lam = 0 the iterates stay in range(A), so
-    the fit is the minimum-norm one.  Stops at |A r| <= eps |A g|; also
-    returns the iteration count."""
-    lam, r = np.zeros(n_rows), np.array(g, dtype=float)
-    s = np.bincount(rows.ravel(), np.repeat(r, 3), n_rows)  # A r
-    p, gamma = s, float(s @ s)
-    stop, iters = eps * eps * gamma, 0
-    while gamma > stop and iters < 4 * n_rows:
-        iters += 1
-        q = p[rows].sum(axis=1)  # A^T p
-        alpha = gamma / float(q @ q)
-        lam += alpha * p
-        r -= alpha * q
-        s = np.bincount(rows.ravel(), np.repeat(r, 3), n_rows)
-        gamma, gamma_old = float(s @ s), gamma
-        p = s + (gamma / gamma_old) * p
-    return lam, iters
-
-
-def certify(sys, p, tol=FLAT_TOL, fixed=None):
+def certify(sys, p, fixed=None):
     """Least-squares KKT certificate at a feasible slot vector.
 
     Fits the gradient -log|2 sin theta| over the free angles into the span of
-    the equality rows: minimum-norm multipliers, one per row, found
-    matrix-free in ``fit_iterations`` CGLS steps, the fitted values F on the
-    angles at 0 or pi, and the residual recomputed from them.
+    the equality rows: minimum-norm multipliers, one per row, the fitted
+    values F on the angles at 0 or pi, and the residual recomputed from them.
+    With A_f the free columns and g_f the gradient on them, ``_minres``
+    solves A_f A_f^T lam = A_f g_f matrix-free in ``fit_iterations`` steps,
+    until |A_f (g_f - A_f^T lam)| <= 1e-14 |A_f g_f|; from lam = 0 it stays
+    in range(A_f), so the fit is the minimum-norm one.
 
     The bounds are certified in closed form.  Toward a closure point the fit
     turns the one-sided derivative into a sum over the angles at 0 or pi.  A
@@ -425,14 +416,22 @@ def certify(sys, p, tol=FLAT_TOL, fixed=None):
     (default: ``minimal_face``'s); ``margins`` holds (tetrahedron, margin,
     face_fixed) for each flat tetrahedron.
     """
-    membership = polytope.classify_membership(sys, p, tol=tol)
+    tol = polytope.BOUNDARY_TOL
+    membership = polytope.classify_membership(sys, p)
     if membership.kind == "infeasible":
         raise ValueError("cannot certify an infeasible point "
                          "(equality violation %g)" % membership.equality_violation)
     theta = polytope.to_angles(p)
     free = (theta > tol) & (theta < np.pi - tol)
     g = 2.0 * lob.volume_gradient(theta)  # each angle sits on two slots
-    lam, iters = _min_norm_fit(sys.rows[free], g[free], sys.b.size)
+    rows = sys.rows[free]
+
+    def scatter(v):  # A_f v
+        return np.bincount(rows.ravel(), np.repeat(v, 3), sys.b.size)
+
+    rhs = scatter(g[free])
+    lam, iters = _minres(lambda y: scatter(y[rows].sum(axis=1)), rhs,
+                         1e-14 * np.linalg.norm(rhs))
     fitted = lam[sys.rows].sum(axis=1)
     residual = float(np.max(np.abs(fitted[free] - g[free]), initial=0.0))
     active = tuple((int(i), float(fitted[i])) for i in np.flatnonzero(~free))
@@ -441,7 +440,7 @@ def certify(sys, p, tol=FLAT_TOL, fixed=None):
         fixed = minimal_face(sys)[0].fixed if fixed is None else fixed
         move = np.ones_like(free)
         move[polytope.angle_of(sorted(fixed))] = 0
-        flat = np.repeat(np.array(classify_tetrahedra(p, tol)) == "flat", 3)
+        flat = np.repeat(np.array(classify_tetrahedra(p)) == "flat", 3)
         signs_ok = not np.any(~free & move & ~flat)
         for t in np.flatnonzero(flat[::3]):
             c = 3 * t + int(np.argmax(theta[3 * t:3 * t + 3]))
@@ -472,7 +471,7 @@ def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
         starts += polytope.sample_closure_points(
             sys, rng, n_starts - 1, polytope.to_slots(found[1]),
             boundary_fraction=0.0)
-    results = tuple(_ascend(sys, found, start, tol, max_iter, FLAT_TOL)
+    results = tuple(_ascend(sys, found, start, tol, max_iter)
                     for start in starts)
     points = [r.point for r in results if r.point is not None]
     spread = max((float(np.linalg.norm(p - q, np.inf))

@@ -20,7 +20,7 @@ import numpy as np
 
 ORDERING_CONVENTION = "tet-lex;edges=01,02,03,12,13,23"
 
-DEFAULT_BOUNDARY_TOL = 1e-8
+BOUNDARY_TOL = 1e-8  # at 0 or pi, and on the equalities, within this
 
 # Slot k of a tetrahedron, edge VERTEX_PAIRS[k], carries angle _PAIR_OF[k].
 _PAIR_OF = np.array([0, 1, 2, 2, 1, 0])
@@ -112,9 +112,10 @@ def equality_residual(sys, x):
     return float(np.max(np.abs(_equality_errors(sys, x))))
 
 
-def classify_membership(sys, x, tol=DEFAULT_BOUNDARY_TOL):
+def classify_membership(sys, x):
     """Interior / boundary(J) / infeasible classification of a slot vector
-    at tolerance tol; opposite slots must agree within tol."""
+    at tolerance ``BOUNDARY_TOL``; opposite slots must agree within it."""
+    tol = BOUNDARY_TOL
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.dim,):
         raise ValueError("angle vector has length %d, expected %d"
@@ -211,7 +212,7 @@ def sample_closure_points(sys, rng, n_samples, start,
     are Gaussian on the null space of the free columns.
     """
     theta = to_angles(start)[:, None]
-    free = np.minimum(theta, np.pi - theta)[:, 0] > DEFAULT_BOUNDARY_TOL
+    free = np.minimum(theta, np.pi - theta)[:, 0] > BOUNDARY_TOL
     a = sys.matrix()[:, free]
     _, sv, vh = np.linalg.svd(a)
     # the right singular vectors past the numerical rank span the null space

@@ -86,6 +86,16 @@ def flatten3_path():
 
 
 @pytest.fixture(scope="session")
+def chain141_path(fig8, tmp_path_factory):
+    """Property chain 141: its ascent pins a tetrahedron flat, and the
+    restart's face needs the pinned LP."""
+    path = tmp_path_factory.mktemp("chains") / "chain141.tri"
+    path.write_text(triangulation.format_triangulation(property_chain(fig8,
+                                                                      141)))
+    return str(path)
+
+
+@pytest.fixture(scope="session")
 def gieseking_path():
     return os.path.join(DATA_DIR, "gieseking.tri")
 
@@ -107,6 +117,13 @@ def load_data(name):
     """The triangulation ``data/<name>.tri``."""
     with open(os.path.join(DATA_DIR, name + ".tri")) as fh:
         return triangulation.parse_triangulation(fh.read(), label=name)
+
+
+def flat_pins(*big):
+    """Slot -> angle pins making tetrahedron t flat with angle big[t] at pi;
+    slot k of a tetrahedron carries angle (0, 1, 2, 2, 1, 0)[k]."""
+    return {6 * t + k: np.pi * ((0, 1, 2, 2, 1, 0)[k] == b)
+            for t, b in enumerate(big) for k in range(6)}
 
 
 def movable_face(tri):

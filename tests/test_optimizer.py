@@ -8,7 +8,7 @@ import pytest
 from cuspforge import lobachevsky as lob
 from cuspforge import optimizer, polytope, triangulation
 
-from conftest import (cyclic_cover, load_data, movable_chain,
+from conftest import (cyclic_cover, flat_pins, load_data, movable_chain,
                       property_chain, relabel)
 from helpers import (dense_newton_step, fixed_slots, lstsq_certificate,
                      null_directions, slot_system)
@@ -95,7 +95,78 @@ def test_maximize_empty_closure(doubled):
     assert optimizer.minimal_face(sys_) is None
 
 
-def classify_tetrahedra_loop(p, tol=optimizer.FLAT_TOL):
+def assert_pinned_face_matches_lp(sys_, pinned):
+    # the LP oracle: the same fixed slots, and the point's slots at 0 or pi
+    # are exactly those
+    face, ang = optimizer.minimal_face(sys_, pinned)
+    ip = polytope.interior_point(sys_, pinned)
+    assert face.fixed == ip.fixed
+    membership = polytope.classify_membership(sys_, polytope.to_slots(ang))
+    assert membership.kind == "boundary"
+    assert membership.flat == ip.fixed
+
+
+@pytest.mark.parametrize("big, half, lps", [
+    ((0,), False, 1), ((0, 1), False, 0), ((0, 1), True, 1)],
+    ids=["one-flat", "point", "half-pinned"])
+def test_pinned_minimal_face_matches_lp(fig8_sys, monkeypatch, big, half,
+                                        lps):
+    # every case leaves a single point.  With one tetrahedron flat the other
+    # is flat too, which the centre start cannot find; with both pinned it
+    # starts at the point and no LP runs.  Pins on one slot of each angle
+    # fix the other slot too: the start lands on the point, but with more
+    # slots at 0 or pi than pinned, so the LP decides
+    pinned = flat_pins(*big)
+    if half:
+        pinned = {s: v for s, v in pinned.items() if s % 6 < 3}
+    assert_pinned_face_matches_lp(fig8_sys, pinned)
+    calls, interior_point = [], polytope.interior_point
+
+    def counted(sys_, pinned=None):
+        calls.append(pinned)
+        return interior_point(sys_, pinned)
+
+    monkeypatch.setattr(polytope, "interior_point", counted)
+    face, _ = optimizer.minimal_face(fig8_sys, pinned)
+    assert len(calls) == lps
+    assert face.fixed == frozenset(range(12))
+
+
+@pytest.mark.parametrize("seed, unpinned, pinned", [
+    (9, 0, 0), (34, 1, 1), (141, 1, 1), (161, 1, 1)])
+def test_ascent_restart_faces_match_lp(fig8, monkeypatch, seed, unpinned,
+                                       pinned):
+    # the faces the ascent restarts on after pinning tetrahedra flat; on
+    # some of them the centre start fails and the pinned LP still runs
+    sys_ = polytope.build_constraints(
+        triangulation.incidence(property_chain(fig8, seed)))
+    pins, lps = [], []
+    minimal_face, interior_point = (optimizer.minimal_face,
+                                    polytope.interior_point)
+
+    def recorded(sys_, pinned=None):
+        pins.append(dict(pinned or {}))
+        return minimal_face(sys_, pinned)
+
+    def counted(sys_, pinned=None):
+        lps.append(bool(pinned))
+        return interior_point(sys_, pinned)
+
+    monkeypatch.setattr(optimizer, "minimal_face", recorded)
+    monkeypatch.setattr(polytope, "interior_point", counted)
+    res = optimizer.maximize_volume(sys_)
+    assert res.status == "converged"
+    assert (lps.count(False), lps.count(True)) == (unpinned, pinned)
+    restarts = [p for p in pins if p]
+    assert restarts
+    monkeypatch.undo()
+    # the result keeps the unpinned face's slots, not a restart's
+    assert res.face_fixed == optimizer.minimal_face(sys_)[0].fixed
+    for p in restarts:
+        assert_pinned_face_matches_lp(sys_, p)
+
+
+def classify_tetrahedra_loop(p, tol=polytope.BOUNDARY_TOL):
     """The per-tetrahedron loop that ``classify_tetrahedra`` replaced."""
     out = []
     for t in range(p.size // 6):
@@ -115,7 +186,7 @@ def classify_tetrahedra_loop(p, tol=optimizer.FLAT_TOL):
 
 def test_classify_tetrahedra_matches_loop():
     rng = np.random.default_rng(32)
-    tol = optimizer.FLAT_TOL
+    tol = polytope.BOUNDARY_TOL
     flat = np.array([0.0, 0.0, np.pi, np.pi, 0.0, 0.0])
     rows = [rng.uniform(0.1, np.pi - 0.1, size=(200, 6)),
             np.tile(flat, (50, 1)),

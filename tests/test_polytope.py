@@ -7,17 +7,8 @@ from scipy.linalg import null_space
 
 from cuspforge import optimizer, polytope, triangulation
 
-from conftest import load_data, movable_chain
+from conftest import flat_pins, load_data, movable_chain
 from helpers import angle_matrix, fixed_slots, null_directions, slot_system
-
-# Slot k of a tetrahedron carries angle A, B or C: opposite edges pair up.
-ANGLE_OF_SLOT = (0, 1, 2, 2, 1, 0)
-
-
-def flat_pins(*big):
-    """Slot -> angle pins making tetrahedron t flat with angle big[t] at pi."""
-    return {6 * t + k: np.pi * (ANGLE_OF_SLOT[k] == b)
-            for t, b in enumerate(big) for k in range(6)}
 
 
 def test_constraint_shapes_and_rhs(fig8_sys):
