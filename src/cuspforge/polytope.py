@@ -92,7 +92,7 @@ def build_constraints(idx):
     """LinearSystem for an IncidenceIndex: angle 3 t + k lies in tetrahedron
     row t and in the edge rows of slots 6 t + k and 6 t + 5 - k."""
     n = idx.n_tets
-    edge_of = np.asarray(idx.edge_of).reshape(n, 6)
+    edge_of = idx.edge_of.reshape(n, 6)
     rows = np.column_stack([np.repeat(np.arange(n), 3),
                             n + edge_of[:, :3].ravel(),
                             n + edge_of[:, :2:-1].ravel()])

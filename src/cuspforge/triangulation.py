@@ -5,21 +5,69 @@ with every face glued to another face by a vertex permutation.  Face ``f`` of
 a tetrahedron is the face opposite vertex ``f``; a gluing of face ``(t, f)``
 is recorded as a permutation of {0,1,2,3} carrying the vertices of ``t`` into
 the target tetrahedron (so the permutation sends ``f`` to the target face
-index).  From this data we derive edge classes, vertex links, the incidence
-index used by the angle-structure machinery, and new triangulations via
-2-3 moves.
+index).  A triangulation holds this data as two (n, 4) integer arrays: the
+target tetrahedron of each face, and its permutation as a row of ``PERMS``.
+
+From these arrays we derive edge classes, vertex links, the incidence index
+used by the angle-structure machinery, and new triangulations via 2-3 moves.
+Edge classes and vertex links are the connected components of graphs whose
+edges the gluings give, face by face; one labeller, ``_classes``, finds them
+whole arrays at a time by min-label hooking and pointer jumping (Shiloach and
+Vishkin, "An O(log n) parallel connectivity algorithm", J. Algorithms 3,
+1982).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import permutations
+from types import MappingProxyType
+
+import numpy as np
 
 # The six edges of a tetrahedron as sorted vertex pairs, in the fixed order
 # used everywhere (incidence slots, angle vectors, reports).
 VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PAIR_POSITION = {p: k for k, p in enumerate(VERTEX_PAIRS)}
+
+# The 24 permutations of 0..3 in lexicographic order.  A gluing's
+# permutation is held as its row here; _INVERSE is the row of the inverse,
+# _ODD is 1 for the odd permutations, and _DIGITS_ROW finds the row from the
+# decimal value of the permutation's four digits ("1032" -> 1032), -1 where
+# those digits are no permutation.
+_PERM_TUPLES = list(permutations(range(4)))
+_PERM_ROW = {p: i for i, p in enumerate(_PERM_TUPLES)}
+PERMS = np.array(_PERM_TUPLES)
+_DIGITS_ROW = np.full(3334, -1)
+_DIGITS_ROW[PERMS @ (1000, 100, 10, 1)] = np.arange(24)
+_INVERSE = _DIGITS_ROW[np.argsort(PERMS, axis=1) @ (1000, 100, 10, 1)]
+_ODD = np.triu(PERMS[:, :, None] > PERMS[:, None, :], 1).sum(axis=(1, 2)) % 2
+
+# The two graphs whose components are the edge classes and the vertex
+# classes.  Each face f of a tetrahedron holds six nodes of either graph,
+# numbered locally _*_LOCAL[f], and a gluing by permutation p carries them
+# to the nodes _*_IMAGE[p, f] of the target tetrahedron.
+#
+# Edge end (t, v, u), the end at v of the edge vu of tetrahedron t, is node
+# 16 t + 4 v + u; face f holds the ends with v, u != f, and p carries (v, u)
+# to (p[v], p[u]).
+_V, _U = np.moveaxis([[(v, u) for v in range(4) for u in range(4)
+                       if len({f, v, u}) == 3] for f in range(4)], 2, 0)
+_END_LOCAL = 4 * _V + _U
+_END_IMAGE = 4 * PERMS[:, _V] + PERMS[:, _U]
+# Signed corner (t, v, s), the corner triangle at vertex v of tetrahedron t
+# with sign s in {0, 1}, is node 8 t + 2 v + s; face f holds the corners
+# v != f.  A corner triangle is oriented by its tetrahedron, and a gluing
+# keeps two orientations compatible exactly when it is odd, so an even
+# permutation flips the sign.
+_W, _S = np.moveaxis([[(v, s) for v in range(4) if v != f for s in (0, 1)]
+                      for f in range(4)], 2, 0)
+_CORNER_LOCAL = 2 * _W + _S
+_CORNER_IMAGE = 2 * PERMS[:, _W] + (_S ^ (1 - _ODD[:, None, None]))
+# The two ends (a, b) and (b, a) of slot k, edge VERTEX_PAIRS[k] = (a, b).
+_SLOT_ENDS = np.array([(4 * a + b, 4 * b + a) for a, b in VERTEX_PAIRS])
 
 
 def opposite_pair(pair):
@@ -54,59 +102,111 @@ class ParseError(TriangulationError):
         self.line = line
 
 
+# What _first_fault finds wrong with a gluing, by its kind 1..4.
+_FAULTS = (None,
+           "gluing of (%(t)d, %(f)d) targets nonexistent tetrahedron %(t2)d",
+           "non-bijective permutation %(perm)r at face (%(t)d, %(f)d)",
+           "face (%(t)d, %(f)d) glued to itself",
+           "non-involutive gluing at face (%(t)d, %(f)d)")
+
+
+def _first_fault(target, perm):
+    """(4 t + f, kind) of the first face (t, f) whose gluing is invalid, or
+    None.  ``target`` and ``perm`` hold each face's target tetrahedron and
+    permutation row, face 4 t + f at index 4 t + f; a row of -1 stands for
+    a non-bijective permutation."""
+    face = np.arange(len(target))
+    bad_target = (target < 0) | (target >= len(target) // 4)
+    bad_perm = perm < 0
+    ok = ~(bad_target | bad_perm)
+    p = np.where(ok, perm, 0)
+    back = 4 * np.where(ok, target, 0) + PERMS[p, face % 4]
+    kind = np.select(
+        [bad_target, bad_perm, ok & (back == face),
+         ok & ((target[back] != face // 4) | (perm[back] != _INVERSE[p]))],
+        [1, 2, 3, 4])
+    first = np.flatnonzero(kind)
+    if not first.size:
+        return None
+    return int(first[0]), int(kind[first[0]])
+
+
+def _fault_message(face, kind, t2, perm):
+    t, f = divmod(face, 4)
+    return _FAULTS[kind] % dict(t=t, f=f, t2=t2, perm=tuple(perm))
+
+
+def _first_unglued(n_tets, glued):
+    """The first face (t, f) not in ``glued``, or None; it is among the
+    first len(glued) + 1 faces, so the search never runs past the input."""
+    for face in range(min(len(glued) + 1, 4 * n_tets)):
+        if divmod(face, 4) not in glued:
+            return divmod(face, 4)
+    return None
+
+
 class Triangulation:
     """Immutable validated face-gluing data.
 
-    ``gluings`` maps each (tet, face) to (target tet, permutation); the
-    target face is the image of the face index under the permutation.
+    ``face_tet[t, f]`` is the tetrahedron that face (t, f) is glued to, and
+    ``face_perm[t, f]`` the row of ``PERMS`` holding the gluing's
+    permutation; the target face is the image of f under it.  ``gluings``
+    is the same data as a read-only mapping (t, f) -> (target tet,
+    permutation tuple).
     """
 
     def __init__(self, n_tets, gluings, label=None):
         if n_tets < 1:
             raise TriangulationError("need at least one tetrahedron")
-        self.n_tets = int(n_tets)
-        self.gluings = {key: (int(t2), tuple(perm))
-                        for key, (t2, perm) in gluings.items()}
-        self.label = label
-        self._validate()
-
-    def _validate(self):
-        for t in range(self.n_tets):
-            for f in range(4):
-                if (t, f) not in self.gluings:
-                    raise TriangulationError("unglued face (%d, %d)" % (t, f))
-        if len(self.gluings) != 4 * self.n_tets:
-            extra = set(self.gluings) - {(t, f) for t in range(self.n_tets)
-                                         for f in range(4)}
+        n = int(n_tets)
+        missing = _first_unglued(n, gluings)
+        if missing is not None:
+            raise TriangulationError("unglued face (%d, %d)" % missing)
+        if len(gluings) != 4 * n:
+            extra = sorted(key for key in gluings
+                           if not (0 <= key[0] < n and 0 <= key[1] < 4))
             raise TriangulationError("gluing for nonexistent face %r"
-                                     % (sorted(extra)[0],))
-        for (t, f), (t2, perm) in self.gluings.items():
-            if not 0 <= t2 < self.n_tets:
-                raise TriangulationError(
-                    "gluing of (%d, %d) targets nonexistent tetrahedron %d"
-                    % (t, f, t2))
-            if sorted(perm) != [0, 1, 2, 3]:
-                raise TriangulationError(
-                    "non-bijective permutation %r at face (%d, %d)"
-                    % (perm, t, f))
-            f2 = perm[f]
-            if (t2, f2) == (t, f):
-                raise TriangulationError(
-                    "face (%d, %d) glued to itself" % (t, f))
-            back_t, back_perm = self.gluings[(t2, f2)]
-            if back_t != t or back_perm != _invert(perm):
-                raise TriangulationError(
-                    "non-involutive gluing at face (%d, %d)" % (t, f))
+                                     % (extra[0],))
+        glued = [gluings[divmod(face, 4)] for face in range(4 * n)]
+        target = np.array([min(max(int(t2), -1), n) for t2, _ in glued])
+        perm = np.array([_PERM_ROW.get(tuple(p), -1) for _, p in glued])
+        fault = _first_fault(target, perm)
+        if fault is not None:
+            face, kind = fault
+            raise TriangulationError(_fault_message(face, kind, *glued[face]))
+        self._hold(target, perm, label)
+
+    def _hold(self, target, perm, label):
+        """Take valid face arrays, indexed by 4 t + f, as this
+        triangulation's."""
+        self.n_tets = len(target) // 4
+        self.face_tet = target.reshape(-1, 4)
+        self.face_perm = perm.reshape(-1, 4)
+        self.face_tet.flags.writeable = self.face_perm.flags.writeable = False
+        self.label = label
+
+    @cached_property
+    def _end_labels(self):
+        """The _classes labels of the edge ends; both the edge classes and
+        the vertex links are read from them."""
+        return _face_graph(self, 16, _END_LOCAL, _END_IMAGE)
+
+    @cached_property
+    def gluings(self):
+        perms = [_PERM_TUPLES[p] for p in self.face_perm.ravel().tolist()]
+        return MappingProxyType({
+            divmod(face, 4): (t2, perms[face])
+            for face, t2 in enumerate(self.face_tet.ravel().tolist())})
 
     def target(self, t, f):
         """(target tet, target face, permutation) for face (t, f)."""
-        t2, perm = self.gluings[(t, f)]
-        return t2, perm[f], perm
+        perm = _PERM_TUPLES[self.face_perm[t, f]]
+        return int(self.face_tet[t, f]), perm[f], perm
 
     def __eq__(self, other):
         return (isinstance(other, Triangulation)
-                and self.n_tets == other.n_tets
-                and self.gluings == other.gluings)
+                and np.array_equal(self.face_tet, other.face_tet)
+                and np.array_equal(self.face_perm, other.face_perm))
 
     def __repr__(self):
         name = self.label or "<unnamed>"
@@ -131,16 +231,17 @@ class VertexLink:
     corners: tuple  # of (tet, vertex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field has no truth value
 class IncidenceIndex:
     """Deterministic indexing of the (tet, edge) slots of a triangulation.
 
     Slot 6 t + k is edge VERTEX_PAIRS[k] of tetrahedron t.  ``edge_of[i]``
-    is the edge-class id of slot i, and ``edges[e]`` the slots of class e.
+    is the edge-class id of slot i (an integer array), and ``edges[e]`` the
+    slots of class e.
     """
 
     n_tets: int
-    edge_of: tuple
+    edge_of: np.ndarray
     edges: tuple
 
     @property
@@ -154,14 +255,30 @@ class IncidenceIndex:
 _GLUE_RE = re.compile(r"glue\s+(\d+)\s+(\d+)\s+(\d+)\s+([0-3]{4})$")
 
 
+def _check_lines(glue, n_tets):
+    """Check (line number, line) glue lines one at a time, in order: the
+    indices are in range and no face is glued twice.  Returns the set of
+    glued faces."""
+    glued = set()
+    for ln, line in glue:
+        t, f = (int(x) for x in _GLUE_RE.match(line).group(1, 2))
+        if not 0 <= t < n_tets:
+            raise ParseError("tetrahedron index %d out of range" % t, ln)
+        if not 0 <= f < 4:
+            raise ParseError("face index %d out of range" % f, ln)
+        if (t, f) in glued:
+            raise ParseError("duplicate gluing for face (%d, %d)" % (t, f), ln)
+        glued.add((t, f))
+    return glued
+
+
 def parse_triangulation(text, label=None):
-    """Parse gluing-format text (see the .tri format in the README)."""
-    lines = text.splitlines()
-    content = []
-    for ln, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            content.append((ln, stripped))
+    """Parse gluing-format text (see the .tri format in the README).
+
+    Errors name their line; an unglued face names the ``tets`` line."""
+    content = [(ln, stripped)
+               for ln, raw in enumerate(text.splitlines(), start=1)
+               if (stripped := raw.split("#", 1)[0].strip())]
     if not content:
         raise ParseError("empty file")
     ln, header = content[0]
@@ -169,32 +286,58 @@ def parse_triangulation(text, label=None):
         raise ParseError("expected format line 'tri 1'", ln)
     if len(content) < 2:
         raise ParseError("missing 'tets <N>' line", ln)
-    ln, tets_line = content[1]
+    tets_ln, tets_line = content[1]
     m = re.match(r"tets\s+(\d+)$", tets_line)
     if not m:
-        raise ParseError("expected 'tets <N>', got %r" % tets_line, ln)
+        raise ParseError("expected 'tets <N>', got %r" % tets_line, tets_ln)
     n_tets = int(m.group(1))
-    gluings = {}
-    for ln, line in content[2:]:
-        m = _GLUE_RE.match(line)
-        if not m:
+    glue = content[2:]
+    for i, (ln, line) in enumerate(glue):
+        if not _GLUE_RE.match(line):
+            _check_lines(glue[:i], n_tets)  # an earlier line's error first
             raise ParseError("expected 'glue <t> <f> <t'> <perm>', got %r"
                              % line, ln)
-        t, f, t2 = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        perm = tuple(int(c) for c in m.group(4))
-        if not 0 <= t < n_tets:
-            raise ParseError("tetrahedron index %d out of range" % t, ln)
-        if not 0 <= f < 4:
-            raise ParseError("face index %d out of range" % f, ln)
-        if (t, f) in gluings:
-            raise ParseError("duplicate gluing for face (%d, %d)" % (t, f), ln)
-        gluings[(t, f)] = (t2, perm)
+    # Only with 4 n lines can every face be glued; past this check, arrays
+    # sized by the header are no larger than the input.
+    valid = len(glue) == 4 * n_tets > 0
+    if valid:
+        t, f, t2, digits = _glue_rows(glue).T
+        face = 4 * t + f
+        valid = ((t < n_tets).all() and (f < 4).all()
+                 and (np.bincount(face, minlength=4 * n_tets) == 1).all())
+    if not valid:
+        # a line error comes first; with 4 n lines there is one
+        glued = _check_lines(glue, n_tets)
+        if n_tets < 1:
+            raise ParseError("need at least one tetrahedron", tets_ln)
+        raise ParseError("unglued face (%d, %d)"
+                         % _first_unglued(n_tets, glued), tets_ln)
+    target = np.empty(4 * n_tets, dtype=np.int64)
+    perm = np.empty_like(target)
+    target[face] = t2
+    perm[face] = _DIGITS_ROW[digits]
+    fault = _first_fault(target, perm)
+    if fault is not None:
+        bad, kind = fault
+        ln, line = glue[np.flatnonzero(face == bad)[0]]
+        t2, digits = _GLUE_RE.match(line).group(3, 4)
+        raise ParseError(_fault_message(bad, kind, int(t2), map(int, digits)),
+                         ln)
+    tri = Triangulation.__new__(Triangulation)
+    tri._hold(target, perm, label)
+    return tri
+
+
+def _glue_rows(glue):
+    """The integers of the glue lines, one (t, f, t', perm digits) row per
+    line; an index too large for int64 reads as 2**62."""
+    tokens = " ".join(line for _, line in glue).split()
+    del tokens[::5]  # the "glue" keywords
     try:
-        return Triangulation(n_tets, gluings, label=label)
-    except ParseError:
-        raise
-    except TriangulationError as exc:
-        raise ParseError(str(exc)) from exc
+        rows = np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        rows = np.array([min(int(x), 1 << 62) for x in tokens])
+    return rows.reshape(-1, 4)
 
 
 def format_triangulation(tri, comment=None):
@@ -215,51 +358,63 @@ def format_triangulation(tri, comment=None):
 # ---------------------------------------------------------------------------
 # Derived combinatorics
 
-class _UnionFind:
-    """Union-find over the integers 0..size-1."""
+def _classes(size, a, b):
+    """Label each node 0..size-1 of the graph with edges (a[i], b[i]) by the
+    least node of its connected component.
 
-    def __init__(self, size):
-        self.parent = list(range(size))
+    Each round hooks every root onto the least root it shares an edge with,
+    then jumps pointers until every node points at a root, and drops the
+    edges whose ends now share one.  A label never exceeds its node and
+    only decreases, so when no edge is left each component's root is its
+    least node.
+    """
+    label = np.arange(size)
+    while True:
+        la, lb = label[a], label[b]
+        live = la != lb
+        if not live.any():
+            return label
+        a, b, la, lb = a[live], b[live], la[live], lb[live]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
 
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+def _face_graph(tri, width, local, image):
+    """_classes over the nodes width t + i, i < width, where every face
+    (t, f) glued to t2 by permutation row p joins width t + local[f] to
+    width t2 + image[p, f]."""
+    a = width * np.arange(tri.n_tets)[:, None, None] + local
+    b = width * tri.face_tet[:, :, None] + image[tri.face_perm, np.arange(4)]
+    return _classes(width * tri.n_tets, a.ravel(), b.ravel())
 
 
-def _edge_slot_classes(tri):
-    """Edge classes as ascending lists of slot ids 6 t + k, ordered by their
-    least slot."""
-    uf = _UnionFind(6 * tri.n_tets)
-    for (t, f), (t2, perm) in tri.gluings.items():
-        verts = [v for v in range(4) if v != f]
-        for a, b in combinations(verts, 2):
-            image = tuple(sorted((perm[a], perm[b])))
-            uf.union(6 * t + PAIR_POSITION[(a, b)],
-                     6 * t2 + PAIR_POSITION[image])
-    groups = {}
-    for s in range(6 * tri.n_tets):
-        groups.setdefault(uf.find(s), []).append(s)
-    return list(groups.values())
+def _edge_of(tri):
+    """The edge class of each slot 6 t + k, classes numbered by least slot.
+
+    A slot's two ends lie in one class of edge ends when the edge is glued
+    to itself reversed, else in a class and its mirror image; either way the
+    smaller label of the two names the slot's class.  That label is the end
+    (a, b), a < b, of the class's least slot, so the labels sort as the
+    least slots do.
+    """
+    ends = tri._end_labels.reshape(-1, 16)
+    slot = ends[:, _SLOT_ENDS].min(axis=2).ravel()
+    return np.unique(slot, return_inverse=True)[1]
+
+
+def _members(ids):
+    """The ascending positions holding each id, for ids 0..k-1."""
+    order = np.argsort(ids, kind="stable").tolist()
+    stops = np.cumsum(np.bincount(ids)).tolist()
+    return [order[i:j] for i, j in zip([0] + stops, stops)]
 
 
 def edge_classes(tri):
     """Partition the 6 * n_tets (tet, vertex pair) slots into edge orbits."""
     return [EdgeClass(i, tuple((s // 6, VERTEX_PAIRS[s % 6]) for s in g))
-            for i, g in enumerate(_edge_slot_classes(tri))]
-
-
-# The parity of each permutation of 0..3: 1 when it has an odd number of
-# inversions.
-_ODD = {perm: sum(perm[i] > perm[j] for i, j in combinations(range(4), 2)) % 2
-        for perm in permutations(range(4))}
+            for i, g in enumerate(_members(_edge_of(tri)))]
 
 
 def vertex_links(tri):
@@ -268,49 +423,23 @@ def vertex_links(tri):
     The link of a class is a closed surface made of the corner triangles
     (t, v) of the class.  Every side is glued to exactly one other side, so
     E = 3F/2 and chi = V - F/2, where V counts the classes of edge ends
-    (t, v, u).  A corner triangle is oriented by its tetrahedron, and a
-    gluing keeps two orientations compatible exactly when its permutation is
-    odd, so one 2-colouring search per class decides orientability.
+    (t, v, u).  Each corner comes in two signs, and the signed corners of a
+    class fall into one class of the signed graph when the link is
+    non-orientable, or two when it is orientable; the least corner among
+    them names the class, so links come out in order of their least
+    corners.
     """
-    n = tri.n_tets
-    ends = _UnionFind(16 * n)  # edge end (t, v, u) is 16 t + 4 v + u
-    for (t, f), (t2, perm) in tri.gluings.items():
-        for v in range(4):
-            for u in range(4):
-                if u != v and f not in (u, v):
-                    ends.union(16 * t + 4 * v + u,
-                               16 * t2 + 4 * perm[v] + perm[u])
-    sign = {}
-    links = []
-    for start in range(4 * n):
-        if start in sign:
-            continue
-        # one search per class, from its least corner 4 t + v, so the
-        # classes come out in order of their least corners
-        sign[start] = 1
-        stack, group, orientable = [start], [], True
-        while stack:
-            c = stack.pop()
-            group.append(c)
-            t, v = divmod(c, 4)
-            for f in range(4):
-                if f == v:
-                    continue
-                t2, perm = tri.gluings[(t, f)]
-                nbr = 4 * t2 + perm[v]
-                want = sign[c] if _ODD[perm] else -sign[c]
-                if nbr not in sign:
-                    sign[nbr] = want
-                    stack.append(nbr)
-                elif sign[nbr] != want:
-                    orientable = False
-        group.sort()
-        v_count = len({ends.find(4 * c + u)
-                       for c in group for u in range(4) if u != c % 4})
-        links.append(VertexLink(len(links), v_count - len(group) // 2,
-                                orientable,
-                                tuple(divmod(c, 4) for c in group)))
-    return links
+    signed = _face_graph(tri, 8, _CORNER_LOCAL, _CORNER_IMAGE).reshape(-1, 2)
+    least, link_of = np.unique(signed.min(axis=1) // 2, return_inverse=True)
+    ends = tri._end_labels
+    roots = np.flatnonzero(ends == np.arange(len(ends)))
+    roots = roots[roots % 4 != roots // 4 % 4]  # no end (t, v, v)
+    chi = (np.bincount(link_of[roots // 4], minlength=len(least))
+           - np.bincount(link_of) // 2)
+    orientable = signed[least, 0] != signed[least, 1]
+    return [VertexLink(i, int(chi[i]), bool(orientable[i]),
+                       tuple(divmod(c, 4) for c in corners))
+            for i, corners in enumerate(_members(link_of))]
 
 
 def is_cusped(tri):
@@ -320,12 +449,10 @@ def is_cusped(tri):
 
 def incidence(tri):
     """The deterministic incidence index of a valid triangulation."""
-    edges = [tuple(g) for g in _edge_slot_classes(tri)]
-    edge_of = [None] * (6 * tri.n_tets)
-    for e, members in enumerate(edges):
-        for slot in members:
-            edge_of[slot] = e
-    return IncidenceIndex(tri.n_tets, tuple(edge_of), tuple(edges))
+    edge_of = _edge_of(tri)
+    edge_of.flags.writeable = False
+    return IncidenceIndex(tri.n_tets, edge_of,
+                          tuple(map(tuple, _members(edge_of))))
 
 
 # ---------------------------------------------------------------------------

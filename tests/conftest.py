@@ -23,6 +23,21 @@ SELF_GLUED_TEXT = "tri 1\ntets 1\n" + "".join(
     "glue 0 %d 0 1032\n" % f for f in range(4))
 
 
+# A geometric four-tetrahedron triangulation of the figure-eight knot
+# complement, in a labeling on which the ascent from the LP's point took
+# four more steps than on most others.
+GEO4_TEXT = "tri 1\ntets 4\n" + "".join(
+    "glue %s\n" % g for g in (
+        "0 0 2 2130", "0 1 1 1320", "0 2 3 3210", "0 3 1 1032",
+        "1 0 3 0132", "1 1 2 1023", "1 2 0 1032", "1 3 0 3021",
+        "2 0 1 1023", "2 1 3 1230", "2 2 0 3102", "2 3 3 2103",
+        "3 0 1 0132", "3 1 0 3210", "3 2 2 3012", "3 3 2 2103"))
+# Sheet shifts of GEO4_TEXT's face pairings, in sorted order, summing to
+# zero around each of its four edge classes: every cyclic cover is
+# unbranched, and its volume is the fold times the fig8 volume.
+GEO4_COCYCLE = (-1, 1, -1, 0, 1, -1, 1, 0)
+
+
 @pytest.fixture(scope="session")
 def fig8_path():
     return os.path.join(DATA_DIR, "fig8.tri")

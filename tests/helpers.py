@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the library code paths it checks:
 quadrature instead of the series kernel, breadth-first orbit enumeration
-instead of union-find, explicit surface assembly for links, point-to-point
-hyperbolic distances for decorated edge lengths, box-bounded linear
-programs over a slot system built from those orbits and the vertex triples
-for the shape of the angle polytope, and dense least-squares solves in
-angle coordinates for the certificate's multipliers and the Newton step.
+instead of the library's array labeller, explicit surface assembly for
+links, point-to-point hyperbolic distances for decorated edge lengths,
+box-bounded linear programs over a slot system built from those orbits and
+the vertex triples for the shape of the angle polytope, and dense
+least-squares solves in angle coordinates for the certificate's multipliers
+and the Newton step.
 """
 
 import math
@@ -58,6 +59,36 @@ def orbit_edge_classes(tri):
     return orbits
 
 
+def _orbit(start, nbrs):
+    """The breadth-first orbit of ``start`` under the neighbour map."""
+    todo, seen = [start], {start}
+    while todo:
+        cur = todo.pop()
+        for nxt in nbrs(cur):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return frozenset(seen)
+
+
+def corner_classes(tri):
+    """The vertex classes as sorted lists of corners (t, v), in order of
+    their least corners: orbits of the corners across the glued faces."""
+    def neighbors(item):
+        t, v = item
+        return [(tri.gluings[(t, f)][0], tri.gluings[(t, f)][1][v])
+                for f in range(4) if f != v]
+
+    seen = set()
+    classes = []
+    for c in ((t, v) for t in range(tri.n_tets) for v in range(4)):
+        if c not in seen:
+            group = _orbit(c, neighbors)
+            seen |= group
+            classes.append(sorted(group))
+    return classes
+
+
 def assemble_links(tri):
     """Vertex links by explicit surface assembly.
 
@@ -69,8 +100,6 @@ def assemble_links(tri):
     cyclic order, and two triangles glued along a side are compatibly
     oriented when they traverse that side in opposite directions.
     """
-    corners = [(t, v) for t in range(tri.n_tets) for v in range(4)]
-
     def corner_neighbors(item):
         t, v, u = item
         out = []
@@ -79,25 +108,6 @@ def assemble_links(tri):
                 continue
             t2, perm = tri.gluings[(t, f)]
             out.append((t2, perm[v], perm[u]))
-        return out
-
-    def orbit(start, nbrs):
-        todo, seen = [start], {start}
-        while todo:
-            cur = todo.pop()
-            for nxt in nbrs(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        return frozenset(seen)
-
-    def vert_neighbors(item):
-        t, v = item
-        out = []
-        for f in range(4):
-            if f != v:
-                t2, perm = tri.gluings[(t, f)]
-                out.append((t2, perm[v]))
         return out
 
     def direction(v, x, y):
@@ -128,17 +138,8 @@ def assemble_links(tri):
                     return False
         return True
 
-    seen = set()
-    classes = []
-    for c in corners:
-        if c in seen:
-            continue
-        group = orbit(c, vert_neighbors)
-        seen |= group
-        classes.append(sorted(group))
-
     results = []
-    for group in classes:
+    for group in corner_classes(tri):
         faces = len(group)
         sides = set()
         for t, v in group:
@@ -154,7 +155,7 @@ def assemble_links(tri):
         for item in corner_set:
             if item in done:
                 continue
-            o = orbit(item, corner_neighbors)
+            o = _orbit(item, corner_neighbors)
             done |= o
             vertex_orbits.add(o)
         chi = len(vertex_orbits) - edges + faces

@@ -383,6 +383,25 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "parse error" in err
 
 
+def test_validation_error_names_its_line(capsys, tmp_path):
+    bad = tmp_path / "bad.tri"
+    bad.write_text("tri 1\ntets 1\n" + "".join(
+        "glue 0 %d 0 %s\n" % (f, "1023" if f == 1 else "1032")
+        for f in range(4)))
+    code, _, err = run_cli(capsys, "check", str(bad))
+    assert code == cli.EXIT_PARSE
+    assert "parse error: line 3: non-involutive gluing at face (0, 0)" in err
+
+
+def test_huge_tetrahedron_count_exit_code(capsys, tmp_path):
+    bad = tmp_path / "huge.tri"
+    bad.write_text("tri 1\ntets 1000000000000\n"
+                   "glue 0 0 0 1032\nglue 0 1 0 1032\n")
+    code, _, err = run_cli(capsys, "check", str(bad))
+    assert code == cli.EXIT_PARSE
+    assert "parse error: line 2: unglued face (0, 2)" in err
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", str(tmp_path / "nope.tri"))
     assert code == cli.EXIT_PARSE

@@ -8,8 +8,8 @@ import pytest
 from cuspforge import lobachevsky as lob
 from cuspforge import optimizer, polytope, triangulation
 
-from conftest import (cyclic_cover, flat_pins, load_data, movable_chain,
-                      property_chain, relabel)
+from conftest import (GEO4_COCYCLE, GEO4_TEXT, cyclic_cover, flat_pins,
+                      load_data, movable_chain, property_chain, relabel)
 from helpers import (dense_newton_step, fixed_slots, lstsq_certificate,
                      null_directions, slot_system)
 
@@ -17,19 +17,6 @@ from helpers import (dense_newton_step, fixed_slots, lstsq_certificate,
 # seed 0 is a single point.
 CHAIN_SEEDS_WITH_CLOSURE = (0, 1, 3, 4, 7, 8, 9, 11, 12, 13, 14, 15)
 
-# A geometric four-tetrahedron triangulation of the figure-eight knot
-# complement, in a labeling on which the ascent from the LP's point took
-# four more steps than on most others.
-GEO4_TEXT = "tri 1\ntets 4\n" + "".join(
-    "glue %s\n" % g for g in (
-        "0 0 2 2130", "0 1 1 1320", "0 2 3 3210", "0 3 1 1032",
-        "1 0 3 0132", "1 1 2 1023", "1 2 0 1032", "1 3 0 3021",
-        "2 0 1 1023", "2 1 3 1230", "2 2 0 3102", "2 3 3 2103",
-        "3 0 1 0132", "3 1 0 3210", "3 2 2 3012", "3 3 2 2103"))
-# Sheet shifts of GEO4_TEXT's face pairings, in sorted order, summing to
-# zero around each of its four edge classes: every cyclic cover is
-# unbranched, and its volume is the fold times the fig8 volume.
-GEO4_COCYCLE = (-1, 1, -1, 0, 1, -1, 1, 0)
 FIG8_VOLUME = 2.0298832128193072
 
 # Property-test seeds whose minimal face has linear tetrahedra (an angle at

@@ -8,8 +8,9 @@ import pytest
 from cuspforge import optimizer, polytope
 from cuspforge import triangulation as tr
 
-from conftest import movable_face
-from helpers import assemble_links, orbit_edge_classes
+from conftest import (GEO4_COCYCLE, GEO4_TEXT, cyclic_cover, movable_face,
+                      relabel)
+from helpers import assemble_links, corner_classes, orbit_edge_classes
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,60 @@ def test_parse_error_carries_line_number():
     with pytest.raises(tr.ParseError) as exc:
         tr.parse_triangulation(text)
     assert exc.value.line == 4
+
+
+# SELF_GLUED_TEXT's gluings with face f on line 6 - f, so that a face's
+# line differs from its place in (t, f) order.
+SELF_GLUED_LINES = ["glue 0 %d 0 1032" % f for f in range(4)]
+
+
+@pytest.mark.parametrize("face,glue,line,message", [
+    (1, "glue 0 1 0 1023", 6, "non-involutive gluing at face (0, 0)"),
+    (2, "glue 0 2 5 1032", 4,
+     "gluing of (0, 2) targets nonexistent tetrahedron 5"),
+    (0, "glue 0 0 0 0123", 6, "face (0, 0) glued to itself"),
+    (0, "glue 0 0 0 0012", 6,
+     "non-bijective permutation (0, 0, 1, 2) at face (0, 0)"),
+])
+def test_parse_validation_errors_name_their_line(face, glue, line, message):
+    lines = list(SELF_GLUED_LINES)
+    lines[face] = glue
+    text = "tri 1\ntets 1\n" + "\n".join(reversed(lines)) + "\n"
+    with pytest.raises(tr.ParseError) as exc:
+        tr.parse_triangulation(text)
+    assert exc.value.line == line
+    assert str(exc.value) == "line %d: %s" % (line, message)
+
+
+def test_parse_reports_an_earlier_line_before_a_malformed_one():
+    text = "tri 1\ntets 1\nglue 3 0 0 1032\nglue 0 1 zero\n"
+    with pytest.raises(tr.ParseError, match="out of range") as exc:
+        tr.parse_triangulation(text)
+    assert exc.value.line == 3
+
+
+def test_huge_tetrahedron_count_is_unglued_not_allocated():
+    # arrays sized by the header would need terabytes
+    text = "tri 1\ntets 1000000000000\nglue 0 0 0 1032\nglue 0 1 0 1032\n"
+    with pytest.raises(tr.ParseError, match="unglued face \\(0, 2\\)") as exc:
+        tr.parse_triangulation(text)
+    assert exc.value.line == 2
+    with pytest.raises(tr.TriangulationError, match="unglued face"):
+        tr.Triangulation(10 ** 12, {(0, 0): (0, (1, 0, 3, 2)),
+                                    (0, 1): (0, (1, 0, 3, 2))})
+
+
+def test_parse_index_beyond_int64():
+    big = 10 ** 30
+    lines = list(SELF_GLUED_LINES)
+    lines[0] = "glue 0 0 %d 1032" % big
+    text = "tri 1\ntets 1\n" + "\n".join(lines) + "\n"
+    with pytest.raises(tr.ParseError,
+                       match="targets nonexistent tetrahedron %d" % big):
+        tr.parse_triangulation(text)
+    text = "tri 1\ntets 1\nglue %d 0 0 1032\n" % big
+    with pytest.raises(tr.ParseError, match="index %d out of range" % big):
+        tr.parse_triangulation(text)
 
 
 def test_validation_unglued_face():
@@ -164,27 +219,72 @@ def random_gluing(rng, n_tets):
     return tr.Triangulation(n_tets, gluings)
 
 
+def _slot(member):
+    t, pair = member
+    return 6 * t + tr.PAIR_POSITION[pair]
+
+
 def _check_against_oracles(tris):
+    """Check links and edge classes, and their order, against the oracles;
+    returns how many of the triangulations have a non-orientable link."""
     non_orientable = 0
     for tri in tris:
         links = tr.vertex_links(tri)
+        # link l is the l-th vertex class by least corner
         assert [(l.euler_characteristic, len(l.corners), l.orientable)
                 for l in links] == assemble_links(tri)
+        assert [list(l.corners) for l in links] == corner_classes(tri)
         non_orientable += not all(l.orientable for l in links)
-        assert {frozenset(c.members) for c in tr.edge_classes(tri)} \
-            == set(orbit_edge_classes(tri))
-    assert non_orientable > 0
+        # edge class e is the e-th orbit by least slot
+        orbits = sorted(sorted(map(_slot, o)) for o in orbit_edge_classes(tri))
+        assert [[_slot(m) for m in c.members]
+                for c in tr.edge_classes(tri)] == orbits
+        idx = tr.incidence(tri)
+        assert [list(e) for e in idx.edges] == orbits
+        assert idx.edge_of.tolist() == [e for _, e in sorted(
+            (s, e) for e, slots in enumerate(orbits) for s in slots)]
+    return non_orientable
 
 
 def test_links_and_edges_match_oracles_on_one_tetrahedron_gluings():
     tris = list(one_tetrahedron_gluings())
     assert len({tuple(sorted(tri.gluings.items())) for tri in tris}) == 108
-    _check_against_oracles(tris)
+    assert _check_against_oracles(tris) > 0
 
 
 def test_links_and_edges_match_oracles_on_random_gluings():
     rng = random.Random(5)
-    _check_against_oracles([random_gluing(rng, 2 + k % 2) for k in range(300)])
+    tris = [random_gluing(rng, 2 + k % 2) for k in range(300)]
+    assert _check_against_oracles(tris) > 0
+
+
+def disjoint_union(tris):
+    """The tetrahedra of ``tris`` side by side, numbered in turn."""
+    gluings, base = {}, 0
+    for tri in tris:
+        for (t, f), (t2, perm) in tri.gluings.items():
+            gluings[(base + t, f)] = (base + t2, perm)
+        base += tri.n_tets
+    return tr.Triangulation(base, gluings)
+
+
+def test_links_and_edges_match_oracles_on_larger_random_gluings():
+    # random gluings of 8-40 tetrahedra: mostly one non-orientable link of
+    # very negative Euler characteristic; unions of three have several
+    # components
+    rng = random.Random(14)
+    tris = [random_gluing(rng, rng.randint(8, 40)) for _ in range(30)]
+    unions = [disjoint_union(tris[k:k + 3]) for k in range(0, 30, 3)]
+    assert _check_against_oracles(tris + unions) > 0
+    assert all(len(tr.vertex_links(tri)) >= 3 for tri in unions)
+
+
+def test_links_and_edges_match_oracles_on_a_large_cover():
+    base = tr.parse_triangulation(GEO4_TEXT)
+    tri = relabel(cyclic_cover(base, GEO4_COCYCLE, 128), random.Random(2))
+    assert tri.n_tets == 512
+    assert _check_against_oracles([tri]) == 0
+    assert len(tr.edge_classes(tri)) == 512
 
 
 # ---------------------------------------------------------------------------
