@@ -65,6 +65,7 @@ class MaximalityCertificate:
     fit_iterations: int
     margins: tuple  # of (flat tetrahedron, margin, face_fixed)
     membership: str  # "interior" | "boundary"
+    rejected: tuple  # the flat tetrahedra whose sign check fails
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,11 @@ class _Face:
     variable enters only the edge equations.  Flat tetrahedra have none.
 
     No matrix is built.  ``cols`` holds the reduced columns of the edge
-    rows, A - C and then B - C of each curved tetrahedron and p - q of each
-    linear one, as the edge rows of the two slots of the first angle
+    rows, A - C and B - C of each curved tetrahedron in turn, then p - q of
+    each linear one, as the edge rows of the two slots of the first angle
     (sign +1) and of the second (sign -1); a row met twice adds twice.
+    So a vector on the curved columns reshapes to an (n_c, 2) array, and
+    each curved tetrahedron's 2 x 2 block acts on its own row.
     """
 
     def __init__(self, sys, fixed_slots):
@@ -134,8 +137,9 @@ class _Face:
         ends = self.edge_rows.reshape(n, 3, 2)
         c, lin = self.curved, self.linear
         self.cols = np.concatenate([
-            np.hstack([ends[c, 0], ends[c, 2]]),
-            np.hstack([ends[c, 1], ends[c, 2]]),
+            np.stack([np.hstack([ends[c, 0], ends[c, 2]]),
+                      np.hstack([ends[c, 1], ends[c, 2]])],
+                     axis=1).reshape(-1, 4),
             np.hstack([ends[lin, self.p], ends[lin, self.q]])])
         self.inner = 0  # the MINRES steps of the last ``step``
 
@@ -170,17 +174,18 @@ class _Face:
         0 then stays in its range: the solution is the minimum-norm one.
         ``inner`` records the MINRES steps.
         """
-        a, b, c = ang[self.curved].T
-        log_sin_c = np.log(np.sin(c))
-        g_a = log_sin_c - np.log(np.sin(a))
-        g_b = log_sin_c - np.log(np.sin(b))
-        cot_a, cot_b, cot_c = 1.0 / np.tan(a), 1.0 / np.tan(b), 1.0 / np.tan(c)
-        # inverse of the Hessian block, exact since its determinant is 1
-        h_aa, h_ab, h_bb = -(cot_b + cot_c), cot_c, -(cot_a + cot_c)
-        n_c, n_edges = a.size, self.b_edge.size
+        n_c, n_edges = self.curved.size, self.b_edge.size
+        curved = ang[self.curved]
+        log_sin = np.log(np.sin(curved))
+        cot = 1.0 / np.tan(curved)
+        g = log_sin[:, 2:] - log_sin[:, :2]  # (g_A, g_B)
+        # inverse of the Hessian block, exact since its determinant is 1:
+        # diag -(cot B + cot C), -(cot A + cot C), off-diagonal cot C
+        diag = -(cot[:, 1::-1] + cot[:, 2:])
+        off = cot[:, 2:]
         w = np.zeros(self.cols.shape[0])
-        w[:n_c] = h_aa * g_a + h_ab * g_b
-        w[n_c:2 * n_c] = h_ab * g_a + h_bb * g_b
+        w_c = w[:2 * n_c].reshape(n_c, 2)
+        w_c[:] = diag * g + off * g[:, ::-1]
         mhg = self._scatter(w)
         error = self.sys.b - self.sys.apply(ang.ravel())
         rhs = np.zeros(n_edges + self.linear.size)
@@ -188,8 +193,8 @@ class _Face:
 
         def apply(x):
             u = x[:n_edges][self.cols] @ _SIGNS  # M^T lam
-            w[:n_c] = h_aa * u[:n_c] + h_ab * u[n_c:2 * n_c]
-            w[n_c:2 * n_c] = h_ab * u[:n_c] + h_bb * u[n_c:2 * n_c]
+            u_c = u[:2 * n_c].reshape(n_c, 2)
+            w_c[:] = diag * u_c + off * u_c[:, ::-1]
             w[2 * n_c:] = x[n_edges:]
             out = np.empty_like(x)
             out[:n_edges] = self._scatter(w)
@@ -199,21 +204,16 @@ class _Face:
         stop = 1e-14 * (np.linalg.norm(mhg) + np.linalg.norm(self.b_edge))
         sol, self.inner = _minres(apply, rhs, stop)
         lam = sol[:n_edges]
-        u = lam[self.cols] @ _SIGNS
-        r_a = u[:n_c] - g_a
-        r_b = u[n_c:2 * n_c] - g_b
-        d_a = h_aa * r_a + h_ab * r_b
-        d_b = h_ab * r_a + h_bb * r_b
+        r = (lam[self.cols[:2 * n_c]] @ _SIGNS).reshape(n_c, 2) - g
+        d_c = diag * r + off * r[:, ::-1]
         d = np.zeros_like(ang)
-        d[self.curved, 0] = d_a
-        d[self.curved, 1] = d_b
-        d[self.curved, 2] = -d_a - d_b
+        d[self.curved, :2] = d_c
+        d[self.curved, 2] = -d_c.sum(axis=1)
         d[self.linear, self.p] = sol[n_edges:]
         d[self.linear, self.q] = -sol[n_edges:]
-        residual = float(np.max(np.abs(np.concatenate([r_a, r_b])),
-                                initial=0.0))
+        residual = float(np.max(np.abs(r), initial=0.0))
         return (d, lam[self.edge_rows].sum(axis=1),
-                -float(r_a @ d_a + r_b @ d_b), residual)
+                -float(np.vdot(r, d_c)), residual)
 
 
 def _minres(apply, rhs, stop):
@@ -326,8 +326,11 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     when no step ascends or neither residual nor volume improves beyond
     rounding.  A tetrahedron that the ascent drives within
     ``polytope.BOUNDARY_TOL`` of (0, 0, pi) is pinned flat, and the ascent
-    restarts on the minimal face of the closure cut by the pins.  At most
-    one restart per tetrahedron: pinned tetrahedra stay fixed.
+    restarts on the minimal face of the closure cut by the pins.  When the
+    ascent converges with pins and ``certify`` rejects pinned tetrahedra
+    (the active-set rule that drops a constraint whose multiplier has the
+    wrong sign), they are released and the ascent restarts on the face cut
+    by the other pins; each tetrahedron is released at most once.
     ``iterations`` counts the steps and restarts of the ascent, at most
     ``max_iter``; finding a minimal face, the unpinned one or a restart's,
     takes none of them.  ``inner_iterations`` sums the MINRES steps of
@@ -347,7 +350,7 @@ def _ascend(sys, found, start, tol, max_iter):
         if np.any(ang[face.free] <= 0.0):
             raise ValueError("start point is not in the relative interior "
                              "of the minimal face")
-    pinned, best, stale, iters, inner = {}, np.inf, 0, 0, 0
+    pinned, released, best, stale, iters, inner = {}, set(), np.inf, 0, 0, 0
     status, residual = "iteration-cap", float("nan")
     vol = _volume(ang)
     while iters < max_iter:
@@ -355,42 +358,55 @@ def _ascend(sys, found, start, tol, max_iter):
         step = face.step(ang)
         inner += face.inner
         d, _, _, residual = step
-        # A tetrahedron within sqrt(BOUNDARY_TOL) of flat that the full step
-        # takes within BOUNDARY_TOL is pinned flat: closer to flat, rounding
-        # in the step outgrows the step.
-        flat = ((np.sort(ang, axis=1)[:, 1] <= np.sqrt(polytope.BOUNDARY_TOL))
-                & (np.sort(ang + d, axis=1)[:, 1] <= polytope.BOUNDARY_TOL))
+        # A tetrahedron within sqrt(BOUNDARY_TOL) of flat (two angles at most
+        # that) that the full step takes within BOUNDARY_TOL is pinned flat:
+        # closer to flat, rounding in the step outgrows the step.
+        flat = ((np.count_nonzero(ang <= np.sqrt(polytope.BOUNDARY_TOL),
+                                  axis=1) >= 2)
+                & (np.count_nonzero(ang + d <= polytope.BOUNDARY_TOL,
+                                    axis=1) >= 2))
         flat = np.flatnonzero(flat & face.free.any(axis=1))
         if flat.size and residual >= tol:
             for t in flat:
                 big = np.pi * (np.arange(3) == np.argmax(ang[t]))
                 pinned.update(zip(range(6 * t, 6 * t + 6),
                                   polytope.to_slots(big)))
-            restart = minimal_face(sys, pinned)
-            if restart is None:
+        else:
+            slack = 1e-14 * max(1.0, abs(vol))
+            alpha, ang, new_vol = _line_search(face, ang, vol, step)
+            gain, vol = new_vol - vol, new_vol
+            if not residual < tol:  # a NaN residual is not converged
+                stale = 0 if residual < best else stale + 1
+                best = min(best, residual)
+                if not alpha or (stale >= _STALL_STEPS and gain <= slack):
+                    status = "stalled"
+                    break
+                continue
+            # the step taken from a point within tol squares its residual;
+            # a pin that certify rejects holds flat a tetrahedron that the
+            # volume would unflatten
+            drop = set()
+            if pinned:
+                cert = certify(sys, polytope.to_slots(ang),
+                               fixed=found[0].fixed)
+                drop = {t for t in cert.rejected if 6 * t in pinned} - released
+            if not drop:
+                status = "converged"
                 break
-            face, ang = restart
-            vol = _volume(ang)
-            best, stale = np.inf, 0
-            continue
-        slack = 1e-14 * max(1.0, abs(vol))
-        alpha, ang, new_vol = _line_search(face, ang, vol, step)
-        gain, vol = new_vol - vol, new_vol
-        # the step taken from a point within tol squares its residual
-        if residual < tol:
-            status = "converged"
+            released |= drop
+            pinned = {s: v for s, v in pinned.items() if s // 6 not in drop}
+        restart = minimal_face(sys, pinned)
+        if restart is None:
             break
-        stale = 0 if residual < best else stale + 1
-        best = min(best, residual)
-        if not alpha or (stale >= _STALL_STEPS and gain <= slack):
-            status = "stalled"
-            break
+        face, ang = restart
+        vol = _volume(ang)
+        best, stale = np.inf, 0
 
     x = polytope.to_slots(ang)
     active = polytope.classify_membership(sys, x).flat
     classes = classify_tetrahedra(x)
     flat_tets = tuple(t for t, c in enumerate(classes) if c == "flat")
-    return OptimizationResult(x, lob.volume(x), status, flat_tets, active,
+    return OptimizationResult(x, vol, status, flat_tets, active,
                               residual, iters, found[0].fixed, inner)
 
 
@@ -414,7 +430,8 @@ def certify(sys, p, fixed=None):
     other angle at 0 or pi adds an unbounded log(1/t).  signs_ok applies
     this to the angles that the minimal face leaves free, all but ``fixed``
     (default: ``minimal_face``'s); ``margins`` holds (tetrahedron, margin,
-    face_fixed) for each flat tetrahedron.
+    face_fixed) for each flat tetrahedron, and ``rejected`` the flat
+    tetrahedra that fail their check.
     """
     tol = polytope.BOUNDARY_TOL
     membership = polytope.classify_membership(sys, p)
@@ -435,7 +452,7 @@ def certify(sys, p, fixed=None):
     fitted = lam[sys.rows].sum(axis=1)
     residual = float(np.max(np.abs(fitted[free] - g[free]), initial=0.0))
     active = tuple((int(i), float(fitted[i])) for i in np.flatnonzero(~free))
-    signs_ok, margins = True, []
+    signs_ok, margins, rejected = True, [], []
     if not free.all():
         fixed = minimal_face(sys)[0].fixed if fixed is None else fixed
         move = np.ones_like(free)
@@ -446,13 +463,18 @@ def certify(sys, p, fixed=None):
             c = 3 * t + int(np.argmax(theta[3 * t:3 * t + 3]))
             a, b = (k for k in range(3 * t, 3 * t + 3) if k != c)
             margin = float(-fitted[c] - np.logaddexp(-fitted[a], -fitted[b]))
+            ok = True
             if move[a] and move[b]:
-                signs_ok &= margin >= -tol
+                ok = margin >= -tol
             elif move[a] or move[b]:
-                signs_ok &= fitted[a if move[a] else b] >= fitted[c] - tol
+                ok = fitted[a if move[a] else b] >= fitted[c] - tol
+            if not ok:
+                rejected.append(int(t))
             margins.append((int(t), margin, not (move[a] or move[b])))
+        signs_ok = signs_ok and not rejected
     return MaximalityCertificate(lam, active, residual, bool(signs_ok), iters,
-                                 tuple(margins), membership.kind)
+                                 tuple(margins), membership.kind,
+                                 tuple(rejected))
 
 
 def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,

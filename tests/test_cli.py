@@ -12,7 +12,7 @@ import pytest
 
 from cuspforge import cli, optimizer, polytope, triangulation
 
-from conftest import property_chain
+from conftest import GEO4_TEXT, property_chain
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "docs", "report_schema.json")
@@ -90,6 +90,20 @@ def test_solve_multi_start(capsys, fig8_path):
     ms = report["results"]["multi_start"]
     assert ms["n_starts"] == 4
     assert ms["max_spread"] < 1e-6
+
+
+def test_solve_multi_start_releases_rejected_pins(capsys, tmp_path):
+    # with every pin kept, one start of this probe converged at 1.962782
+    # with a tetrahedron pinned flat that its certificate rejects, while
+    # the others reached V8
+    path = tmp_path / "geo4.tri"
+    path.write_text(GEO4_TEXT)
+    code, report, _ = run_json(capsys, "solve", str(path), "--starts", "8",
+                               "--seed", "253")
+    assert code == 0
+    ms = report["results"]["multi_start"]
+    assert ms["max_spread"] < 1e-6
+    assert max(ms["volumes"]) - min(ms["volumes"]) < 1e-9
 
 
 def test_solve_multi_start_reports_a_probe_result(capsys, fig8_path,

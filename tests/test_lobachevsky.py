@@ -18,11 +18,44 @@ def test_matches_quadrature_oracle_spot_checks():
                    - lobachevsky_quadrature(theta)) < 1e-12
 
 
-def test_matches_clausen_oracle():
-    mpmath.mp.dps = 30
-    for theta in (0.1, 0.5, np.pi / 6, np.pi / 3, 1.2, 2.9):
-        expect = float(0.5 * mpmath.clsin(2, 2 * theta))
-        assert abs(lob.lobachevsky(theta) - expect) < 1e-14
+def clausen_half(theta):
+    """The oracle Lob(theta) = Cl_2(2 theta) / 2 at the float theta."""
+    with mpmath.workdps(20):
+        return float(0.5 * mpmath.clsin(2, 2 * mpmath.mpf(float(theta))))
+
+
+# A dense grid inside (-2 pi, 2 pi), with the points where the kernel's
+# branches meet: 0 and pi/2, the floats pi and pi - 1e-12 next to a zero of
+# sin, and the least positive scale where the series' powers underflow.
+KERNEL_GRID = np.concatenate([
+    np.linspace(-2.0 * np.pi, 2.0 * np.pi, 801)[1:-1],
+    [0.0, np.pi / 2, np.pi, -np.pi, 1e-300, np.pi - 1e-12, 1e-12]])
+
+
+@pytest.fixture(scope="module")
+def kernel_oracle():
+    return np.array([clausen_half(t) for t in KERNEL_GRID])
+
+
+def test_matches_clausen_oracle(kernel_oracle):
+    err = np.abs(lob.lobachevsky(KERNEL_GRID) - kernel_oracle)
+    assert np.max(err) < 5e-15
+    for theta, expect in zip(KERNEL_GRID[-7:], kernel_oracle[-7:]):
+        assert abs(lob.lobachevsky(theta) - expect) < 5e-15
+    # the reduction is modulo the float pi, which is short of pi by
+    # 1.2e-16; at 2 pi it lands 2.4e-16 away from the true zero of Lob,
+    # where the slope -log|2 sin| is about 36: an error of 8.9e-15
+    for theta in (-2.0 * np.pi, 2.0 * np.pi):
+        assert abs(lob.lobachevsky(theta) - clausen_half(theta)) < 1e-14
+
+
+@pytest.mark.parametrize("size", [1, 12, 10_000])
+def test_array_kernel_matches_clausen_oracle(kernel_oracle, size):
+    # the blocked series takes one matrix product over the whole array, so
+    # each array size goes through the product in its own shape
+    pick = np.random.default_rng(size).integers(KERNEL_GRID.size, size=size)
+    err = np.abs(lob.lobachevsky(KERNEL_GRID[pick]) - kernel_oracle[pick])
+    assert np.max(err) < 5e-15
 
 
 def test_odd_and_periodic():

@@ -296,6 +296,7 @@ def test_certify_boundary_point_finds_improving_direction(fig8_sys):
     [(tet, margin, face_fixed)] = cert.margins
     assert tet == 0 and not face_fixed
     assert abs(margin + np.log(2.0)) < 1e-12
+    assert cert.rejected == (0,)
 
 
 def test_certify_rejects_a_movable_zero_angle(fig8_sys):
@@ -308,6 +309,7 @@ def test_certify_rejects_a_movable_zero_angle(fig8_sys):
     cert = optimizer.certify(fig8_sys, res.point)
     assert not cert.signs_ok
     assert cert.margins == ()
+    assert cert.rejected == ()
 
 
 def sampled_signs_ok(sys_, p, n_samples=200):
@@ -338,6 +340,7 @@ def test_certify_flat_tetrahedron_with_one_movable_angle(fig8, seed, tet,
     cert = optimizer.certify(sys_, p)
     assert [ff for t, _, ff in cert.margins if t == tet] == [False]
     assert cert.signs_ok is expected
+    assert (not cert.rejected) is expected
     assert sampled_signs_ok(sys_, p) is expected
 
 
@@ -394,6 +397,71 @@ def test_dominance_rejected_at_non_optimum(fig8, fig8_sys, fig8_center):
     rep = optimizer.dominance_check(fig8_sys, perturbed, 200, seed=3)
     assert not rep.all_dominated
     assert rep.witness is not None
+
+
+# Seeds whose probe on GEO4_TEXT left a start converged below the maximum,
+# with a tetrahedron pinned flat that its certificate rejects, while the
+# ascent kept every pin.
+STUCK_PROBE_SEEDS = (48, 49, 63, 253)
+
+
+def recorded_pins(monkeypatch):
+    """The pin maps of every ``minimal_face`` call, in order."""
+    pins, minimal_face = [], optimizer.minimal_face
+
+    def recorded(sys_, pinned=None):
+        pins.append(dict(pinned or {}))
+        return minimal_face(sys_, pinned)
+
+    monkeypatch.setattr(optimizer, "minimal_face", recorded)
+    return pins
+
+
+def assert_every_start_at_the_maximum(sys_, rep, volume):
+    assert rep.max_spread < 1e-6
+    for r in rep.results:
+        assert r.status == "converged"
+        assert abs(r.volume - volume) < 1e-9
+        cert = optimizer.certify(sys_, r.point, fixed=r.face_fixed)
+        assert cert.signs_ok and cert.rejected == ()
+
+
+@pytest.mark.parametrize("seed", STUCK_PROBE_SEEDS)
+def test_probe_releases_rejected_pins(monkeypatch, seed):
+    sys_ = polytope.build_constraints(
+        triangulation.incidence(triangulation.parse_triangulation(GEO4_TEXT)))
+    pins = recorded_pins(monkeypatch)
+    rep = optimizer.uniqueness_probe(sys_, 8, seed=seed)
+    monkeypatch.undo()
+    assert_every_start_at_the_maximum(sys_, rep, FIG8_VOLUME)
+    # some restart dropped a pin: a release
+    assert any(set(b) < set(a) for a, b in zip(pins, pins[1:]))
+
+
+@pytest.mark.parametrize("seed", [60, 61])
+def test_chain_probe_releases_rejected_pins(fig8, seed):
+    sys_ = polytope.build_constraints(
+        triangulation.incidence(property_chain(fig8, seed)))
+    rep = optimizer.uniqueness_probe(sys_, 8, seed=seed)
+    assert_every_start_at_the_maximum(sys_, rep, FIG8_VOLUME)
+
+
+@pytest.mark.parametrize("name", [
+    "fig8", "degenerate4", "flatten3", "gieseking", "cover4", "cover16",
+    "cover64", "cover256", "cover1024"])
+def test_result_volume_is_the_kernel_volume(name):
+    # the ascent reports its last line-search volume, summed over angles;
+    # it must be the volume of the reported slot vector
+    if name.startswith("cover"):
+        tri = cyclic_cover(triangulation.parse_triangulation(GEO4_TEXT),
+                           GEO4_COCYCLE, int(name[5:]) // 4)
+    else:
+        tri = load_data(name)
+    sys_ = polytope.build_constraints(triangulation.incidence(tri))
+    res = optimizer.maximize_volume(sys_)
+    assert res.status == "converged"
+    expect = lob.volume(res.point)
+    assert abs(res.volume - expect) <= 1e-13 * max(1.0, abs(expect))
 
 
 def test_iteration_cap_status(fig8_sys):
