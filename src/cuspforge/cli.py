@@ -152,7 +152,9 @@ def cmd_solve(args):
         _emit("solve", [args.path], args.seed, {"status": res.status}, timer)
         return EXIT_EMPTY_CLOSURE
     with timer.time("certify"):
-        cert = optimizer.certify(sys_, res.point, fixed=res.face_fixed)
+        cert = res.certificate
+        if cert is None:
+            cert = optimizer.certify(sys_, res.point, fixed=res.face_fixed)
     with timer.time("classify"):
         classes = optimizer.classify_tetrahedra(res.point)
     tol = optimizer.COMPLETE_TOL
@@ -350,7 +352,7 @@ def cmd_move23(args):
     before_edges = len(idx.edges)
     with timer.time("move"):
         moved = triangulation.pachner_23(tri, (args.tet, args.face))
-    after_edges = len(triangulation.edge_classes(moved))
+    after_edges = len(triangulation.incidence(moved).edges)
     with open(args.out, "w") as fh:
         fh.write(triangulation.format_triangulation(
             moved, comment="2-3 move on face (%d, %d) of %s"

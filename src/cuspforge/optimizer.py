@@ -54,6 +54,8 @@ class OptimizationResult:
     iterations: int
     face_fixed: frozenset  # the slots the unpinned minimal face fixes
     inner_iterations: int  # MINRES steps of the ascent's Newton steps
+    # certify's certificate at point when the ascent ran it there, else None
+    certificate: MaximalityCertificate | None
 
 
 @dataclass(frozen=True)
@@ -334,7 +336,9 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     ``iterations`` counts the steps and restarts of the ascent, at most
     ``max_iter``; finding a minimal face, the unpinned one or a restart's,
     takes none of them.  ``inner_iterations`` sums the MINRES steps of
-    those Newton steps.
+    those Newton steps.  ``certificate`` is the certificate of a converged
+    point with pins, which the release rule computed there (as ``certify``
+    with ``fixed=face_fixed``); None otherwise.
     """
     return _ascend(sys, minimal_face(sys), start, tol, max_iter)
 
@@ -343,7 +347,8 @@ def _ascend(sys, found, start, tol, max_iter):
     """``maximize_volume`` on ``found``, the closure's ``minimal_face``."""
     if found is None:
         return OptimizationResult(None, float("nan"), "empty-closure", (),
-                                  frozenset(), float("nan"), 0, frozenset(), 0)
+                                  frozenset(), float("nan"), 0, frozenset(), 0,
+                                  None)
     face, ang = found
     if start is not None:
         ang = face.angles(start)
@@ -351,7 +356,7 @@ def _ascend(sys, found, start, tol, max_iter):
             raise ValueError("start point is not in the relative interior "
                              "of the minimal face")
     pinned, released, best, stale, iters, inner = {}, set(), np.inf, 0, 0, 0
-    status, residual = "iteration-cap", float("nan")
+    status, residual, certificate = "iteration-cap", float("nan"), None
     vol = _volume(ang)
     while iters < max_iter:
         iters += 1
@@ -385,13 +390,13 @@ def _ascend(sys, found, start, tol, max_iter):
             # the step taken from a point within tol squares its residual;
             # a pin that certify rejects holds flat a tetrahedron that the
             # volume would unflatten
-            drop = set()
+            drop, cert = set(), None
             if pinned:
                 cert = certify(sys, polytope.to_slots(ang),
                                fixed=found[0].fixed)
                 drop = {t for t in cert.rejected if 6 * t in pinned} - released
             if not drop:
-                status = "converged"
+                status, certificate = "converged", cert
                 break
             released |= drop
             pinned = {s: v for s, v in pinned.items() if s // 6 not in drop}
@@ -407,7 +412,8 @@ def _ascend(sys, found, start, tol, max_iter):
     classes = classify_tetrahedra(x)
     flat_tets = tuple(t for t, c in enumerate(classes) if c == "flat")
     return OptimizationResult(x, vol, status, flat_tets, active,
-                              residual, iters, found[0].fixed, inner)
+                              residual, iters, found[0].fixed, inner,
+                              certificate)
 
 
 def certify(sys, p, fixed=None):

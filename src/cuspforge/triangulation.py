@@ -6,10 +6,11 @@ a tetrahedron is the face opposite vertex ``f``; a gluing of face ``(t, f)``
 is recorded as a permutation of {0,1,2,3} carrying the vertices of ``t`` into
 the target tetrahedron (so the permutation sends ``f`` to the target face
 index).  A triangulation holds this data as two (n, 4) integer arrays: the
-target tetrahedron of each face, and its permutation as a row of ``PERMS``.
+target tetrahedron of each face, and its permutation as a row of ``PERMS``;
+parsing fills them from text, and a 2-3 move edits them.
 
-From these arrays we derive edge classes, vertex links, the incidence index
-used by the angle-structure machinery, and new triangulations via 2-3 moves.
+From these arrays we derive edge classes, vertex links, and the incidence
+index used by the angle-structure machinery.
 Edge classes and vertex links are the connected components of graphs whose
 edges the gluings give, face by face; one labeller, ``_classes``, finds them
 whole arrays at a time by min-label hooking and pointer jumping (Shiloach and
@@ -23,26 +24,25 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from types import MappingProxyType
 
 import numpy as np
 
 # The six edges of a tetrahedron as sorted vertex pairs, in the fixed order
 # used everywhere (incidence slots, angle vectors, reports).
 VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-PAIR_POSITION = {p: k for k, p in enumerate(VERTEX_PAIRS)}
 
 # The 24 permutations of 0..3 in lexicographic order.  A gluing's
 # permutation is held as its row here; _INVERSE is the row of the inverse,
-# _ODD is 1 for the odd permutations, and _DIGITS_ROW finds the row from the
-# decimal value of the permutation's four digits ("1032" -> 1032), -1 where
-# those digits are no permutation.
-_PERM_TUPLES = list(permutations(range(4)))
-_PERM_ROW = {p: i for i, p in enumerate(_PERM_TUPLES)}
-PERMS = np.array(_PERM_TUPLES)
+# _COMPOSE[a, b] the row of PERMS[a] o PERMS[b], _ODD is 1 for the odd
+# permutations, and _DIGITS_ROW finds the row from the decimal value of the
+# permutation's four digits ("1032" -> 1032), -1 where those digits are no
+# permutation.
+PERMS = np.array(list(permutations(range(4))))
+_DIGITS = (1000, 100, 10, 1)
 _DIGITS_ROW = np.full(3334, -1)
-_DIGITS_ROW[PERMS @ (1000, 100, 10, 1)] = np.arange(24)
-_INVERSE = _DIGITS_ROW[np.argsort(PERMS, axis=1) @ (1000, 100, 10, 1)]
+_DIGITS_ROW[PERMS @ _DIGITS] = np.arange(24)
+_INVERSE = _DIGITS_ROW[np.argsort(PERMS, axis=1) @ _DIGITS]
+_COMPOSE = _DIGITS_ROW[PERMS[:, PERMS] @ _DIGITS]
 _ODD = np.triu(PERMS[:, :, None] > PERMS[:, None, :], 1).sum(axis=(1, 2)) % 2
 
 # The two graphs whose components are the edge classes and the vertex
@@ -76,20 +76,13 @@ def opposite_pair(pair):
     return tuple(v for v in range(4) if v not in (a, b))
 
 
-def _invert(perm):
-    inv = [0, 0, 0, 0]
-    for i, v in enumerate(perm):
-        inv[v] = i
-    return tuple(inv)
-
-
-def _compose(p, q):
-    """Permutation p after q: (p o q)[i] = p[q[i]]."""
-    return tuple(p[q[i]] for i in range(4))
-
-
 class TriangulationError(ValueError):
-    """Invalid gluing data."""
+    """Invalid gluing data.  ``fault`` is (4 t + f, kind) when face (t, f)
+    is the first whose gluing is invalid, kind indexing ``_FAULTS``."""
+
+    def __init__(self, message, fault=None):
+        super().__init__(message)
+        self.fault = fault
 
 
 class ParseError(TriangulationError):
@@ -114,10 +107,10 @@ def _first_fault(target, perm):
     """(4 t + f, kind) of the first face (t, f) whose gluing is invalid, or
     None.  ``target`` and ``perm`` hold each face's target tetrahedron and
     permutation row, face 4 t + f at index 4 t + f; a row of -1 stands for
-    a non-bijective permutation."""
+    a non-bijective permutation, as is any row outside PERMS."""
     face = np.arange(len(target))
     bad_target = (target < 0) | (target >= len(target) // 4)
-    bad_perm = perm < 0
+    bad_perm = (perm < 0) | (perm >= len(PERMS))
     ok = ~(bad_target | bad_perm)
     p = np.where(ok, perm, 0)
     back = 4 * np.where(ok, target, 0) + PERMS[p, face % 4]
@@ -133,7 +126,7 @@ def _first_fault(target, perm):
 
 def _fault_message(face, kind, t2, perm):
     t, f = divmod(face, 4)
-    return _FAULTS[kind] % dict(t=t, f=f, t2=t2, perm=tuple(perm))
+    return _FAULTS[kind] % dict(t=t, f=f, t2=t2, perm=perm)
 
 
 def _first_unglued(n_tets, glued):
@@ -150,39 +143,28 @@ class Triangulation:
 
     ``face_tet[t, f]`` is the tetrahedron that face (t, f) is glued to, and
     ``face_perm[t, f]`` the row of ``PERMS`` holding the gluing's
-    permutation; the target face is the image of f under it.  ``gluings``
-    is the same data as a read-only mapping (t, f) -> (target tet,
-    permutation tuple).
+    permutation; the target face is the image of f under it.  The
+    constructor copies both (n, 4) integer arrays and checks every gluing.
     """
 
-    def __init__(self, n_tets, gluings, label=None):
-        if n_tets < 1:
+    def __init__(self, face_tet, face_perm, label=None):
+        face_tet = np.array(face_tet, dtype=np.int64)
+        face_perm = np.array(face_perm, dtype=np.int64)
+        if face_tet.shape != face_perm.shape or face_tet.shape[1:] != (4,):
+            raise TriangulationError("face_tet and face_perm need one shape "
+                                     "(n, 4), got %r and %r"
+                                     % (face_tet.shape, face_perm.shape))
+        if not len(face_tet):
             raise TriangulationError("need at least one tetrahedron")
-        n = int(n_tets)
-        missing = _first_unglued(n, gluings)
-        if missing is not None:
-            raise TriangulationError("unglued face (%d, %d)" % missing)
-        if len(gluings) != 4 * n:
-            extra = sorted(key for key in gluings
-                           if not (0 <= key[0] < n and 0 <= key[1] < 4))
-            raise TriangulationError("gluing for nonexistent face %r"
-                                     % (extra[0],))
-        glued = [gluings[divmod(face, 4)] for face in range(4 * n)]
-        target = np.array([min(max(int(t2), -1), n) for t2, _ in glued])
-        perm = np.array([_PERM_ROW.get(tuple(p), -1) for _, p in glued])
+        target, perm = face_tet.reshape(-1), face_perm.reshape(-1)
         fault = _first_fault(target, perm)
         if fault is not None:
             face, kind = fault
-            raise TriangulationError(_fault_message(face, kind, *glued[face]))
-        self._hold(target, perm, label)
-
-    def _hold(self, target, perm, label):
-        """Take valid face arrays, indexed by 4 t + f, as this
-        triangulation's."""
-        self.n_tets = len(target) // 4
-        self.face_tet = target.reshape(-1, 4)
-        self.face_perm = perm.reshape(-1, 4)
-        self.face_tet.flags.writeable = self.face_perm.flags.writeable = False
+            raise TriangulationError(_fault_message(
+                face, kind, int(target[face]), int(perm[face])), fault)
+        self.n_tets = len(face_tet)
+        self.face_tet, self.face_perm = face_tet, face_perm
+        face_tet.flags.writeable = face_perm.flags.writeable = False
         self.label = label
 
     @cached_property
@@ -191,17 +173,14 @@ class Triangulation:
         the vertex links are read from them."""
         return _face_graph(self, 16, _END_LOCAL, _END_IMAGE)
 
-    @cached_property
+    @property
     def gluings(self):
-        perms = [_PERM_TUPLES[p] for p in self.face_perm.ravel().tolist()]
-        return MappingProxyType({
-            divmod(face, 4): (t2, perms[face])
-            for face, t2 in enumerate(self.face_tet.ravel().tolist())})
-
-    def target(self, t, f):
-        """(target tet, target face, permutation) for face (t, f)."""
-        perm = _PERM_TUPLES[self.face_perm[t, f]]
-        return int(self.face_tet[t, f]), perm[f], perm
+        """The gluings as a fresh dict (t, f) -> (target tet, permutation
+        tuple).  Nothing in the package reads it; perfbench's tests compare
+        their own parser against it."""
+        perms = map(tuple, PERMS[self.face_perm.reshape(-1)].tolist())
+        return {divmod(face, 4): glued for face, glued in
+                enumerate(zip(self.face_tet.reshape(-1).tolist(), perms))}
 
     def __eq__(self, other):
         return (isinstance(other, Triangulation)
@@ -211,16 +190,6 @@ class Triangulation:
     def __repr__(self):
         name = self.label or "<unnamed>"
         return "Triangulation(%s, %d tets)" % (name, self.n_tets)
-
-
-@dataclass(frozen=True)
-class EdgeClass:
-    id: int
-    members: tuple  # of (tet, vertex pair)
-
-    @property
-    def degree(self):
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -316,16 +285,16 @@ def parse_triangulation(text, label=None):
     perm = np.empty_like(target)
     target[face] = t2
     perm[face] = _DIGITS_ROW[digits]
-    fault = _first_fault(target, perm)
-    if fault is not None:
-        bad, kind = fault
+    try:
+        return Triangulation(target.reshape(-1, 4), perm.reshape(-1, 4),
+                             label)
+    except TriangulationError as err:
+        # name the line, with the target and digits as written there
+        bad, kind = err.fault
         ln, line = glue[np.flatnonzero(face == bad)[0]]
         t2, digits = _GLUE_RE.match(line).group(3, 4)
-        raise ParseError(_fault_message(bad, kind, int(t2), map(int, digits)),
-                         ln)
-    tri = Triangulation.__new__(Triangulation)
-    tri._hold(target, perm, label)
-    return tri
+        raise ParseError(_fault_message(bad, kind, int(t2),
+                                        tuple(map(int, digits))), ln) from None
 
 
 def _glue_rows(glue):
@@ -347,11 +316,10 @@ def format_triangulation(tri, comment=None):
         out.append("# " + comment)
     out.append("tri 1")
     out.append("tets %d" % tri.n_tets)
-    for t in range(tri.n_tets):
-        for f in range(4):
-            t2, perm = tri.gluings[(t, f)]
-            out.append("glue %d %d %d %s"
-                       % (t, f, t2, "".join(str(v) for v in perm)))
+    perms = PERMS[tri.face_perm.reshape(-1)].tolist()
+    out.extend("glue %d %d %d %d%d%d%d" % (*divmod(face, 4), t2, *perm)
+               for face, (t2, perm)
+               in enumerate(zip(tri.face_tet.reshape(-1).tolist(), perms)))
     return "\n".join(out) + "\n"
 
 
@@ -411,12 +379,6 @@ def _members(ids):
     return [order[i:j] for i, j in zip([0] + stops, stops)]
 
 
-def edge_classes(tri):
-    """Partition the 6 * n_tets (tet, vertex pair) slots into edge orbits."""
-    return [EdgeClass(i, tuple((s // 6, VERTEX_PAIRS[s % 6]) for s in g))
-            for i, g in enumerate(_members(_edge_of(tri)))]
-
-
 def vertex_links(tri):
     """One VertexLink per vertex class: Euler characteristic, orientability.
 
@@ -442,11 +404,6 @@ def vertex_links(tri):
             for i, corners in enumerate(_members(link_of))]
 
 
-def is_cusped(tri):
-    """True when every vertex link has Euler characteristic zero."""
-    return all(link.euler_characteristic == 0 for link in vertex_links(tri))
-
-
 def incidence(tri):
     """The deterministic incidence index of a valid triangulation."""
     edge_of = _edge_of(tri)
@@ -462,79 +419,56 @@ def pachner_23(tri, face):
     """Replace the two tetrahedra sharing ``face`` by three around a new edge.
 
     ``face`` is a (tet, face index) pair; the move requires the face to be
-    shared by two distinct tetrahedra.
+    shared by two distinct tetrahedra.  The other tetrahedra keep their
+    order and vertex labels, and the three new ones N_0, N_1, N_2 come last.
+    With t0 = tet, f0 = face index, t1 its neighbour across the face and u
+    the other vertices of t0 in order, N_i has vertices 0 = f0 of t0, 1 =
+    the vertex of t1 off the face, 2 = u[i + 1] and 3 = u[i + 2] (indices
+    mod 3).  Its faces 2 and 3 are glued inside the bipyramid around the
+    new edge 01, and its faces 1 and 0 are the bipyramid's faces that t0
+    and t1 hold opposite u[i].
     """
     t0, f0 = face
-    if not (0 <= t0 < tri.n_tets and 0 <= f0 < 4):
+    n = tri.n_tets
+    if not (0 <= t0 < n and 0 <= f0 < 4):
         raise TriangulationError("invalid face (%d, %d)" % (t0, f0))
-    t1, f1, perm01 = tri.target(t0, f0)
+    t1 = int(tri.face_tet[t0, f0])
     if t1 == t0:
         raise TriangulationError(
             "unsupported self-gluing: face (%d, %d) is glued to the same "
             "tetrahedron" % (t0, f0))
-
-    u = sorted(v for v in range(4) if v != f0)       # equator labels in t0
-    v_img = [perm01[x] for x in u]                   # their labels in t1
-
-    # New tetrahedron N_i has labels 0 = apex of t0 (vertex f0),
-    # 1 = apex of t1 (vertex f1), 2 = equator u[i+1], 3 = equator u[i+2].
-    # phi[i]: N_i labels -> t0 labels;  psi[i]: N_i labels -> t1 labels.
-    phi = []
-    psi = []
-    for i in range(3):
-        a, b = u[(i + 1) % 3], u[(i + 2) % 3]
-        phi.append((f0, u[i], a, b))
-        psi.append((v_img[i], f1, perm01[a], perm01[b]))
-
-    # Renumbering: untouched tets keep their order, new tets at the end.
-    keep = [t for t in range(tri.n_tets) if t not in (t0, t1)]
-    renum = {t: i for i, t in enumerate(keep)}
-    new_base = len(keep)
-
-    # Old external boundary faces of the bipyramid -> (new tet, label map
-    # old-tet-labels -> new-tet-labels).
-    boundary = {}
-    for i in range(3):
-        boundary[(t0, u[i])] = (new_base + i, _invert(phi[i]))
-        boundary[(t1, v_img[i])] = (new_base + i, _invert(psi[i]))
-
-    gluings = {}
-
-    def reglue(new_t, new_f, old_t, old_f, to_old):
-        """Install the gluing for new face (new_t, new_f), which replaces the
-        old face (old_t, old_f); to_old maps new labels to old labels."""
-        tgt, tgt_perm = tri.gluings[(old_t, old_f)]
-        tgt_f = tgt_perm[old_f]
-        if (tgt, tgt_f) in boundary:
-            new_tgt, to_new = boundary[(tgt, tgt_f)]
-            gluings[(new_t, new_f)] = (new_tgt,
-                                       _compose(to_new, _compose(tgt_perm, to_old)))
-        else:
-            gluings[(new_t, new_f)] = (renum[tgt], _compose(tgt_perm, to_old))
-
-    for i in range(3):
-        # internal faces around the new central edge
-        j = (i + 1) % 3
-        gluings[(new_base + i, 2)] = (new_base + j, (0, 1, 3, 2))
-        gluings[(new_base + j, 3)] = (new_base + i, (0, 1, 3, 2))
-        # external faces: label 1 face came from t0, label 0 face from t1
-        reglue(new_base + i, 1, t0, u[i], phi[i])
-        reglue(new_base + i, 0, t1, v_img[i], psi[i])
-
-    for t in keep:
-        for f in range(4):
-            tgt, perm = tri.gluings[(t, f)]
-            tgt_f = perm[f]
-            if (tgt, tgt_f) in boundary:
-                new_tgt, to_new = boundary[(tgt, tgt_f)]
-                gluings[(renum[t], f)] = (new_tgt, _compose(to_new, perm))
-            elif tgt in (t0, t1):
-                raise TriangulationError(
-                    "gluing of (%d, %d) targets the move face" % (t, f))
-            else:
-                gluings[(renum[t], f)] = (renum[tgt], perm)
-
-    label = None
-    if tri.label:
-        label = "%s+23" % tri.label
-    return Triangulation(tri.n_tets + 1, gluings, label=label)
+    p01 = PERMS[tri.face_perm[t0, f0]]
+    u = np.array([v for v in range(4) if v != f0])
+    new = n - 2 + np.arange(3)
+    # home[t, f]: the tetrahedron of the result that holds old face (t, f),
+    # and the row of the map from the old tetrahedron's labels to its own
+    keep = np.isin(np.arange(n), (t0, t1), invert=True)
+    home_tet = np.full((n, 4), -1)
+    home_tet[keep] = np.arange(n - 2)[:, None]
+    home_perm = np.zeros((n, 4), dtype=np.int64)  # row 0 is the identity
+    # vertices 0..3 of N_i are f0, u[i], u[i + 1], u[i + 2] in t0's labels
+    # and, through p01, u[i], f0, u[i + 1], u[i + 2] in t1's
+    to_t0 = np.stack([np.full(3, f0), u, np.roll(u, -1), np.roll(u, -2)], 1)
+    to_t1 = p01[to_t0[:, [1, 0, 2, 3]]]
+    home_tet[t0, u] = home_tet[t1, p01[u]] = new
+    home_perm[t0, u] = _INVERSE[_DIGITS_ROW[to_t0 @ _DIGITS]]
+    home_perm[t1, p01[u]] = _INVERSE[_DIGITS_ROW[to_t1 @ _DIGITS]]
+    # every face but the two sides of the move face keeps its gluing, carried
+    # to the homes of both its sides
+    target, perm = tri.face_tet.reshape(-1), tri.face_perm.reshape(-1)
+    home_tet, home_perm = home_tet.reshape(-1), home_perm.reshape(-1)
+    old = np.setdiff1d(np.arange(4 * n), (4 * t0 + f0, 4 * t1 + p01[f0]))
+    back = 4 * target[old] + PERMS[perm[old], old % 4]
+    at = 4 * home_tet[old] + PERMS[home_perm[old], old % 4]
+    out_tet = np.empty(4 * n + 4, dtype=np.int64)
+    out_perm = np.empty_like(out_tet)
+    out_tet[at] = home_tet[back]
+    out_perm[at] = _COMPOSE[home_perm[back],
+                            _COMPOSE[perm[old], _INVERSE[home_perm[old]]]]
+    # face 2 of N_i is face 3 of N_(i + 1), by the permutation 0132
+    out_tet[4 * new + 2] = np.roll(new, -1)
+    out_tet[4 * new + 3] = np.roll(new, 1)
+    out_perm[4 * new + 2] = out_perm[4 * new + 3] = _DIGITS_ROW[132]
+    label = "%s+23" % tri.label if tri.label else None
+    return Triangulation(out_tet.reshape(-1, 4), out_perm.reshape(-1, 4),
+                         label)

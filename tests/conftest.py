@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import sys
@@ -8,6 +9,8 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from cuspforge import optimizer, polytope, triangulation  # noqa: E402
+
+from helpers import face_lists  # noqa: E402
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -141,13 +144,19 @@ def flat_pins(*big):
             for t, b in enumerate(big) for k in range(6)}
 
 
+def movable_faces(tri):
+    """The faces (t, f), in order, shared by two distinct tetrahedra: those
+    a 2-3 move applies to."""
+    return [tuple(face) for face in np.argwhere(
+        tri.face_tet != np.arange(tri.n_tets)[:, None]).tolist()]
+
+
 def movable_face(tri):
     """First face shared by two distinct tetrahedra (2-3 move applicable)."""
-    for t in range(tri.n_tets):
-        for f in range(4):
-            if tri.gluings[(t, f)][0] != t:
-                return (t, f)
-    raise AssertionError("no movable face")
+    faces = movable_faces(tri)
+    if not faces:
+        raise AssertionError("no movable face")
+    return faces[0]
 
 
 def movable_chain(tri, n_moves):
@@ -161,9 +170,7 @@ def random_chain(tri, rng, n_moves):
     """``tri`` after ``n_moves`` 2-3 moves, each on a face drawn by ``rng``
     among those shared by two distinct tetrahedra."""
     for _ in range(n_moves):
-        faces = [(t, f) for t in range(tri.n_tets) for f in range(4)
-                 if tri.gluings[(t, f)][0] != t]
-        tri = triangulation.pachner_23(tri, rng.choice(faces))
+        tri = triangulation.pachner_23(tri, rng.choice(movable_faces(tri)))
     return tri
 
 
@@ -174,17 +181,29 @@ def property_chain(fig8, seed):
     return random_chain(fig8, rng, rng.randrange(7))
 
 
+def from_gluings(n_tets, gluings, label=None):
+    """The triangulation of ``n_tets`` tetrahedra with ``gluings``, a dict
+    (t, f) -> (target tet, permutation as a sequence), through its .tri text
+    and ``parse_triangulation``, which validates it."""
+    return triangulation.parse_triangulation(
+        "tri 1\ntets %d\n" % n_tets + "".join(
+            "glue %d %d %d %s\n" % (t, f, t2, "".join(map(str, perm)))
+            for (t, f), (t2, perm) in sorted(gluings.items())), label=label)
+
+
 def relabel(tri, rng):
     """``tri`` with its tetrahedra permuted and the vertices of each one
     relabeled, both drawn by ``rng``."""
     order = rng.sample(range(tri.n_tets), tri.n_tets)
     sigma = [rng.sample(range(4), 4) for _ in range(tri.n_tets)]
+    targets, perms = face_lists(tri)
     gluings = {}
-    for (t, f), (t2, perm) in tri.gluings.items():
+    for t, f in itertools.product(range(tri.n_tets), range(4)):
+        t2, perm = targets[t][f], perms[t][f]
         s, s2 = sigma[t], sigma[t2]
         gluings[(order[t], s[f])] = (
-            order[t2], tuple(s2[perm[s.index(w)]] for w in range(4)))
-    return triangulation.Triangulation(tri.n_tets, gluings, label=tri.label)
+            order[t2], [s2[perm[s.index(w)]] for w in range(4)])
+    return from_gluings(tri.n_tets, gluings, label=tri.label)
 
 
 def cyclic_cover(tri, cocycle, fold):
@@ -194,15 +213,17 @@ def cyclic_cover(tri, cocycle, fold):
     it, to k - cocycle[i]).  The cover is unbranched when the cocycle sums
     to zero around every edge class."""
     n = tri.n_tets
-    pairs = sorted(((t, f), (t2, perm[f]))
-                   for (t, f), (t2, perm) in tri.gluings.items()
-                   if (t, f) < (t2, perm[f]))
+    targets, perms = face_lists(tri)
+    faces = list(itertools.product(range(n), range(4)))
+    pairs = sorted(((t, f), (targets[t][f], perms[t][f][f]))
+                   for t, f in faces
+                   if (t, f) < (targets[t][f], perms[t][f][f]))
     shift = {}
     for (face, back), c in zip(pairs, cocycle, strict=True):
         shift[face], shift[back] = c, -c
     gluings = {}
     for k in range(fold):
-        for (t, f), (t2, perm) in tri.gluings.items():
+        for t, f in faces:
             k2 = (k + shift[(t, f)]) % fold
-            gluings[(k * n + t, f)] = (k2 * n + t2, perm)
-    return triangulation.Triangulation(fold * n, gluings, label=tri.label)
+            gluings[(k * n + t, f)] = (k2 * n + targets[t][f], perms[t][f])
+    return from_gluings(fold * n, gluings, label=tri.label)

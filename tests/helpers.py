@@ -12,12 +12,14 @@ and the Newton step.
 
 import math
 import warnings
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import null_space
 from scipy.optimize import linprog
+
+from cuspforge.triangulation import PERMS
 
 
 def lobachevsky_quadrature(theta):
@@ -30,12 +32,21 @@ def lobachevsky_quadrature(theta):
     return val
 
 
+def face_lists(tri):
+    """The gluings of ``tri`` as nested lists read from its face arrays:
+    face (t, f) is glued to tetrahedron targets[t][f] by the permutation
+    perms[t][f], which carries vertex v to perms[t][f][v]."""
+    return tri.face_tet.tolist(), PERMS[tri.face_perm].tolist()
+
+
 def orbit_edge_classes(tri):
     """Edge orbits by breadth-first search over the gluing-induced maps."""
     slots = [(t, p) for t in range(tri.n_tets)
              for p in combinations(range(4), 2)]
     neighbors = {s: set() for s in slots}
-    for (t, f), (t2, perm) in tri.gluings.items():
+    targets, perms = face_lists(tri)
+    for t, f in product(range(tri.n_tets), range(4)):
+        t2, perm = targets[t][f], perms[t][f]
         verts = [v for v in range(4) if v != f]
         for a, b in combinations(verts, 2):
             image = tuple(sorted((perm[a], perm[b])))
@@ -74,10 +85,11 @@ def _orbit(start, nbrs):
 def corner_classes(tri):
     """The vertex classes as sorted lists of corners (t, v), in order of
     their least corners: orbits of the corners across the glued faces."""
+    targets, perms = face_lists(tri)
+
     def neighbors(item):
         t, v = item
-        return [(tri.gluings[(t, f)][0], tri.gluings[(t, f)][1][v])
-                for f in range(4) if f != v]
+        return [(targets[t][f], perms[t][f][v]) for f in range(4) if f != v]
 
     seen = set()
     classes = []
@@ -100,13 +112,15 @@ def assemble_links(tri):
     cyclic order, and two triangles glued along a side are compatibly
     oriented when they traverse that side in opposite directions.
     """
+    targets, perms = face_lists(tri)
+
     def corner_neighbors(item):
         t, v, u = item
         out = []
         for f in range(4):
             if f in (v, u):
                 continue
-            t2, perm = tri.gluings[(t, f)]
+            t2, perm = targets[t][f], perms[t][f]
             out.append((t2, perm[v], perm[u]))
         return out
 
@@ -127,7 +141,7 @@ def assemble_links(tri):
                 if f == v:
                     continue
                 x, y = [u for u in range(4) if u not in (v, f)]
-                t2, perm = tri.gluings[(t, f)]
+                t2, perm = targets[t][f], perms[t][f]
                 other = (t2, perm[v])
                 want = -orient[(t, v)] * direction(v, x, y) \
                     * direction(perm[v], perm[x], perm[y])
@@ -146,7 +160,7 @@ def assemble_links(tri):
             for f in range(4):
                 if f == v:
                     continue
-                t2, perm = tri.gluings[(t, f)]
+                t2, perm = targets[t][f], perms[t][f]
                 sides.add(frozenset([(t, v, f), (t2, perm[v], perm[f])]))
         edges = len(sides)
         corner_set = {(t, v, u) for t, v in group for u in range(4) if u != v}

@@ -186,14 +186,14 @@ def test_criterion_10_entropy_inequality(capsys):
 
 
 def test_criterion_11_combinatorics(capsys, fig8):
-    classes = tr.edge_classes(fig8)
+    classes = tr.incidence(fig8).edges
     links = tr.vertex_links(fig8)
-    base_ok = (len(classes) == 2 and all(c.degree == 6 for c in classes)
+    base_ok = (len(classes) == 2 and all(len(c) == 6 for c in classes)
                and len(links) == 1 and links[0].euler_characteristic == 0
                and links[0].orientable)
     moved = tr.pachner_23(fig8, movable_face(fig8))
     moved_links = tr.vertex_links(moved)
-    move_ok = (moved.n_tets == 3 and len(tr.edge_classes(moved)) == 3
+    move_ok = (moved.n_tets == 3 and len(tr.incidence(moved).edges) == 3
                and sorted(l.euler_characteristic for l in moved_links)
                == sorted(l.euler_characteristic for l in links))
     chain = movable_chain(fig8, 5)

@@ -159,6 +159,24 @@ def test_solve_flat_complete_structure(capsys, flatten3_path):
     assert res["candidate_complete"] is True
 
 
+@pytest.mark.parametrize("name", ["fig8", "flatten3"])
+def test_solve_certifies_once(capsys, monkeypatch, request, name):
+    # flatten3's ascent pins tetrahedron 3 and certifies its converged point
+    # for the release rule; solve reports that certificate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return certify(*args, **kwargs)
+
+    certify = optimizer.certify
+    monkeypatch.setattr(optimizer, "certify", counted)
+    code, _, _ = run_json(capsys, "solve",
+                          request.getfixturevalue(name + "_path"))
+    assert code == cli.EXIT_OK
+    assert len(calls) == 1
+
+
 def test_solve_results_are_deterministic(capsys, fig8_path):
     _, rep1, _ = run_json(capsys, "solve", fig8_path, "--seed", "5")
     _, rep2, _ = run_json(capsys, "solve", fig8_path, "--seed", "5")

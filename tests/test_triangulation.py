@@ -3,13 +3,15 @@
 import random
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from cuspforge import optimizer, polytope
 from cuspforge import triangulation as tr
 
-from conftest import (GEO4_COCYCLE, GEO4_TEXT, cyclic_cover, movable_face,
-                      relabel)
+from conftest import (GEO4_COCYCLE, GEO4_TEXT, SELF_GLUED_TEXT, cyclic_cover,
+                      from_gluings, load_data, movable_chain, movable_face,
+                      movable_faces, relabel)
 from helpers import assemble_links, corner_classes, orbit_edge_classes
 
 
@@ -87,9 +89,6 @@ def test_huge_tetrahedron_count_is_unglued_not_allocated():
     with pytest.raises(tr.ParseError, match="unglued face \\(0, 2\\)") as exc:
         tr.parse_triangulation(text)
     assert exc.value.line == 2
-    with pytest.raises(tr.TriangulationError, match="unglued face"):
-        tr.Triangulation(10 ** 12, {(0, 0): (0, (1, 0, 3, 2)),
-                                    (0, 1): (0, (1, 0, 3, 2))})
 
 
 def test_parse_index_beyond_int64():
@@ -105,45 +104,46 @@ def test_parse_index_beyond_int64():
         tr.parse_triangulation(text)
 
 
-def test_validation_unglued_face():
-    with pytest.raises(tr.TriangulationError, match="unglued"):
-        tr.Triangulation(1, {(0, 0): (0, (1, 0, 3, 2))})
+# SELF_GLUED_TEXT as arrays, its permutation 1032 being row 7 of PERMS;
+# each case below breaks one gluing.
+SELF_GLUED_TET, SELF_GLUED_PERM = [[0] * 4], [[7] * 4]
 
 
-def test_validation_non_involutive():
-    gluings = {(0, f): (0, (1, 0, 3, 2)) for f in range(4)}
-    gluings[(0, 1)] = (0, (1, 0, 2, 3))  # breaks the 0 <-> 1 pairing
-    with pytest.raises(tr.TriangulationError, match="non-involutive"):
-        tr.Triangulation(1, gluings)
-
-
-def test_validation_face_glued_to_itself():
-    gluings = {(0, f): (0, (0, 1, 2, 3)) for f in range(4)}
-    with pytest.raises(tr.TriangulationError, match="itself"):
-        tr.Triangulation(1, gluings)
-
-
-def test_validation_bad_permutation():
-    gluings = {(0, f): (0, (1, 1, 3, 2)) for f in range(4)}
-    with pytest.raises(tr.TriangulationError, match="non-bijective"):
-        tr.Triangulation(1, gluings)
-
-
-def test_validation_bad_target_tet():
-    gluings = {(0, f): (5, (1, 0, 3, 2)) for f in range(4)}
-    with pytest.raises(tr.TriangulationError, match="nonexistent"):
-        tr.Triangulation(1, gluings)
+@pytest.mark.parametrize("face,tet,row,message", [
+    (2, 5, 7, "gluing of (0, 2) targets nonexistent tetrahedron 5"),
+    (0, 0, -1, "non-bijective permutation -1 at face (0, 0)"),
+    (0, 0, 24, "non-bijective permutation 24 at face (0, 0)"),
+    (0, 0, 0, "face (0, 0) glued to itself"),
+    (1, 0, 6, "non-involutive gluing at face (0, 0)"),  # 1023
+], ids=["bad-target", "non-bijective", "row-out-of-range", "self-glued",
+        "non-involutive"])
+def test_constructor_rejects_each_fault(face, tet, row, message):
+    face_tet, face_perm = np.array(SELF_GLUED_TET), np.array(SELF_GLUED_PERM)
+    assert tr.Triangulation(face_tet, face_perm) \
+        == tr.parse_triangulation(SELF_GLUED_TEXT)
+    face_tet[0, face], face_perm[0, face] = tet, row
+    with pytest.raises(tr.TriangulationError) as exc:
+        tr.Triangulation(face_tet, face_perm)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
 # edge classes and vertex links
 
+def _slot_orbits(tri):
+    """The oracle's edge orbits as ascending slot lists, by least slot."""
+    return sorted(sorted(6 * t + tr.VERTEX_PAIRS.index(pair) for t, pair in o)
+                  for o in orbit_edge_classes(tri))
+
+
+def _is_cusped(tri):
+    return all(l.euler_characteristic == 0 for l in tr.vertex_links(tri))
+
+
 def test_fig8_edge_classes(fig8):
-    classes = tr.edge_classes(fig8)
-    assert len(classes) == 2
-    assert all(c.degree == 6 for c in classes)
-    oracle = sorted(orbit_edge_classes(fig8), key=sorted)
-    assert sorted((frozenset(c.members) for c in classes), key=sorted) == oracle
+    edges = tr.incidence(fig8).edges
+    assert [len(e) for e in edges] == [6, 6]
+    assert [list(e) for e in edges] == _slot_orbits(fig8)
 
 
 def test_fig8_vertex_link_is_a_torus(fig8):
@@ -152,28 +152,23 @@ def test_fig8_vertex_link_is_a_torus(fig8):
     assert links[0].euler_characteristic == 0
     assert links[0].orientable
     assert len(links[0].corners) == 8
-    assert tr.is_cusped(fig8)
+    assert _is_cusped(fig8)
     assert assemble_links(fig8) == [(0, 8, True)]
 
 
 def test_doubled_combinatorics(doubled):
-    classes = tr.edge_classes(doubled)
-    assert len(classes) == 6
-    assert all(c.degree == 2 for c in classes)
-    oracle = sorted(orbit_edge_classes(doubled), key=sorted)
-    assert sorted((frozenset(c.members) for c in classes),
-                  key=sorted) == oracle
+    edges = tr.incidence(doubled).edges
+    assert [len(e) for e in edges] == [2] * 6
+    assert [list(e) for e in edges] == _slot_orbits(doubled)
     links = tr.vertex_links(doubled)
     assert [l.euler_characteristic for l in links] == [2, 2, 2, 2]
-    assert not tr.is_cusped(doubled)
+    assert not _is_cusped(doubled)
     assert sorted(assemble_links(doubled)) == [(2, 2, True)] * 4
 
 
 def test_self_glued_matches_oracles(self_glued):
-    classes = tr.edge_classes(self_glued)
-    oracle = sorted(orbit_edge_classes(self_glued), key=sorted)
-    assert sorted((frozenset(c.members) for c in classes),
-                  key=sorted) == oracle
+    assert [list(e) for e in tr.incidence(self_glued).edges] \
+        == _slot_orbits(self_glued)
     links = tr.vertex_links(self_glued)
     assert sorted((l.euler_characteristic, len(l.corners), l.orientable)
                   for l in links) == sorted(assemble_links(self_glued))
@@ -185,10 +180,8 @@ def test_gieseking_link_is_a_klein_bottle(gieseking):
     assert links[0].euler_characteristic == 0
     assert not links[0].orientable
     assert links[0].corners == tuple((0, v) for v in range(4))
-    assert tr.is_cusped(gieseking)
+    assert _is_cusped(gieseking)
     assert assemble_links(gieseking) == [(0, 4, False)]
-    classes = tr.edge_classes(gieseking)
-    assert [c.degree for c in classes] == [6]
     assert tr.incidence(gieseking).edges == (tuple(range(6)),)
 
 
@@ -203,7 +196,7 @@ def one_tetrahedron_gluings():
             for (f, f2), p in zip(pairing, chosen):
                 gluings[(0, f)] = (0, p)
                 gluings[(0, f2)] = (0, tuple(p.index(i) for i in range(4)))
-            yield tr.Triangulation(1, gluings)
+            yield from_gluings(1, gluings)
 
 
 def random_gluing(rng, n_tets):
@@ -216,12 +209,7 @@ def random_gluing(rng, n_tets):
         p[0], p[f] = p[f], p[0]
         gluings[(t, f)] = (t2, tuple(p))
         gluings[(t2, f2)] = (t, tuple(p.index(i) for i in range(4)))
-    return tr.Triangulation(n_tets, gluings)
-
-
-def _slot(member):
-    t, pair = member
-    return 6 * t + tr.PAIR_POSITION[pair]
+    return from_gluings(n_tets, gluings)
 
 
 def _check_against_oracles(tris):
@@ -236,9 +224,7 @@ def _check_against_oracles(tris):
         assert [list(l.corners) for l in links] == corner_classes(tri)
         non_orientable += not all(l.orientable for l in links)
         # edge class e is the e-th orbit by least slot
-        orbits = sorted(sorted(map(_slot, o)) for o in orbit_edge_classes(tri))
-        assert [[_slot(m) for m in c.members]
-                for c in tr.edge_classes(tri)] == orbits
+        orbits = _slot_orbits(tri)
         idx = tr.incidence(tri)
         assert [list(e) for e in idx.edges] == orbits
         assert idx.edge_of.tolist() == [e for _, e in sorted(
@@ -248,7 +234,7 @@ def _check_against_oracles(tris):
 
 def test_links_and_edges_match_oracles_on_one_tetrahedron_gluings():
     tris = list(one_tetrahedron_gluings())
-    assert len({tuple(sorted(tri.gluings.items())) for tri in tris}) == 108
+    assert len({tr.format_triangulation(tri) for tri in tris}) == 108
     assert _check_against_oracles(tris) > 0
 
 
@@ -262,10 +248,11 @@ def disjoint_union(tris):
     """The tetrahedra of ``tris`` side by side, numbered in turn."""
     gluings, base = {}, 0
     for tri in tris:
-        for (t, f), (t2, perm) in tri.gluings.items():
-            gluings[(base + t, f)] = (base + t2, perm)
+        for t, f in product(range(tri.n_tets), range(4)):
+            gluings[(base + t, f)] = (base + int(tri.face_tet[t, f]),
+                                      tr.PERMS[tri.face_perm[t, f]])
         base += tri.n_tets
-    return tr.Triangulation(base, gluings)
+    return from_gluings(base, gluings)
 
 
 def test_links_and_edges_match_oracles_on_larger_random_gluings():
@@ -284,7 +271,7 @@ def test_links_and_edges_match_oracles_on_a_large_cover():
     tri = relabel(cyclic_cover(base, GEO4_COCYCLE, 128), random.Random(2))
     assert tri.n_tets == 512
     assert _check_against_oracles([tri]) == 0
-    assert len(tr.edge_classes(tri)) == 512
+    assert len(tr.incidence(tri).edges) == 512
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +301,7 @@ def test_incidence_edge_partition(fig8_idx):
 def test_pachner_23_counts_and_links(fig8):
     moved = tr.pachner_23(fig8, movable_face(fig8))
     assert moved.n_tets == 3
-    assert len(tr.edge_classes(moved)) == 3
+    assert len(tr.incidence(moved).edges) == 3
     before = sorted(l.euler_characteristic for l in tr.vertex_links(fig8))
     after = sorted(l.euler_characteristic for l in tr.vertex_links(moved))
     assert before == after
@@ -349,4 +336,38 @@ def test_five_move_chain(fig8):
                           for l in tr.vertex_links(fig8))
     links_after = sorted(l.euler_characteristic for l in tr.vertex_links(tri))
     assert links_before == links_after
-    assert len(tr.edge_classes(tri)) == 7
+    assert len(tr.incidence(tri).edges) == 7
+
+
+def test_three_first_face_moves_give_flatten3(fig8):
+    # flatten3.tri was written from these moves: any change of labeling in
+    # the move shows here
+    assert movable_chain(fig8, 3) == load_data("flatten3")
+
+
+def _random_gluings():
+    rng = random.Random(23)
+    return [random_gluing(rng, rng.randint(4, 12)) for _ in range(20)]
+
+
+def test_pachner_23_adds_one_degree_three_edge_and_keeps_links(fig8):
+    tris = [fig8, tr.parse_triangulation(GEO4_TEXT)] + _random_gluings()
+    non_orientable = moves = 0
+    for tri in tris:
+        orbits = orbit_edge_classes(tri)
+        links = sorted((chi, orientable)
+                       for chi, _, orientable in assemble_links(tri))
+        non_orientable += not all(o for _, o in links)
+        for face in movable_faces(tri):
+            moved = tr.pachner_23(tri, face)
+            moves += 1
+            n = moved.n_tets
+            assert n == tri.n_tets + 1
+            after = orbit_edge_classes(moved)
+            assert len(after) == len(orbits) + 1
+            # the new edge 01 of the three new tetrahedra
+            assert frozenset((t, (0, 1)) for t in range(n - 3, n)) in after
+            assert sorted((chi, orientable) for chi, _, orientable
+                          in assemble_links(moved)) == links
+    assert non_orientable > 10
+    assert moves > 200
