@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from . import geometry, lobachevsky, optimizer, polytope, triangulation
+from . import lobachevsky, optimizer, polytope, triangulation
 from .triangulation import opposite_pair
 
 EXIT_OK = 0
@@ -276,6 +276,8 @@ def cmd_segment(args):
 
 
 def cmd_lemmas(args):
+    from . import geometry  # only this command needs it
+
     timer = _Timer()
     rng = np.random.default_rng(args.seed)
     worst = {

@@ -96,7 +96,7 @@ def build_constraints(idx):
     rows = np.column_stack([np.repeat(np.arange(n), 3),
                             n + edge_of[:, :3].ravel(),
                             n + edge_of[:, :2:-1].ravel()])
-    b = np.repeat([np.pi, 2.0 * np.pi], [n, len(idx.edges)])
+    b = np.repeat([np.pi, 2.0 * np.pi], [n, idx.n_edges])
     return LinearSystem(rows, b)
 
 

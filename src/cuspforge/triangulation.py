@@ -20,6 +20,7 @@ Vishkin, "An O(log n) parallel connectivity algorithm", J. Algorithms 3,
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -194,10 +195,18 @@ class Triangulation:
 
 @dataclass(frozen=True)
 class VertexLink:
+    """The link of vertex class ``id``.  ``corner_ids`` are the ids 4 t + v
+    of its corner triangles (t, v), ascending; ``corners``, the (t, v)
+    pairs, is built on first read."""
+
     id: int
     euler_characteristic: int
     orientable: bool
-    corners: tuple  # of (tet, vertex)
+    corner_ids: tuple
+
+    @cached_property
+    def corners(self):
+        return tuple(divmod(c, 4) for c in self.corner_ids)
 
 
 @dataclass(frozen=True, eq=False)  # an array field has no truth value
@@ -205,17 +214,25 @@ class IncidenceIndex:
     """Deterministic indexing of the (tet, edge) slots of a triangulation.
 
     Slot 6 t + k is edge VERTEX_PAIRS[k] of tetrahedron t.  ``edge_of[i]``
-    is the edge-class id of slot i (an integer array), and ``edges[e]`` the
-    slots of class e.
+    is the edge-class id of slot i (an integer array), ``n_edges`` the
+    number of classes, and ``edges[e]`` the slots of class e, built on
+    first read.
     """
 
     n_tets: int
     edge_of: np.ndarray
-    edges: tuple
 
     @property
     def size(self):
         return 6 * self.n_tets
+
+    @property
+    def n_edges(self):
+        return int(self.edge_of.max()) + 1
+
+    @cached_property
+    def edges(self):
+        return tuple(_members(self.edge_of))
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +258,43 @@ def _check_lines(glue, n_tets):
     return glued
 
 
+# The layout format_triangulation writes: no comment or blank line, single
+# spaces, "\n" ends, and indices without leading zeros of at most 18 digits,
+# so that int64 holds them.
+_INDEX = "(?:0|[1-9][0-9]{0,17})"
+_CANONICAL_RE = re.compile("tri 1\ntets (%s)\n((?:glue %s %s %s [0-3]{4}\n)*)"
+                           % ((_INDEX,) * 4))
+
+
 def parse_triangulation(text, label=None):
     """Parse gluing-format text (see the .tri format in the README).
+
+    Text in the canonical layout is read in one whole-text pass; any other
+    text, and any text with a fault, goes to the line parser, which names
+    the line of each error."""
+    m = _CANONICAL_RE.fullmatch(text)
+    if m is not None:
+        n_tets = int(m.group(1))
+        rows = np.fromstring(m.group(2).replace("glue", ""), dtype=np.int64,
+                             sep=" ").reshape(-1, 4)
+        t, f, t2, digits = rows.T
+        face = 4 * t + f
+        if (len(rows) == 4 * n_tets > 0 and (t < n_tets).all()
+                and (f < 4).all()
+                and (np.bincount(face, minlength=4 * n_tets) == 1).all()):
+            target = np.empty(4 * n_tets, dtype=np.int64)
+            perm = np.empty_like(target)
+            target[face] = t2
+            perm[face] = _DIGITS_ROW[digits]
+            with contextlib.suppress(TriangulationError):
+                return Triangulation(target.reshape(-1, 4),
+                                     perm.reshape(-1, 4), label)
+    return _parse_lines(text, label)
+
+
+def _parse_lines(text, label=None):
+    """Parse gluing-format text line by line: the whole grammar (comments,
+    blank lines, any whitespace and line ends), and every error message.
 
     Errors name their line; an unglued face names the ``tets`` line."""
     content = [(ln, stripped)
@@ -373,10 +425,10 @@ def _edge_of(tri):
 
 
 def _members(ids):
-    """The ascending positions holding each id, for ids 0..k-1."""
+    """For each id 0..k-1, the tuple of the ascending positions holding it."""
     order = np.argsort(ids, kind="stable").tolist()
     stops = np.cumsum(np.bincount(ids)).tolist()
-    return [order[i:j] for i, j in zip([0] + stops, stops)]
+    return [tuple(order[i:j]) for i, j in zip([0] + stops, stops)]
 
 
 def vertex_links(tri):
@@ -399,17 +451,15 @@ def vertex_links(tri):
     chi = (np.bincount(link_of[roots // 4], minlength=len(least))
            - np.bincount(link_of) // 2)
     orientable = signed[least, 0] != signed[least, 1]
-    return [VertexLink(i, int(chi[i]), bool(orientable[i]),
-                       tuple(divmod(c, 4) for c in corners))
-            for i, corners in enumerate(_members(link_of))]
+    return [VertexLink(i, int(chi[i]), bool(orientable[i]), corner_ids)
+            for i, corner_ids in enumerate(_members(link_of))]
 
 
 def incidence(tri):
     """The deterministic incidence index of a valid triangulation."""
     edge_of = _edge_of(tri)
     edge_of.flags.writeable = False
-    return IncidenceIndex(tri.n_tets, edge_of,
-                          tuple(map(tuple, _members(edge_of))))
+    return IncidenceIndex(tri.n_tets, edge_of)
 
 
 # ---------------------------------------------------------------------------

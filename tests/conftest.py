@@ -191,6 +191,19 @@ def from_gluings(n_tets, gluings, label=None):
             for (t, f), (t2, perm) in sorted(gluings.items())), label=label)
 
 
+def random_gluing(rng, n_tets):
+    """Faces paired at random, each pair glued by a random permutation."""
+    faces = [(t, f) for t in range(n_tets) for f in range(4)]
+    rng.shuffle(faces)
+    gluings = {}
+    for (t, f), (t2, f2) in zip(faces[::2], faces[1::2]):
+        p = [f2] + rng.sample([i for i in range(4) if i != f2], 3)
+        p[0], p[f] = p[f], p[0]
+        gluings[(t, f)] = (t2, tuple(p))
+        gluings[(t2, f2)] = (t, tuple(p.index(i) for i in range(4)))
+    return from_gluings(n_tets, gluings)
+
+
 def relabel(tri, rng):
     """``tri`` with its tetrahedra permuted and the vertices of each one
     relabeled, both drawn by ``rng``."""

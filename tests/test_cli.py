@@ -562,3 +562,12 @@ def test_cli_import_does_not_load_scipy(tmp_path, fig8_path, fig8_sys,
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == {name: False for name in ["import"] + [
         " ".join(map(os.path.basename, c)) for c in commands]}
+
+
+def test_cli_import_does_not_load_geometry():
+    # only lemmas uses geometry, and imports it when it runs
+    script = ("import sys, cuspforge.cli\n"
+              "sys.exit('cuspforge.geometry' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

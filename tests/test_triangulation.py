@@ -11,7 +11,7 @@ from cuspforge import triangulation as tr
 
 from conftest import (GEO4_COCYCLE, GEO4_TEXT, SELF_GLUED_TEXT, cyclic_cover,
                       from_gluings, load_data, movable_chain, movable_face,
-                      movable_faces, relabel)
+                      movable_faces, random_gluing, relabel)
 from helpers import assemble_links, corner_classes, orbit_edge_classes
 
 
@@ -199,19 +199,6 @@ def one_tetrahedron_gluings():
             yield from_gluings(1, gluings)
 
 
-def random_gluing(rng, n_tets):
-    """Faces paired at random, each pair glued by a random permutation."""
-    faces = [(t, f) for t in range(n_tets) for f in range(4)]
-    rng.shuffle(faces)
-    gluings = {}
-    for (t, f), (t2, f2) in zip(faces[::2], faces[1::2]):
-        p = [f2] + rng.sample([i for i in range(4) if i != f2], 3)
-        p[0], p[f] = p[f], p[0]
-        gluings[(t, f)] = (t2, tuple(p))
-        gluings[(t2, f2)] = (t, tuple(p.index(i) for i in range(4)))
-    return from_gluings(n_tets, gluings)
-
-
 def _check_against_oracles(tris):
     """Check links and edge classes, and their order, against the oracles;
     returns how many of the triangulations have a non-orientable link."""
@@ -227,6 +214,7 @@ def _check_against_oracles(tris):
         orbits = _slot_orbits(tri)
         idx = tr.incidence(tri)
         assert [list(e) for e in idx.edges] == orbits
+        assert idx.n_edges == len(orbits)
         assert idx.edge_of.tolist() == [e for _, e in sorted(
             (s, e) for e, slots in enumerate(orbits) for s in slots)]
     return non_orientable
