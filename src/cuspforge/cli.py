@@ -23,7 +23,6 @@ import time
 import numpy as np
 
 from . import lobachevsky, optimizer, polytope, triangulation
-from .triangulation import opposite_pair
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -60,16 +59,6 @@ def _positive_float(text):
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(
             "must be finite and positive, got %s" % text)
-    return value
-
-
-def _nonnegative_float(text):
-    """argparse type for injected errors: a negative or NaN perturbation
-    would hide the failure it is meant to provoke."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(
-            "must be finite and non-negative, got %s" % text)
     return value
 
 
@@ -279,57 +268,8 @@ def cmd_lemmas(args):
     from . import geometry  # only this command needs it
 
     timer = _Timer()
-    rng = np.random.default_rng(args.seed)
-    worst = {
-        "cosine_law_residual": 0.0,
-        "edge_length_sum_residual": 0.0,
-        "length_identity_spread": 0.0,
-        "triangle_slack_min": math.inf,
-        "sine_ratio_rel_spread": 0.0,
-        "entropy_lhs_max": -math.inf,
-    }
-    with timer.time("geometry"):
-        for _ in range(args.samples):
-            tet = geometry.random_decorated_tetrahedron(rng)
-            lengths = geometry.edge_lengths(tet)
-            arcs = geometry.horocycle_arcs(tet)
-            for face in range(4):
-                verts = [v for v in range(4) if v != face]
-                for v in verts:
-                    a, b = [w for w in verts if w != v]
-                    res = abs(lengths.of((a, b)) + math.log(arcs.of(face, a))
-                              + math.log(arcs.of(face, b)))
-                    worst["cosine_law_residual"] = max(
-                        worst["cosine_law_residual"], res)
-            for pair in triangulation.VERTEX_PAIRS:
-                u, v = pair
-                faces = opposite_pair(pair)
-                s = sum(math.log(arcs.of(f, u)) + math.log(arcs.of(f, v))
-                        for f in faces)
-                worst["edge_length_sum_residual"] = max(
-                    worst["edge_length_sum_residual"],
-                    abs(lengths.of(pair) + 0.5 * s))
-            rep = geometry.lemma24_report(tet)
-            spread = rep.spread + args.perturb
-            worst["length_identity_spread"] = max(
-                worst["length_identity_spread"], spread)
-            for v in range(4):
-                tri_rep = geometry.lemma25_check(tet, v)
-                worst["triangle_slack_min"] = min(
-                    worst["triangle_slack_min"], tri_rep.slack)
-            w = geometry.average_lengths(tet)
-            ratios = [math.sin(tet.angle_of(p_)) / math.exp(w.of(p_))
-                      for p_ in ((0, 1), (0, 2), (0, 3))]
-            rel = (max(ratios) - min(ratios)) / max(ratios)
-            worst["sine_ratio_rel_spread"] = max(
-                worst["sine_ratio_rel_spread"], rel)
-    with timer.time("entropy"):
-        for _ in range(args.samples):
-            x, y = rng.uniform(0.0, 10.0, size=2)
-            a, b = rng.uniform(0.0, 3.0, size=2)
-            c = math.log(math.exp(a) + math.exp(b)) + rng.uniform(0.0, 2.0)
-            rep = lobachevsky.entropy_inequality(x, y, a, b, c)
-            worst["entropy_lhs_max"] = max(worst["entropy_lhs_max"], rep.lhs)
+    worst = geometry.suite(np.random.default_rng(args.seed), args.samples,
+                           timer.time)
     checks = {
         "cosine_law": worst["cosine_law_residual"] < 1e-10,
         "edge_length_sum": worst["edge_length_sum_residual"] < 1e-10,
@@ -351,17 +291,16 @@ def cmd_lemmas(args):
 def cmd_move23(args):
     timer = _Timer()
     tri, idx, sys_ = _build(args.path, timer)
-    before_edges = len(idx.edges)
     with timer.time("move"):
         moved = triangulation.pachner_23(tri, (args.tet, args.face))
-    after_edges = len(triangulation.incidence(moved).edges)
     with open(args.out, "w") as fh:
         fh.write(triangulation.format_triangulation(
             moved, comment="2-3 move on face (%d, %d) of %s"
             % (args.tet, args.face, os.path.basename(args.path))))
     results = {
-        "before": {"tets": tri.n_tets, "edge_classes": before_edges},
-        "after": {"tets": moved.n_tets, "edge_classes": after_edges},
+        "before": {"tets": tri.n_tets, "edge_classes": idx.n_edges},
+        "after": {"tets": moved.n_tets,
+                  "edge_classes": triangulation.incidence(moved).n_edges},
         "out": args.out,
     }
     _emit("move23", [args.path], _default_seed(), results, timer)
@@ -375,8 +314,8 @@ def cmd_check(args):
         links = triangulation.vertex_links(tri)
     results = {
         "tets": tri.n_tets,
-        "edge_classes": [{"id": e, "degree": len(members)}
-                         for e, members in enumerate(idx.edges)],
+        "edge_classes": [{"id": e, "degree": degree} for e, degree
+                         in enumerate(np.bincount(idx.edge_of).tolist())],
         "vertex_links": [{
             "id": l.id,
             "euler_characteristic": l.euler_characteristic,
@@ -442,8 +381,6 @@ def build_parser():
     p = add("lemmas", cmd_lemmas, help="run the geometry sampling suites")
     p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--perturb", type=_nonnegative_float, default=0.0,
-                   help="inject a length-identity error (suite self-test)")
 
     p = add("move23", cmd_move23, help="apply a 2-3 move and write the result")
     p.add_argument("path")

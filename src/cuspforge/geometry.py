@@ -1,234 +1,192 @@
 """Decorated ideal hyperbolic tetrahedra in the upper half-space model.
 
-A tetrahedron with dihedral angles (alpha, beta, gamma), positive and summing
-to pi, is realized with ideal vertices at infinity, 0, 1 and the apex z of
-the Euclidean triangle on {0, 1} with angle alpha at 0 and beta at 1.
-Opposite edges carry equal dihedral angles; the pairs are
-
-    {inf-0, 1-z} -> alpha,   {inf-1, 0-z} -> beta,   {inf-z, 0-1} -> gamma.
+A batch of k tetrahedra is two arrays: the dihedral angles (k, 3), positive
+and summing to pi, on the opposite edge pairs 01|23, 02|13, 03|12 (the order
+of ``polytope``'s angle rows, so slot k carries angle ``PAIR_OF[k]``), and
+the decorations (k, 4).  Tetrahedron (alpha, beta, gamma) is realized with
+ideal vertices at infinity, 0, 1 and the apex z of the Euclidean triangle on
+{0, 1} with angle alpha at 0 and beta at 1.
 
 Vertex indices: 0 = infinity, 1 = 0, 2 = 1, 3 = z.  The decoration is one
 positive parameter per vertex: the Euclidean height of the horizontal
 horosphere at infinity, and the Euclidean diameter of the horosphere at each
 finite vertex.
+
+``suite`` samples random tetrahedra and reports the worst case of each
+identity behind the paper's flat case: the face cosine law and the arc
+relation, the length identity (W(e) - log sin theta(e) constant on a
+tetrahedron), the triangle inequality for e^W at each vertex, and the
+entropy inequality at flat points.
 """
 
 from __future__ import annotations
 
-import cmath
+import contextlib
 import math
-from dataclasses import dataclass
 
-from .triangulation import VERTEX_PAIRS, opposite_pair
+import numpy as np
 
-# pair -> index into (alpha, beta, gamma)
-PAIR_ANGLE = {
-    (0, 1): 0, (2, 3): 0,
-    (0, 2): 1, (1, 3): 1,
-    (0, 3): 2, (1, 2): 2,
-}
+from . import lobachevsky
+from .triangulation import PAIR_OF, VERTEX_PAIRS
 
 _SUM_TOL = 1e-12
 
+# ``suite`` draws and checks this many tetrahedra at a time, so that its
+# memory does not grow with the sample count.
+_BLOCK = 256
 
-@dataclass(frozen=True)
-class DecoratedTetrahedron:
-    angles: tuple          # (alpha, beta, gamma)
-    apex: complex          # the finite vertex z
-    decorations: tuple     # (height at inf, diameters at 0, 1, z)
-
-    def finite_points(self):
-        """Boundary-plane coordinates of vertices 1, 2, 3."""
-        return (0j, 1 + 0j, self.apex)
-
-    def angle_of(self, pair):
-        return self.angles[PAIR_ANGLE[tuple(sorted(pair))]]
-
-
-@dataclass(frozen=True)
-class EdgeLengths:
-    lengths: dict  # pair -> signed length
-
-    def of(self, pair):
-        return self.lengths[tuple(sorted(pair))]
+# The ends a < b of each slot's edge.
+_A, _B = np.array(VERTEX_PAIRS).T
+# The two faces that hold slot k's edge: the vertices of the opposite edge,
+# slot 5 - k.
+_FACES_ON = np.array(VERTEX_PAIRS[::-1])
+# The three slots at each vertex, ascending.
+_AT = np.array([[k for k, pair in enumerate(VERTEX_PAIRS) if v in pair]
+                for v in range(4)])
+# The twelve (face, vertex) pairs with vertex != face, and the face's other
+# two vertices q < r.
+_FACE, _VERT = np.nonzero(~np.eye(4, dtype=bool))
+_Q, _R = np.array([[u for u in range(4) if u not in (f, v)]
+                   for f, v in zip(_FACE, _VERT)]).T
 
 
-@dataclass(frozen=True)
-class AverageLengths:
-    w: dict  # pair -> average length, constant on opposite pairs
+class Tetrahedra:
+    """A batch of k decorated tetrahedra and their closed forms.
 
-    def of(self, pair):
-        return self.w[tuple(sorted(pair))]
+    ``apex`` (k,) is z; ``lengths`` (k, 6) the signed horosphere-to-horosphere
+    distances along the edges, in ``VERTEX_PAIRS`` slot order; ``average``
+    (k, 6) is W(e) = (L(e) + L(e')) / 2 over e and its opposite edge e';
+    ``arcs`` (k, 4, 4) the horocyclic arc on face f at vertex v, NaN where
+    v == f.
 
-
-@dataclass(frozen=True)
-class HorocycleData:
-    arcs: dict  # (face, vertex) -> horocyclic arc length
-
-    def of(self, face, vertex):
-        return self.arcs[(face, vertex)]
-
-
-@dataclass(frozen=True)
-class Lemma24Report:
-    constant: float
-    spread: float
-
-
-@dataclass(frozen=True)
-class Lemma25Report:
-    lhs: float
-    rhs: float
-    satisfied: bool
-    slack: float  # worst normalized slack over the three orderings
-
-
-def tetrahedron_from_angles(alpha, beta, gamma, decorations=(1.0, 1.0, 1.0, 1.0)):
-    """The geometric realization of an angled tetrahedron, default decoration."""
-    for v in (alpha, beta, gamma):
-        if not v > 0.0:
-            raise ValueError("dihedral angles must be positive, got %g" % v)
-    if abs(alpha + beta + gamma - math.pi) > _SUM_TOL:
-        raise ValueError("dihedral angles must sum to pi (off by %g)"
-                         % (alpha + beta + gamma - math.pi))
-    r = math.sin(beta) / math.sin(gamma)
-    apex = r * cmath.exp(1j * alpha)
-    tet = DecoratedTetrahedron((float(alpha), float(beta), float(gamma)),
-                               apex, (1.0, 1.0, 1.0, 1.0))
-    if decorations != (1.0, 1.0, 1.0, 1.0):
-        tet = set_decoration(tet, decorations)
-    return tet
-
-
-def set_decoration(tet, params):
-    """Replace the four horosphere parameters; geometry unchanged."""
-    params = tuple(float(v) for v in params)
-    if len(params) != 4:
-        raise ValueError("need exactly four decoration parameters")
-    for v in params:
-        if not v > 0.0:
-            raise ValueError("decoration parameters must be positive, got %g" % v)
-    return DecoratedTetrahedron(tet.angles, tet.apex, params)
-
-
-def dihedral_angles(tet):
-    """Re-extract (alpha, beta, gamma) from the apex triangle geometry."""
-    z = tet.apex
-    alpha = abs(cmath.phase(z))
-    beta = abs(cmath.phase((z - 1) / (0 - 1)))
-    gamma = abs(cmath.phase((0 - z) / (1 - z)))
-    return (alpha, beta, gamma)
-
-
-def edge_lengths(tet):
-    """Signed horosphere-to-horosphere distances along the six edges.
-
-    Vertical edge from infinity (plane height h) to a finite vertex of
-    diameter d has length log(h / d); the edge between finite vertices p, q
-    has length log(|p - q|^2 / (d_p d_q)).
+    In the half-space model the edge between finite vertices p, q has length
+    log(|p - q|^2 / (d_p d_q)), and the arc at p on the face with q, r is
+    d_p |q - r| / (|p - q| |p - r|).  Infinity takes part in both closed
+    forms with parameter 1 / h and chord 1 to every finite vertex: that gives
+    log(h / d) on a vertical edge, |p - q| / h at infinity and d_p / |p - q|
+    at a finite vertex of a vertical face.
     """
-    h = tet.decorations[0]
-    pts = tet.finite_points()
-    diam = tet.decorations[1:]
-    lengths = {}
-    for pair in VERTEX_PAIRS:
-        a, b = pair
-        if a == 0:
-            lengths[pair] = math.log(h / diam[b - 1])
-        else:
-            dist = abs(pts[a - 1] - pts[b - 1])
-            lengths[pair] = math.log(dist * dist / (diam[a - 1] * diam[b - 1]))
-    return EdgeLengths(lengths)
+
+    def __init__(self, angles, decorations=None):
+        angles = np.array(angles, dtype=float, ndmin=2)
+        if angles.ndim != 2 or angles.shape[1] != 3:
+            raise ValueError("need three dihedral angles per tetrahedron")
+        if not (angles > 0.0).all():
+            raise ValueError("dihedral angles must be positive, got %g"
+                             % angles.min())
+        off = abs(angles.sum(axis=1) - math.pi).max()
+        if off > _SUM_TOL:
+            raise ValueError("dihedral angles must sum to pi (off by %g)"
+                             % off)
+        k = len(angles)
+        if decorations is None:
+            decorations = np.ones((k, 4))
+        decorations = np.array(decorations, dtype=float, ndmin=2)
+        if decorations.shape != (k, 4):
+            raise ValueError("need exactly four decoration parameters")
+        if not (decorations > 0.0).all():
+            raise ValueError("decoration parameters must be positive, got %g"
+                             % decorations.min())
+        alpha, beta, gamma = angles.T
+        apex = np.sin(beta) / np.sin(gamma) * np.exp(1j * alpha)
+        points = np.stack([np.zeros(k), np.ones(k), apex], axis=1)
+        chord = np.ones((k, 4, 4))
+        chord[:, 1:, 1:] = abs(points[:, :, None] - points[:, None, :])
+        size = np.concatenate([1.0 / decorations[:, :1], decorations[:, 1:]],
+                              axis=1)
+        self.angles, self.decorations, self.apex = angles, decorations, apex
+        self.lengths = np.log(chord[:, _A, _B] ** 2
+                              / (size[:, _A] * size[:, _B]))
+        self.average = 0.5 * (self.lengths + self.lengths[:, ::-1])
+        self.arcs = np.full((k, 4, 4), np.nan)
+        self.arcs[:, _FACE, _VERT] = (size[:, _VERT] * chord[:, _Q, _R]
+                                      / (chord[:, _VERT, _Q]
+                                         * chord[:, _VERT, _R]))
 
 
-def horocycle_arcs(tet):
-    """The twelve horocyclic arcs cut out on the four face triangles.
+def length_identity(tets, min_angle=1e-6):
+    """The per-tetrahedron constant of W(e) - log sin(theta(e)) and the worst
+    deviation of the six edges from it, as two (k,) arrays.
 
-    Closed forms in the half-space model: on a face containing infinity with
-    finite vertices p, q the arc at infinity is |p - q| / h and the arc at p
-    is d_p / |p - q|; on the all-finite face the arc at p is
-    d_p |q - r| / (|p - q| |p - r|).
+    The decorated-tetrahedron length identity says the spread is zero.
     """
-    h = tet.decorations[0]
-    pts = tet.finite_points()
-    diam = tet.decorations[1:]
-    arcs = {}
-    for face in range(4):
-        verts = [v for v in range(4) if v != face]
-        if face == 0:
-            # all-finite face {1, 2, 3}
-            for v in verts:
-                q, r = [w for w in verts if w != v]
-                pv, pq, pr = pts[v - 1], pts[q - 1], pts[r - 1]
-                arcs[(face, v)] = (diam[v - 1] * abs(pq - pr)
-                                   / (abs(pv - pq) * abs(pv - pr)))
-        else:
-            a, b = [v for v in verts if v != 0]
-            chord = abs(pts[a - 1] - pts[b - 1])
-            arcs[(face, 0)] = chord / h
-            arcs[(face, a)] = diam[a - 1] / chord
-            arcs[(face, b)] = diam[b - 1] / chord
-    return HorocycleData(arcs)
-
-
-def average_lengths(tet):
-    """W(e) = (L(e) + L(e')) / 2, constant on opposite edge pairs."""
-    lengths = edge_lengths(tet)
-    w = {}
-    for pair in VERTEX_PAIRS:
-        opp = opposite_pair(pair)
-        w[pair] = 0.5 * (lengths.of(pair) + lengths.of(opp))
-    return AverageLengths(w)
-
-
-def lemma24_report(tet, min_angle=1e-6):
-    """Spread of W(e) - log sin(theta(e)) across the three opposite pairs.
-
-    The decorated-tetrahedron length identity says this difference is a
-    per-tetrahedron constant; ``spread`` is the worst deviation from its mean.
-    """
-    if min(tet.angles) < min_angle:
+    if tets.angles.min() < min_angle:
         raise ValueError("near-flat tetrahedron (angle below %g)" % min_angle)
-    w = average_lengths(tet)
-    ds = []
-    for pair in ((0, 1), (0, 2), (0, 3)):
-        theta = tet.angle_of(pair)
-        ds.append(w.of(pair) - math.log(abs(math.sin(theta))))
-    constant = sum(ds) / 3.0
-    spread = max(abs(d - constant) for d in ds)
-    return Lemma24Report(constant, spread)
+    d = tets.average - np.log(np.sin(tets.angles[:, PAIR_OF]))
+    constant = d.mean(axis=1)
+    return constant, abs(d - constant[:, None]).max(axis=1)
 
 
-def lemma25_check(tet, vertex, tol=1e-12):
-    """Triangle inequality for exponentiated average lengths at a vertex.
+def triangle_slack(tets):
+    """The triangle inequality for e^W at each vertex, as a (k, 4) array.
 
-    For the three edges e_1, e_2, e_3 at ``vertex``, checks
-    e^W(e_i) + e^W(e_j) >= e^W(e_k) for all orderings; the reported lhs/rhs
-    are for the tightest ordering, and slack is normalized by the largest
-    term.
+    For the three edges at a vertex, the slack is the worst of
+    e^W(e_i) + e^W(e_j) - e^W(e_k) over the orderings, normalized by the
+    largest term; the inequality holds when it is not negative.
     """
-    if not 0 <= vertex < 4:
-        raise ValueError("vertex index out of range")
-    w = average_lengths(tet)
-    exps = [math.exp(w.of(tuple(sorted((vertex, u)))))
-            for u in range(4) if u != vertex]
-    top = max(exps)
-    worst = None
-    for k in range(3):
-        lhs = sum(exps) - exps[k]
-        rhs = exps[k]
-        slack = (lhs - rhs) / top
-        if worst is None or slack < worst[2]:
-            worst = (lhs, rhs, slack)
-    lhs, rhs, slack = worst
-    return Lemma25Report(lhs, rhs, bool(slack >= -tol), slack)
+    terms = np.exp(tets.average[:, _AT])
+    top = terms.max(axis=2)
+    return (terms.sum(axis=2) - 2.0 * top) / top
 
 
-def random_decorated_tetrahedron(rng, min_angle=1e-3):
-    """Random non-flat decorated tetrahedron for sampling suites."""
-    while True:
-        raw = rng.dirichlet((1.0, 1.0, 1.0)) * math.pi
-        if min(raw) >= min_angle:
-            break
-    decorations = tuple(math.exp(rng.uniform(-1.2, 1.2)) for _ in range(4))
-    return tetrahedron_from_angles(raw[0], raw[1], raw[2], decorations)
+def random_tetrahedra(rng, k, min_angle=1e-3):
+    """k random non-flat decorated tetrahedra, drawn one at a time: Dirichlet
+    angles redrawn while one is below ``min_angle``, then four log-uniform
+    decorations."""
+    angles = np.empty((k, 3))
+    logs = np.empty((k, 4))
+    for i in range(k):
+        while True:
+            raw = rng.dirichlet((1.0, 1.0, 1.0)) * math.pi
+            if raw.min() >= min_angle:
+                break
+        angles[i] = raw
+        logs[i] = [rng.uniform(-1.2, 1.2) for _ in range(4)]
+    return Tetrahedra(angles, np.exp(logs))
+
+
+def suite(rng, samples, phase=contextlib.nullcontext):
+    """The worst case of each sampled identity, keyed as the ``lemmas``
+    report's ``worst``.
+
+    Draws ``samples`` tetrahedra in blocks of ``_BLOCK``, under
+    ``phase("geometry")``, then ``samples`` points of the entropy inequality
+    under ``phase("entropy")``.
+    """
+    worst = {
+        "cosine_law_residual": 0.0,
+        "edge_length_sum_residual": 0.0,
+        "length_identity_spread": 0.0,
+        "triangle_slack_min": math.inf,
+        "sine_ratio_rel_spread": 0.0,
+        "entropy_lhs_max": -math.inf,
+    }
+    with phase("geometry"):
+        for start in range(0, samples, _BLOCK):
+            tets = random_tetrahedra(rng, min(_BLOCK, samples - start))
+            # On each face f that holds edge ab, the cosine law
+            # L(ab) = -log arc(f, a) - log arc(f, b); the arc relation is
+            # its mean over the two faces.
+            log_arcs = np.log(tets.arcs)
+            face = (tets.lengths[:, :, None]
+                    + log_arcs[:, _FACES_ON, _A[:, None]]
+                    + log_arcs[:, _FACES_ON, _B[:, None]])
+            ratio = np.sin(tets.angles[:, PAIR_OF]) / np.exp(tets.average)
+            top = ratio.max(axis=1)
+            for key, value in (
+                    ("cosine_law_residual", abs(face).max()),
+                    ("edge_length_sum_residual", abs(face.mean(axis=2)).max()),
+                    ("length_identity_spread", length_identity(tets)[1].max()),
+                    ("sine_ratio_rel_spread",
+                     ((top - ratio.min(axis=1)) / top).max())):
+                worst[key] = max(worst[key], float(value))
+            worst["triangle_slack_min"] = min(
+                worst["triangle_slack_min"], float(triangle_slack(tets).min()))
+    with phase("entropy"):
+        for _ in range(samples):
+            x, y = rng.uniform(0.0, 10.0, size=2)
+            a, b = rng.uniform(0.0, 3.0, size=2)
+            c = math.log(math.exp(a) + math.exp(b)) + rng.uniform(0.0, 2.0)
+            rep = lobachevsky.entropy_inequality(x, y, a, b, c)
+            worst["entropy_lhs_max"] = max(worst["entropy_lhs_max"], rep.lhs)
+    return worst

@@ -18,17 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .triangulation import PAIR_OF
+
 ORDERING_CONVENTION = "tet-lex;edges=01,02,03,12,13,23"
 
 BOUNDARY_TOL = 1e-8  # at 0 or pi, and on the equalities, within this
 
-# Slot k of a tetrahedron, edge VERTEX_PAIRS[k], carries angle _PAIR_OF[k].
-_PAIR_OF = np.array([0, 1, 2, 2, 1, 0])
-
 
 def to_slots(theta):
     """The slot vector of an angle vector: both slots carry their angle."""
-    return np.asarray(theta, dtype=float).reshape(-1, 3)[:, _PAIR_OF].ravel()
+    return np.asarray(theta, dtype=float).reshape(-1, 3)[:, PAIR_OF].ravel()
 
 
 def to_angles(x):
@@ -40,7 +39,7 @@ def to_angles(x):
 def angle_of(slots):
     """The angle carried by each slot of ``slots``."""
     slots = np.asarray(slots, dtype=int)
-    return 3 * (slots // 6) + _PAIR_OF[slots % 6]
+    return 3 * (slots // 6) + PAIR_OF[slots % 6]
 
 
 @dataclass(frozen=True)

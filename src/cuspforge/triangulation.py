@@ -31,6 +31,9 @@ import numpy as np
 # The six edges of a tetrahedron as sorted vertex pairs, in the fixed order
 # used everywhere (incidence slots, angle vectors, reports).
 VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# Slot k, edge VERTEX_PAIRS[k], carries Casson-Rivin angle PAIR_OF[k], the
+# angle of its opposite edge pair k or 5 - k (01|23, 02|13, 03|12).
+PAIR_OF = np.array([0, 1, 2, 2, 1, 0])
 
 # The 24 permutations of 0..3 in lexicographic order.  A gluing's
 # permutation is held as its row here; _INVERSE is the row of the inverse,
@@ -69,12 +72,6 @@ _CORNER_LOCAL = 2 * _W + _S
 _CORNER_IMAGE = 2 * PERMS[:, _W] + (_S ^ (1 - _ODD[:, None, None]))
 # The two ends (a, b) and (b, a) of slot k, edge VERTEX_PAIRS[k] = (a, b).
 _SLOT_ENDS = np.array([(4 * a + b, 4 * b + a) for a, b in VERTEX_PAIRS])
-
-
-def opposite_pair(pair):
-    """The complementary vertex pair (the opposite edge in a tetrahedron)."""
-    a, b = pair
-    return tuple(v for v in range(4) if v not in (a, b))
 
 
 class TriangulationError(ValueError):

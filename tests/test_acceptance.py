@@ -145,26 +145,18 @@ def test_criterion_07_concavity(capsys, fig8_sys):
 
 
 def test_criterion_08_length_identity(capsys):
-    rng = np.random.default_rng(108)
-    worst = 0.0
-    for _ in range(1000):
-        tet = geometry.random_decorated_tetrahedron(rng)
-        worst = max(worst, geometry.lemma24_report(tet).spread)
+    tets = geometry.random_tetrahedra(np.random.default_rng(108), 1000)
+    worst = geometry.length_identity(tets)[1].max()
     ok = worst < 1e-9
     emit(capsys, 8, "length-identity", ok, "worst spread %.3g" % worst)
 
 
 def test_criterion_09_triangle_inequality(capsys):
-    rng = np.random.default_rng(109)
-    worst = math.inf
-    for _ in range(1000):
-        tet = geometry.random_decorated_tetrahedron(rng)
-        for v in range(4):
-            worst = min(worst, geometry.lemma25_check(tet, v).slack)
+    tets = geometry.random_tetrahedra(np.random.default_rng(109), 1000)
+    worst = geometry.triangle_slack(tets).min()
     eps = 1e-4
-    thin = geometry.tetrahedron_from_angles(eps, eps, math.pi - 2.0 * eps)
-    w = geometry.average_lengths(thin)
-    exps = sorted(math.exp(w.of(p)) for p in ((0, 1), (0, 2), (0, 3)))
+    thin = geometry.Tetrahedra([eps, eps, math.pi - 2.0 * eps])
+    exps = sorted(np.exp(thin.average[0, :3]))
     ratio = (exps[0] + exps[1]) / exps[2]
     ok = worst >= -1e-12 and 1.0 <= ratio <= 1.001
     emit(capsys, 9, "triangle-inequality", ok,

@@ -387,11 +387,37 @@ def test_lemmas_suite_passes(capsys):
     assert report["results"]["failing"] == []
 
 
-def test_lemmas_perturbation_self_test(capsys):
-    code, report, _ = run_json(capsys, "lemmas", "--samples", "10",
-                               "--perturb", "1.0")
+@pytest.mark.parametrize("attr,delta,broken", [
+    ("arcs", 1e-3, ["cosine_law", "edge_length_sum"]),
+    ("angles", 1e-3, ["length_identity", "sine_ratio"]),
+    ("average", 10.0, ["length_identity", "sine_ratio",
+                       "triangle_inequality"]),
+    ("entropy", None, ["entropy"]),
+], ids=["arcs", "angles", "average", "entropy"])
+def test_lemmas_perturbation_self_test(capsys, monkeypatch, attr, delta,
+                                       broken):
+    # a fault injected into what the suite computes fails its checks, and
+    # only those: a shift of column 0 of one array of every batch drawn, or
+    # an entropy inequality whose sign is flipped
+    from cuspforge import geometry, lobachevsky
+
+    if attr == "entropy":
+        entropy = lobachevsky.entropy_inequality
+        monkeypatch.setattr(lobachevsky, "entropy_inequality", lambda *a: (
+            lobachevsky.EntropyReport(-entropy(*a).lhs, False)))
+    else:
+        draw = geometry.random_tetrahedra
+
+        def faulty(*args):
+            tets = draw(*args)
+            getattr(tets, attr)[:, 0] += delta
+            return tets
+
+        monkeypatch.setattr(geometry, "random_tetrahedra", faulty)
+    code, report, _ = run_json(capsys, "lemmas", "--samples", "10")
     assert code == cli.EXIT_SUITE_FAILURE
-    assert "length_identity" in report["results"]["failing"]
+    validate_schema(report)
+    assert report["results"]["failing"] == broken
 
 
 def test_move23_writes_valid_file(capsys, fig8_path, tmp_path):
@@ -476,10 +502,8 @@ def test_zero_samples_is_a_usage_error(capsys, fig8_path, center_angles_path):
     (["solve", "FIG8", "--tol", "0"], "--tol"),
     (["solve", "FIG8", "--tol", "-1"], "--tol"),
     (["solve", "FIG8", "--tol", "inf"], "--tol"),
-    (["lemmas", "--samples", "3", "--perturb", "nan"], "--perturb"),
-    (["lemmas", "--samples", "3", "--perturb", "-1"], "--perturb"),
 ], ids=["max-iter=0", "starts=0", "starts=-3", "tol=nan", "tol=0", "tol=-1",
-        "tol=inf", "perturb=nan", "perturb=-1"])
+        "tol=inf"])
 def test_vacuous_or_endless_numeric_flag_is_a_usage_error(capsys, fig8_path,
                                                           argv, flag):
     with pytest.raises(SystemExit) as exc:
