@@ -140,15 +140,18 @@ def cmd_solve(args):
     if res.status == "empty-closure":
         _emit("solve", [args.path], args.seed, {"status": res.status}, timer)
         return EXIT_EMPTY_CLOSURE
+    # a run that stopped off the equalities has no certificate
+    membership = polytope.classify_membership(sys_, res.point)
     with timer.time("certify"):
         cert = res.certificate
-        if cert is None:
+        if cert is None and membership.kind != "infeasible":
             cert = optimizer.certify(sys_, res.point, fixed=res.face_fixed)
     with timer.time("classify"):
         classes = optimizer.classify_tetrahedra(res.point)
     tol = optimizer.COMPLETE_TOL
-    candidate = (res.status == "converged" and cert.signs_ok
-                 and cert.gradient_residual < tol and "invalid" not in classes
+    candidate = (res.status == "converged" and cert is not None
+                 and cert.signs_ok and cert.gradient_residual < tol
+                 and "invalid" not in classes
                  and all(abs(m) <= tol for _, m, _ in cert.margins))
     results = {
         "status": res.status,
@@ -161,13 +164,15 @@ def cmd_solve(args):
         "flat_tets": list(res.flat_tets),
         "active_set": sorted(res.active_set),
         "tetrahedra": classes,
-        "certificate": {
+        "certificate": None if cert is None else {
             "gradient_residual": cert.gradient_residual,
             "signs_ok": cert.signs_ok,
             "margins": cert.margins,
         },
         "candidate_complete": candidate,
     }
+    if membership.kind == "infeasible":
+        results["equality_violation"] = membership.equality_violation
     if probe is not None:
         results["multi_start"] = {
             "n_starts": args.starts,
@@ -253,14 +258,14 @@ def cmd_segment(args):
                   % (name, membership.equality_violation), file=sys.stderr)
             return EXIT_PARSE
     limit = lobachevsky.boundary_derivative_limit(p, q, memberships[0].flat)
+    t = np.arange(1, args.samples + 1) / (args.samples + 1)
+    f = 0.5 * lobachevsky.lobachevsky(polytope.segment(p, q, t)).sum(axis=1)
+    fp = lobachevsky.segment_derivative(p, q, t)
     out = sys.stdout
-    out.write("# one-sided derivative limit at t=0+: %.17g\n" % limit.value)
+    out.write("# one-sided derivative limit at t=0+: %.17g\n" % limit)
     out.write("t,f,fprime\n")
-    for k in range(args.samples):
-        t = (k + 1) / (args.samples + 1)
-        f = lobachevsky.volume(polytope.segment(p, q, t))
-        fp = lobachevsky.segment_derivative(p, q, t).value
-        out.write("%.17g,%.17g,%.17g\n" % (t, f, fp))
+    for row in zip(t, f, fp):
+        out.write("%.17g,%.17g,%.17g\n" % row)
     return EXIT_OK
 
 

@@ -7,12 +7,12 @@ and Horner in the sixth power, so an evaluation costs about twenty array
 operations whatever its size.  Volume is half the sum of Lobachevsky values
 over all slots; derivatives along segments use the difference vector
 a = q - p with the 0*log(0) convention, and the one-sided limit at a
-boundary point splits into a smooth part and an entropy part.
+boundary point is a smooth sum plus an entropy sum.  The derivative helpers
+and the entropy inequality take a batch and return an array, or a float for
+one input.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,95 +127,73 @@ def volume_gradient(x):
     return 0.5 * _neg_log_2sin(np.asarray(x, dtype=float))
 
 
-@dataclass(frozen=True)
-class SegmentDerivativeReport:
-    t: float
-    value: float
-    convention_terms: int
+def segment_derivative(p, q, t):
+    """d/dt of vol((1-t) p + t q) at interior t, a float or an array of t.
 
-
-@dataclass(frozen=True)
-class BoundaryLimitReport:
-    value: float
-    smooth_part: float
-    entropy_part: float
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    lhs: float
-    satisfied: bool
-
-
-def segment_derivative(p, q, t, reduced=True):
-    """d/dt of vol((1-t) p + t q) at interior t.
-
-    With ``reduced`` the log|sin| form is used (valid whenever the difference
-    vector sums to zero, i.e. for closure pairs); otherwise the raw
-    log|2 sin| form.  Slots with p_i = q_i in {0, pi} contribute zero by the
-    0*log(0) convention and are counted in ``convention_terms``.
+    With a = q - p this is -sum a log|sin| / 2 along the segment, the log 2
+    terms dropping since a sums to zero over each closure triple.  A slot
+    with a = 0 adds 0 * log max(|sin|, 1e-300) = 0, the 0 log 0 convention
+    where p_i = q_i sits at 0 or pi.
     """
-    if not 0.0 < t < 1.0:
-        raise ValueError("segment derivative needs t in (0, 1), got %g" % t)
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 < t) & (t < 1.0)):
+        raise ValueError("segment derivative needs t in (0, 1), got %s" % t)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     a = q - p
-    angles = (1.0 - t) * p + t * q
-    s = np.abs(np.sin(angles))
-    if not reduced:
-        s = 2.0 * s
-    zero_a = a == 0.0
-    with np.errstate(divide="ignore"):
-        terms = np.where(zero_a, 0.0, a * np.log(np.maximum(s, 1e-300)))
-    convention = int(np.count_nonzero(zero_a & (np.abs(np.sin(angles))
-                                                < _SIN_ZERO)))
-    return SegmentDerivativeReport(t, -0.5 * float(np.sum(terms)), convention)
+    s = np.abs(np.sin((1.0 - t[..., None]) * p + t[..., None] * q))
+    value = -0.5 * (a * np.log(np.maximum(s, 1e-300))).sum(axis=-1)
+    return value if t.ndim else float(value)
 
 
 def boundary_derivative_limit(p, q, flat):
-    """One-sided derivative limit of vol along the segment from p toward q.
+    """One-sided derivative limit of vol along the segment from p toward q,
+    a float for one q or an array for the rows of a (k, 6n) array.
 
-    ``flat`` is the set of slots where p sits at 0 or pi.  The limit value is
-    -(smooth_part + entropy_part) / 2 with smooth_part the a log|sin p| sum
-    over free slots and entropy_part the a log|a| sum over flat slots.  (The
-    log t contributions of the flat slots cancel within each flat tetrahedron
-    because the difference vector sums to zero over its triples.)
+    ``flat`` is the set of slots where p sits at 0 or pi.  The limit is
+    -(smooth + entropy) / 2 with smooth the a log|sin p| sum over free slots
+    and entropy the a log|a| sum over flat slots.  (The log t contributions
+    of the flat slots cancel within each flat tetrahedron because the
+    difference vector sums to zero over its triples.)
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     a = q - p
-    in_flat = np.isin(np.arange(p.size), list(flat))
+    in_flat = np.zeros(p.size, dtype=bool)
+    in_flat[list(flat)] = True
     s = np.abs(np.sin(p))
     bad = (~in_flat) & (s < _SIN_ZERO)
     if bad.any():
         raise ValueError(
             "inconsistent flat set: slot %d has angle at {0, pi} but is not "
             "marked flat" % int(np.argmax(bad)))
-    smooth = float(np.sum(np.where(in_flat, 0.0, a * np.log(np.maximum(s, 1e-300)))))
-    abs_a = np.abs(a)
-    with np.errstate(divide="ignore"):
-        ent_terms = np.where(in_flat & (abs_a > 0.0),
-                             a * np.log(np.maximum(abs_a, 1e-300)), 0.0)
-    entropy = float(np.sum(ent_terms))
-    return BoundaryLimitReport(-0.5 * (smooth + entropy), smooth, entropy)
+    weight = np.where(in_flat, 0.0, np.log(np.maximum(s, 1e-300)))
+    smooth = (a * weight).sum(axis=-1)
+    entropy = np.where(in_flat, a * np.log(np.maximum(np.abs(a), 1e-300)),
+                       0.0).sum(axis=-1)
+    value = -0.5 * (smooth + entropy)
+    return value if q.ndim > 1 else float(value)
 
 
-def entropy_inequality(x, y, a, b, c, tol=1e-12):
-    """The convexity inequality behind the flat-tetrahedron estimate.
+def entropy_inequality(x, y, a, b, c):
+    """The lhs of the convexity inequality behind the flat-tetrahedron
+    estimate, elementwise: a float, or an array for array arguments.
 
     For x, y >= 0 and decorations a, b, c with e^c >= e^a + e^b,
 
         (x+y) log(x+y) - x log x - y log y - (c-a) x - (c-b) y <= 0,
 
-    with 0 log 0 = 0.  ``satisfied`` is the lhs <= tol check; it carries no
-    guarantee when e^c < e^a + e^b.
+    with 0 log 0 = 0.  Nothing is claimed when e^c < e^a + e^b.
     """
-    for name, v in (("x", x), ("y", y), ("a", a), ("b", b), ("c", c)):
-        if v < 0.0:
-            raise ValueError("%s must be nonnegative, got %g" % (name, v))
+    args = np.array(np.broadcast_arrays(x, y, a, b, c), dtype=float)
+    for name, v in zip("xyabc", args):
+        if np.any(v < 0.0):
+            raise ValueError("%s must be nonnegative, got %g"
+                             % (name, v.min()))
+    x, y, a, b, c = args
 
     def xlogx(v):
-        return v * np.log(v) if v > 0.0 else 0.0
+        return v * np.log(np.where(v > 0.0, v, 1.0))
 
     lhs = xlogx(x + y) - xlogx(x) - xlogx(y) - (c - a) * x - (c - b) * y
-    return EntropyReport(float(lhs), bool(lhs <= tol))
+    return lhs if lhs.ndim else float(lhs)

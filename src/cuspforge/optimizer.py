@@ -41,6 +41,12 @@ _CENTRE_STEPS = 5
 _STALL_STEPS = 3
 # Signs of a reduced column's four edge-row entries in ``_Face.cols``.
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+# ``dominance_check``: a sample farther than _STRICT_DISTANCE from the point
+# (max norm) must have less volume, a nearer one at most _NEAR_GAP more, and
+# no one-sided derivative toward a sample may exceed _DIRECTIONAL_TOL.
+_STRICT_DISTANCE = 1e-4
+_NEAR_GAP = 1e-10
+_DIRECTIONAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,7 @@ class DominanceReport:
     all_dominated: bool
     worst_gap: float | None  # None when no sample is informative
     worst_directional: float
-    informative_samples: int  # samples farther than strict_distance
-    witness: np.ndarray | None = None
+    informative_samples: int  # samples farther than _STRICT_DISTANCE
 
 
 @dataclass(frozen=True)
@@ -311,11 +316,12 @@ def minimal_face(sys, pinned=None):
         if alpha in (0.0, 1.0) or alpha < last:
             break
         last = alpha
-    ip = polytope.interior_point(sys, pinned)
-    if ip.point is None:
+    found = polytope.interior_point(sys, pinned)
+    if found is None:
         return None
-    face = _Face(sys, ip.fixed)
-    return face, face.angles(ip.point)
+    x, fixed = found
+    face = _Face(sys, fixed)
+    return face, face.angles(x)
 
 
 def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
@@ -496,9 +502,9 @@ def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
     found = minimal_face(sys)
     starts = [None]
     if found is not None:
-        starts += polytope.sample_closure_points(
+        starts += list(polytope.sample_closure_points(
             sys, rng, n_starts - 1, polytope.to_slots(found[1]),
-            boundary_fraction=0.0)
+            boundary_fraction=0.0))
     results = tuple(_ascend(sys, found, start, tol, max_iter)
                     for start in starts)
     points = [r.point for r in results if r.point is not None]
@@ -508,17 +514,17 @@ def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
                                           r.point is not None), results)
 
 
-def dominance_check(sys, p, n_samples, seed=0, strict_distance=1e-4,
-                    directional_tol=1e-10):
+def dominance_check(sys, p, n_samples, seed=0):
     """Sampled verification that p dominates the closure.
 
     Checks vol(p) >= vol(q) for sampled closure points q (strictly when q is
-    farther than ``strict_distance``) and that every one-sided derivative
-    limit from p toward q is <= directional_tol.  The samples are rays from
-    the point of ``minimal_face``, which exists since p is in the closure.
-    ``worst_gap`` is the least vol(p) - vol(q) over the informative samples,
-    the ones farther than ``strict_distance``; None when there are none, as
-    at a closure that is a single point, where the check is vacuous.
+    farther than ``_STRICT_DISTANCE``) and that every one-sided derivative
+    limit from p toward q is <= ``_DIRECTIONAL_TOL``, all samples in one
+    array pass.  The samples are rays from the point of ``minimal_face``,
+    which exists since p is in the closure.  ``worst_gap`` is the least
+    vol(p) - vol(q) over the informative samples, the ones farther than
+    ``_STRICT_DISTANCE``; None when there are none, as at a closure that is
+    a single point, where the check is vacuous.
     """
     p = np.asarray(p, dtype=float)
     membership = polytope.classify_membership(sys, p)
@@ -528,18 +534,11 @@ def dominance_check(sys, p, n_samples, seed=0, strict_distance=1e-4,
     vp = lob.volume(p)
     samples = polytope.sample_closure_points(
         sys, rng, n_samples, polytope.to_slots(minimal_face(sys)[1]))
-    worst_gap, worst_dir, witness, informative = None, -np.inf, None, 0
-    for q in samples:
-        gap = vp - lob.volume(q)
-        far = float(np.linalg.norm(q - p, np.inf)) > strict_distance
-        if far:
-            informative += 1
-            worst_gap = gap if worst_gap is None else min(worst_gap, gap)
-        if (gap <= 0.0) if far else (gap < -1e-10):
-            witness = q
-        rep = lob.boundary_derivative_limit(p, q, membership.flat)
-        worst_dir = max(worst_dir, rep.value)
-        if rep.value > directional_tol and witness is None:
-            witness = q
-    return DominanceReport(witness is None, worst_gap, worst_dir, informative,
-                           witness)
+    gaps = vp - 0.5 * lob.lobachevsky(samples).sum(axis=1)
+    far = np.max(np.abs(samples - p), axis=1) > _STRICT_DISTANCE
+    limits = lob.boundary_derivative_limit(p, samples, membership.flat)
+    failed = (np.where(far, gaps <= 0.0, gaps < -_NEAR_GAP)
+              | (limits > _DIRECTIONAL_TOL))
+    return DominanceReport(
+        not failed.any(), float(gaps[far].min()) if far.any() else None,
+        float(limits.max(initial=-np.inf)), int(far.sum()))

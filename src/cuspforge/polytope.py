@@ -24,6 +24,9 @@ ORDERING_CONVENTION = "tet-lex;edges=01,02,03,12,13,23"
 
 BOUNDARY_TOL = 1e-8  # at 0 or pi, and on the equalities, within this
 
+# The sampler treats a direction, or an entry of one, below this as zero.
+_SAMPLE_ZERO = 1e-15
+
 
 def to_slots(theta):
     """The slot vector of an angle vector: both slots carry their angle."""
@@ -73,18 +76,7 @@ class LinearSystem:
 class Membership:
     kind: str  # "interior" | "boundary" | "infeasible"
     flat: frozenset = frozenset()  # the slots at 0 or pi
-    # the slot outside the box, or the violated equality: a row of the
-    # system, or past them n + N + a for angle a whose slots differ
-    witness: int | None = None
     equality_violation: float = 0.0
-
-
-@dataclass(frozen=True)
-class InteriorPointResult:
-    status: str  # "ok" | "empty-interior" | "empty-closure"
-    point: np.ndarray | None
-    min_slack: float
-    fixed: frozenset  # the slots the minimal face fixes at 0 or pi
 
 
 def build_constraints(idx):
@@ -119,18 +111,9 @@ def classify_membership(sys, x):
     if x.shape != (sys.dim,):
         raise ValueError("angle vector has length %d, expected %d"
                          % (x.size, sys.dim))
-    errors = np.abs(_equality_errors(sys, x))
-    worst = int(np.argmax(errors))
-    violation = float(errors[worst])
-    if violation > tol:
-        return Membership("infeasible", witness=worst,
-                          equality_violation=violation)
-    below = x < -tol
-    above = x > np.pi + tol
-    if below.any() or above.any():
-        witness = int(np.argmax(below | above))
-        return Membership("infeasible", witness=witness,
-                          equality_violation=violation)
+    violation = float(np.max(np.abs(_equality_errors(sys, x))))
+    if violation > tol or np.any((x < -tol) | (x > np.pi + tol)):
+        return Membership("infeasible", equality_violation=violation)
     at_bound = (x < tol) | (x > np.pi - tol)
     if at_bound.any():
         return Membership("boundary",
@@ -140,8 +123,9 @@ def classify_membership(sys, x):
 
 
 def interior_point(sys, pinned=None):
-    """A slot vector in the relative interior of the minimal face, and the
-    face's fixed slots, from the homogenised Freund-Roundy-Todd program
+    """``(x, fixed)``: a slot vector x in the relative interior of the
+    minimal face, and the slots the face fixes at 0 or pi; None when the
+    closure is empty.  From the homogenised Freund-Roundy-Todd program
 
         maximize sum t  subject to  A theta = b tau,  t_a <= theta_a,
         t_a <= pi tau - theta_a,  0 <= t_a <= 1,  tau >= 1.
@@ -151,8 +135,8 @@ def interior_point(sys, pinned=None):
     relative interior of the minimal face.  The closure is empty exactly
     when the program is infeasible.  ``pinned`` maps slots to 0 or pi and
     adds the rows theta_a = v tau for their angles, i.e. the minimal face of
-    the closure cut by those pins.  The status is "ok" when no slot outside
-    ``pinned`` is fixed and ``min_slack`` refers to those slots only.
+    the closure cut by those pins; the interior of the cut closure is empty
+    when ``fixed`` holds a slot outside ``pinned``.
     """
     import scipy.optimize
     import scipy.sparse
@@ -179,25 +163,21 @@ def interior_point(sys, pinned=None):
                                  A_eq=lhs, b_eq=np.zeros(lhs.shape[0]),
                                  bounds=bounds, method="highs")
     if not res.success:
-        return InteriorPointResult("empty-closure", None, -np.inf,
-                                   frozenset())
+        return None
     theta = res.x[:n] / res.x[-1]
     fixed = res.x[n:2 * n] < 0.5
     fixed[angle_of(slots)] = True
     theta[fixed] = np.pi * (theta[fixed] > 0.5 * np.pi)
-    x = to_slots(theta)
-    slacks = np.minimum(x, np.pi - x)
-    slacks[slots] = np.inf
-    slack = float(np.min(slacks)) if slots.size < x.size else 0.0
-    fixed = frozenset(np.flatnonzero(to_slots(fixed)).tolist())
-    return InteriorPointResult("ok" if slack > 0.0 else "empty-interior", x,
-                               slack, fixed)
+    return (to_slots(theta),
+            frozenset(np.flatnonzero(to_slots(fixed)).tolist()))
 
 
 def segment(p, q, t):
-    """The convex combination (1 - t) p + t q, t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("segment parameter %g outside [0, 1]" % t)
+    """The convex combination (1 - t) p + t q, t in [0, 1]; one row per t
+    for an array of t."""
+    t = np.asarray(t, dtype=float)[..., None]
+    if not np.all((0.0 <= t) & (t <= 1.0)):
+        raise ValueError("segment parameter %s outside [0, 1]" % t.ravel())
     return (1.0 - t) * np.asarray(p, dtype=float) + t * np.asarray(q, float)
 
 
@@ -208,7 +188,8 @@ def sample_closure_points(sys, rng, n_samples, start,
     ``boundary_fraction`` share goes all the way to the boundary.  Rays keep
     the angles where ``start`` sits at 0 or pi, so from a boundary point they
     sweep the face it lies in instead of stopping at once.  Their directions
-    are Gaussian on the null space of the free columns.
+    are Gaussian on the null space of the free columns.  Returns one
+    (n_samples, 6n) array, a sample per row.
     """
     theta = to_angles(start)[:, None]
     free = np.minimum(theta, np.pi - theta)[:, 0] > BOUNDARY_TOL
@@ -220,15 +201,16 @@ def sample_closure_points(sys, rng, n_samples, start,
     d = np.zeros((theta.size, n_samples))
     d[free] = basis @ rng.standard_normal((basis.shape[1], n_samples))
     norm = np.linalg.norm(d, axis=0)
-    d /= np.where(norm < 1e-15, np.inf, norm)
+    zero = norm < _SAMPLE_ZERO
+    d /= np.where(zero, np.inf, norm)
     with np.errstate(divide="ignore", invalid="ignore"):
-        reach = np.where(d > 1e-15, (np.pi - theta) / d, np.inf)
-        reach = np.where(d < -1e-15, -theta / d, reach)
+        reach = np.where(d > _SAMPLE_ZERO, (np.pi - theta) / d, np.inf)
+        reach = np.where(d < -_SAMPLE_ZERO, -theta / d, reach)
     # the largest alpha with theta + alpha d inside the box, 0 when d = 0
-    alpha = np.where(norm < 1e-15, 0.0, np.min(reach, axis=0, initial=np.inf))
+    alpha = np.where(zero, 0.0, np.min(reach, axis=0, initial=np.inf))
     to_box = rng.uniform(size=n_samples) < boundary_fraction
     t = np.where(to_box, alpha, alpha * rng.uniform(size=n_samples))
-    return [to_slots(x) for x in (theta + t * d).T]
+    return to_slots((theta + t * d).T).reshape(n_samples, sys.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ links, point-to-point hyperbolic distances for decorated edge lengths,
 box-bounded linear programs over a slot system built from those orbits and
 the vertex triples for the shape of the angle polytope, and dense
 least-squares solves in angle coordinates for the certificate's multipliers
-and the Newton step.
+and the Newton step.  The sampled checks, which score all their samples in
+one array pass, are checked against per-sample loops over the same draws.
 """
 
 import math
@@ -19,6 +20,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
+from cuspforge import lobachevsky, optimizer, polytope
 from cuspforge.triangulation import PERMS
 
 
@@ -368,3 +370,50 @@ def dense_newton_step(tri, face, ang):
     d[lin, face.q] = -sol[n_edges:]
     return d, a_edge.T @ lam, -float(r @ d_ab), float(np.max(np.abs(r),
                                                             initial=0.0))
+
+
+def interior_status(sys_, pinned=None):
+    """``closure_status`` from ``polytope.interior_point``: the interior of
+    the (pinned) closure is empty when its minimal face fixes a slot that is
+    not pinned."""
+    found = polytope.interior_point(sys_, pinned)
+    if found is None:
+        return "empty-closure"
+    return "empty-interior" if found[1] - set(pinned or ()) else "ok"
+
+
+def dominance_reference(sys_, p, n_samples, seed):
+    """``optimizer.dominance_check``'s report from one sample at a time:
+    the same draws, then each sample's volume and one-sided derivative limit
+    on their own, with the verdict and the worst values updated per sample.
+    A sample farther than 1e-4 (max norm) must have less volume than p, a
+    nearer one at most 1e-10 more, and no limit may exceed 1e-10."""
+    flat = polytope.classify_membership(sys_, p).flat
+    samples = polytope.sample_closure_points(
+        sys_, np.random.default_rng(seed), n_samples,
+        polytope.to_slots(optimizer.minimal_face(sys_)[1]))
+    vp = lobachevsky.volume(p)
+    ok, worst_gap, worst_dir, informative = True, None, -math.inf, 0
+    for q in samples:
+        gap = vp - lobachevsky.volume(q)
+        far = float(np.max(np.abs(q - p))) > 1e-4
+        if far:
+            informative += 1
+            worst_gap = gap if worst_gap is None else min(worst_gap, gap)
+        limit = lobachevsky.boundary_derivative_limit(p, q, flat)
+        worst_dir = max(worst_dir, limit)
+        ok = ok and (gap > 0.0 if far else gap >= -1e-10) and limit <= 1e-10
+    return optimizer.DominanceReport(ok, worst_gap, worst_dir, informative)
+
+
+def entropy_reference(rng, samples):
+    """The lemma suite's ``entropy_lhs_max`` from one sample at a time: x, y
+    uniform in [0, 10), a, b in [0, 3), and c up to 2 above
+    log(e^a + e^b)."""
+    worst = -math.inf
+    for _ in range(samples):
+        x, y = rng.uniform(0.0, 10.0, size=2)
+        a, b = rng.uniform(0.0, 3.0, size=2)
+        c = math.log(math.exp(a) + math.exp(b)) + rng.uniform(0.0, 2.0)
+        worst = max(worst, lobachevsky.entropy_inequality(x, y, a, b, c))
+    return worst

@@ -265,6 +265,35 @@ def test_solve_stall_exit_code(capsys, degenerate4_path):
     assert abs(res["volume"] - 1.7619532174) < 1e-8
 
 
+def test_solve_off_the_equalities_reports_and_exits_4(capsys, monkeypatch,
+                                                     fig8_path, fig8_sys,
+                                                     fig8_center):
+    # a stalled ascent whose inexact steps left the equalities: certify
+    # cannot run there, so the report says why and the exit is the status's
+    point = fig8_center.copy()
+    point[[0, 5]] += 1e-4  # one angle of tetrahedron 0, both its slots
+    stalled = optimizer.OptimizationResult(
+        point, 2.0, "stalled", (), frozenset(), 3e-4,
+        17, frozenset(), 40, None)
+    monkeypatch.setattr(optimizer, "maximize_volume",
+                        lambda *args, **kwargs: stalled)
+    code, out, err = run_cli(capsys, "solve", fig8_path)
+    assert code == cli.EXIT_NOT_CONVERGED
+    assert err == ""
+
+    def reject(constant):
+        raise ValueError("not strict JSON: " + constant)
+
+    report = json.loads(out, parse_constant=reject)
+    validate_schema(report)
+    res = report["results"]
+    assert res["status"] == "stalled"
+    assert res["certificate"] is None
+    assert res["candidate_complete"] is False
+    violation = polytope.classify_membership(fig8_sys, point)
+    assert res["equality_violation"] == violation.equality_violation > 1e-4
+
+
 def test_certify_center(capsys, fig8_path, center_angles_path):
     code, report, _ = run_json(capsys, "certify", fig8_path,
                                center_angles_path)
@@ -284,7 +313,7 @@ def test_certify_seed_is_recorded_but_inert(capsys, tmp_path, fig8_path,
     pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
     path = tmp_path / "face.json"
     path.write_text(polytope.angles_to_json(
-        polytope.interior_point(fig8_sys, pinned=pinned).point))
+        polytope.interior_point(fig8_sys, pinned=pinned)[0]))
     reports = [run_json(capsys, "certify", fig8_path, str(path),
                         "--seed", seed)[1] for seed in ("1", "2")]
     assert [r["seed"] for r in reports] == [1, 2]
@@ -346,7 +375,7 @@ def test_lambda_command(capsys):
 def test_segment_csv(capsys, fig8_path, tmp_path, fig8_sys, fig8_center):
     rng = np.random.default_rng(40)
     q = polytope.sample_closure_points(
-        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys).point,
+        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys)[0],
         boundary_fraction=0.0)[0]
     p_path = tmp_path / "p.json"
     q_path = tmp_path / "q.json"
@@ -403,8 +432,8 @@ def test_lemmas_perturbation_self_test(capsys, monkeypatch, attr, delta,
 
     if attr == "entropy":
         entropy = lobachevsky.entropy_inequality
-        monkeypatch.setattr(lobachevsky, "entropy_inequality", lambda *a: (
-            lobachevsky.EntropyReport(-entropy(*a).lhs, False)))
+        monkeypatch.setattr(lobachevsky, "entropy_inequality",
+                            lambda *a: -entropy(*a))
     else:
         draw = geometry.random_tetrahedra
 
@@ -554,7 +583,7 @@ def test_cli_import_does_not_load_scipy(tmp_path, fig8_path, fig8_sys,
     # tetrahedron 3 flat
     rng = np.random.default_rng(41)
     q = polytope.sample_closure_points(
-        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys).point,
+        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys)[0],
         boundary_fraction=0.0)[0]
     p_path, q_path = tmp_path / "p.json", tmp_path / "q.json"
     p_path.write_text(polytope.angles_to_json(fig8_center))

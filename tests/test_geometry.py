@@ -1,16 +1,18 @@
 """Decorated ideal tetrahedra: lengths, arcs, and the length identities."""
 
 import cmath
+import contextlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cuspforge import geometry, lobachevsky
+from cuspforge import geometry
 from cuspforge.triangulation import PAIR_OF, VERTEX_PAIRS
 
-from helpers import decorated_edge_length_oracle, halfspace_distance
+from helpers import (decorated_edge_length_oracle, entropy_reference,
+                     halfspace_distance)
 
 
 def test_construction_validates_angles():
@@ -187,13 +189,7 @@ def _one_at_a_time(rng, samples):
         worst["sine_ratio_rel_spread"] = max(
             worst["sine_ratio_rel_spread"],
             (max(ratios) - min(ratios)) / max(ratios))
-    for _ in range(samples):
-        x, y = rng.uniform(0.0, 10.0, size=2)
-        a, b = rng.uniform(0.0, 3.0, size=2)
-        c = math.log(math.exp(a) + math.exp(b)) + rng.uniform(0.0, 2.0)
-        worst["entropy_lhs_max"] = max(
-            worst["entropy_lhs_max"],
-            lobachevsky.entropy_inequality(x, y, a, b, c).lhs)
+    worst["entropy_lhs_max"] = entropy_reference(rng, samples)
     return worst
 
 
@@ -209,6 +205,25 @@ def test_suite_does_not_depend_on_block_boundaries(seed):
     assert worst.keys() == ref.keys()
     for key in ref:
         assert abs(worst[key] - ref[key]) <= 1e-15 * max(1.0, abs(ref[key]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 42, 999])
+def test_suite_entropy_matches_the_per_sample_draws(seed):
+    # the entropy phase, one call over all samples, against one draw and one
+    # check per sample from the generator's state where the phase begins
+    rng = np.random.default_rng(seed)
+    states = {}
+
+    @contextlib.contextmanager
+    def phase(name):
+        states[name] = rng.bit_generator.state
+        yield
+
+    worst = geometry.suite(rng, 1000, phase)["entropy_lhs_max"]
+    ref_rng = np.random.default_rng()
+    ref_rng.bit_generator.state = states["entropy"]
+    assert abs(worst - entropy_reference(ref_rng, 1000)) <= 1e-12
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_suite_memory_does_not_grow_with_samples():

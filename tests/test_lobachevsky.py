@@ -95,27 +95,15 @@ def test_volume_gradient_diverges_at_bounds():
 def test_segment_derivative_matches_finite_differences(fig8_sys):
     rng = np.random.default_rng(3)
     pts = polytope.sample_closure_points(
-        fig8_sys, rng, 8, start=polytope.interior_point(fig8_sys).point,
+        fig8_sys, rng, 8, start=polytope.interior_point(fig8_sys)[0],
         boundary_fraction=0.0)
     h = 1e-6
     for p, q in zip(pts[::2], pts[1::2]):
         for t in (0.25, 0.5, 0.75):
-            val = lob.segment_derivative(p, q, t).value
+            val = lob.segment_derivative(p, q, t)
             fd = (lob.volume(polytope.segment(p, q, t + h))
                   - lob.volume(polytope.segment(p, q, t - h))) / (2.0 * h)
             assert abs(val - fd) < 1e-7
-
-
-def test_segment_derivative_reduced_form_equivalent(fig8_sys):
-    # the difference vector of two closure points sums to zero over every
-    # triple, so dropping the log 2 factors changes nothing
-    rng = np.random.default_rng(4)
-    p, q = polytope.sample_closure_points(
-        fig8_sys, rng, 2, start=polytope.interior_point(fig8_sys).point,
-        boundary_fraction=0.0)
-    a = lob.segment_derivative(p, q, 0.4, reduced=True).value
-    b = lob.segment_derivative(p, q, 0.4, reduced=False).value
-    assert abs(a - b) < 1e-10
 
 
 def test_segment_derivative_rejects_endpoint_t():
@@ -128,23 +116,40 @@ def test_segment_derivative_rejects_endpoint_t():
 
 
 def test_segment_derivative_convention_terms():
+    # slots where p_i = q_i sits at 0 or pi add 0 log 0 = 0: the derivative
+    # is the one over the other slots, to the bit
     p = np.array([0.0, np.pi, 0.5, 1.0])
     q = np.array([0.0, np.pi, 0.7, 0.9])
-    rep = lob.segment_derivative(p, q, 0.5)
-    assert rep.convention_terms == 2
-    assert np.isfinite(rep.value)
+    t = np.array([0.1, 0.5, 0.9])
+    with_zeros = lob.segment_derivative(p, q, t)
+    assert np.all(np.isfinite(with_zeros))
+    np.testing.assert_array_equal(with_zeros,
+                                  lob.segment_derivative(p[2:], q[2:], t))
+
+
+def test_segment_derivative_of_a_t_array_is_one_per_t(fig8_sys):
+    rng = np.random.default_rng(4)
+    p, q = polytope.sample_closure_points(
+        fig8_sys, rng, 2, start=polytope.interior_point(fig8_sys)[0])
+    t = np.linspace(0.05, 0.95, 7)
+    batch = lob.segment_derivative(p, q, t)
+    assert batch.shape == t.shape
+    assert list(batch) == [lob.segment_derivative(p, q, s) for s in t]
+    with pytest.raises(ValueError):
+        lob.segment_derivative(p, q, np.array([0.5, 1.0]))
 
 
 def test_boundary_limit_interior_case_is_directional_derivative(fig8_sys):
     rng = np.random.default_rng(5)
     p, q = polytope.sample_closure_points(
-        fig8_sys, rng, 2, start=polytope.interior_point(fig8_sys).point,
+        fig8_sys, rng, 2, start=polytope.interior_point(fig8_sys)[0],
         boundary_fraction=0.0)
-    rep = lob.boundary_derivative_limit(p, q, frozenset())
-    assert abs(rep.entropy_part) == 0.0
+    limit = lob.boundary_derivative_limit(p, q, frozenset())
+    # no slot is flat: the smooth sum alone, the derivative at p
+    assert limit == -0.5 * np.sum((q - p) * np.log(np.abs(np.sin(p))))
     ts = [1e-3, 5e-4, 2.5e-4]
-    vals = [lob.segment_derivative(p, q, t).value for t in ts]
-    assert abs(rep.value - aitken_limit(vals)) < 1e-5
+    vals = [lob.segment_derivative(p, q, t) for t in ts]
+    assert abs(limit - aitken_limit(vals)) < 1e-5
 
 
 def test_boundary_limit_matches_extrapolated_derivative_flat_case():
@@ -153,10 +158,25 @@ def test_boundary_limit_matches_extrapolated_derivative_flat_case():
     p = np.array([0.0, 0.0, np.pi, 0.4, 0.6, np.pi - 1.0])
     q = np.array([0.3, 0.5, np.pi - 0.8, 0.5, 0.8, np.pi - 1.3])
     flat = frozenset({0, 1, 2})
-    rep = lob.boundary_derivative_limit(p, q, flat)
+    limit = lob.boundary_derivative_limit(p, q, flat)
     ts = [1e-4, 5e-5, 2.5e-5]
-    vals = [lob.segment_derivative(p, q, t).value for t in ts]
-    assert abs(rep.value - aitken_limit(vals)) < 1e-6
+    vals = [lob.segment_derivative(p, q, t) for t in ts]
+    assert abs(limit - aitken_limit(vals)) < 1e-6
+
+
+def test_boundary_limit_of_a_batch_is_row_by_row(degenerate4_sys):
+    # at the maximizer tetrahedra 0 and 3 are flat, so both sums take part
+    from cuspforge import optimizer
+    p = optimizer.maximize_volume(degenerate4_sys).point
+    flat = polytope.classify_membership(degenerate4_sys, p).flat
+    assert flat
+    qs = polytope.sample_closure_points(
+        degenerate4_sys, np.random.default_rng(8), 50,
+        polytope.interior_point(degenerate4_sys)[0])
+    batch = lob.boundary_derivative_limit(p, qs, flat)
+    assert batch.shape == (50,)
+    assert list(batch) == [lob.boundary_derivative_limit(p, q, flat)
+                           for q in qs]
 
 
 def test_boundary_limit_rejects_inconsistent_flat_set():
@@ -167,9 +187,9 @@ def test_boundary_limit_rejects_inconsistent_flat_set():
 
 
 def test_entropy_inequality_equality_case_exact():
-    rep = lob.entropy_inequality(1.0, 1.0, 0.0, 0.0, np.log(2.0))
-    assert abs(rep.lhs) < 1e-14
-    assert rep.satisfied
+    lhs = lob.entropy_inequality(1.0, 1.0, 0.0, 0.0, np.log(2.0))
+    assert isinstance(lhs, float)
+    assert abs(lhs) < 1e-14
 
 
 def test_entropy_inequality_random_samples():
@@ -178,10 +198,28 @@ def test_entropy_inequality_random_samples():
         x, y = rng.uniform(0.0, 10.0, size=2)
         a, b = rng.uniform(0.0, 3.0, size=2)
         c = np.log(np.exp(a) + np.exp(b)) + rng.uniform(0.0, 2.0)
-        rep = lob.entropy_inequality(x, y, a, b, c)
-        assert rep.satisfied, (x, y, a, b, c, rep.lhs)
+        lhs = lob.entropy_inequality(x, y, a, b, c)
+        assert lhs <= 1e-12, (x, y, a, b, c, lhs)
+
+
+def test_entropy_inequality_is_elementwise():
+    # arrays broadcast, 0 log 0 = 0 included, and each entry is the
+    # scalar call's value
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(0.0, 10.0, size=(2, 40))
+    x[:3] = 0.0
+    y[1:5] = 0.0
+    a, b = rng.uniform(0.0, 3.0, size=(2, 40))
+    c = np.log(np.exp(a) + np.exp(b)) + 0.5
+    lhs = lob.entropy_inequality(x, y, a, b, c)
+    assert lhs.shape == (40,)
+    assert list(lhs) == [lob.entropy_inequality(*args)
+                         for args in zip(x, y, a, b, c)]
+    assert lob.entropy_inequality(0.0, 0.0, 1.0, 1.0, 2.0) == 0.0
 
 
 def test_entropy_inequality_rejects_negative_arguments():
     with pytest.raises(ValueError):
         lob.entropy_inequality(-1.0, 1.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="b must be nonnegative"):
+        lob.entropy_inequality([1.0, 2.0], 1.0, 0.0, [0.5, -0.5], 1.0)

@@ -10,8 +10,9 @@ from cuspforge import optimizer, polytope, triangulation
 
 from conftest import (GEO4_COCYCLE, GEO4_TEXT, cyclic_cover, flat_pins,
                       load_data, movable_chain, property_chain, relabel)
-from helpers import (dense_newton_step, fixed_slots, lstsq_certificate,
-                     null_directions, slot_system)
+from helpers import (dense_newton_step, dominance_reference, fixed_slots,
+                     interior_status, lstsq_certificate, null_directions,
+                     slot_system)
 
 # Property-test seeds whose chain has a non-empty closure; the closure of
 # seed 0 is a single point.
@@ -37,7 +38,7 @@ def test_fig8_maximizer_is_regular(fig8_sys, fig8_optimum, fig8_center):
 def test_maximize_respects_custom_start(fig8_sys, fig8_center):
     rng = np.random.default_rng(30)
     start = polytope.sample_closure_points(
-        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys).point,
+        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys)[0],
         boundary_fraction=0.0)[0]
     assert np.max(np.abs(start - fig8_center)) > 1e-3
     res = optimizer.maximize_volume(fig8_sys, start=start)
@@ -86,11 +87,11 @@ def assert_pinned_face_matches_lp(sys_, pinned):
     # the LP oracle: the same fixed slots, and the point's slots at 0 or pi
     # are exactly those
     face, ang = optimizer.minimal_face(sys_, pinned)
-    ip = polytope.interior_point(sys_, pinned)
-    assert face.fixed == ip.fixed
+    _, fixed = polytope.interior_point(sys_, pinned)
+    assert face.fixed == fixed
     membership = polytope.classify_membership(sys_, polytope.to_slots(ang))
     assert membership.kind == "boundary"
-    assert membership.flat == ip.fixed
+    assert membership.flat == fixed
 
 
 @pytest.mark.parametrize("big, half, lps", [
@@ -213,7 +214,7 @@ def certify_points(sys_):
     rng = np.random.default_rng(33)
     res = optimizer.maximize_volume(sys_)
     assert res.status == "converged"
-    origin = polytope.interior_point(sys_).point
+    origin = polytope.interior_point(sys_)[0]
     inner, outer = (polytope.sample_closure_points(
         sys_, rng, 1, start=origin, boundary_fraction=fraction)[0]
         for fraction in (0.0, 1.0))
@@ -257,9 +258,9 @@ def test_certify_single_point_closure(fig8):
     # is free and nothing is fitted
     tri = property_chain(fig8, 0)
     sys_ = polytope.build_constraints(triangulation.incidence(tri))
-    ip = polytope.interior_point(sys_)
-    assert len(ip.fixed) == sys_.dim
-    cert = assert_fit_matches_dense(tri, sys_, ip.point)
+    point, fixed = polytope.interior_point(sys_)
+    assert len(fixed) == sys_.dim
+    cert = assert_fit_matches_dense(tri, sys_, point)
     assert cert.fit_iterations == 0
     assert cert.gradient_residual == 0.0
     assert not np.any(cert.multipliers)
@@ -288,9 +289,9 @@ def test_certify_boundary_point_finds_improving_direction(fig8_sys):
     # the polytope, so the sign check must fail there: the fitted values are
     # equal on the three angles, so the margin is -log 2
     pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
-    res = polytope.interior_point(fig8_sys, pinned=pinned)
-    assert res.status == "ok"
-    cert = optimizer.certify(fig8_sys, res.point)
+    point, fixed = polytope.interior_point(fig8_sys, pinned=pinned)
+    assert fixed == set(pinned)
+    cert = optimizer.certify(fig8_sys, point)
     assert not cert.signs_ok
     assert cert.membership == "boundary"
     [(tet, margin, face_fixed)] = cert.margins
@@ -303,10 +304,10 @@ def test_certify_rejects_a_movable_zero_angle(fig8_sys):
     # one angle of tetrahedron 0 at 0, the other two positive: the angle is
     # free over the closure, and moving it off 0 gains volume at an
     # unbounded rate
-    res = polytope.interior_point(fig8_sys, pinned={0: 0.0, 5: 0.0})
-    assert res.status == "ok"
-    assert optimizer.classify_tetrahedra(res.point)[0] == "invalid"
-    cert = optimizer.certify(fig8_sys, res.point)
+    point, fixed = polytope.interior_point(fig8_sys, pinned={0: 0.0, 5: 0.0})
+    assert fixed == {0, 5}
+    assert optimizer.classify_tetrahedra(point)[0] == "invalid"
+    cert = optimizer.certify(fig8_sys, point)
     assert not cert.signs_ok
     assert cert.margins == ()
     assert cert.rejected == ()
@@ -317,10 +318,11 @@ def sampled_signs_ok(sys_, p, n_samples=200):
     positive."""
     flat = polytope.classify_membership(sys_, p).flat
     rng = np.random.default_rng(0)
-    origin = polytope.interior_point(sys_).point
-    return all(lob.boundary_derivative_limit(p, q, flat).value <= 1e-8
-               for q in polytope.sample_closure_points(sys_, rng, n_samples,
-                                                       start=origin))
+    origin = polytope.interior_point(sys_)[0]
+    samples = polytope.sample_closure_points(sys_, rng, n_samples,
+                                             start=origin)
+    return bool(np.all(lob.boundary_derivative_limit(p, samples, flat)
+                       <= 1e-8))
 
 
 @pytest.mark.parametrize("seed, tet, zero, expected",
@@ -336,7 +338,7 @@ def test_certify_flat_tetrahedron_with_one_movable_angle(fig8, seed, tet,
     angles = np.full(3, np.pi)
     angles[[fixed, zero]] = 0.0
     pins = dict(enumerate(polytope.to_slots(angles), start=6 * tet))
-    p = polytope.interior_point(sys_, pinned=pins).point
+    p = polytope.interior_point(sys_, pinned=pins)[0]
     cert = optimizer.certify(sys_, p)
     assert [ff for t, _, ff in cert.margins if t == tet] == [False]
     assert cert.signs_ok is expected
@@ -350,8 +352,8 @@ def entropy_grid_max(f_a, f_b, f_c, n=20001):
     c - b = F_B - F_C."""
     k = max(f_a, f_b, f_c)
     a, b, c = k - f_a, k - f_b, k - f_c
-    return max(lob.entropy_inequality(x, 1.0 - x, a, b, c).lhs
-               for x in np.linspace(0.0, 1.0, n))
+    x = np.linspace(0.0, 1.0, n)
+    return float(lob.entropy_inequality(x, 1.0 - x, a, b, c).max())
 
 
 @pytest.mark.parametrize("case", ["pinned-fig8", "degenerate4", "flatten3"])
@@ -359,7 +361,7 @@ def test_margin_is_the_entropy_inequality_maximum(case, fig8_sys):
     if case == "pinned-fig8":
         sys_ = fig8_sys
         pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
-        p = polytope.interior_point(sys_, pinned=pinned).point
+        p = polytope.interior_point(sys_, pinned=pinned)[0]
     else:
         sys_ = polytope.build_constraints(
             triangulation.incidence(load_data(case)))
@@ -388,7 +390,8 @@ def test_dominance_at_optimum(fig8_sys, fig8_optimum):
     assert rep.all_dominated
     assert rep.worst_gap > 0.0
     assert rep.worst_directional <= 1e-10
-    assert rep.witness is None
+    assert rep.informative_samples == 200
+    assert rep == dominance_reference(fig8_sys, fig8_optimum.point, 200, 2)
 
 
 def test_dominance_rejected_at_non_optimum(fig8, fig8_sys, fig8_center):
@@ -396,7 +399,34 @@ def test_dominance_rejected_at_non_optimum(fig8, fig8_sys, fig8_center):
     perturbed = fig8_center + 0.2 * basis[:, 0]
     rep = optimizer.dominance_check(fig8_sys, perturbed, 200, seed=3)
     assert not rep.all_dominated
-    assert rep.witness is not None
+    assert rep.worst_gap <= 0.0 or rep.worst_directional > 1e-10
+    assert rep == dominance_reference(fig8_sys, perturbed, 200, 3)
+
+
+@pytest.mark.parametrize("n_samples, seed", [(1, 0), (50, 5), (1000, 9)])
+def test_dominance_matches_the_per_sample_loop(degenerate4_sys, n_samples,
+                                               seed):
+    # a maximizer with flat tetrahedra, where the limits take the entropy
+    # sum, and the centre of the face, where the near samples decide
+    res = optimizer.maximize_volume(degenerate4_sys)
+    centre = polytope.to_slots(optimizer.minimal_face(degenerate4_sys)[1])
+    for p in (res.point, centre):
+        assert (optimizer.dominance_check(degenerate4_sys, p, n_samples,
+                                          seed=seed)
+                == dominance_reference(degenerate4_sys, p, n_samples, seed))
+
+
+def test_dominance_scores_all_samples_in_one_call(fig8_sys, fig8_optimum,
+                                                 monkeypatch):
+    calls = []
+    for name in ("lobachevsky", "boundary_derivative_limit"):
+        def counted(*args, _name=name, _fn=getattr(lob, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(lob, name, counted)
+    optimizer.dominance_check(fig8_sys, fig8_optimum.point, 200, seed=2)
+    assert sorted(calls) == ["boundary_derivative_limit", "lobachevsky"]
 
 
 # Seeds whose probe on GEO4_TEXT left a start converged below the maximum,
@@ -467,7 +497,7 @@ def test_result_volume_is_the_kernel_volume(name):
 def test_iteration_cap_status(fig8_sys):
     rng = np.random.default_rng(31)
     start = polytope.sample_closure_points(
-        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys).point,
+        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys)[0],
         boundary_fraction=0.0)[0]
     res = optimizer.maximize_volume(fig8_sys, max_iter=1, start=start)
     assert res.status == "iteration-cap"
@@ -481,7 +511,7 @@ def test_degenerate4_boundary_maximizer(degenerate4_sys):
     assert abs(res.volume - 1.7619532174) < 1e-8
     assert res.flat_tets == (0, 3)
     # the minimal face fixes both flat tetrahedra, as the LP says
-    assert res.face_fixed == polytope.interior_point(degenerate4_sys).fixed
+    assert res.face_fixed == polytope.interior_point(degenerate4_sys)[1]
     assert res.face_fixed == set(range(6)) | set(range(18, 24))
     cert = optimizer.certify(degenerate4_sys, res.point)
     assert cert.gradient_residual < 1e-6
@@ -503,7 +533,7 @@ def test_flattening_chain_maximizer(fig8):
     tri = load_data("flatten3")
     assert tri == movable_chain(fig8, 3)
     sys_ = polytope.build_constraints(triangulation.incidence(tri))
-    assert polytope.interior_point(sys_).status == "ok"
+    assert interior_status(sys_) == "ok"
     res = optimizer.maximize_volume(sys_)
     assert res.status == "converged"
     assert abs(res.volume - 2.029883212819307) < 1e-10
@@ -527,7 +557,7 @@ def test_flattening_chain_maximizer(fig8):
 def test_maximize_rejects_start_off_the_face(degenerate4_sys):
     # tetrahedron 1 is free on the minimal face; a start with one of its
     # angles at 0 is on the face's boundary
-    start = polytope.interior_point(degenerate4_sys).point.copy()
+    start = polytope.interior_point(degenerate4_sys)[0].copy()
     start[6:12] = np.array([0.0, 0.5, 0.5, 0.5, 0.5, 0.0]) * np.pi
     with pytest.raises(ValueError, match="relative interior"):
         optimizer.maximize_volume(degenerate4_sys, start=start)
