@@ -5,8 +5,8 @@ move23, check.  Reports are JSON on stdout (segment emits CSV); the
 ``results`` payload is deterministic for fixed inputs, flags and seed, while
 ``timings`` are informational only.
 
-Exit codes: 0 ok, 2 parse/usage error, 3 empty closure, 4 not converged
-(iteration cap or stall), 5 lemma suite failure.
+Exit codes: 0 ok, 2 parse/usage error or a failed LP, 3 empty closure,
+4 not converged (iteration cap or stall), 5 lemma suite failure.
 """
 
 from __future__ import annotations
@@ -143,9 +143,8 @@ def cmd_solve(args):
     # a run that stopped off the equalities has no certificate
     membership = polytope.classify_membership(sys_, res.point)
     with timer.time("certify"):
-        cert = res.certificate
-        if cert is None and membership.kind != "infeasible":
-            cert = optimizer.certify(sys_, res.point, fixed=res.face_fixed)
+        cert = None if membership.kind == "infeasible" else optimizer.certify(
+            sys_, res.point, fixed=res.face_fixed)
     with timer.time("classify"):
         classes = optimizer.classify_tetrahedra(res.point)
     tol = optimizer.COMPLETE_TOL
@@ -156,6 +155,8 @@ def cmd_solve(args):
     results = {
         "status": res.status,
         "volume": res.volume,
+        "volume_upper": res.volume_upper,
+        "gap": res.volume_upper - res.volume,
         "point": res.point,
         "ordering": polytope.ORDERING_CONVENTION,
         "iterations": res.iterations,

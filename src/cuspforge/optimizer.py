@@ -1,21 +1,41 @@
 """Volume maximization over the closed angle-structure polytope.
 
-Damped Newton in Casson-Rivin coordinates: opposite edges carry equal angles
-on the closure, so a tetrahedron has angles A, B, C = pi - A - B and adds
-Lambda(A) + Lambda(B) + Lambda(C) to the volume.  Its Hessian in (A, B),
--[[cot A + cot C, cot C], [cot C, cot B + cot C]], is negative definite with
-determinant 1; tetrahedra couple only through the edge equations.  Their
-Schur complement, bordered by the columns of tetrahedra whose volume is
-constant on the face, is solved by MINRES with no matrix built: each product
-is a gather over the edge rows of ``LinearSystem.rows``, the 2 x 2 blocks and
-a ``bincount`` scatter, as in ``certify``'s fit.  Newton runs on the free
-angles of the minimal face, which ``minimal_face`` finds from the centre of
-the box or by an LP, also after the ascent pins tetrahedra flat.
+The maximum comes from its convex dual (Rivin, *Ann. of Math.* 139, 1994):
+Newton on one multiplier y_e per edge class.  With w_a the sum of y over
+the edge rows of angle a's two slots,
+
+    D(y) = 2 pi sum_e y_e + sum_t max_{A + B + C = pi, all >= 0}
+           Lambda(A) + Lambda(B) + Lambda(C) - w . (A, B, C)
+
+bounds the volume of every closure point from above, and its minimum is
+the maximum volume.  The inner maximizer theta*(w) holds the angles of the
+Euclidean triangle with sides e^-w, or (0, 0, pi), pi opposite the longest
+side, when those sides fail the triangle inequality (the linear extension
+of Bobenko, Pinkall and Springborn, *Geom. Topol.* 19, 2015): a flat
+tetrahedron is a degenerate triangle, not a special case.  The gradient of
+D is the edge error 2 pi - A theta*(y).  Its Hessian is -M H^-1 M^T, with H
+the 2 x 2 volume Hessian in (A, B) of each tetrahedron that theta* does not
+flatten, -[[cot A + cot C, cot C], [cot C, cot B + cot C]] (determinant 1),
+and M the edge rows' columns of A - C and B - C; in angle coordinates H^-1
+is a cotangent Laplacian on each tetrahedron's triangle.  Damped Newton
+starts at y = 0, the centre of the box, and MINRES solves each step with no
+matrix built: a product is a gather over the edge rows of
+``LinearSystem.rows``, a scale and a ``bincount`` scatter, as in
+``certify``'s fit.  Every iterate theta*(y) lies in the box with each
+tetrahedron's sum exact, so only the edge equations are ever off, and D(y)
+bounds the maximum at every iterate.
+
+Where the closure fixes one angle of a tetrahedron at 0 but not the other
+two, D has no minimum.  On the minimal face of the closure such a "linear"
+tetrahedron, angles (0, p, pi - p), adds -pi min(w_p, w_q), and Newton keeps
+w_p = w_q as a linear constraint whose multiplier is p.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -30,16 +50,19 @@ DEFAULT_MAX_ITER = 100_000
 # residual and every flat tetrahedron's |margin| lie within this.
 COMPLETE_TOL = 1e-6
 
-# Share of the distance to the box taken by a step that would leave it; at
-# 0.99 the angle such a step left near 0 cost three or four more steps.
+# Newton steps from the centre of the box allowed to find a point of the
+# closure's interior before ``minimal_face`` runs the LP, and the share of
+# the distance to the box that a step leaving it takes.
+_CENTRE_STEPS = 8
 _TO_BOUNDARY = 0.75
-# Newton steps from the centre of the box allowed to reach the equalities
-# before ``minimal_face`` runs the LP.
-_CENTRE_STEPS = 5
-# Accepted steps with no new least KKT residual after which a step gaining
-# no volume beyond rounding ends the ascent as "stalled".
-_STALL_STEPS = 3
-# Signs of a reduced column's four edge-row entries in ``_Face.cols``.
+# The least MINRES stop of a Newton step, and the KKT residual below which
+# a converged iterate takes no further step.
+_FLOOR = 1e-13
+# A tetrahedron with one angle below _THIN and not the others makes the
+# dual ask for the minimal face (``_descend``).
+_THIN = 1e-3
+# Signs of a column's four edge-row entries in ``_Face.step``: the two slots
+# of one angle, then of the other.
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 # ``dominance_check``: a sample farther than _STRICT_DISTANCE from the point
 # (max norm) must have less volume, a nearer one at most _NEAR_GAP more, and
@@ -56,12 +79,11 @@ class OptimizationResult:
     status: str  # "converged" | "stalled" | "iteration-cap" | "empty-closure"
     flat_tets: tuple
     active_set: frozenset  # the slots at 0 or pi
-    kkt_residual: float
+    kkt_residual: float  # the largest edge-equation error at point
     iterations: int
-    face_fixed: frozenset  # the slots the unpinned minimal face fixes
-    inner_iterations: int  # MINRES steps of the ascent's Newton steps
-    # certify's certificate at point when the ascent ran it there, else None
-    certificate: MaximalityCertificate | None
+    face_fixed: frozenset  # the slots the minimal face fixes
+    inner_iterations: int  # MINRES steps of the Newton steps
+    volume_upper: float  # D at the last multipliers: >= the maximum volume
 
 
 @dataclass(frozen=True)
@@ -73,7 +95,6 @@ class MaximalityCertificate:
     fit_iterations: int
     margins: tuple  # of (flat tetrahedron, margin, face_fixed)
     membership: str  # "interior" | "boundary"
-    rejected: tuple  # the flat tetrahedra whose sign check fails
 
 
 @dataclass(frozen=True)
@@ -112,115 +133,141 @@ def classify_tetrahedra(p):
                     np.where(flat, "flat", "invalid")).tolist()
 
 
+def _triangle(w):
+    """theta*(w) for rows w: the angles of the Euclidean triangle with sides
+    e^-w, each opposite its side, by the half-angle formula
+    tan(A / 2) = sqrt((s - b)(s - c) / (s (s - a))), here
+    sqrt(P / s) / (s - a) with P the product of the three slacks s - a;
+    (0, 0, pi), pi opposite the longest side, when a side is at least the
+    sum of the other two, within rounding (then exactly).  The angle
+    opposite the longest side is pi minus the others: so each row sums to
+    pi, and the small angles keep their relative accuracy.
+    """
+    side = np.exp(w.min(axis=1, keepdims=True) - w)
+    s = 0.5 * side.sum(axis=1, keepdims=True)
+    u = s - side
+    # a slack within rounding of s is 0: its angles, about sqrt(eps), would
+    # be rounding noise that keeps the edge error above any tolerance
+    u[u <= 16.0 * np.finfo(float).eps * s] = 0.0
+    ang = 2.0 * np.arctan2(np.sqrt(u.prod(axis=1, keepdims=True) / s), u)
+    big = np.arange(3) == np.argmin(u, axis=1)[:, None]
+    rest = np.where(big, 0.0, ang)
+    return np.where(big, np.pi - rest.sum(axis=1, keepdims=True), rest)
+
+
 class _Face:
-    """The free angles of a face of the closure as Newton variables.
+    """A face of the closure, given by the slots it fixes at 0 or pi, and
+    the dual of the volume's maximum over it.
 
-    A "curved" tetrahedron has three free angles and the variables (A, B).
-    A "linear" one has an angle fixed at 0 and one variable moving its free
-    angles (p, q) as (p, pi - p); its volume is then constant, so the
-    variable enters only the edge equations.  Flat tetrahedra have none.
+    A "curved" tetrahedron has three free angles, theta*(w) at multipliers
+    y.  A "linear" one has an angle fixed at 0 and its free angles (p, q)
+    moving as (p, pi - p).  The others are fixed flat, at the values of
+    ``ang`` (a point of the face).
 
-    No matrix is built.  ``cols`` holds the reduced columns of the edge
-    rows, A - C and B - C of each curved tetrahedron in turn, then p - q of
-    each linear one, as the edge rows of the two slots of the first angle
-    (sign +1) and of the second (sign -1); a row met twice adds twice.
-    So a vector on the curved columns reshapes to an (n_c, 2) array, and
-    each curved tetrahedron's 2 x 2 block acts on its own row.
+    No matrix is built.  ``cols`` holds the edge rows' reduced columns of
+    p - q for the linear tetrahedra: the edge rows of the two slots of p
+    (sign +1) and of q (sign -1); a row met twice adds twice.
     """
 
-    def __init__(self, sys, fixed_slots):
+    def __init__(self, sys, fixed=frozenset(), ang=0.0):
         n = sys.rows.shape[0] // 3
-        self.fixed = frozenset(fixed_slots)
+        self.fixed = frozenset(fixed)
         self.free = np.ones((n, 3), dtype=bool)
-        self.free.flat[polytope.angle_of(list(self.fixed))] = False
-        n_free = self.free.sum(axis=1)
-        self.curved = np.flatnonzero(n_free == 3)
-        self.linear = np.flatnonzero(n_free == 2)
+        self.free.flat[polytope.angle_of(sorted(self.fixed))] = False
+        self.curved = np.flatnonzero(self.free.all(axis=1))
+        self.linear = np.flatnonzero(self.free.sum(axis=1) == 2)
         self.p, self.q = np.argsort(~self.free[self.linear], axis=1,
                                     kind="stable")[:, :2].T
-        self.sys = sys
-        self.edge_rows = sys.rows[:, 1:] - n  # each angle's two edge rows
+        self.base = np.where(self.free, 0.0, ang)
+        self.ends = (sys.rows[:, 1:] - n).reshape(n, 3, 2)  # edge rows
         self.b_edge = sys.b[n:]
-        ends = self.edge_rows.reshape(n, 3, 2)
-        c, lin = self.curved, self.linear
-        self.cols = np.concatenate([
-            np.stack([np.hstack([ends[c, 0], ends[c, 2]]),
-                      np.hstack([ends[c, 1], ends[c, 2]])],
-                     axis=1).reshape(-1, 4),
-            np.hstack([ends[lin, self.p], ends[lin, self.q]])])
-        self.inner = 0  # the MINRES steps of the last ``step``
+        self.cols = np.hstack([self.ends[self.linear, self.p],
+                               self.ends[self.linear, self.q]])
 
-    def angles(self, x):
-        """Angles (A, B, C) of a closure point's slot vector, fixed ones
-        exact and each row summing to pi through its last free angle."""
-        ang = polytope.to_angles(x).reshape(self.free.shape)
-        ang = np.where(self.free, ang, np.pi * (ang > 0.5 * np.pi))
-        rows = np.flatnonzero(self.free.any(axis=1))
-        last = 2 - np.argmax(self.free[rows, ::-1], axis=1)
-        ang[rows, last] = 0.0
-        ang[rows, last] = np.pi - ang[rows].sum(axis=1)
-        return ang
+    def dual(self, y, p=0.0):
+        """The angles theta*(y) as rows (A, B, C), with the linear
+        tetrahedra at (0, p, pi - p), and the Lagrangian there: D(y) where
+        w_p = w_q, or where the face has no linear tetrahedra."""
+        w = y[self.ends].sum(axis=2)
+        ang = self.base.copy()
+        ang[self.curved] = _triangle(w[self.curved])
+        ang[self.linear, self.p], ang[self.linear, self.q] = p, np.pi - p
+        # each angle sits on two slots, so V is twice lob.volume
+        return ang, 2.0 * (np.pi * y.sum() + lob.volume(ang)) - np.vdot(w, ang)
 
-    def _scatter(self, w):
-        """M w: each edge row's sum over the reduced columns, column i times
-        w[i]."""
-        return np.bincount(self.cols.ravel(), (w[:, None] * _SIGNS).ravel(),
-                           self.b_edge.size)
+    def kkt(self, y, ang):
+        """The KKT residual: the edge error, then w_q - w_p per linear
+        tetrahedron."""
+        return np.concatenate([self.error(ang), -(y[self.cols] @ _SIGNS)])
 
-    def step(self, ang):
-        """Newton direction, the edge-row normal of the multipliers, the
-        Lagrangian's ascent rate along the direction, and the KKT residual.
+    def error(self, ang):
+        """The edge equations' error 2 pi - A ang."""
+        return self.b_edge - np.bincount(self.ends.ravel(), np.repeat(ang, 2),
+                                         self.b_edge.size)
 
-        With M_c the curved columns, H the inverse Hessian blocks and M_z
-        the linear columns, the multipliers lam and the linear variables z
-        solve the bordered system [[M_c H M_c^T, M_z], [M_z^T, 0]] (lam, z)
-        = (b - A ang + M_c H g, 0) by ``_minres``, which applies it as a
-        gather, the 2 x 2 blocks and a scatter.  The system is singular (one
-        dependent edge row per cusp, and rows or columns the face empties),
-        but consistent when the equalities have a solution, and MINRES from
-        0 then stays in its range: the solution is the minimum-norm one.
-        ``inner`` records the MINRES steps.
+    def step(self, ang, rhs, shift, stop, barrier=False):
+        """Newton direction dy of the dual at angles ``ang`` = theta*(y), and
+        in an angle array the change of p on each linear tetrahedron.
+
+        With M_c the edge rows' columns of A - C and B - C of the curved
+        tetrahedra that ang does not flatten, H their volume Hessians in
+        (A, B) and M_z the linear columns, (dy, dp) solves
+        [[M_c H^-1 M_c^T - shift, M_z], [M_z^T, 0]] (dy, dp) = rhs by
+        ``_minres`` to the residual ``stop``; ``inner`` records its steps.
+        ``rhs`` holds the edge error, then the drift w_q - w_p of each linear
+        tetrahedron, which a full step takes out.  Flat tetrahedra add
+        nothing: D is linear where theta* is flat.  The angles change by
+        H^-1 M_c^T dy on the curved tetrahedra, so a full step moves the edge
+        error to -shift dy, to first order.
+
+        No matrix is built.  In angle coordinates H^-1 is minus the
+        Laplacian of each tetrahedron's triangle with the weight
+        kappa = k_C / det H on the pair (A, B), and so on around, where
+        H = -[[k_A + k_C, k_C], [k_C, k_B + k_C]].  So M_c H^-1 M_c^T is a
+        sum of rank-one terms, one per pair, each over the edge rows of the
+        pair's two angles: a product is a gather, a scale and a
+        ``bincount`` scatter.
+
+        For the volume k = cot, and det H = k_A k_B + k_C (k_A + k_B) = 1.
+        With ``barrier`` k = theta^-2, from sum log theta at any angles, and
+        the same system with rhs + M_c H^-1 g on the right, g its gradient,
+        gives the multipliers lam and the primal Newton step toward the
+        analytic centre of the face, H^-1 (M_c^T lam - g), which the angle
+        array then holds.
         """
-        n_c, n_edges = self.curved.size, self.b_edge.size
-        curved = ang[self.curved]
-        log_sin = np.log(np.sin(curved))
-        cot = 1.0 / np.tan(curved)
-        g = log_sin[:, 2:] - log_sin[:, :2]  # (g_A, g_B)
-        # inverse of the Hessian block, exact since its determinant is 1:
-        # diag -(cot B + cot C), -(cot A + cot C), off-diagonal cot C
-        diag = -(cot[:, 1::-1] + cot[:, 2:])
-        off = cot[:, 2:]
-        w = np.zeros(self.cols.shape[0])
-        w_c = w[:2 * n_c].reshape(n_c, 2)
-        w_c[:] = diag * g + off * g[:, ::-1]
-        mhg = self._scatter(w)
-        error = self.sys.b - self.sys.apply(ang.ravel())
-        rhs = np.zeros(n_edges + self.linear.size)
-        rhs[:n_edges] = error[self.free.shape[0]:] + mhg
+        a = ang[self.curved]
+        keep = np.all(a > 0.0, axis=1)
+        c, a, n_edges = self.curved[keep], a[keep], self.b_edge.size
+        k = a ** -2.0 if barrier else 1.0 / np.tan(a)
+        det = (k[:, :1] * k[:, 1:2] + k[:, 2:] * (k[:, :1] + k[:, 1:2])
+               if barrier else 1.0)
+        # minus the pair weights, pairs (A, B), (B, C), (C, A) in turn
+        kappa = -(k / det)[:, [2, 0, 1]].ravel()
+        m = kappa.size
+        cols = np.concatenate([self.ends[c][:, [[0, 1], [1, 2], [2, 0]]]
+                               .reshape(-1, 4), self.cols])
+
+        def scatter(v):  # M v, columns as in ``cols``
+            return np.bincount(cols.ravel(), (v[:, None] * _SIGNS).ravel(),
+                               n_edges)
 
         def apply(x):
-            u = x[:n_edges][self.cols] @ _SIGNS  # M^T lam
-            u_c = u[:2 * n_c].reshape(n_c, 2)
-            w_c[:] = diag * u_c + off * u_c[:, ::-1]
-            w[2 * n_c:] = x[n_edges:]
-            out = np.empty_like(x)
-            out[:n_edges] = self._scatter(w)
-            out[n_edges:] = u[2 * n_c:]
-            return out
+            u = x[:n_edges][cols] @ _SIGNS  # M^T x
+            if not self.linear.size:  # no border: spare the concatenations
+                return scatter(kappa * u) - shift * x
+            v = np.concatenate([kappa * u[:m], x[n_edges:]])
+            return np.concatenate([scatter(v) - shift * x[:n_edges], u[m:]])
 
-        stop = 1e-14 * (np.linalg.norm(mhg) + np.linalg.norm(self.b_edge))
+        if barrier:  # on a face with no linear tetrahedra
+            g = (1.0 / a - 1.0 / a[:, [1, 2, 0]]).ravel()  # of 1/theta
+            rhs = rhs + scatter(kappa * g)
         sol, self.inner = _minres(apply, rhs, stop)
-        lam = sol[:n_edges]
-        r = (lam[self.cols[:2 * n_c]] @ _SIGNS).reshape(n_c, 2) - g
-        d_c = diag * r + off * r[:, ::-1]
         d = np.zeros_like(ang)
-        d[self.curved, :2] = d_c
-        d[self.curved, 2] = -d_c.sum(axis=1)
         d[self.linear, self.p] = sol[n_edges:]
-        d[self.linear, self.q] = -sol[n_edges:]
-        residual = float(np.max(np.abs(r), initial=0.0))
-        return (d, lam[self.edge_rows].sum(axis=1),
-                -float(np.vdot(r, d_c)), residual)
+        if barrier:
+            t = (kappa * (sol[cols[:m]] @ _SIGNS - g)).reshape(-1, 3)
+            d[c] = t - t[:, [2, 0, 1]]
+        return sol[:n_edges], d
 
 
 def _minres(apply, rhs, stop):
@@ -262,164 +309,175 @@ def _minres(apply, rhs, stop):
     return x, iters
 
 
-def _volume(ang):
-    """The volume at angles (A, B, C): each angle sits on two slots."""
-    return 2.0 * lob.volume(ang)
+# What ``_descend`` returns: the status, the multipliers, the angles of the
+# point, its KKT residual, and the iteration and MINRES step counts.
+_Run = namedtuple("_Run", "status y ang residual iterations inner")
 
 
-def _line_search(face, ang, vol, step):
-    """Backtrack from the longest step inside the box to one that ascends the
-    Lagrangian, which takes out of the volume the first-order effect of the
-    error in the edge equations: rounding, which grows as a tetrahedron
-    flattens, or off the equalities the distance to them.  Returns the step
-    length, 0.0 when no step ascends, and the angles and volume after it."""
-    d, normal, slope, _ = step
-    drift = float(normal @ d.ravel())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        limits = np.where(face.free & (d < 0.0), -ang / d, np.inf)
-    alpha = min(1.0, _TO_BOUNDARY * float(np.min(limits)))
-    for _ in range(60):
-        trial = ang + alpha * d
-        trial_vol = _volume(trial)
-        if (trial_vol - alpha * drift
-                >= vol + 1e-4 * alpha * slope - 1e-14 * max(1.0, abs(vol))):
-            return alpha, trial, trial_vol
-        alpha *= 0.5
-    return 0.0, ang, vol
+def _descend(face, y, tol, max_iter, thin=False):
+    """Damped Newton on ``face``'s dual from y.  The point holds theta*(y),
+    and on each linear tetrahedron the p of the last step, the multiplier
+    of w_p = w_q.  Each iteration takes the KKT residual there, the edge
+    error and, per linear tetrahedron, w_q - w_p, and stops at ``max_iter``
+    iterations or:
+    - as "converged" when its largest entry is below ``tol``, and so is the
+      gap D(y) - V = y . error, relative to max(1, |D|); unless the entry is
+      at the floor ``_FLOOR``, after one more step, which squares it, at
+      that step's iterate if it converged too, else at the one before;
+    - as "stalled" when D(y) < 0 on a face with no linear tetrahedra, which
+      proves it empty (the volume is >= 0 there), or when no step decreases
+      the Lagrangian, or the last
+      step gained nothing beyond rounding and no new least residual;
+    - with ``thin``, as "thin" at a tetrahedron with one angle below
+      ``_THIN`` and not the others: the iterates then tend to a linear
+      tetrahedron, where D has no minimum.
+    Else it steps, with r the largest residual: shifted by
+    mu = min(0.5, r), since D is linear where every tetrahedron is flat (a
+    cap of 1 took one more step on covers of a four-tetrahedron fig8
+    triangulation), and with MINRES
+    stopped at the forcing term min(0.1, r) r, at least ``_FLOOR``.  The
+    step length halves until the Armijo rule holds, up to rounding, for the
+    Lagrangian at the new p, along which the Newton direction descends even
+    where w_p = w_q fails by the inexact steps.
+    """
+    p = np.full(face.linear.size, 0.5 * np.pi)
+    ang, value = face.dual(y, p)
+    best, gained, iters, inner, polished = np.inf, True, 0, 0, None
+    while True:
+        iters += 1
+        kkt = face.kkt(y, ang)
+        error = kkt[:face.b_edge.size]
+        residual = float(np.max(np.abs(kkt), initial=0.0))
+        run = _Run("converged", y, ang, residual, iters, inner)
+        ok = residual < tol and abs(y @ error) <= tol * max(1.0, abs(value))
+        # rounding in D, whose sum cancels terms as large as 2 pi |y|_1
+        slack = 4e-15 * (abs(value) + 2.0 * np.pi * np.abs(y).sum() + 1.0)
+        if polished or ok and residual <= _FLOOR:
+            return run if ok else polished._replace(iterations=iters,
+                                                    inner=inner)
+        if ok:
+            polished = run
+        elif not (gained or residual < best) or value < -slack:
+            return run._replace(status="stalled")
+        elif thin and np.any(np.count_nonzero(ang < _THIN, axis=1) == 1):
+            return run._replace(status="thin")
+        if iters >= max_iter:
+            return run if ok else run._replace(status="iteration-cap")
+        best = min(best, residual)
+        dy, d = face.step(ang, kkt, min(0.5, residual),
+                          max(min(0.1, residual) * residual, _FLOOR))
+        inner += face.inner
+        dp = d[face.linear, face.p]
+        slope = float(error @ dy) - float(dp @ (dy[face.cols] @ _SIGNS))
+        if face.linear.size:  # the Lagrangian at the new p
+            p = p + dp
+            value = face.dual(y, p)[1]
+        for alpha in 0.5 ** np.arange(60):
+            trial = face.dual(y + alpha * dy, p)
+            if trial[1] <= value + 1e-4 * alpha * slope + slack:
+                break
+        else:
+            return run._replace(status="stalled")
+        y, gained = y + alpha * dy, value - trial[1] > slack
+        ang, value = trial
 
 
-def minimal_face(sys, pinned=None):
+def minimal_face(sys):
     """The minimal face of the closure as ``(face, ang)``: a ``_Face``, whose
     ``fixed`` holds the slots it fixes at 0 or pi, and the angles of a point
-    in its relative interior; None when the closure is empty.  With
-    ``pinned``, slots to 0 or pi as in ``polytope.interior_point``, the face
-    of the closure cut by the pins.
+    in its relative interior; None when the closure is empty.
 
-    Newton from the centre of the box, every angle pi/3 but the pinned ones,
-    scales the error in the edge equations by 1 - alpha at a step of length
-    alpha.  When a full step lands where the slots at 0 or pi are exactly the
-    pinned ones, no other slot is fixed, no LP runs and the labeling does
-    not matter.  Else (a shrinking step, or ``_CENTRE_STEPS`` steps) the
-    interior-point LP decides.
+    Newton toward the analytic centre of the closure, the maximizer of
+    sum log theta, starts at the centre of the box, every angle pi/3.  A
+    step of length alpha scales the error in the edge equations by
+    1 - alpha; a step that would leave the box is cut to stay inside.  When
+    a full step comes within ``_CENTRE_STEPS`` steps and lands on the
+    equalities, the closure has interior, the face fixes nothing and no LP
+    runs; from the centre, neither the start nor the step count depends on
+    how the triangulation is labeled.  Else the interior-point LP decides.
     """
-    slots = sorted(pinned or {})
-    face = _Face(sys, slots)
+    face = _Face(sys)
     ang = np.full(face.free.shape, np.pi / 3.0)
-    ang.flat[polytope.angle_of(slots)] = [pinned[i] for i in slots]
-    vol, last = _volume(ang), 0.0
     for _ in range(_CENTRE_STEPS):
-        alpha, ang, vol = _line_search(face, ang, vol, face.step(ang))
+        _, d = face.step(ang, face.error(ang), 0.0,
+                         1e-14 * np.linalg.norm(face.b_edge), barrier=True)
+        alpha = min(1.0, _TO_BOUNDARY * np.min(-ang[d < 0.0] / d[d < 0.0],
+                                               initial=np.inf))
+        ang = ang + alpha * d
         if alpha == 1.0:
-            m = polytope.classify_membership(sys, polytope.to_slots(ang))
-            if m.kind != "infeasible" and m.flat == face.fixed:
-                return face, ang
-        if alpha in (0.0, 1.0) or alpha < last:
             break
-        last = alpha
-    found = polytope.interior_point(sys, pinned)
-    if found is None:
-        return None
-    x, fixed = found
-    face = _Face(sys, fixed)
-    return face, face.angles(x)
+    if polytope.classify_membership(
+            sys, polytope.to_slots(ang)).kind == "interior":
+        return face, ang
+    found = polytope.interior_point(sys)
+    if found is not None:
+        ang = polytope.to_angles(found[0]).reshape(-1, 3)
+        return _Face(sys, found[1], ang), ang
 
 
 def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
                     start=None):
-    """Ascend the volume functional to its maximum over the closure.
+    """The maximum of the volume over the closure, by Newton on the dual.
 
-    Newton runs on the free angles of the minimal face (``minimal_face``),
-    from ``start`` (a point with those angles positive) or from the face's
-    point.  It stops when the KKT residual is below ``tol``, or as "stalled"
-    when no step ascends or neither residual nor volume improves beyond
-    rounding.  A tetrahedron that the ascent drives within
-    ``polytope.BOUNDARY_TOL`` of (0, 0, pi) is pinned flat, and the ascent
-    restarts on the minimal face of the closure cut by the pins.  When the
-    ascent converges with pins and ``certify`` rejects pinned tetrahedra
-    (the active-set rule that drops a constraint whose multiplier has the
-    wrong sign), they are released and the ascent restarts on the face cut
-    by the other pins; each tetrahedron is released at most once.
-    ``iterations`` counts the steps and restarts of the ascent, at most
-    ``max_iter``; finding a minimal face, the unpinned one or a restart's,
-    takes none of them.  ``inner_iterations`` sums the MINRES steps of
-    those Newton steps.  ``certificate`` is the certificate of a converged
-    point with pins, which the release rule computed there (as ``certify``
-    with ``fixed=face_fixed``); None otherwise.
+    Newton runs from ``start``, one multiplier per edge class (default 0,
+    the centre of the box).  When it stalls or turns thin (``_descend``),
+    ``minimal_face`` decides: an empty closure; a face that fixes slots,
+    where Newton runs again from 0; or the whole closure, where a thin run
+    goes on.  A linear tetrahedron whose converged p lies outside [0, pi]
+    is fixed flat, and Newton runs on from its multipliers.
+    ``iterations``, at most ``max_iter`` but for the first iteration of a
+    run, counts the iterates whose residual was taken, over all runs;
+    ``inner_iterations`` sums the MINRES steps.  ``face_fixed`` is the
+    minimal face's, looked up only when the point has an angle at 0 or pi.
+    ``volume_upper`` is D at the last multipliers on the face that Newton
+    ran on first, a bound on the maximum whatever the status.
     """
-    return _ascend(sys, minimal_face(sys), start, tol, max_iter)
+    return _maximize(sys, tol, max_iter, start,
+                     functools.cache(lambda: minimal_face(sys)))
 
 
-def _ascend(sys, found, start, tol, max_iter):
-    """``maximize_volume`` on ``found``, the closure's ``minimal_face``."""
-    if found is None:
-        return OptimizationResult(None, float("nan"), "empty-closure", (),
-                                  frozenset(), float("nan"), 0, frozenset(), 0,
-                                  None)
-    face, ang = found
-    if start is not None:
-        ang = face.angles(start)
-        if np.any(ang[face.free] <= 0.0):
-            raise ValueError("start point is not in the relative interior "
-                             "of the minimal face")
-    pinned, released, best, stale, iters, inner = {}, set(), np.inf, 0, 0, 0
-    status, residual, certificate = "iteration-cap", float("nan"), None
-    vol = _volume(ang)
-    while iters < max_iter:
-        iters += 1
-        step = face.step(ang)
-        inner += face.inner
-        d, _, _, residual = step
-        # A tetrahedron within sqrt(BOUNDARY_TOL) of flat (two angles at most
-        # that) that the full step takes within BOUNDARY_TOL is pinned flat:
-        # closer to flat, rounding in the step outgrows the step.
-        flat = ((np.count_nonzero(ang <= np.sqrt(polytope.BOUNDARY_TOL),
-                                  axis=1) >= 2)
-                & (np.count_nonzero(ang + d <= polytope.BOUNDARY_TOL,
-                                    axis=1) >= 2))
-        flat = np.flatnonzero(flat & face.free.any(axis=1))
-        if flat.size and residual >= tol:
-            for t in flat:
-                big = np.pi * (np.arange(3) == np.argmax(ang[t]))
-                pinned.update(zip(range(6 * t, 6 * t + 6),
-                                  polytope.to_slots(big)))
-        else:
-            slack = 1e-14 * max(1.0, abs(vol))
-            alpha, ang, new_vol = _line_search(face, ang, vol, step)
-            gain, vol = new_vol - vol, new_vol
-            if not residual < tol:  # a NaN residual is not converged
-                stale = 0 if residual < best else stale + 1
-                best = min(best, residual)
-                if not alpha or (stale >= _STALL_STEPS and gain <= slack):
-                    status = "stalled"
+def _maximize(sys, tol, max_iter, start, face_of):
+    """``maximize_volume``, with ``face_of()`` the closure's minimal face."""
+    face = first = _Face(sys)
+    y = np.zeros(face.b_edge.size) if start is None else np.array(start, float)
+    if y.shape != face.b_edge.shape or not np.all(np.isfinite(y)):
+        raise ValueError("start must hold a finite multiplier per edge")
+    runs = [_descend(face, y, tol, max_iter, thin=True)]
+    if runs[0].status in ("stalled", "thin") and runs[0].iterations < max_iter:
+        found = face_of()
+        if found is None:
+            return OptimizationResult(None, np.nan, "empty-closure", (),
+                                      frozenset(), np.nan, runs[0].iterations,
+                                      frozenset(), runs[0].inner, np.nan)
+        if found[0].fixed or runs[0].status == "thin":
+            face = first = found[0]
+            y = np.zeros_like(y) if face.fixed else runs[0].y
+            while True:
+                runs.append(_descend(face, y, tol, max_iter - sum(
+                    r.iterations for r in runs)))
+                p = runs[-1].ang[face.linear, face.p]
+                out = face.linear[np.abs(p - 0.5 * np.pi) > 0.5 * np.pi]
+                if runs[-1].status != "converged" or not out.size:
                     break
-                continue
-            # the step taken from a point within tol squares its residual;
-            # a pin that certify rejects holds flat a tetrahedron that the
-            # volume would unflatten
-            drop, cert = set(), None
-            if pinned:
-                cert = certify(sys, polytope.to_slots(ang),
-                               fixed=found[0].fixed)
-                drop = {t for t in cert.rejected if 6 * t in pinned} - released
-            if not drop:
-                status, certificate = "converged", cert
-                break
-            released |= drop
-            pinned = {s: v for s, v in pinned.items() if s // 6 not in drop}
-        restart = minimal_face(sys, pinned)
-        if restart is None:
-            break
-        face, ang = restart
-        vol = _volume(ang)
-        best, stale = np.inf, 0
-
-    x = polytope.to_slots(ang)
-    active = polytope.classify_membership(sys, x).flat
-    classes = classify_tetrahedra(x)
-    flat_tets = tuple(t for t, c in enumerate(classes) if c == "flat")
-    return OptimizationResult(x, vol, status, flat_tets, active,
-                              residual, iters, found[0].fixed, inner,
-                              certificate)
+                face = _Face(sys, face.fixed | {6 * t + k for t in out.tolist()
+                                                for k in range(6)},
+                             np.clip(runs[-1].ang, 0.0, np.pi))
+                y = runs[-1].y
+    run = runs[-1]
+    x, volume = polytope.to_slots(run.ang), 2.0 * lob.volume(run.ang)
+    bounded = np.any(np.minimum(x, np.pi - x) <= polytope.BOUNDARY_TOL)
+    flat = np.array(classify_tetrahedra(x)) == "flat"
+    # D on the first face is V + y . error, and on each of its linear
+    # tetrahedra pi max(drift, 0) - p drift with the drift w_q - w_p
+    drift = run.y[first.cols] @ -_SIGNS
+    upper = volume + run.y @ first.error(run.ang) + np.sum(
+        np.pi * np.maximum(drift, 0) - run.ang[first.linear, first.p] * drift)
+    return OptimizationResult(
+        x, volume, run.status, tuple(np.flatnonzero(flat).tolist()),
+        polytope.classify_membership(sys, x).flat, run.residual,
+        sum(r.iterations for r in runs),
+        face_of()[0].fixed if bounded else frozenset(),
+        sum(r.inner for r in runs), float(upper))
 
 
 def certify(sys, p, fixed=None):
@@ -442,8 +500,7 @@ def certify(sys, p, fixed=None):
     other angle at 0 or pi adds an unbounded log(1/t).  signs_ok applies
     this to the angles that the minimal face leaves free, all but ``fixed``
     (default: ``minimal_face``'s); ``margins`` holds (tetrahedron, margin,
-    face_fixed) for each flat tetrahedron, and ``rejected`` the flat
-    tetrahedra that fail their check.
+    face_fixed) for each flat tetrahedron.
     """
     tol = polytope.BOUNDARY_TOL
     membership = polytope.classify_membership(sys, p)
@@ -464,7 +521,7 @@ def certify(sys, p, fixed=None):
     fitted = lam[sys.rows].sum(axis=1)
     residual = float(np.max(np.abs(fitted[free] - g[free]), initial=0.0))
     active = tuple((int(i), float(fitted[i])) for i in np.flatnonzero(~free))
-    signs_ok, margins, rejected = True, [], []
+    signs_ok, margins = True, []
     if not free.all():
         fixed = minimal_face(sys)[0].fixed if fixed is None else fixed
         move = np.ones_like(free)
@@ -475,37 +532,28 @@ def certify(sys, p, fixed=None):
             c = 3 * t + int(np.argmax(theta[3 * t:3 * t + 3]))
             a, b = (k for k in range(3 * t, 3 * t + 3) if k != c)
             margin = float(-fitted[c] - np.logaddexp(-fitted[a], -fitted[b]))
-            ok = True
             if move[a] and move[b]:
-                ok = margin >= -tol
+                signs_ok = signs_ok and margin >= -tol
             elif move[a] or move[b]:
-                ok = fitted[a if move[a] else b] >= fitted[c] - tol
-            if not ok:
-                rejected.append(int(t))
+                signs_ok = signs_ok and (fitted[a if move[a] else b]
+                                         >= fitted[c] - tol)
             margins.append((int(t), margin, not (move[a] or move[b])))
-        signs_ok = signs_ok and not rejected
     return MaximalityCertificate(lam, active, residual, bool(signs_ok), iters,
-                                 tuple(margins), membership.kind,
-                                 tuple(rejected))
+                                 tuple(margins), membership.kind)
 
 
 def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
                      max_iter=DEFAULT_MAX_ITER):
     """Multi-start consistency check for the uniqueness of the maximizer.
 
-    ``minimal_face`` runs once.  The first start is the face's own point,
-    the others random points of its relative interior around it; ``results``
-    keeps each start's OptimizationResult (one empty-closure result when the
-    closure is empty).
+    The first start is y = 0, the others seeded standard normal edge
+    multipliers, and all share one lookup of the minimal face; ``results``
+    keeps each start's OptimizationResult.
     """
-    rng = np.random.default_rng(seed)
-    found = minimal_face(sys)
-    starts = [None]
-    if found is not None:
-        starts += list(polytope.sample_closure_points(
-            sys, rng, n_starts - 1, polytope.to_slots(found[1]),
-            boundary_fraction=0.0))
-    results = tuple(_ascend(sys, found, start, tol, max_iter)
+    face_of = functools.cache(lambda: minimal_face(sys))
+    starts = [None, *np.random.default_rng(seed).standard_normal(
+        (n_starts - 1, sys.b.size - sys.rows.shape[0] // 3))]
+    results = tuple(_maximize(sys, tol, max_iter, start, face_of)
                     for start in starts)
     points = [r.point for r in results if r.point is not None]
     spread = max((float(np.linalg.norm(p - q, np.inf))

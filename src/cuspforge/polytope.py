@@ -133,10 +133,12 @@ def interior_point(sys, pinned=None):
     At an optimum t_a = 1 on every angle that varies over the closure and
     t_a = 0 on every angle fixed at 0 or pi, so theta / tau lies in the
     relative interior of the minimal face.  The closure is empty exactly
-    when the program is infeasible.  ``pinned`` maps slots to 0 or pi and
-    adds the rows theta_a = v tau for their angles, i.e. the minimal face of
-    the closure cut by those pins; the interior of the cut closure is empty
-    when ``fixed`` holds a slot outside ``pinned``.
+    when the program is infeasible (HiGHS status 2); any other failure
+    raises ValueError, so that it never reads as an empty closure.
+    ``pinned`` maps slots to 0 or pi and adds the rows theta_a = v tau for
+    their angles, i.e. the minimal face of the closure cut by those pins;
+    the interior of the cut closure is empty when ``fixed`` holds a slot
+    outside ``pinned``.
     """
     import scipy.optimize
     import scipy.sparse
@@ -162,8 +164,10 @@ def interior_point(sys, pinned=None):
     res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * n),
                                  A_eq=lhs, b_eq=np.zeros(lhs.shape[0]),
                                  bounds=bounds, method="highs")
-    if not res.success:
+    if res.status == 2:  # infeasible
         return None
+    if res.status:
+        raise ValueError("interior-point LP failed: " + res.message)
     theta = res.x[:n] / res.x[-1]
     fixed = res.x[n:2 * n] < 0.5
     fixed[angle_of(slots)] = True

@@ -105,8 +105,8 @@ def flatten3_path():
 
 @pytest.fixture(scope="session")
 def chain141_path(fig8, tmp_path_factory):
-    """Property chain 141: its ascent pins a tetrahedron flat, and the
-    restart's face needs the pinned LP."""
+    """Property chain 141: its minimal face has linear tetrahedra, an
+    angle at 0 and the other two free, so the dual runs on that face."""
     path = tmp_path_factory.mktemp("chains") / "chain141.tri"
     path.write_text(triangulation.format_triangulation(property_chain(fig8,
                                                                       141)))

@@ -329,47 +329,50 @@ def lstsq_certificate(tri, p, tol=1e-8):
     return lam, active, residual
 
 
-def dense_newton_step(tri, face, ang):
+def dense_newton_step(tri, face, ang, rhs, shift, barrier=False):
     """The Newton step of ``face`` (an ``optimizer._Face``, for its curved
     and linear tetrahedra) at angles ``ang``, by a dense minimum-norm
     least-squares solve of the bordered system over ``angle_matrix``:
-    [[M_c H^-1 M_c^T, M_z], [M_z^T, 0]] (lam, z) = (2 pi - A ang +
-    M_c H^-1 g, 0), with H the volume's Hessian in the (A, B) of each curved
-    tetrahedron, inverted as a matrix.  Returns the direction, the edge-row
-    normal A^T lam, the slope -r H^-1 r and the residual max |r|, where
-    r = M_c^T lam - g."""
+    [[M_c H^-1 M_c^T - shift, M_z], [M_z^T, 0]] (x, z) = rhs, plus
+    M_c H^-1 g on the edge rows with ``barrier``.  H, inverted as a matrix,
+    is the Hessian in (A, B) of each curved tetrahedron that ang does not
+    flatten: of its volume, or of sum log theta with ``barrier``, whose
+    gradient is then g.  Returns x and the angles' change, H^-1 (M_c^T x -
+    g) on the curved tetrahedra and z on the linear ones' p."""
     n = tri.n_tets
     a_edge = angle_matrix(tri)[n:]
     m = a_edge.reshape(-1, n, 3)
-    c, lin = face.curved, face.linear
+    c = face.curved[np.all(ang[face.curved] > 0.0, axis=1)]
+    lin = face.linear
     m_c = np.hstack([m[:, c, 0] - m[:, c, 2], m[:, c, 1] - m[:, c, 2]])
     m_z = m[:, lin, face.p] - m[:, lin, face.q]
     x, y, z = ang[c].T
-    g = np.concatenate([np.log(np.sin(z) / np.sin(x)),
-                        np.log(np.sin(z) / np.sin(y))])
+    if barrier:  # second derivatives of log theta, and the gradient
+        second = [-1.0 / t ** 2 for t in (x, y, z)]
+        g = np.concatenate([1.0 / x - 1.0 / z, 1.0 / y - 1.0 / z])
+    else:  # of the Lobachevsky function, -cot theta
+        second = [-1.0 / np.tan(t) for t in (x, y, z)]
+        g = np.zeros(2 * c.size)
     k = c.size
     hess = np.zeros((2 * k, 2 * k))
     i = np.arange(k)
-    hess[i, i] = -(1.0 / np.tan(x) + 1.0 / np.tan(z))
-    hess[k + i, k + i] = -(1.0 / np.tan(y) + 1.0 / np.tan(z))
-    hess[i, k + i] = hess[k + i, i] = -1.0 / np.tan(z)
+    hess[i, i] = second[0] + second[2]
+    hess[k + i, k + i] = second[1] + second[2]
+    hess[i, k + i] = hess[k + i, i] = second[2]
     h_inv = np.linalg.inv(hess)
     n_edges, n_lin = m_z.shape
-    kkt = np.block([[m_c @ h_inv @ m_c.T, m_z],
+    kkt = np.block([[m_c @ h_inv @ m_c.T - shift * np.eye(n_edges), m_z],
                     [m_z.T, np.zeros((n_lin, n_lin))]])
-    rhs = np.concatenate([2.0 * np.pi - a_edge @ ang.ravel()
-                          + m_c @ h_inv @ g, np.zeros(n_lin)])
-    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    lam = sol[:n_edges]
-    r = m_c.T @ lam - g
-    d_ab = h_inv @ r
+    full = np.zeros(n_edges + n_lin)
+    full[:rhs.size] = rhs
+    full[:n_edges] += m_c @ h_inv @ g
+    sol = np.linalg.lstsq(kkt, full, rcond=None)[0]
+    d_ab = h_inv @ (m_c.T @ sol[:n_edges] - g)
     d = np.zeros_like(ang)
     d[c, 0], d[c, 1] = d_ab[:k], d_ab[k:]
     d[c, 2] = -d_ab[:k] - d_ab[k:]
     d[lin, face.p] = sol[n_edges:]
-    d[lin, face.q] = -sol[n_edges:]
-    return d, a_edge.T @ lam, -float(r @ d_ab), float(np.max(np.abs(r),
-                                                            initial=0.0))
+    return sol[:n_edges], d
 
 
 def interior_status(sys_, pinned=None):

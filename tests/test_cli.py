@@ -68,12 +68,20 @@ def test_solve_fig8(capsys, fig8_path):
     assert res["candidate_complete"] is True
     assert res["certificate"]["signs_ok"] is True
     assert fig8_path in report["inputs"]
+    # the dual's bound: at least the maximum, and the gap is its excess
+    assert res["volume_upper"] >= 2.0298832128193072 - 1e-14
+    assert res["gap"] == res["volume_upper"] - res["volume"]
+    assert abs(res["gap"]) < 1e-9
+    # the schema requires the bound with the volume
+    del report["results"]["volume_upper"]
+    jsonschema = pytest.importorskip("jsonschema")
+    with pytest.raises(jsonschema.ValidationError):
+        validate_schema(report)
 
 
 def test_solve_reports_inner_iterations(capsys, fig8_path, flatten3_path):
-    # the MINRES steps of the ascent, a deterministic counter; fig8's one
-    # step starts at the maximizer, where the system's right-hand side is
-    # already below the stop
+    # the MINRES steps of the Newton steps, a deterministic counter; fig8
+    # takes none, since its first iterate, the centre, is the maximizer
     def count(path):
         return run_json(capsys, "solve", path)[1]["results"][
             "inner_iterations"]
@@ -93,9 +101,10 @@ def test_solve_multi_start(capsys, fig8_path):
 
 
 def test_solve_multi_start_releases_rejected_pins(capsys, tmp_path):
-    # with every pin kept, one start of this probe converged at 1.962782
-    # with a tetrahedron pinned flat that its certificate rejects, while
-    # the others reached V8
+    # a regression case of the pinned primal ascent: with every pin kept,
+    # one start of this probe converged at 1.962782 with a tetrahedron
+    # pinned flat that its certificate rejects.  The dual has no pins, and
+    # every start must reach V8
     path = tmp_path / "geo4.tri"
     path.write_text(GEO4_TEXT)
     code, report, _ = run_json(capsys, "solve", str(path), "--starts", "8",
@@ -109,16 +118,16 @@ def test_solve_multi_start_releases_rejected_pins(capsys, tmp_path):
 def test_solve_multi_start_reports_a_probe_result(capsys, fig8_path,
                                                 monkeypatch):
     calls = []
-    original = optimizer._ascend
+    original = optimizer._maximize
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "_ascend", counted)
+    monkeypatch.setattr(optimizer, "_maximize", counted)
     code, report, _ = run_json(capsys, "solve", fig8_path, "--starts", "3")
     assert code == 0
-    assert len(calls) == 3  # one ascent per start, no re-solve of the best
+    assert len(calls) == 3  # one solve per start, no re-solve of the best
     res = report["results"]
     assert res["volume"] == max(res["multi_start"]["volumes"])
 
@@ -161,8 +170,8 @@ def test_solve_flat_complete_structure(capsys, flatten3_path):
 
 @pytest.mark.parametrize("name", ["fig8", "flatten3"])
 def test_solve_certifies_once(capsys, monkeypatch, request, name):
-    # flatten3's ascent pins tetrahedron 3 and certifies its converged point
-    # for the release rule; solve reports that certificate
+    # the solve itself certifies nothing; flatten3's maximizer has
+    # tetrahedron 3 flat, and its one certificate is solve's
     calls = []
 
     def counted(*args, **kwargs):
@@ -209,8 +218,8 @@ def test_solve_iteration_cap_exit_code(capsys, fig8, tmp_path):
                                             ("flatten3", cli.EXIT_NOT_CONVERGED)])
 def test_solve_one_iteration_report_is_strict_json(capsys, request, name,
                                                    expected):
-    # finding the minimal face takes none of the --max-iter budget, so one
-    # ascent step always runs and reports a finite KKT residual
+    # the first iteration takes the edge error at the start, so even one
+    # iteration reports a finite KKT residual; fig8's start is its maximizer
     def reject(constant):
         raise ValueError("non-JSON constant %s" % constant)
 
@@ -228,15 +237,16 @@ def test_solve_one_iteration_report_is_strict_json(capsys, request, name,
     ("degenerate4", ["--starts", "4"], 1, 0),
     ("flatten3", [], 0, 0),
     ("fig8", ["--starts", "4"], 0, 0),
-    ("chain141", [], 1, 1),
+    ("chain141", [], 1, 0),
 ])
 def test_solve_finds_the_minimal_face_once(capsys, monkeypatch, request,
                                            name, argv, unpinned, pinned):
     # the unpinned LP runs only when the closure has no interior, once per
-    # solve: every start and the certificate share its face; the pinned LP
-    # runs only when the ascent's restart after a tetrahedron flattens
-    # cannot find its face from the centre, as on chain 141 but not on
-    # flatten3
+    # solve: every start and the certificate share its face.  On chain 141,
+    # whose minimal face has linear tetrahedra, the same LP gives the face
+    # that Newton runs on.  No pinned LP runs; flatten3's maximizer has a
+    # flat tetrahedron, but Newton toward the analytic centre finds its
+    # interior
     calls = []
     original = polytope.interior_point
 
@@ -251,30 +261,52 @@ def test_solve_finds_the_minimal_face_once(capsys, monkeypatch, request,
     assert (calls.count(False), calls.count(True)) == (unpinned, pinned)
 
 
-def test_solve_stall_exit_code(capsys, degenerate4_path):
-    # no residual falls below this tolerance: the ascent must stop at the
-    # rounding floor instead of running to the iteration cap
+def test_failed_lp_is_not_an_empty_closure(capsys, monkeypatch, fig8_sys,
+                                           doubled_path):
+    # an LP that fails (HiGHS status 4, numerical difficulties) raises; only
+    # an infeasible one (status 2) reads as an empty closure and exit 3
+    import scipy.optimize
+
+    def failed(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(
+            status=4, success=False, x=None,
+            message="Numerical difficulties encountered.")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failed)
+    with pytest.raises(ValueError, match="LP failed"):
+        polytope.interior_point(fig8_sys)
+    code, out, err = run_cli(capsys, "solve", doubled_path)
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: interior-point LP failed")
+
+
+def test_solve_stall_exit_code(capsys, flatten3_path):
+    # no residual falls below this tolerance: Newton must stop at the
+    # rounding floor instead of running to the iteration cap.  flatten3's
+    # floor is about 2e-14; degenerate4's dual can land on an edge error of
+    # exactly 0, which is below every tolerance
     t0 = time.perf_counter()
-    code, report, _ = run_json(capsys, "solve", degenerate4_path,
+    code, report, _ = run_json(capsys, "solve", flatten3_path,
                                "--tol", "1e-300", "--max-iter", "2000")
     assert time.perf_counter() - t0 < 2.0
     assert code == cli.EXIT_NOT_CONVERGED
     res = report["results"]
     assert res["status"] == "stalled"
     assert res["iterations"] < 2000
-    assert abs(res["volume"] - 1.7619532174) < 1e-8
+    assert abs(res["volume"] - 2.029883212819307) < 1e-10
 
 
 def test_solve_off_the_equalities_reports_and_exits_4(capsys, monkeypatch,
                                                      fig8_path, fig8_sys,
                                                      fig8_center):
-    # a stalled ascent whose inexact steps left the equalities: certify
+    # a stalled solve whose point is off the edge equations: certify
     # cannot run there, so the report says why and the exit is the status's
     point = fig8_center.copy()
     point[[0, 5]] += 1e-4  # one angle of tetrahedron 0, both its slots
     stalled = optimizer.OptimizationResult(
         point, 2.0, "stalled", (), frozenset(), 3e-4,
-        17, frozenset(), 40, None)
+        17, frozenset(), 40, 2.5)
     monkeypatch.setattr(optimizer, "maximize_volume",
                         lambda *args, **kwargs: stalled)
     code, out, err = run_cli(capsys, "solve", fig8_path)
@@ -578,8 +610,8 @@ def test_cli_import_does_not_load_scipy(tmp_path, fig8_path, fig8_sys,
     # the commands that never solve an LP start and run without scipy,
     # whose import would dominate their run time; so do solve, with one
     # start or several, and dominate when the closure has interior: Newton
-    # from the centre of the box then finds the minimal face with no LP,
-    # and on flatten3 also the face the ascent restarts on after pinning
+    # from the centre of the box toward the analytic centre then finds the
+    # minimal face with no LP, also on flatten3, whose maximizer has
     # tetrahedron 3 flat
     rng = np.random.default_rng(41)
     q = polytope.sample_closure_points(

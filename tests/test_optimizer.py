@@ -1,6 +1,7 @@
 """Volume maximization, certificates, uniqueness, and dominance."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from cuspforge import lobachevsky as lob
 from cuspforge import optimizer, polytope, triangulation
 
-from conftest import (GEO4_COCYCLE, GEO4_TEXT, cyclic_cover, flat_pins,
-                      load_data, movable_chain, property_chain, relabel)
+from conftest import (GEO4_COCYCLE, GEO4_TEXT, cyclic_cover, load_data,
+                      movable_chain, property_chain, relabel)
 from helpers import (dense_newton_step, dominance_reference, fixed_slots,
                      interior_status, lstsq_certificate, null_directions,
                      slot_system)
@@ -36,13 +37,14 @@ def test_fig8_maximizer_is_regular(fig8_sys, fig8_optimum, fig8_center):
 
 
 def test_maximize_respects_custom_start(fig8_sys, fig8_center):
-    rng = np.random.default_rng(30)
-    start = polytope.sample_closure_points(
-        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys)[0],
-        boundary_fraction=0.0)[0]
-    assert np.max(np.abs(start - fig8_center)) > 1e-3
+    # a start holds one multiplier per edge class; this one flattens both
+    # tetrahedra, and Newton still reaches the regular point
+    start = np.random.default_rng(30).standard_normal(2)
+    first = optimizer.maximize_volume(fig8_sys, max_iter=1, start=start)
+    assert first.flat_tets == (0, 1)
     res = optimizer.maximize_volume(fig8_sys, start=start)
     assert res.status == "converged"
+    assert res.iterations > 1
     assert np.max(np.abs(res.point - fig8_center)) < 1e-6
 
 
@@ -60,8 +62,8 @@ def test_ascent_step_count_does_not_depend_on_the_labeling():
 
 
 def test_centre_start_needs_no_lp(monkeypatch):
-    # from the centre the ascent meets the equalities inside the box, so the
-    # interior-point LP never runs
+    # Newton on the dual from the centre converges with every tetrahedron
+    # positive, so the minimal face is never looked up and no LP runs
     sys_ = polytope.build_constraints(
         triangulation.incidence(triangulation.parse_triangulation(GEO4_TEXT)))
 
@@ -83,31 +85,17 @@ def test_maximize_empty_closure(doubled):
     assert optimizer.minimal_face(sys_) is None
 
 
-def assert_pinned_face_matches_lp(sys_, pinned):
-    # the LP oracle: the same fixed slots, and the point's slots at 0 or pi
-    # are exactly those
-    face, ang = optimizer.minimal_face(sys_, pinned)
-    _, fixed = polytope.interior_point(sys_, pinned)
-    assert face.fixed == fixed
-    membership = polytope.classify_membership(sys_, polytope.to_slots(ang))
-    assert membership.kind == "boundary"
-    assert membership.flat == fixed
-
-
-@pytest.mark.parametrize("big, half, lps", [
-    ((0,), False, 1), ((0, 1), False, 0), ((0, 1), True, 1)],
-    ids=["one-flat", "point", "half-pinned"])
-def test_pinned_minimal_face_matches_lp(fig8_sys, monkeypatch, big, half,
-                                        lps):
-    # every case leaves a single point.  With one tetrahedron flat the other
-    # is flat too, which the centre start cannot find; with both pinned it
-    # starts at the point and no LP runs.  Pins on one slot of each angle
-    # fix the other slot too: the start lands on the point, but with more
-    # slots at 0 or pi than pinned, so the LP decides
-    pinned = flat_pins(*big)
-    if half:
-        pinned = {s: v for s, v in pinned.items() if s % 6 < 3}
-    assert_pinned_face_matches_lp(fig8_sys, pinned)
+@pytest.mark.parametrize("seed, lps", [(9, 0), (34, 0), (141, 1),
+                                       (161, 1)])
+def test_chain_solve_runs_one_unpinned_lp_at_most(fig8, monkeypatch, seed,
+                                                   lps):
+    # flat tetrahedra at the maximizer (chains 9 and 34) or linear ones on
+    # the minimal face (141 and 161): the LP runs, unpinned and once, only
+    # when the closure has no interior, and its face is the result's.  On
+    # chain 34, Newton toward the analytic centre finds the interior that
+    # the volume's Newton steps from the centre did not
+    sys_ = polytope.build_constraints(
+        triangulation.incidence(property_chain(fig8, seed)))
     calls, interior_point = [], polytope.interior_point
 
     def counted(sys_, pinned=None):
@@ -115,43 +103,33 @@ def test_pinned_minimal_face_matches_lp(fig8_sys, monkeypatch, big, half,
         return interior_point(sys_, pinned)
 
     monkeypatch.setattr(polytope, "interior_point", counted)
-    face, _ = optimizer.minimal_face(fig8_sys, pinned)
-    assert len(calls) == lps
-    assert face.fixed == frozenset(range(12))
-
-
-@pytest.mark.parametrize("seed, unpinned, pinned", [
-    (9, 0, 0), (34, 1, 1), (141, 1, 1), (161, 1, 1)])
-def test_ascent_restart_faces_match_lp(fig8, monkeypatch, seed, unpinned,
-                                       pinned):
-    # the faces the ascent restarts on after pinning tetrahedra flat; on
-    # some of them the centre start fails and the pinned LP still runs
-    sys_ = polytope.build_constraints(
-        triangulation.incidence(property_chain(fig8, seed)))
-    pins, lps = [], []
-    minimal_face, interior_point = (optimizer.minimal_face,
-                                    polytope.interior_point)
-
-    def recorded(sys_, pinned=None):
-        pins.append(dict(pinned or {}))
-        return minimal_face(sys_, pinned)
-
-    def counted(sys_, pinned=None):
-        lps.append(bool(pinned))
-        return interior_point(sys_, pinned)
-
-    monkeypatch.setattr(optimizer, "minimal_face", recorded)
-    monkeypatch.setattr(polytope, "interior_point", counted)
     res = optimizer.maximize_volume(sys_)
     assert res.status == "converged"
-    assert (lps.count(False), lps.count(True)) == (unpinned, pinned)
-    restarts = [p for p in pins if p]
-    assert restarts
+    assert calls == [None] * lps
     monkeypatch.undo()
-    # the result keeps the unpinned face's slots, not a restart's
-    assert res.face_fixed == optimizer.minimal_face(sys_)[0].fixed
-    for p in restarts:
-        assert_pinned_face_matches_lp(sys_, p)
+    assert res.face_fixed == (interior_point(sys_)[1] if lps else set())
+    assert optimizer.certify(sys_, res.point, fixed=res.face_fixed).signs_ok
+
+
+# Property chains whose minimal face has linear tetrahedra, and the volumes
+# that the pinned primal ascent reached on them.  On chains 141 and 161 the
+# bordered solve puts p outside [0, pi] (at -0.785 and 3.927) until that
+# tetrahedron is fixed flat; unfixed, the volume would read 1.8319.
+LINEAR_FACE_VOLUMES = {58: 0.942707362777, 69: 1.333372391725,
+                       141: 1.727870495043, 161: 1.727870495043}
+
+
+@pytest.mark.parametrize("seed", sorted(LINEAR_FACE_VOLUMES))
+def test_linear_face_chain_maximum(fig8, seed):
+    sys_ = polytope.build_constraints(
+        triangulation.incidence(property_chain(fig8, seed)))
+    assert optimizer.minimal_face(sys_)[0].linear.size
+    res = optimizer.maximize_volume(sys_)
+    assert res.status == "converged"
+    assert abs(res.volume - LINEAR_FACE_VOLUMES[seed]) < 1e-11
+    assert res.volume_upper >= LINEAR_FACE_VOLUMES[seed] - 1e-11
+    assert polytope.equality_residual(sys_, res.point) < 1e-9
+    assert optimizer.certify(sys_, res.point, fixed=res.face_fixed).signs_ok
 
 
 def classify_tetrahedra_loop(p, tol=polytope.BOUNDARY_TOL):
@@ -297,7 +275,6 @@ def test_certify_boundary_point_finds_improving_direction(fig8_sys):
     [(tet, margin, face_fixed)] = cert.margins
     assert tet == 0 and not face_fixed
     assert abs(margin + np.log(2.0)) < 1e-12
-    assert cert.rejected == (0,)
 
 
 def test_certify_rejects_a_movable_zero_angle(fig8_sys):
@@ -310,7 +287,6 @@ def test_certify_rejects_a_movable_zero_angle(fig8_sys):
     cert = optimizer.certify(fig8_sys, point)
     assert not cert.signs_ok
     assert cert.margins == ()
-    assert cert.rejected == ()
 
 
 def sampled_signs_ok(sys_, p, n_samples=200):
@@ -342,7 +318,6 @@ def test_certify_flat_tetrahedron_with_one_movable_angle(fig8, seed, tet,
     cert = optimizer.certify(sys_, p)
     assert [ff for t, _, ff in cert.margins if t == tet] == [False]
     assert cert.signs_ok is expected
-    assert (not cert.rejected) is expected
     assert sampled_signs_ok(sys_, p) is expected
 
 
@@ -429,22 +404,11 @@ def test_dominance_scores_all_samples_in_one_call(fig8_sys, fig8_optimum,
     assert sorted(calls) == ["boundary_derivative_limit", "lobachevsky"]
 
 
-# Seeds whose probe on GEO4_TEXT left a start converged below the maximum,
-# with a tetrahedron pinned flat that its certificate rejects, while the
-# ascent kept every pin.
+# Seeds whose probe on GEO4_TEXT left a start of the pinned primal ascent
+# converged below the maximum, with a tetrahedron pinned flat that its
+# certificate rejects, until such pins were released.  The dual has no pins;
+# these seeds stay as regression cases.
 STUCK_PROBE_SEEDS = (48, 49, 63, 253)
-
-
-def recorded_pins(monkeypatch):
-    """The pin maps of every ``minimal_face`` call, in order."""
-    pins, minimal_face = [], optimizer.minimal_face
-
-    def recorded(sys_, pinned=None):
-        pins.append(dict(pinned or {}))
-        return minimal_face(sys_, pinned)
-
-    monkeypatch.setattr(optimizer, "minimal_face", recorded)
-    return pins
 
 
 def assert_every_start_at_the_maximum(sys_, rep, volume):
@@ -453,23 +417,23 @@ def assert_every_start_at_the_maximum(sys_, rep, volume):
         assert r.status == "converged"
         assert abs(r.volume - volume) < 1e-9
         cert = optimizer.certify(sys_, r.point, fixed=r.face_fixed)
-        assert cert.signs_ok and cert.rejected == ()
+        assert cert.signs_ok
 
 
 @pytest.mark.parametrize("seed", STUCK_PROBE_SEEDS)
-def test_probe_releases_rejected_pins(monkeypatch, seed):
+def test_probe_releases_rejected_pins(seed):
     sys_ = polytope.build_constraints(
         triangulation.incidence(triangulation.parse_triangulation(GEO4_TEXT)))
-    pins = recorded_pins(monkeypatch)
     rep = optimizer.uniqueness_probe(sys_, 8, seed=seed)
-    monkeypatch.undo()
     assert_every_start_at_the_maximum(sys_, rep, FIG8_VOLUME)
-    # some restart dropped a pin: a release
-    assert any(set(b) < set(a) for a, b in zip(pins, pins[1:]))
+    # the starts are distinct multipliers, not one point eight times
+    assert len({r.iterations for r in rep.results}) > 1
 
 
 @pytest.mark.parametrize("seed", [60, 61])
 def test_chain_probe_releases_rejected_pins(fig8, seed):
+    # chains whose probe needed the release of rejected pins; their
+    # maximizers are complete structures with a flat tetrahedron
     sys_ = polytope.build_constraints(
         triangulation.incidence(property_chain(fig8, seed)))
     rep = optimizer.uniqueness_probe(sys_, 8, seed=seed)
@@ -480,8 +444,8 @@ def test_chain_probe_releases_rejected_pins(fig8, seed):
     "fig8", "degenerate4", "flatten3", "gieseking", "cover4", "cover16",
     "cover64", "cover256", "cover1024"])
 def test_result_volume_is_the_kernel_volume(name):
-    # the ascent reports its last line-search volume, summed over angles;
-    # it must be the volume of the reported slot vector
+    # the solve reports the volume of its point summed over angles; it
+    # must be the volume of the reported slot vector
     if name.startswith("cover"):
         tri = cyclic_cover(triangulation.parse_triangulation(GEO4_TEXT),
                            GEO4_COCYCLE, int(name[5:]) // 4)
@@ -495,17 +459,16 @@ def test_result_volume_is_the_kernel_volume(name):
 
 
 def test_iteration_cap_status(fig8_sys):
-    rng = np.random.default_rng(31)
-    start = polytope.sample_closure_points(
-        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys)[0],
-        boundary_fraction=0.0)[0]
+    start = np.random.default_rng(31).standard_normal(2)
     res = optimizer.maximize_volume(fig8_sys, max_iter=1, start=start)
     assert res.status == "iteration-cap"
+    assert res.iterations == 1
 
 
 def test_degenerate4_boundary_maximizer(degenerate4_sys):
-    # empty interior: the ascent runs on the minimal face, where tetrahedra
-    # 0 and 3 are flat
+    # empty interior: tetrahedra 0 and 3 are flat on the whole closure, so
+    # the dual's iterates flatten them and converge with no LP; the minimal
+    # face, looked up for the flat tetrahedra, needs it
     res = optimizer.maximize_volume(degenerate4_sys)
     assert res.status == "converged"
     assert abs(res.volume - 1.7619532174) < 1e-8
@@ -527,7 +490,7 @@ def test_degenerate4_boundary_maximizer(degenerate4_sys):
 
 
 def test_flattening_chain_maximizer(fig8):
-    # three 2-3 moves: the interior is not empty, but the ascent drives
+    # three 2-3 moves: the interior is not empty, but the maximizer has
     # tetrahedron 3 flat; the other four are the geometric 4-tet
     # triangulation, so the maximum is exactly the fig8 volume
     tri = load_data("flatten3")
@@ -547,32 +510,41 @@ def test_flattening_chain_maximizer(fig8):
     [(tet, margin, face_fixed)] = cert.margins
     assert tet == 3 and not face_fixed
     assert abs(margin) < 1e-9
-    # the pin is the ascent's restart, not a slot the closure's minimal face
-    # fixes; handed to certify, the face gives the same certificate
+    # the closure's minimal face fixes no slot; handed to certify, it gives
+    # the same certificate
     assert res.face_fixed == frozenset()
     given = optimizer.certify(sys_, res.point, fixed=res.face_fixed)
     assert (given.signs_ok, given.margins) == (cert.signs_ok, cert.margins)
 
 
 def test_maximize_rejects_start_off_the_face(degenerate4_sys):
-    # tetrahedron 1 is free on the minimal face; a start with one of its
-    # angles at 0 is on the face's boundary
-    start = polytope.interior_point(degenerate4_sys)[0].copy()
-    start[6:12] = np.array([0.0, 0.5, 0.5, 0.5, 0.5, 0.0]) * np.pi
-    with pytest.raises(ValueError, match="relative interior"):
-        optimizer.maximize_volume(degenerate4_sys, start=start)
+    # a start is one finite multiplier per edge class; a slot vector, or a
+    # vector with a NaN, is not a point of the dual's domain
+    n_edges = degenerate4_sys.b.size - degenerate4_sys.rows.shape[0] // 3
+    for start in (polytope.interior_point(degenerate4_sys)[0],
+                  np.full(n_edges, np.nan)):
+        with pytest.raises(ValueError, match="multiplier per edge"):
+            optimizer.maximize_volume(degenerate4_sys, start=start)
 
 
-def assert_step_matches_dense(tri, face, ang):
-    d, normal, slope, residual = face.step(ang)
-    d_ref, normal_ref, slope_ref, residual_ref = dense_newton_step(
-        tri, face, ang)
-    scale = max(1.0, float(np.max(np.abs(d_ref))))
-    assert np.max(np.abs(d - d_ref)) <= 1e-10 * scale
-    assert np.max(np.abs(normal - normal_ref)) <= 1e-10 * max(
-        1.0, float(np.max(np.abs(normal_ref))))
-    assert abs(slope - slope_ref) <= 1e-10 * max(1.0, abs(slope_ref))
-    assert abs(residual - residual_ref) <= 1e-10 * max(1.0, residual_ref)
+def assert_step_matches_dense(tri, face, ang, rhs, shift, barrier=False):
+    # the dual step gives the change of p on the linear tetrahedra only;
+    # the barrier step, the change of every angle
+    dy, d = face.step(ang, rhs, shift, 1e-14 * np.linalg.norm(rhs), barrier)
+    dy_ref, d_ref = dense_newton_step(tri, face, ang, rhs, shift, barrier)
+    if not barrier:
+        d, d_ref = (x[face.linear, face.p] for x in (d, d_ref))
+    for got, ref in ((dy, dy_ref), (d, d_ref)):
+        scale = max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-10 * scale
+
+
+def kkt_at(face, y):
+    """theta*(y), with p = pi/2 on the linear tetrahedra, and the KKT
+    residual there: the edge error, then w_q - w_p per linear one."""
+    ang = face.dual(y, 0.5 * np.pi)[0]
+    return ang, np.concatenate([face.error(ang),
+                                -(y[face.cols] @ optimizer._SIGNS)])
 
 
 @pytest.mark.parametrize("name", ["fig8", "gieseking", "flatten3",
@@ -580,27 +552,90 @@ def assert_step_matches_dense(tri, face, ang):
 def test_newton_step_matches_dense_oracle(name):
     tri = load_data(name)
     sys_ = polytope.build_constraints(triangulation.incidence(tri))
-    # off the edge equations, from the centre of the box with every angle
-    # free, and at the point of the minimal face
-    centre = optimizer._Face(sys_, ())
-    assert_step_matches_dense(tri, centre, np.full(centre.free.shape,
-                                                   np.pi / 3.0))
-    face, ang = optimizer.minimal_face(sys_)
-    assert_step_matches_dense(tri, face, ang)
+    face = optimizer._Face(sys_)
+    n_edges = face.b_edge.size
+    # the barrier step from the centre of the box, as minimal_face takes it
+    centre = np.full(face.free.shape, np.pi / 3.0)
+    assert_step_matches_dense(tri, face, centre, face.error(centre), 0.0,
+                              barrier=True)
+    # the dual step at the centre, y = 0, and at random multipliers, where
+    # some tetrahedra are flat and add nothing
+    for y in (np.zeros(n_edges),
+              np.random.default_rng(7).standard_normal(n_edges)):
+        ang, rhs = kkt_at(face, y)
+        assert_step_matches_dense(tri, face, ang, rhs, 0.5)
 
 
 @pytest.mark.parametrize("seed", CHAIN_SEEDS_WITH_LINEAR)
 def test_bordered_newton_step_matches_dense_oracle(seed, fig8):
     tri = property_chain(fig8, seed)
     sys_ = polytope.build_constraints(triangulation.incidence(tri))
-    face, ang = optimizer.minimal_face(sys_)
+    face, _ = optimizer.minimal_face(sys_)
     assert face.linear.size
-    assert_step_matches_dense(tri, face, ang)
-    # and after a step along the face, where the linear angles have moved
-    alpha, ang, _ = optimizer._line_search(
-        face, ang, optimizer._volume(ang), face.step(ang))
-    assert alpha > 0.0
-    assert_step_matches_dense(tri, face, ang)
+    # at y = 0, and at random multipliers, off w_p = w_q: the step's
+    # border rows take the drift out
+    for y in (np.zeros(face.b_edge.size),
+              np.random.default_rng(seed).standard_normal(face.b_edge.size)):
+        ang, rhs = kkt_at(face, y)
+        assert np.any(rhs[face.b_edge.size:]) == bool(y.any())
+        assert_step_matches_dense(tri, face, ang, rhs, 0.5)
+
+
+# The dense-lstsq oracle's maximum on moves272: the 64-fold cover of
+# GEO4_TEXT after 16 random 2-3 moves that keep the closure's interior.
+MOVES272_VOLUME = 124.5831168412
+
+
+def test_moves272_off_the_covers():
+    # a non-cover input, where the pinned primal ascent ended "stalled" 4e-5
+    # above the maximum: the maximum is a boundary point with 14 flat
+    # tetrahedra, and it is not the complete structure (64 V8 = 129.91)
+    sys_ = polytope.build_constraints(
+        triangulation.incidence(load_data("moves272")))
+    elapsed = []
+    for _ in range(2):  # the faster of two runs, on a shared host
+        t0 = time.perf_counter()
+        res = optimizer.maximize_volume(sys_)
+        assert res.status == "converged"
+        cert = optimizer.certify(sys_, res.point, fixed=res.face_fixed)
+        elapsed.append(time.perf_counter() - t0)
+    assert abs(res.volume - MOVES272_VOLUME) <= 1e-10 * MOVES272_VOLUME
+    assert len(res.flat_tets) == 14
+    assert cert.signs_ok
+    assert min(elapsed) < 1.0
+
+
+def upper_at_least(res, exact):
+    """``volume_upper`` is at least ``exact``, up to rounding."""
+    return res.volume_upper >= exact - 1e-14 * max(1.0, exact)
+
+
+@pytest.mark.parametrize("name, exact", [
+    ("fig8", FIG8_VOLUME), ("gieseking", FIG8_VOLUME / 2.0),
+    ("flatten3", FIG8_VOLUME)])
+def test_volume_upper_bounds_the_fixtures(name, exact):
+    res = optimizer.maximize_volume(
+        polytope.build_constraints(triangulation.incidence(load_data(name))))
+    assert upper_at_least(res, exact)
+    assert res.volume_upper - res.volume < 1e-12
+
+
+@pytest.mark.parametrize("fold", [1, 2, 4, 8, 16, 32, 64])
+def test_volume_upper_bounds_covers_and_their_iterates(fold):
+    # weak duality: D(y) bounds the maximum at every y, so at the iterates
+    # that --max-iter k stops at, k = 1..7, too; the covers' maximum is
+    # exactly fold V8
+    sys_ = polytope.build_constraints(triangulation.incidence(cyclic_cover(
+        triangulation.parse_triangulation(GEO4_TEXT), GEO4_COCYCLE, fold)))
+    exact = fold * FIG8_VOLUME
+    res = optimizer.maximize_volume(sys_)
+    assert res.status == "converged"
+    assert upper_at_least(res, exact)
+    assert abs(res.volume - exact) <= 1e-12 * exact
+    uppers = [optimizer.maximize_volume(sys_, max_iter=k).volume_upper
+              for k in range(1, 8)]
+    assert all(upper >= exact - 1e-14 * exact for upper in uppers)
+    assert uppers[0] - exact > 1.0  # the centre is far from the maximum
 
 
 def test_solve_and_certify_build_no_matrix(monkeypatch):
