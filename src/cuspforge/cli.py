@@ -39,7 +39,12 @@ def _sha256(path):
 
 
 def _default_seed():
-    return int(os.environ.get("CUSPFORGE_SEED", "0"))
+    text = os.environ.get("CUSPFORGE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("CUSPFORGE_SEED must be an integer, got %r"
+                         % text) from None
 
 
 def _positive_int(text):
@@ -401,9 +406,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except triangulation.ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)

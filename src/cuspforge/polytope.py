@@ -99,10 +99,6 @@ def _equality_errors(sys, x):
                            (six[:, :3] - six[:, :2:-1]).ravel()])
 
 
-def equality_residual(sys, x):
-    return float(np.max(np.abs(_equality_errors(sys, x))))
-
-
 def classify_membership(sys, x):
     """Interior / boundary(J) / infeasible classification of a slot vector
     at tolerance ``BOUNDARY_TOL``; opposite slots must agree within it."""

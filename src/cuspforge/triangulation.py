@@ -20,7 +20,6 @@ Vishkin, "An O(log n) parallel connectivity algorithm", J. Algorithms 3,
 
 from __future__ import annotations
 
-import contextlib
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -127,15 +126,6 @@ def _fault_message(face, kind, t2, perm):
     return _FAULTS[kind] % dict(t=t, f=f, t2=t2, perm=perm)
 
 
-def _first_unglued(n_tets, glued):
-    """The first face (t, f) not in ``glued``, or None; it is among the
-    first len(glued) + 1 faces, so the search never runs past the input."""
-    for face in range(min(len(glued) + 1, 4 * n_tets)):
-        if divmod(face, 4) not in glued:
-            return divmod(face, 4)
-    return None
-
-
 class Triangulation:
     """Immutable validated face-gluing data.
 
@@ -235,127 +225,97 @@ class IncidenceIndex:
 # ---------------------------------------------------------------------------
 # Parsing and formatting
 
-_GLUE_RE = re.compile(r"glue\s+(\d+)\s+(\d+)\s+(\d+)\s+([0-3]{4})$")
-
-
-def _check_lines(glue, n_tets):
-    """Check (line number, line) glue lines one at a time, in order: the
-    indices are in range and no face is glued twice.  Returns the set of
-    glued faces."""
-    glued = set()
-    for ln, line in glue:
-        t, f = (int(x) for x in _GLUE_RE.match(line).group(1, 2))
-        if not 0 <= t < n_tets:
-            raise ParseError("tetrahedron index %d out of range" % t, ln)
-        if not 0 <= f < 4:
-            raise ParseError("face index %d out of range" % f, ln)
-        if (t, f) in glued:
-            raise ParseError("duplicate gluing for face (%d, %d)" % (t, f), ln)
-        glued.add((t, f))
-    return glued
-
-
-# The layout format_triangulation writes: no comment or blank line, single
-# spaces, "\n" ends, and indices without leading zeros of at most 18 digits,
-# so that int64 holds them.
-_INDEX = "(?:0|[1-9][0-9]{0,17})"
-_CANONICAL_RE = re.compile("tri 1\ntets (%s)\n((?:glue %s %s %s [0-3]{4}\n)*)"
-                           % ((_INDEX,) * 4))
+# The .tri grammar, ASCII only.  A "#" starts a comment that runs to the end
+# of its line; once comments are gone, lines end in "\n", "\r\n" or "\r",
+# blank lines may come anywhere, and spaces and tabs may surround and
+# separate the fields.  Indices are decimal digits of any length.
+_COMMENT_RE = re.compile("#[^\r\n]*")
+_GLUE = "glue[ \t]+[0-9]+[ \t]+[0-9]+[ \t]+[0-9]+[ \t]+[0-3]{4}"
+# No group: a group open or closed before the glue lines makes every line's
+# match save it, and the match takes a quarter longer.
+_TEXT_RE = re.compile("[ \t\r\n]*tri 1[ \t]*[\r\n][ \t\r\n]*tets[ \t]+[0-9]+"
+                      "(?:[ \t]*[\r\n][ \t\r\n]*%s)*[ \t\r\n]*" % _GLUE)
+_NO_GLUE = str.maketrans("", "", "glue")
 
 
 def parse_triangulation(text, label=None):
     """Parse gluing-format text (see the .tri format in the README).
 
-    Text in the canonical layout is read in one whole-text pass; any other
-    text, and any text with a fault, goes to the line parser, which names
-    the line of each error."""
-    m = _CANONICAL_RE.fullmatch(text)
-    if m is not None:
-        n_tets = int(m.group(1))
-        rows = np.fromstring(m.group(2).replace("glue", ""), dtype=np.int64,
-                             sep=" ").reshape(-1, 4)
-        t, f, t2, digits = rows.T
-        face = 4 * t + f
-        if (len(rows) == 4 * n_tets > 0 and (t < n_tets).all()
-                and (f < 4).all()
-                and (np.bincount(face, minlength=4 * n_tets) == 1).all()):
-            target = np.empty(4 * n_tets, dtype=np.int64)
-            perm = np.empty_like(target)
-            target[face] = t2
-            perm[face] = _DIGITS_ROW[digits]
-            with contextlib.suppress(TriangulationError):
-                return Triangulation(target.reshape(-1, 4),
-                                     perm.reshape(-1, 4), label)
-    return _parse_lines(text, label)
+    One pattern matches the whole text, comments removed, and numpy reads
+    its indices into the arrays.  When the pattern or a check refuses the
+    text, _parse_error scans its lines for the error to raise."""
+    stripped = _COMMENT_RE.sub("", text)
+    fault = None
+    if _TEXT_RE.fullmatch(stripped):
+        # the tetrahedron count, then a (t, f, t', digits) row per gluing;
+        # an index beyond int64 reads as its maximum, which no check passes
+        numbers = np.fromstring(stripped.partition("tets")[2].translate(
+            _NO_GLUE), dtype=np.int64, sep=" ")
+        n_tets = int(numbers[0])
+        t, f, t2, digits = numbers[1:].reshape(-1, 4).T
+        if (len(t) == 4 * n_tets > 0 and (t < n_tets).all()
+                and (f < 4).all()):
+            face = 4 * t + f
+            if (np.bincount(face) == 1).all():  # each face glued once
+                target = np.empty(4 * n_tets, dtype=np.int64)
+                perm = np.empty_like(target)
+                target[face] = t2
+                perm[face] = _DIGITS_ROW[digits]
+                try:
+                    return Triangulation(target.reshape(-1, 4),
+                                         perm.reshape(-1, 4), label)
+                except TriangulationError as err:
+                    fault = err.fault
+    raise _parse_error(text, fault)
 
 
-def _parse_lines(text, label=None):
-    """Parse gluing-format text line by line: the whole grammar (comments,
-    blank lines, any whitespace and line ends), and every error message.
-
-    Errors name their line; an unglued face names the ``tets`` line."""
-    content = [(ln, stripped)
-               for ln, raw in enumerate(text.splitlines(), start=1)
-               if (stripped := raw.split("#", 1)[0].strip())]
-    if not content:
-        raise ParseError("empty file")
-    ln, header = content[0]
+def _parse_error(text, fault):
+    """The ParseError of a text that parse_triangulation refuses, found line
+    by line: a line's syntax error, after the range and duplicate checks of
+    the lines before it; then no tetrahedra, or an unglued face, both on
+    the ``tets`` line; then ``fault``, the first invalid gluing in face
+    order as the constructor found it, on its own line with the target and
+    digits as written there."""
+    lines = [(ln, stripped)
+             for ln, raw in enumerate(re.split("\r\n?|\n", text), start=1)
+             if (stripped := raw.split("#", 1)[0].strip(" \t"))]
+    if not lines:
+        return ParseError("empty file")
+    ln, header = lines[0]
     if header != "tri 1":
-        raise ParseError("expected format line 'tri 1'", ln)
-    if len(content) < 2:
-        raise ParseError("missing 'tets <N>' line", ln)
-    tets_ln, tets_line = content[1]
-    m = re.match(r"tets\s+(\d+)$", tets_line)
+        return ParseError("expected format line 'tri 1'", ln)
+    if len(lines) < 2:
+        return ParseError("missing 'tets <N>' line", ln)
+    tets_ln, tets_line = lines[1]
+    m = re.fullmatch("tets[ \t]+([0-9]+)", tets_line)
     if not m:
-        raise ParseError("expected 'tets <N>', got %r" % tets_line, tets_ln)
+        return ParseError("expected 'tets <N>', got %r" % tets_line, tets_ln)
     n_tets = int(m.group(1))
-    glue = content[2:]
-    for i, (ln, line) in enumerate(glue):
-        if not _GLUE_RE.match(line):
-            _check_lines(glue[:i], n_tets)  # an earlier line's error first
-            raise ParseError("expected 'glue <t> <f> <t'> <perm>', got %r"
-                             % line, ln)
-    # Only with 4 n lines can every face be glued; past this check, arrays
-    # sized by the header are no larger than the input.
-    valid = len(glue) == 4 * n_tets > 0
-    if valid:
-        t, f, t2, digits = _glue_rows(glue).T
-        face = 4 * t + f
-        valid = ((t < n_tets).all() and (f < 4).all()
-                 and (np.bincount(face, minlength=4 * n_tets) == 1).all())
-    if not valid:
-        # a line error comes first; with 4 n lines there is one
-        glued = _check_lines(glue, n_tets)
-        if n_tets < 1:
-            raise ParseError("need at least one tetrahedron", tets_ln)
-        raise ParseError("unglued face (%d, %d)"
-                         % _first_unglued(n_tets, glued), tets_ln)
-    target = np.empty(4 * n_tets, dtype=np.int64)
-    perm = np.empty_like(target)
-    target[face] = t2
-    perm[face] = _DIGITS_ROW[digits]
-    try:
-        return Triangulation(target.reshape(-1, 4), perm.reshape(-1, 4),
-                             label)
-    except TriangulationError as err:
-        # name the line, with the target and digits as written there
-        bad, kind = err.fault
-        ln, line = glue[np.flatnonzero(face == bad)[0]]
-        t2, digits = _GLUE_RE.match(line).group(3, 4)
-        raise ParseError(_fault_message(bad, kind, int(t2),
-                                        tuple(map(int, digits))), ln) from None
-
-
-def _glue_rows(glue):
-    """The integers of the glue lines, one (t, f, t', perm digits) row per
-    line; an index too large for int64 reads as 2**62."""
-    tokens = " ".join(line for _, line in glue).split()
-    del tokens[::5]  # the "glue" keywords
-    try:
-        rows = np.array(tokens, dtype=np.int64)
-    except OverflowError:
-        rows = np.array([min(int(x), 1 << 62) for x in tokens])
-    return rows.reshape(-1, 4)
+    glued = {}
+    for ln, line in lines[2:]:
+        if not re.fullmatch(_GLUE, line):
+            return ParseError("expected 'glue <t> <f> <t'> <perm>', got %r"
+                              % line, ln)
+        t, f, t2, digits = line.split()[1:]
+        t, f = int(t), int(f)
+        if t >= n_tets:
+            return ParseError("tetrahedron index %d out of range" % t, ln)
+        if f >= 4:
+            return ParseError("face index %d out of range" % f, ln)
+        if (t, f) in glued:
+            return ParseError("duplicate gluing for face (%d, %d)" % (t, f),
+                              ln)
+        glued[t, f] = ln, int(t2), tuple(map(int, digits))
+    if n_tets < 1:
+        return ParseError("need at least one tetrahedron", tets_ln)
+    if len(glued) < 4 * n_tets:
+        # the first unglued face is among the first len(glued) + 1
+        face = next(face for face in range(4 * n_tets)
+                    if divmod(face, 4) not in glued)
+        return ParseError("unglued face (%d, %d)" % divmod(face, 4), tets_ln)
+    face, kind = fault
+    ln, t2, perm = glued[divmod(face, 4)]
+    return ParseError(_fault_message(face, kind, t2, perm), ln)
 
 
 def format_triangulation(tri, comment=None):

@@ -526,6 +526,48 @@ def test_missing_file_exit_code(capsys, tmp_path):
     assert code == cli.EXIT_PARSE
 
 
+def test_malformed_tets_line_exit_code(capsys, tmp_path):
+    bad = tmp_path / "bad.tri"
+    bad.write_text("tri 1\ntets x\n")
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == "parse error: line 2: expected 'tets <N>', got 'tets x'\n"
+
+
+def test_move23_rejects_an_invalid_face(capsys, fig8_path, tmp_path):
+    out_path = tmp_path / "out.tri"
+    code, out, err = run_cli(capsys, "move23", fig8_path, "5", "0",
+                             str(out_path))
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == "error: invalid face (5, 0)\n"
+    assert not out_path.exists()
+
+
+def test_dominate_rejects_an_infeasible_point(capsys, fig8_path, tmp_path):
+    # every angle 1: each tetrahedron's angles sum to 3, not pi
+    path = tmp_path / "ones.json"
+    path.write_text(json.dumps({"angles": [1.0] * 12}))
+    code, out, err = run_cli(capsys, "dominate", fig8_path, str(path))
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == "error: reference point is infeasible\n"
+
+
+def test_bad_seed_env_var_is_a_usage_error(capsys, monkeypatch, fig8_path):
+    # the parser reads the variable for its defaults, so every subcommand
+    # meets it; the console script prints one line, no traceback
+    env = dict(os.environ, CUSPFORGE_SEED="abc")
+    out = subprocess.run([sys.executable, "-m", "cuspforge.cli", "lambda",
+                          "1.0"], capture_output=True, text=True, env=env)
+    message = "error: CUSPFORGE_SEED must be an integer, got 'abc'\n"
+    assert (out.returncode, out.stdout, out.stderr) \
+        == (cli.EXIT_PARSE, "", message)
+    monkeypatch.setenv("CUSPFORGE_SEED", "1.5")
+    for argv in (["check", fig8_path], ["lemmas", "--samples", "5"]):
+        assert run_cli(capsys, *argv) == (
+            cli.EXIT_PARSE, "",
+            "error: CUSPFORGE_SEED must be an integer, got '1.5'\n")
+
+
 def test_seed_env_var_default(capsys, monkeypatch):
     monkeypatch.setenv("CUSPFORGE_SEED", "77")
     code, report, _ = run_json(capsys, "lemmas", "--samples", "5")

@@ -74,7 +74,8 @@ def test_centre_start_needs_no_lp(monkeypatch):
     res = optimizer.maximize_volume(sys_)
     assert res.status == "converged"
     assert abs(res.volume - 2.029883212819307) < 1e-10
-    assert polytope.equality_residual(sys_, res.point) < 1e-12
+    assert polytope.classify_membership(
+        sys_, res.point).equality_violation < 1e-12
 
 
 def test_maximize_empty_closure(doubled):
@@ -128,7 +129,8 @@ def test_linear_face_chain_maximum(fig8, seed):
     assert res.status == "converged"
     assert abs(res.volume - LINEAR_FACE_VOLUMES[seed]) < 1e-11
     assert res.volume_upper >= LINEAR_FACE_VOLUMES[seed] - 1e-11
-    assert polytope.equality_residual(sys_, res.point) < 1e-9
+    assert polytope.classify_membership(
+        sys_, res.point).equality_violation < 1e-9
     assert optimizer.certify(sys_, res.point, fixed=res.face_fixed).signs_ok
 
 
@@ -502,7 +504,8 @@ def test_flattening_chain_maximizer(fig8):
     assert abs(res.volume - 2.029883212819307) < 1e-10
     assert res.flat_tets == (3,)
     assert optimizer.classify_tetrahedra(res.point)[3] == "flat"
-    assert polytope.equality_residual(sys_, res.point) < 1e-12
+    assert polytope.classify_membership(
+        sys_, res.point).equality_violation < 1e-12
     # the flat tetrahedron can move, and it is non-improving with margin 0:
     # the degenerate-triangle case of the paper's inequality
     cert = optimizer.certify(sys_, res.point)

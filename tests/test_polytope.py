@@ -63,7 +63,8 @@ def test_angles_in_one_edge_class_have_coefficient_two(name, doubled, volume):
 
 
 def test_regular_point_satisfies_equalities(fig8_sys, fig8_center):
-    assert polytope.equality_residual(fig8_sys, fig8_center) < 1e-14
+    assert polytope.classify_membership(
+        fig8_sys, fig8_center).equality_violation < 1e-14
 
 
 def test_membership_interior(fig8_sys, fig8_center):
@@ -141,7 +142,8 @@ def test_interior_point_fig8(fig8_sys):
     point, fixed = polytope.interior_point(fig8_sys)
     assert not fixed
     assert np.min(np.minimum(point, np.pi - point)) > 0.1
-    assert polytope.equality_residual(fig8_sys, point) < 1e-9
+    assert polytope.classify_membership(
+        fig8_sys, point).equality_violation < 1e-9
 
 
 def test_interior_point_empty_closure(doubled):
@@ -157,7 +159,8 @@ def test_face_point_respects_pins(fig8_sys):
         assert abs(point[i] - v) < 1e-9
     free = np.setdiff1d(np.arange(12), sorted(pinned))
     assert np.min(np.minimum(point[free], np.pi - point[free])) > 0.0
-    assert polytope.equality_residual(fig8_sys, point) < 1e-8
+    assert polytope.classify_membership(
+        fig8_sys, point).equality_violation < 1e-8
     m = polytope.classify_membership(fig8_sys, point)
     assert m.kind == "boundary"
     assert set(pinned) <= set(m.flat)
@@ -188,7 +191,8 @@ def test_interior_point_minimal_face(degenerate4_sys):
     assert interior_status(degenerate4_sys) == "empty-interior"
     np.testing.assert_array_equal(point[sorted(fixed)],
                                   np.pi * (point[sorted(fixed)] > 1.0))
-    assert polytope.equality_residual(degenerate4_sys, point) < 1e-12
+    assert polytope.classify_membership(
+        degenerate4_sys, point).equality_violation < 1e-12
     free = np.setdiff1d(np.arange(24), sorted(fixed))
     assert np.min(np.minimum(point[free], np.pi - point[free])) > 0.1
 
@@ -200,7 +204,8 @@ def test_sample_closure_points_sweep_the_minimal_face(degenerate4_sys):
     pts = polytope.sample_closure_points(degenerate4_sys, rng, 50, start)
     for x in pts:
         assert np.max(np.abs(x - start)) > 1e-6
-        assert polytope.equality_residual(degenerate4_sys, x) < 1e-9
+        assert polytope.classify_membership(
+            degenerate4_sys, x).equality_violation < 1e-9
         assert np.all(x >= -1e-12) and np.all(x <= np.pi + 1e-12)
         np.testing.assert_array_equal(x[fixed], start[fixed])
         assert set(np.unique(x[fixed])) <= {0.0, np.pi}
@@ -236,7 +241,8 @@ def test_sample_closure_points_feasible(fig8_sys):
     assert pts.shape == (200, fig8_sys.dim)
     hit_boundary = 0
     for x in pts:
-        assert polytope.equality_residual(fig8_sys, x) < 1e-9
+        assert polytope.classify_membership(
+            fig8_sys, x).equality_violation < 1e-9
         assert np.all(x >= -1e-12) and np.all(x <= np.pi + 1e-12)
         if np.min(np.minimum(x, np.pi - x)) < 1e-9:
             hit_boundary += 1

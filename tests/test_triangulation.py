@@ -127,6 +127,20 @@ def test_constructor_rejects_each_fault(face, tet, row, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("face_tet,face_perm,message", [
+    (np.zeros((0, 4)), np.zeros((0, 4)), "need at least one tetrahedron"),
+    ([[0] * 4], [[7] * 4] * 2, "face_tet and face_perm need one shape "
+     "(n, 4), got (1, 4) and (2, 4)"),
+    ([[0] * 3], [[7] * 3], "face_tet and face_perm need one shape (n, 4), "
+     "got (1, 3) and (1, 3)"),
+], ids=["empty", "mismatched", "not-four-faces"])
+def test_constructor_rejects_empty_or_misshapen_arrays(face_tet, face_perm,
+                                                        message):
+    with pytest.raises(tr.TriangulationError) as exc:
+        tr.Triangulation(face_tet, face_perm)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # edge classes and vertex links
 
