@@ -30,6 +30,13 @@ EXIT_EMPTY_CLOSURE = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_SUITE_FAILURE = 5
 
+# The largest |theta| that ``lambda`` takes.  The kernel reduces theta
+# modulo the float pi, which is 1.2e-16 short of pi, so its error grows with
+# the number of periods: up to 512 it stays below 6.4e-13 against an exact
+# reduction (worst near a multiple of pi), and at 1e15 the value is wrong
+# in its second digit.
+LAMBDA_MAX_THETA = 512.0
+
 
 def _sha256(path):
     h = hashlib.sha256()
@@ -244,6 +251,9 @@ def cmd_volume(args):
 def cmd_lambda(args):
     if not math.isfinite(args.theta):
         raise ValueError("theta must be finite, got %r" % args.theta)
+    if abs(args.theta) > LAMBDA_MAX_THETA:
+        raise ValueError("|theta| must be at most %g, got %r"
+                         % (LAMBDA_MAX_THETA, args.theta))
     timer = _Timer()
     with timer.time("eval"):
         value = lobachevsky.lobachevsky(args.theta)
@@ -382,7 +392,8 @@ def build_parser():
     p.add_argument("q")
     p.add_argument("--samples", type=_positive_int, default=50)
 
-    p = add("lambda", cmd_lambda, help="evaluate the Lobachevsky function")
+    p = add("lambda", cmd_lambda, help="evaluate the Lobachevsky function "
+            "(|theta| <= %g)" % LAMBDA_MAX_THETA)
     p.add_argument("theta", type=float)
 
     p = add("volume", cmd_volume, help="volume of an angle vector")

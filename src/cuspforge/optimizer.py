@@ -64,6 +64,16 @@ _THIN = 1e-3
 # Signs of a column's four edge-row entries in ``_Face.step``: the two slots
 # of one angle, then of the other.
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+# The angle pairs (A, B), (B, C), (C, A) of a tetrahedron's triangle, and
+# the angle off each pair, C, A, B, which is also the pair before it.
+_PAIRS = np.array([[0, 1], [1, 2], [2, 0]])
+_OFF = np.array([2, 0, 1])
+# The step lengths that ``_descend``'s line search tries, in turn.
+_HALVINGS = 0.5 ** np.arange(60)
+# ``_triangle``: a slack at most this share of s is rounding, and a row's
+# three angle positions.
+_ROUNDING = 16.0 * np.finfo(float).eps
+_CORNERS = np.arange(3)
 # ``dominance_check``: a sample farther than _STRICT_DISTANCE from the point
 # (max norm) must have less volume, a nearer one at most _NEAR_GAP more, and
 # no one-sided derivative toward a sample may exceed _DIRECTIONAL_TOL.
@@ -148,9 +158,9 @@ def _triangle(w):
     u = s - side
     # a slack within rounding of s is 0: its angles, about sqrt(eps), would
     # be rounding noise that keeps the edge error above any tolerance
-    u[u <= 16.0 * np.finfo(float).eps * s] = 0.0
+    u[u <= _ROUNDING * s] = 0.0
     ang = 2.0 * np.arctan2(np.sqrt(u.prod(axis=1, keepdims=True) / s), u)
-    big = np.arange(3) == np.argmin(u, axis=1)[:, None]
+    big = _CORNERS == u.argmin(axis=1)[:, None]
     rest = np.where(big, 0.0, ang)
     return np.where(big, np.pi - rest.sum(axis=1, keepdims=True), rest)
 
@@ -166,7 +176,10 @@ class _Face:
 
     No matrix is built.  ``cols`` holds the edge rows' reduced columns of
     p - q for the linear tetrahedra: the edge rows of the two slots of p
-    (sign +1) and of q (sign -1); a row met twice adds twice.
+    (sign +1) and of q (sign -1); a row met twice adds twice.  ``pairs``
+    holds the same for the pairs (A, B), (B, C), (C, A) of each curved
+    tetrahedron, and ``all_cols`` the pairs and then ``cols``: the columns
+    of ``step`` when no tetrahedron is flat.
     """
 
     def __init__(self, sys, fixed=frozenset(), ang=0.0):
@@ -183,21 +196,33 @@ class _Face:
         self.b_edge = sys.b[n:]
         self.cols = np.hstack([self.ends[self.linear, self.p],
                                self.ends[self.linear, self.q]])
+        self.pairs = self.ends[self.curved][:, _PAIRS].reshape(-1, 3, 4)
+        self.all_cols = np.concatenate([self.pairs.reshape(-1, 4), self.cols])
 
     def dual(self, y, p=0.0):
         """The angles theta*(y) as rows (A, B, C), with the linear
-        tetrahedra at (0, p, pi - p), and the Lagrangian there: D(y) where
-        w_p = w_q, or where the face has no linear tetrahedra."""
+        tetrahedra at (0, p, pi - p), the Lagrangian there: D(y) where
+        w_p = w_q, or where the face has no linear tetrahedra, and the
+        volume V of the angles."""
         w = y[self.ends].sum(axis=2)
-        ang = self.base.copy()
-        ang[self.curved] = _triangle(w[self.curved])
-        ang[self.linear, self.p], ang[self.linear, self.q] = p, np.pi - p
+        if self.fixed:
+            ang = self.base.copy()
+            ang[self.curved] = _triangle(w[self.curved])
+            if self.linear.size:
+                ang[self.linear, self.p], ang[self.linear, self.q] = (
+                    p, np.pi - p)
+        else:  # every tetrahedron curved
+            ang = _triangle(w)
         # each angle sits on two slots, so V is twice lob.volume
-        return ang, 2.0 * (np.pi * y.sum() + lob.volume(ang)) - np.vdot(w, ang)
+        half = lob.volume(ang)
+        return (ang, 2.0 * (np.pi * y.sum() + half) - np.vdot(w, ang),
+                2.0 * half)
 
     def kkt(self, y, ang):
         """The KKT residual: the edge error, then w_q - w_p per linear
         tetrahedron."""
+        if not self.linear.size:
+            return self.error(ang)
         return np.concatenate([self.error(ang), -(y[self.cols] @ _SIGNS)])
 
     def error(self, ang):
@@ -235,21 +260,24 @@ class _Face:
         analytic centre of the face, H^-1 (M_c^T lam - g), which the angle
         array then holds.
         """
-        a = ang[self.curved]
-        keep = np.all(a > 0.0, axis=1)
-        c, a, n_edges = self.curved[keep], a[keep], self.b_edge.size
+        a = ang[self.curved] if self.fixed else ang
+        keep = (a > 0.0).all(axis=1)
+        n_edges = self.b_edge.size
+        if keep.all():
+            c, cols = self.curved, self.all_cols
+        else:  # flat tetrahedra add nothing
+            c, a = self.curved[keep], a[keep]
+            cols = np.concatenate([self.pairs[keep].reshape(-1, 4),
+                                   self.cols])
         k = a ** -2.0 if barrier else 1.0 / np.tan(a)
         det = (k[:, :1] * k[:, 1:2] + k[:, 2:] * (k[:, :1] + k[:, 1:2])
                if barrier else 1.0)
         # minus the pair weights, pairs (A, B), (B, C), (C, A) in turn
-        kappa = -(k / det)[:, [2, 0, 1]].ravel()
-        m = kappa.size
-        cols = np.concatenate([self.ends[c][:, [[0, 1], [1, 2], [2, 0]]]
-                               .reshape(-1, 4), self.cols])
+        kappa = -(k / det)[:, _OFF].ravel()
+        m, rows = kappa.size, cols.ravel()
 
         def scatter(v):  # M v, columns as in ``cols``
-            return np.bincount(cols.ravel(), (v[:, None] * _SIGNS).ravel(),
-                               n_edges)
+            return np.bincount(rows, (v[:, None] * _SIGNS).ravel(), n_edges)
 
         def apply(x):
             u = x[:n_edges][cols] @ _SIGNS  # M^T x
@@ -262,11 +290,11 @@ class _Face:
             g = (1.0 / a - 1.0 / a[:, [1, 2, 0]]).ravel()  # of 1/theta
             rhs = rhs + scatter(kappa * g)
         sol, self.inner = _minres(apply, rhs, stop)
-        d = np.zeros_like(ang)
+        d = np.zeros(ang.shape)
         d[self.linear, self.p] = sol[n_edges:]
         if barrier:
             t = (kappa * (sol[cols[:m]] @ _SIGNS - g)).reshape(-1, 3)
-            d[c] = t - t[:, [2, 0, 1]]
+            d[c] = t - t[:, _OFF]
         return sol[:n_edges], d
 
 
@@ -276,13 +304,14 @@ def _minres(apply, rhs, stop):
     or for twice the system's size of steps; also returns the step count.
     Lanczos builds an orthonormal basis v of the Krylov space, Givens rotations
     keep the QR factors of its tridiagonal matrix, x moves along w."""
-    x = np.zeros_like(rhs)
+    x = np.zeros(rhs.shape)
     beta = math.sqrt(rhs @ rhs)
     phi, iters = beta, 0
     if beta <= stop:
         return x, iters
-    v, v_old = rhs / beta, np.zeros_like(rhs)
-    w, w_old = np.zeros_like(rhs), np.zeros_like(rhs)
+    # 0.0 stands for the zero vectors v_old, w and w_old of the first step
+    v, v_old = rhs / beta, 0.0
+    w = w_old = 0.0
     beta_k, cs, sn, cs_old, sn_old = 0.0, 1.0, 0.0, 1.0, 0.0
     while abs(phi) > stop and iters < 2 * rhs.size:
         iters += 1
@@ -310,8 +339,9 @@ def _minres(apply, rhs, stop):
 
 
 # What ``_descend`` returns: the status, the multipliers, the angles of the
-# point, its KKT residual, and the iteration and MINRES step counts.
-_Run = namedtuple("_Run", "status y ang residual iterations inner")
+# point and their volume, its KKT residual, and the iteration and MINRES
+# step counts.
+_Run = namedtuple("_Run", "status y ang volume residual iterations inner")
 
 
 def _descend(face, y, tol, max_iter, thin=False):
@@ -341,14 +371,14 @@ def _descend(face, y, tol, max_iter, thin=False):
     where w_p = w_q fails by the inexact steps.
     """
     p = np.full(face.linear.size, 0.5 * np.pi)
-    ang, value = face.dual(y, p)
+    ang, value, volume = face.dual(y, p)
     best, gained, iters, inner, polished = np.inf, True, 0, 0, None
     while True:
         iters += 1
         kkt = face.kkt(y, ang)
         error = kkt[:face.b_edge.size]
-        residual = float(np.max(np.abs(kkt), initial=0.0))
-        run = _Run("converged", y, ang, residual, iters, inner)
+        residual = float(np.abs(kkt).max(initial=0.0))
+        run = _Run("converged", y, ang, volume, residual, iters, inner)
         ok = residual < tol and abs(y @ error) <= tol * max(1.0, abs(value))
         # rounding in D, whose sum cancels terms as large as 2 pi |y|_1
         slack = 4e-15 * (abs(value) + 2.0 * np.pi * np.abs(y).sum() + 1.0)
@@ -359,7 +389,7 @@ def _descend(face, y, tol, max_iter, thin=False):
             polished = run
         elif not (gained or residual < best) or value < -slack:
             return run._replace(status="stalled")
-        elif thin and np.any(np.count_nonzero(ang < _THIN, axis=1) == 1):
+        elif thin and (np.count_nonzero(ang < _THIN, axis=1) == 1).any():
             return run._replace(status="thin")
         if iters >= max_iter:
             return run if ok else run._replace(status="iteration-cap")
@@ -367,19 +397,21 @@ def _descend(face, y, tol, max_iter, thin=False):
         dy, d = face.step(ang, kkt, min(0.5, residual),
                           max(min(0.1, residual) * residual, _FLOOR))
         inner += face.inner
-        dp = d[face.linear, face.p]
-        slope = float(error @ dy) - float(dp @ (dy[face.cols] @ _SIGNS))
+        slope = float(error @ dy)
         if face.linear.size:  # the Lagrangian at the new p
+            dp = d[face.linear, face.p]
+            slope -= float(dp @ (dy[face.cols] @ _SIGNS))
             p = p + dp
             value = face.dual(y, p)[1]
-        for alpha in 0.5 ** np.arange(60):
-            trial = face.dual(y + alpha * dy, p)
+        for alpha in _HALVINGS:
+            y_new = y + alpha * dy
+            trial = face.dual(y_new, p)
             if trial[1] <= value + 1e-4 * alpha * slope + slack:
                 break
         else:
             return run._replace(status="stalled")
-        y, gained = y + alpha * dy, value - trial[1] > slack
-        ang, value = trial
+        y, gained = y_new, value - trial[1] > slack
+        ang, value, volume = trial
 
 
 def minimal_face(sys):
@@ -464,7 +496,7 @@ def _maximize(sys, tol, max_iter, start, face_of):
                              np.clip(runs[-1].ang, 0.0, np.pi))
                 y = runs[-1].y
     run = runs[-1]
-    x, volume = polytope.to_slots(run.ang), 2.0 * lob.volume(run.ang)
+    x, volume = polytope.to_slots(run.ang), run.volume
     bounded = np.any(np.minimum(x, np.pi - x) <= polytope.BOUNDARY_TOL)
     flat = np.array(classify_tetrahedra(x)) == "flat"
     # D on the first face is V + y . error, and on each of its linear

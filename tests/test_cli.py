@@ -647,6 +647,29 @@ def test_lambda_rejects_non_finite_theta(capsys, theta):
     assert "finite" in err
 
 
+def test_lambda_bound(capsys):
+    # up to the bound the value is within 1e-12 of the exact one: at the
+    # bound, and at 159 pi, the multiple of pi below it where reducing by
+    # the float pi errs most; beyond it, a usage error on one line
+    mpmath = pytest.importorskip("mpmath")
+    bound = cli.LAMBDA_MAX_THETA
+    with mpmath.workdps(40):
+        for theta in (bound, -bound, 159 * np.pi,
+                      float(np.nextafter(159 * np.pi, 0))):
+            code, report, _ = run_json(capsys, "lambda", repr(theta))
+            assert code == 0
+            t = mpmath.mpf(theta)
+            exact = mpmath.clsin(2, 2 * (t - mpmath.pi * mpmath.floor(
+                t / mpmath.pi))) / 2
+            assert abs(report["results"]["lambda"] - float(exact)) <= 1e-12
+    above = float(np.nextafter(bound, np.inf))
+    for theta in (above, -above, 1e15, 1e308):
+        code, out, err = run_cli(capsys, "lambda", repr(theta))
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == "error: |theta| must be at most 512, got %r\n" % theta
+
+
 def test_cli_import_does_not_load_scipy(tmp_path, fig8_path, fig8_sys,
                                        fig8_center, flatten3_path):
     # the commands that never solve an LP start and run without scipy,

@@ -140,11 +140,16 @@ def _target(value):
     return fault
 
 
-def _tet_out_of_range(tri, text, rng):
-    n = tri.n_tets
-    broken, k = _broken(tri, text, rng,
-                        lambda t, f, t2, d: "glue %d %d %d %s" % (n, f, t2, d))
-    return (broken, *error("tetrahedron index %d out of range" % n, k + 3))
+def _tet_out_of_range(value):
+    """The fault of a glue line whose tetrahedron is ``value``, or the
+    number of tetrahedra when ``value`` is None."""
+    def fault(tri, text, rng):
+        t = value or tri.n_tets
+        broken, k = _broken(tri, text, rng, lambda _, f, t2, d:
+                            "glue %d %d %d %s" % (t, f, t2, d))
+        return (broken, *error("tetrahedron index %d out of range" % t,
+                               k + 3))
+    return fault
 
 
 def _face_out_of_range(tri, text, rng):
@@ -186,8 +191,18 @@ def _broken_line(tri, text, rng):
                            "'glue %d %d'" % divmod(k, 4), k + 3))
 
 
+def _after_a_comment(fault):
+    """``fault`` in the text after a comment line, which moves its line."""
+    def shifted(tri, text, rng):
+        broken, message, line = fault(tri, text, rng)
+        return ("# a comment\n" + broken,
+                *error(message.split(": ", 1)[1], line + 1))
+    return shifted
+
+
 FAULTS = {
-    "tet-out-of-range": _tet_out_of_range,
+    "tet-out-of-range": _tet_out_of_range(None),
+    "tet-index-beyond-int64": _tet_out_of_range(10 ** 30),
     "face-out-of-range": _face_out_of_range,
     "index-beyond-int64": _target(10 ** 30),
     "index-of-18-digits": _target(10 ** 17),
@@ -205,8 +220,15 @@ FAULTS = {
         tri, text, rng, _other_permutation,
         "non-involutive gluing at face (%(t)d, %(f)d)"),
     "broken-line": _broken_line,
+    "broken-line-after-a-comment": _after_a_comment(_broken_line),
     "no-tetrahedra": lambda tri, text, rng: (
         "tri 1\ntets 0\n", *error("need at least one tetrahedron", 2)),
+    "empty": lambda tri, text, rng: ("", "empty file", None),
+    "other-format": lambda tri, text, rng: (
+        text.replace("tri 1", "tri 2", 1),
+        *error("expected format line 'tri 1'", 1)),
+    "no-tets-line": lambda tri, text, rng: (
+        "tri 1\n", *error("missing 'tets <N>' line", 1)),
 }
 
 
@@ -288,6 +310,10 @@ def _fig8_with(*edits):
      "non-involutive gluing at face (0, 1)", 9),
     (((3, "glue 1 3 5 2103"), (10, "glue 0 0 0 0123")),
      "face (0, 0) glued to itself", 10),
+    (((3, "glue 1 3 0 0012"), (10, "glue 0 0 5 0132")),
+     "gluing of (0, 0) targets nonexistent tetrahedron 5", 10),
+    (((3, "glue 1 3 5 2103"), (10, "glue 0 0 1 0012")),
+     "non-bijective permutation (0, 0, 1, 2) at face (0, 0)", 10),
 ])
 def test_two_faults_report_by_precedence(edits, message, line):
     assert outcome(_fig8_with()) == arrays(load_data("fig8"))
