@@ -4,8 +4,9 @@ Lobachevsky values come from one numpy kernel: the angle is reduced to
 [0, pi/2] by symmetry, and the log-subtracted series in (phi/pi)^2 is summed
 as five blocks of six terms, one matrix product with the coefficient table
 and Horner in the sixth power.  The series runs on every entry, with pi/2
-in place of the angles that reduce to 0, whose value is then set to 0: no
-mask gathers or scatters.  So an evaluation costs about twenty-five array
+in place of the angles that reduce to 0 or NaN, whose value is then the
+reduced angle (so a NaN or infinite angle has value NaN): no mask gathers
+or scatters.  So an evaluation costs about twenty-five array
 operations whatever its size.  Volume is half the sum of Lobachevsky values
 over all slots; derivatives along segments use the difference vector
 a = q - p with the 0*log(0) convention, and the one-sided limit at a
@@ -87,14 +88,15 @@ def _series(phi):
 
 def _lobachevsky(theta):
     """Lobachevsky function, elementwise on a float64 array.  The series
-    runs on every entry, pi/2 standing in for those that reduce to 0 (or to
-    NaN), whose value is then 0."""
+    runs on every entry, pi/2 standing in for those that reduce to 0 or to
+    NaN, whose value is then the reduced angle itself: 0, or NaN for a NaN
+    or infinite angle."""
     phi = np.mod(theta, np.pi)
     flip = phi > _HALF_PI
     phi = np.where(flip, np.pi - phi, phi)
     pos = phi > 0.0
     out = _series(np.where(pos, phi, _HALF_PI).ravel()).reshape(phi.shape)
-    return np.where(pos, np.where(flip, -out, out), 0.0)
+    return np.where(pos, np.where(flip, -out, out), phi)
 
 
 def _neg_log_2sin(theta):

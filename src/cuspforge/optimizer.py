@@ -129,14 +129,17 @@ def classify_tetrahedra(p):
     all six angles at least tol = ``polytope.BOUNDARY_TOL`` from the bounds;
     anything else is invalid.  Invalid tetrahedra do occur at closure points,
     and at maximizers: when the closure forces one angle to 0, a tetrahedron
-    keeps the angles (0, a, pi - a).
+    keeps the angles (0, a, pi - a).  When every tetrahedron is positive, as
+    at every cover's maximizer, that one test is the answer.
     """
     tol = polytope.BOUNDARY_TOL
     six = np.asarray(p, dtype=float).reshape(-1, 6)
+    positive = np.all((six >= tol) & (six <= np.pi - tol), axis=1)
+    if positive.all():
+        return ["positive"] * positive.size
     # opposite pairs in slot order: (0,5), (1,4), (2,3)
     pairs_ok = np.all(np.abs(six[:, :3] - six[:, :2:-1]) <= tol, axis=1)
     pair_vals = np.sort(polytope.to_angles(p).reshape(-1, 3), axis=1)
-    positive = np.all((six >= tol) & (six <= np.pi - tol), axis=1)
     flat = (pairs_ok & np.all(np.abs(pair_vals - [0.0, 0.0, np.pi]) <= tol,
                               axis=1))
     return np.where(positive, "positive",
@@ -179,23 +182,30 @@ class _Face:
     (sign +1) and of q (sign -1); a row met twice adds twice.  ``pairs``
     holds the same for the pairs (A, B), (B, C), (C, A) of each curved
     tetrahedron, and ``all_cols`` the pairs and then ``cols``: the columns
-    of ``step`` when no tetrahedron is flat.
+    of ``step`` when no tetrahedron is flat.  A face that fixes no slot,
+    the whole closure, has every tetrahedron curved and builds none of the
+    fixed-slot arrays: ``base`` exists only when ``fixed`` is not empty.
     """
 
     def __init__(self, sys, fixed=frozenset(), ang=0.0):
         n = sys.rows.shape[0] // 3
         self.fixed = frozenset(fixed)
         self.free = np.ones((n, 3), dtype=bool)
-        self.free.flat[polytope.angle_of(sorted(self.fixed))] = False
-        self.curved = np.flatnonzero(self.free.all(axis=1))
-        self.linear = np.flatnonzero(self.free.sum(axis=1) == 2)
-        self.p, self.q = np.argsort(~self.free[self.linear], axis=1,
-                                    kind="stable")[:, :2].T
-        self.base = np.where(self.free, 0.0, ang)
         self.ends = (sys.rows[:, 1:] - n).reshape(n, 3, 2)  # edge rows
         self.b_edge = sys.b[n:]
-        self.cols = np.hstack([self.ends[self.linear, self.p],
-                               self.ends[self.linear, self.q]])
+        if self.fixed:
+            self.free.flat[polytope.angle_of(sorted(self.fixed))] = False
+            self.curved = np.flatnonzero(self.free.all(axis=1))
+            self.linear = np.flatnonzero(self.free.sum(axis=1) == 2)
+            self.p, self.q = np.argsort(~self.free[self.linear], axis=1,
+                                        kind="stable")[:, :2].T
+            self.base = np.where(self.free, 0.0, ang)
+            self.cols = np.hstack([self.ends[self.linear, self.p],
+                                   self.ends[self.linear, self.q]])
+        else:  # every tetrahedron curved
+            self.curved, self.linear = np.arange(n), np.arange(0)
+            self.p = self.q = self.linear
+            self.cols = np.zeros((0, 4), dtype=int)
         self.pairs = self.ends[self.curved][:, _PAIRS].reshape(-1, 3, 4)
         self.all_cols = np.concatenate([self.pairs.reshape(-1, 4), self.cols])
 
@@ -389,7 +399,8 @@ def _descend(face, y, tol, max_iter, thin=False):
             polished = run
         elif not (gained or residual < best) or value < -slack:
             return run._replace(status="stalled")
-        elif thin and (np.count_nonzero(ang < _THIN, axis=1) == 1).any():
+        elif thin and ang.min() < _THIN and (
+                np.count_nonzero(ang < _THIN, axis=1) == 1).any():
             return run._replace(status="thin")
         if iters >= max_iter:
             return run if ok else run._replace(status="iteration-cap")
@@ -469,7 +480,14 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
 
 
 def _maximize(sys, tol, max_iter, start, face_of):
-    """``maximize_volume``, with ``face_of()`` the closure's minimal face."""
+    """``maximize_volume``, with ``face_of()`` the closure's minimal face.
+
+    Only a point with a slot within ``polytope.BOUNDARY_TOL`` of 0 or pi
+    can have flat tetrahedra, active slots or a face to look up, so only
+    there does it classify the tetrahedra and the slots and call
+    ``face_of``; and ``volume_upper`` has kink terms only when the first
+    face has linear tetrahedra.
+    """
     face = first = _Face(sys)
     y = np.zeros(face.b_edge.size) if start is None else np.array(start, float)
     if y.shape != face.b_edge.shape or not np.all(np.isfinite(y)):
@@ -497,19 +515,24 @@ def _maximize(sys, tol, max_iter, start, face_of):
                 y = runs[-1].y
     run = runs[-1]
     x, volume = polytope.to_slots(run.ang), run.volume
-    bounded = np.any(np.minimum(x, np.pi - x) <= polytope.BOUNDARY_TOL)
-    flat = np.array(classify_tetrahedra(x)) == "flat"
     # D on the first face is V + y . error, and on each of its linear
     # tetrahedra pi max(drift, 0) - p drift with the drift w_q - w_p
-    drift = run.y[first.cols] @ -_SIGNS
-    upper = volume + run.y @ first.error(run.ang) + np.sum(
-        np.pi * np.maximum(drift, 0) - run.ang[first.linear, first.p] * drift)
+    upper = volume + run.y @ first.error(run.ang)
+    if first.linear.size:
+        drift = run.y[first.cols] @ -_SIGNS
+        upper += np.sum(np.pi * np.maximum(drift, 0)
+                        - run.ang[first.linear, first.p] * drift)
+    bounded = np.any(np.minimum(x, np.pi - x) <= polytope.BOUNDARY_TOL)
+    flat, active, fixed = (), frozenset(), frozenset()
+    if bounded:
+        flat = tuple(np.flatnonzero(
+            np.array(classify_tetrahedra(x)) == "flat").tolist())
+        active = polytope.classify_membership(sys, x).flat
+        fixed = face_of()[0].fixed
     return OptimizationResult(
-        x, volume, run.status, tuple(np.flatnonzero(flat).tolist()),
-        polytope.classify_membership(sys, x).flat, run.residual,
-        sum(r.iterations for r in runs),
-        face_of()[0].fixed if bounded else frozenset(),
-        sum(r.inner for r in runs), float(upper))
+        x, volume, run.status, flat, active, run.residual,
+        sum(r.iterations for r in runs), fixed, sum(r.inner for r in runs),
+        float(upper))
 
 
 def certify(sys, p, fixed=None):
@@ -542,16 +565,18 @@ def certify(sys, p, fixed=None):
     theta = polytope.to_angles(p)
     free = (theta > tol) & (theta < np.pi - tol)
     g = 2.0 * lob.volume_gradient(theta)  # each angle sits on two slots
-    rows = sys.rows[free]
+    # with every angle free, the rows and g as they are: no masked copies
+    pick = slice(None) if free.all() else free
+    rows = sys.rows[pick]
 
     def scatter(v):  # A_f v
         return np.bincount(rows.ravel(), np.repeat(v, 3), sys.b.size)
 
-    rhs = scatter(g[free])
+    rhs = scatter(g[pick])
     lam, iters = _minres(lambda y: scatter(y[rows].sum(axis=1)), rhs,
                          1e-14 * np.linalg.norm(rhs))
     fitted = lam[sys.rows].sum(axis=1)
-    residual = float(np.max(np.abs(fitted[free] - g[free]), initial=0.0))
+    residual = float(np.max(np.abs(fitted[pick] - g[pick]), initial=0.0))
     active = tuple((int(i), float(fitted[i])) for i in np.flatnonzero(~free))
     signs_ok, margins = True, []
     if not free.all():

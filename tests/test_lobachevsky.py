@@ -72,6 +72,16 @@ def test_scalar_and_array_forms():
     arr = lob.lobachevsky(np.array([0.3, 0.4]))
     assert arr.shape == (2,)
     assert arr[0] == lob.lobachevsky(0.3)
+    # a NaN or infinite angle has no value: NaN, never the 0 of an angle
+    # at 0 or pi, in either form and in the volume
+    bad = np.array([np.nan, np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(lob.lobachevsky(bad)).all()
+        for theta in bad:
+            assert np.isnan(lob.lobachevsky(theta))
+            assert np.isnan(lob.volume([theta, 1.0, 1.0, 1.0, 1.0, 1.0]))
+    zeros = lob.lobachevsky(np.array([0.0, -0.0, np.pi]))
+    assert (zeros == 0.0).all() and not np.signbit(zeros).any()
 
 
 def test_volume_gradient_matches_finite_differences():

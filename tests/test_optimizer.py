@@ -499,6 +499,11 @@ def test_degenerate4_boundary_maximizer(degenerate4_sys):
     assert np.isfinite(dom.worst_gap)  # some sample is away from the point
 
 
+def slots_of(tets):
+    """The six slots of each tetrahedron of ``tets``."""
+    return {6 * t + k for t in tets for k in range(6)}
+
+
 def test_flattening_chain_maximizer(fig8):
     # three 2-3 moves: the interior is not empty, but the maximizer has
     # tetrahedron 3 flat; the other four are the geometric 4-tet
@@ -512,6 +517,8 @@ def test_flattening_chain_maximizer(fig8):
     assert abs(res.volume - 2.029883212819307) < 1e-10
     assert res.flat_tets == (3,)
     assert optimizer.classify_tetrahedra(res.point)[3] == "flat"
+    # the slots at 0 or pi are the six of the flat tetrahedron
+    assert res.active_set == slots_of(res.flat_tets) == set(range(18, 24))
     assert polytope.classify_membership(
         sys_, res.point).equality_violation < 1e-12
     # the flat tetrahedron can move, and it is non-improving with margin 0:
@@ -612,6 +619,8 @@ def test_moves272_off_the_covers():
         elapsed.append(time.perf_counter() - t0)
     assert abs(res.volume - MOVES272_VOLUME) <= 1e-10 * MOVES272_VOLUME
     assert len(res.flat_tets) == 14
+    assert res.active_set == slots_of(res.flat_tets)
+    assert len(res.active_set) == 84
     assert cert.signs_ok
     assert min(elapsed) < 1.0
 
