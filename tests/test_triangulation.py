@@ -32,6 +32,43 @@ def test_parse_ignores_comments_and_blank_lines():
     assert tri.n_tets == 2
 
 
+@pytest.mark.parametrize("text,fragment", [
+    ("", "empty"),
+    ("tri 2\ntets 1\n", "tri 1"),
+    ("tri 1\n", "tets"),
+    ("tri 1\ntets 1\nglue 0 0\n", "glue"),
+    ("tri 1\ntets 1\nglue 0 4 0 1032\n", "face index"),
+    ("tri 1\ntets 1\nglue 1 0 0 1032\n", "out of range"),
+    ("tri 1\ntets 1\nglue 0 0 0 1032\nglue 0 0 0 1032\n", "duplicate"),
+])
+def test_parse_errors(text, fragment):
+    with pytest.raises(tr.ParseError, match=fragment):
+        tr.parse_triangulation(text)
+
+
+# SELF_GLUED_TEXT's gluings with face f on line 6 - f, so that a face's
+# line differs from its place in (t, f) order.
+SELF_GLUED_LINES = ["glue 0 %d 0 1032" % f for f in range(4)]
+
+
+@pytest.mark.parametrize("face,glue,line,message", [
+    (1, "glue 0 1 0 1023", 6, "non-involutive gluing at face (0, 0)"),
+    (2, "glue 0 2 5 1032", 4,
+     "gluing of (0, 2) targets nonexistent tetrahedron 5"),
+    (0, "glue 0 0 0 0123", 6, "face (0, 0) glued to itself"),
+    (0, "glue 0 0 0 0012", 6,
+     "non-bijective permutation (0, 0, 1, 2) at face (0, 0)"),
+])
+def test_parse_validation_errors_name_their_line(face, glue, line, message):
+    lines = list(SELF_GLUED_LINES)
+    lines[face] = glue
+    text = "tri 1\ntets 1\n" + "\n".join(reversed(lines)) + "\n"
+    with pytest.raises(tr.ParseError) as exc:
+        tr.parse_triangulation(text)
+    assert exc.value.line == line
+    assert str(exc.value) == "line %d: %s" % (line, message)
+
+
 def test_huge_tetrahedron_count_is_unglued_not_allocated():
     # arrays sized by the header would need terabytes
     text = "tri 1\ntets 1000000000000\nglue 0 0 0 1032\nglue 0 1 0 1032\n"
