@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: solve, certify, dominate, segment, lambda, volume, lemmas,
-move23, check.  Reports are JSON on stdout (segment emits CSV); the
+move23, check.  Every report is one JSON envelope on stdout; the
 ``results`` payload is deterministic for fixed inputs, flags and seed, while
-``timings`` are informational only.
+``timings`` are informational only.  ``solve --starts k`` reports the run
+from y = 0 and adds the other starts' volumes and spread as ``multi_start``.
 
 Exit codes: 0 ok, 2 parse/usage error or a failed LP, 3 empty closure,
 4 not converged (iteration cap or stall), 5 lemma suite failure.
@@ -85,26 +86,27 @@ class _Timer:
         self.phases[name] = round(1000.0 * (time.perf_counter() - t0), 3)
 
 
-def _jsonable(value):
-    """``value`` with numpy scalars and arrays turned into Python ones."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
+def _plain(value):
+    """``json.dump``'s hook: numpy scalars and arrays as Python ones."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError("%s is not JSON serializable" % type(value).__name__)
 
 
-def _emit(command, inputs, seed, results, timer):
+def _emit(args, results, timer):
+    """The report envelope: command, input hashes and seed come from the
+    parsed arguments; a command without ``--seed`` records
+    ``CUSPFORGE_SEED``'s."""
+    inputs = [getattr(args, name) for name in ("path", "angles", "p", "q")
+              if name in args]
     report = {
-        "command": command,
+        "command": args.command,
         "inputs": {path: _sha256(path) for path in inputs},
-        "seed": seed,
-        "results": _jsonable(results),
+        "seed": args.seed if "seed" in args else _default_seed(),
+        "results": results,
         "timings_ms": timer.phases,
     }
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
+    json.dump(report, sys.stdout, indent=2, sort_keys=True, default=_plain)
     sys.stdout.write("\n")
 
 
@@ -145,12 +147,12 @@ def cmd_solve(args):
             probe = optimizer.uniqueness_probe(
                 sys_, args.starts, seed=args.seed, tol=args.tol,
                 max_iter=args.max_iter)
-            res = max(probe.results, key=lambda r: r.volume)
+            res = probe.results[0]
         else:
             res = optimizer.maximize_volume(
                 sys_, tol=args.tol, max_iter=args.max_iter)
     if res.status == "empty-closure":
-        _emit("solve", [args.path], args.seed, {"status": res.status}, timer)
+        _emit(args, {"status": res.status}, timer)
         return EXIT_EMPTY_CLOSURE
     # a run that stopped off the equalities has no certificate
     membership = polytope.classify_membership(sys_, res.point)
@@ -192,7 +194,7 @@ def cmd_solve(args):
             "max_spread": probe.max_spread,
             "volumes": probe.volumes,
         }
-    _emit("solve", [args.path], args.seed, results, timer)
+    _emit(args, results, timer)
     return EXIT_OK if res.status == "converged" else EXIT_NOT_CONVERGED
 
 
@@ -211,7 +213,7 @@ def cmd_certify(args):
         "multipliers": cert.multipliers,
         "active_multipliers": [[i, v] for i, v in cert.active_multipliers],
     }
-    _emit("certify", [args.path, args.angles], args.seed, results, timer)
+    _emit(args, results, timer)
     return EXIT_OK
 
 
@@ -228,7 +230,7 @@ def cmd_dominate(args):
         "samples": args.samples,
         "informative_samples": rep.informative_samples,
     }
-    _emit("dominate", [args.path, args.angles], args.seed, results, timer)
+    _emit(args, results, timer)
     return EXIT_OK
 
 
@@ -244,7 +246,7 @@ def cmd_volume(args):
         "membership": membership.kind,
         "flat_slots": sorted(membership.flat),
     }
-    _emit("volume", [args.path, args.angles], _default_seed(), results, timer)
+    _emit(args, results, timer)
     return EXIT_OK
 
 
@@ -258,7 +260,7 @@ def cmd_lambda(args):
     with timer.time("eval"):
         value = lobachevsky.lobachevsky(args.theta)
     results = {"theta": args.theta, "lambda": value}
-    _emit("lambda", [], _default_seed(), results, timer)
+    _emit(args, results, timer)
     return EXIT_OK
 
 
@@ -270,18 +272,19 @@ def cmd_segment(args):
     memberships = [polytope.classify_membership(sys_, x) for x in (p, q)]
     for name, membership in zip("pq", memberships):
         if membership.kind == "infeasible":
-            print("error: %s is not in the closure (violation %g)"
-                  % (name, membership.equality_violation), file=sys.stderr)
-            return EXIT_PARSE
-    limit = lobachevsky.boundary_derivative_limit(p, q, memberships[0].flat)
-    t = np.arange(1, args.samples + 1) / (args.samples + 1)
-    f = 0.5 * lobachevsky.lobachevsky(polytope.segment(p, q, t)).sum(axis=1)
-    fp = lobachevsky.segment_derivative(p, q, t)
-    out = sys.stdout
-    out.write("# one-sided derivative limit at t=0+: %.17g\n" % limit)
-    out.write("t,f,fprime\n")
-    for row in zip(t, f, fp):
-        out.write("%.17g,%.17g,%.17g\n" % row)
+            raise ValueError("%s is not in the closure (violation %g)"
+                             % (name, membership.equality_violation))
+    with timer.time("segment"):
+        t = np.arange(1, args.samples + 1) / (args.samples + 1)
+        results = {
+            "derivative_limit": lobachevsky.boundary_derivative_limit(
+                p, q, memberships[0].flat),
+            "t": t,
+            "volume": 0.5 * lobachevsky.lobachevsky(
+                polytope.segment(p, q, t)).sum(axis=1),
+            "derivative": lobachevsky.segment_derivative(p, q, t),
+        }
+    _emit(args, results, timer)
     return EXIT_OK
 
 
@@ -305,7 +308,7 @@ def cmd_lemmas(args):
         "passed": checks,
         "failing": sorted(k for k, ok in checks.items() if not ok),
     }
-    _emit("lemmas", [], args.seed, results, timer)
+    _emit(args, results, timer)
     return EXIT_OK if all(checks.values()) else EXIT_SUITE_FAILURE
 
 
@@ -324,7 +327,7 @@ def cmd_move23(args):
                   "edge_classes": triangulation.incidence(moved).n_edges},
         "out": args.out,
     }
-    _emit("move23", [args.path], _default_seed(), results, timer)
+    _emit(args, results, timer)
     return EXIT_OK
 
 
@@ -346,7 +349,7 @@ def cmd_check(args):
         "incidence_size": idx.size,
         "triples": 4 * tri.n_tets,
     }
-    _emit("check", [args.path], _default_seed(), results, timer)
+    _emit(args, results, timer)
     return EXIT_OK
 
 
@@ -358,61 +361,40 @@ def build_parser():
         description="Angle structures and volume maximization on ideal "
                     "triangulated cusped 3-manifolds")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every argument once; a subcommand names its own, in usage order
+    table = {
+        "path": {}, "angles": {}, "p": {}, "q": {}, "out": {},
+        "theta": {"type": float}, "tet": {"type": int}, "face": {"type": int},
+        "--tol": {"type": _positive_float, "default": optimizer.DEFAULT_TOL},
+        "--max-iter": {"type": _positive_int,
+                       "default": optimizer.DEFAULT_MAX_ITER},
+        "--seed": {"type": int, "default": _default_seed()},
+        "--starts": {"type": _positive_int, "default": 1},
+        "--samples": {"type": _positive_int, "default": 1000},
+    }
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
+    def add(name, fn, help, *arguments, **defaults):
+        p = sub.add_parser(name, help=help)
+        for argument in arguments:
+            p.add_argument(argument, **table[argument])
+        p.set_defaults(fn=fn, **defaults)
 
-    p = add("solve", cmd_solve, help="maximize volume over the closure")
-    p.add_argument("path")
-    p.add_argument("--tol", type=_positive_float,
-                   default=optimizer.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=_positive_int,
-                   default=optimizer.DEFAULT_MAX_ITER)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--starts", type=_positive_int, default=1)
-
-    p = add("certify", cmd_certify, help="KKT certificate at a point")
-    p.add_argument("path")
-    p.add_argument("angles")
-    p.add_argument("--seed", type=int, default=_default_seed(),
-                   help="recorded in the report; certify draws no samples")
-
-    p = add("dominate", cmd_dominate, help="sampled dominance check")
-    p.add_argument("path")
-    p.add_argument("angles")
-    p.add_argument("--samples", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
-
-    p = add("segment", cmd_segment,
-            help="CSV of volume and derivative along a segment")
-    p.add_argument("path")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.add_argument("--samples", type=_positive_int, default=50)
-
-    p = add("lambda", cmd_lambda, help="evaluate the Lobachevsky function "
-            "(|theta| <= %g)" % LAMBDA_MAX_THETA)
-    p.add_argument("theta", type=float)
-
-    p = add("volume", cmd_volume, help="volume of an angle vector")
-    p.add_argument("path")
-    p.add_argument("angles")
-
-    p = add("lemmas", cmd_lemmas, help="run the geometry sampling suites")
-    p.add_argument("--samples", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
-
-    p = add("move23", cmd_move23, help="apply a 2-3 move and write the result")
-    p.add_argument("path")
-    p.add_argument("tet", type=int)
-    p.add_argument("face", type=int)
-    p.add_argument("out")
-
-    p = add("check", cmd_check, help="parse and report combinatorics")
-    p.add_argument("path")
-
+    add("solve", cmd_solve, "maximize volume over the closure",
+        "path", "--tol", "--max-iter", "--seed", "--starts")
+    add("certify", cmd_certify, "KKT certificate at a point",
+        "path", "angles", "--seed")
+    add("dominate", cmd_dominate, "sampled dominance check",
+        "path", "angles", "--samples", "--seed")
+    add("segment", cmd_segment, "volume and derivative along a segment",
+        "path", "p", "q", "--samples", samples=50)
+    add("lambda", cmd_lambda, "evaluate the Lobachevsky function "
+        "(|theta| <= %g)" % LAMBDA_MAX_THETA, "theta")
+    add("volume", cmd_volume, "volume of an angle vector", "path", "angles")
+    add("lemmas", cmd_lemmas, "run the geometry sampling suites",
+        "--samples", "--seed")
+    add("move23", cmd_move23, "apply a 2-3 move and write the result",
+        "path", "tet", "face", "out")
+    add("check", cmd_check, "parse and report combinatorics", "path")
     return parser
 
 

@@ -101,14 +101,16 @@ def _equality_errors(sys, x):
 
 def classify_membership(sys, x):
     """Interior / boundary(J) / infeasible classification of a slot vector
-    at tolerance ``BOUNDARY_TOL``; opposite slots must agree within it."""
+    at tolerance ``BOUNDARY_TOL``; opposite slots must agree within it, and
+    a vector with a NaN or infinite slot is infeasible."""
     tol = BOUNDARY_TOL
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.dim,):
         raise ValueError("angle vector has length %d, expected %d"
                          % (x.size, sys.dim))
     violation = float(np.max(np.abs(_equality_errors(sys, x))))
-    if violation > tol or np.any((x < -tol) | (x > np.pi + tol)):
+    # negated tests, so that a NaN slot or violation reads as infeasible
+    if not (violation <= tol and np.all((x >= -tol) & (x <= np.pi + tol))):
         return Membership("infeasible", equality_violation=violation)
     at_bound = (x < tol) | (x > np.pi - tol)
     if at_bound.any():
@@ -226,15 +228,23 @@ def angles_to_json(x):
 
 def angles_from_json(text, expected_size=None):
     """Angle vector from ``angles_to_json`` output or a bare JSON array;
-    ValueError on anything else."""
-    data = json.loads(text)
+    ValueError on anything else, an ``ordering`` other than
+    ``ORDERING_CONVENTION`` included."""
+    flat_finite = "angle vector must be a flat array of finite numbers"
+    try:
+        data = json.loads(text)
+    except RecursionError:  # nested deeper than the decoder recurses
+        raise ValueError(flat_finite) from None
     if isinstance(data, dict):
         if "angles" not in data:
             raise ValueError("angle file has no 'angles' key")
+        ordering = data.get("ordering", ORDERING_CONVENTION)
+        if ordering != ORDERING_CONVENTION:
+            raise ValueError("angle file ordering %r is not %r"
+                             % (ordering, ORDERING_CONVENTION))
         values = data["angles"]
     else:
         values = data  # bare array accepted
-    flat_finite = "angle vector must be a flat array of finite numbers"
     try:
         x = np.asarray(values, dtype=float)
     except (TypeError, ValueError):

@@ -129,7 +129,26 @@ def test_solve_multi_start_reports_a_probe_result(capsys, fig8_path,
     assert code == 0
     assert len(calls) == 3  # one solve per start, no re-solve of the best
     res = report["results"]
-    assert res["volume"] == max(res["multi_start"]["volumes"])
+    assert res["volume"] == res["multi_start"]["volumes"][0]
+
+
+def test_solve_multi_start_reports_the_first_start(capsys, tmp_path):
+    # the report is the run from y = 0, the plain solve's; the other starts
+    # only add multi_start.  With 8 iterations some starts stop at the cap,
+    # one of them above the maximum, and that must not become the answer
+    path = tmp_path / "geo4.tri"
+    path.write_text(GEO4_TEXT)
+    _, plain, _ = run_json(capsys, "solve", str(path))
+    code, report, _ = run_json(capsys, "solve", str(path), "--starts", "8",
+                               "--max-iter", "8", "--seed", "0")
+    assert code == cli.EXIT_OK
+    validate_schema(report)
+    res = report["results"]
+    assert res["status"] == "converged"
+    assert abs(plain["results"]["volume"] - 2.0298832128193) < 1e-12
+    for key in ("point", "volume", "iterations"):
+        assert res[key] == plain["results"][key]
+    assert max(res["multi_start"]["volumes"]) > res["volume"] + 0.1
 
 
 def test_solve_boundary_maximizer_report(capsys, degenerate4_path):
@@ -404,7 +423,7 @@ def test_lambda_command(capsys):
     assert abs(report["results"]["lambda"] - 0.50747080320482681) < 1e-14
 
 
-def test_segment_csv(capsys, fig8_path, tmp_path, fig8_sys, fig8_center):
+def test_segment_report(capsys, fig8_path, tmp_path, fig8_sys, fig8_center):
     rng = np.random.default_rng(40)
     q = polytope.sample_closure_points(
         fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys)[0],
@@ -416,14 +435,23 @@ def test_segment_csv(capsys, fig8_path, tmp_path, fig8_sys, fig8_center):
     code, out, _ = run_cli(capsys, "segment", fig8_path, str(p_path),
                            str(q_path), "--samples", "10")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("# one-sided derivative limit")
-    assert lines[1] == "t,f,fprime"
-    rows = [tuple(float(v) for v in ln.split(",")) for ln in lines[2:]]
-    assert len(rows) == 10
+
+    def reject(constant):
+        raise ValueError("not strict JSON: " + constant)
+
+    report = json.loads(out, parse_constant=reject)
+    validate_schema(report)
+    assert report["command"] == "segment"
+    assert sorted(report["inputs"]) == sorted([fig8_path, str(p_path),
+                                               str(q_path)])
+    res = report["results"]
+    assert math.isfinite(res["derivative_limit"])
+    assert res["t"] == (np.arange(1, 11) / 11).tolist()
+    f, fp = res["volume"], res["derivative"]
+    assert len(f) == len(fp) == 10
     # volume decreases away from the maximizer, derivative is negative
-    assert all(rows[i][1] >= rows[i + 1][1] for i in range(9))
-    assert all(r[2] <= 1e-12 for r in rows)
+    assert all(f[i] >= f[i + 1] for i in range(9))
+    assert all(d <= 1e-12 for d in fp)
 
 
 def test_segment_rejects_infeasible_endpoint(capsys, fig8_path, tmp_path,
@@ -434,10 +462,10 @@ def test_segment_rejects_infeasible_endpoint(capsys, fig8_path, tmp_path,
     q_path = tmp_path / "q.json"
     p_path.write_text(polytope.angles_to_json(bad))
     q_path.write_text(polytope.angles_to_json(fig8_center))
-    code, _, err = run_cli(capsys, "segment", fig8_path, str(p_path),
-                           str(q_path))
-    assert code == cli.EXIT_PARSE
-    assert "not in the closure" in err
+    code, out, err = run_cli(capsys, "segment", fig8_path, str(p_path),
+                             str(q_path))
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == "error: p is not in the closure (violation 0.5)\n"
 
 
 def test_lemmas_suite_passes(capsys):
@@ -584,6 +612,30 @@ def test_malformed_angle_file_exit_code(capsys, fig8_path, tmp_path,
     assert code == cli.EXIT_PARSE
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["volume", "certify"])
+def test_deeply_nested_angle_file_exit_code(capsys, fig8_path, tmp_path,
+                                            command):
+    # deeper than the JSON decoder recurses: one error line, no traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run_cli(capsys, command, fig8_path, str(path))
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == "error: angle vector must be a flat array of finite " \
+        "numbers\n"
+
+
+def test_angle_file_in_another_ordering_exit_code(capsys, fig8_path,
+                                                  tmp_path):
+    other = "tet-lex;edges=23,13,12,03,02,01"
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps({"ordering": other,
+                                "angles": [np.pi / 3.0] * 12}))
+    code, out, err = run_cli(capsys, "volume", fig8_path, str(path))
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == "error: angle file ordering %r is not %r\n" % (
+        other, polytope.ORDERING_CONVENTION)
 
 
 def test_zero_samples_is_a_usage_error(capsys, fig8_path, center_angles_path):

@@ -272,6 +272,18 @@ def test_certify_rejects_infeasible(fig8_sys, fig8_center):
         optimizer.certify(fig8_sys, x)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_point_is_rejected(fig8_sys, fig8_center, value):
+    # a NaN slot once read as interior: certify fitted there, and the
+    # dominance check passed with no informative sample
+    x = fig8_center.copy()
+    x[0] = value
+    with pytest.raises(ValueError, match="infeasible"):
+        optimizer.certify(fig8_sys, x)
+    with pytest.raises(ValueError, match="infeasible"):
+        optimizer.dominance_check(fig8_sys, x, 10)
+
+
 def test_certify_boundary_point_finds_improving_direction(fig8_sys):
     # a face point with a flat tetrahedron admits improving directions into
     # the polytope, so the sign check must fail there: the fitted values are

@@ -1,5 +1,7 @@
 """Constraint assembly, membership, interior points, and sampling."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,14 @@ def test_membership_infeasible(fig8_sys, fig8_center):
     assert m.kind == "infeasible"
     assert m.equality_violation > 1e-2
     assert not m.flat
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_membership_non_finite_is_infeasible(fig8_sys, fig8_center, value):
+    # a NaN slot fails every comparison, so only negated tests catch it
+    x = fig8_center.copy()
+    x[0] = value
+    assert polytope.classify_membership(fig8_sys, x).kind == "infeasible"
 
 
 def test_membership_requires_equal_opposite_slots(fig8, fig8_idx, fig8_sys,
@@ -266,3 +276,15 @@ def test_angles_json_rejects_bad_input():
         polytope.angles_from_json("[1.0, 2.0]", expected_size=3)
     with pytest.raises(ValueError):
         polytope.angles_from_json('{"angles": [1.0, "NaN"]}')
+    # deeper than the JSON decoder recurses
+    for text in ("[" * 100000, '{"angles": ' + "[" * 100000 + "1"
+                 + "]" * 100000 + "}"):
+        with pytest.raises(ValueError, match="flat array of finite"):
+            polytope.angles_from_json(text)
+    # another slot order; without the key the convention is assumed
+    other = "tet-lex;edges=23,13,12,03,02,01"
+    with pytest.raises(ValueError, match="ordering"):
+        polytope.angles_from_json(json.dumps({"ordering": other,
+                                              "angles": [1.0]}))
+    assert polytope.angles_from_json('{"angles": [1.0]}').tolist() == [1.0]
+
