@@ -21,6 +21,9 @@ import numpy as np
 
 # |sin| below this is treated as an exact zero of sin (angle in {0, pi})
 _SIN_ZERO = 1e-12
+# The least argument of the derivatives' logs: log 0 reads as a finite
+# log 1e-300, which adds exactly 0 where its coefficient is 0.
+_LOG_FLOOR = 1e-300
 
 _HALF_PI = 0.5 * np.pi
 
@@ -136,8 +139,8 @@ def segment_derivative(p, q, t):
 
     With a = q - p this is -sum a log|sin| / 2 along the segment, the log 2
     terms dropping since a sums to zero over each closure triple.  A slot
-    with a = 0 adds 0 * log max(|sin|, 1e-300) = 0, the 0 log 0 convention
-    where p_i = q_i sits at 0 or pi.
+    with a = 0 adds 0 * log max(|sin|, ``_LOG_FLOOR``) = 0, the 0 log 0
+    convention where p_i = q_i sits at 0 or pi.
     """
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 < t) & (t < 1.0)):
@@ -146,7 +149,7 @@ def segment_derivative(p, q, t):
     q = np.asarray(q, dtype=float)
     a = q - p
     s = np.abs(np.sin((1.0 - t[..., None]) * p + t[..., None] * q))
-    value = -0.5 * (a * np.log(np.maximum(s, 1e-300))).sum(axis=-1)
+    value = -0.5 * (a * np.log(np.maximum(s, _LOG_FLOOR))).sum(axis=-1)
     return value if t.ndim else float(value)
 
 
@@ -171,9 +174,9 @@ def boundary_derivative_limit(p, q, flat):
         raise ValueError(
             "inconsistent flat set: slot %d has angle at {0, pi} but is not "
             "marked flat" % int(np.argmax(bad)))
-    weight = np.where(in_flat, 0.0, np.log(np.maximum(s, 1e-300)))
+    weight = np.where(in_flat, 0.0, np.log(np.maximum(s, _LOG_FLOOR)))
     smooth = (a * weight).sum(axis=-1)
-    entropy = np.where(in_flat, a * np.log(np.maximum(np.abs(a), 1e-300)),
+    entropy = np.where(in_flat, a * np.log(np.maximum(np.abs(a), _LOG_FLOOR)),
                        0.0).sum(axis=-1)
     value = -0.5 * (smooth + entropy)
     return value if q.ndim > 1 else float(value)

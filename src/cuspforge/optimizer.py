@@ -58,6 +58,10 @@ _TO_BOUNDARY = 0.75
 # The least MINRES stop of a Newton step, and the KKT residual below which
 # a converged iterate takes no further step.
 _FLOOR = 1e-13
+# MINRES's stop relative to the norm of the right-hand side, for the solves
+# that must reach rounding: ``minimal_face``'s barrier steps and ``certify``'s
+# fit.
+_RELATIVE_STOP = 1e-14
 # A tetrahedron with one angle below _THIN and not the others makes the
 # dual ask for the minimal face (``_descend``).
 _THIN = 1e-3
@@ -125,16 +129,17 @@ class UniquenessReport:
 def classify_tetrahedra(p):
     """Per-tetrahedron classification: positive / flat / invalid.
 
-    Flat means the (0, 0, pi) pattern on opposite edge pairs; positive means
-    all six angles at least tol = ``polytope.BOUNDARY_TOL`` from the bounds;
-    anything else is invalid.  Invalid tetrahedra do occur at closure points,
-    and at maximizers: when the closure forces one angle to 0, a tetrahedron
-    keeps the angles (0, a, pi - a).  When every tetrahedron is positive, as
-    at every cover's maximizer, that one test is the answer.
+    Flat means the (0, 0, pi) pattern on opposite edge pairs within
+    tol = ``polytope.BOUNDARY_TOL``; positive means no slot at a bound
+    (``polytope.at_bound``); anything else is invalid.  Invalid tetrahedra
+    do occur at closure points, and at maximizers: when the closure forces
+    one angle to 0, a tetrahedron keeps the angles (0, a, pi - a).  When
+    every tetrahedron is positive, as at every cover's maximizer, that one
+    test is the answer.
     """
     tol = polytope.BOUNDARY_TOL
     six = np.asarray(p, dtype=float).reshape(-1, 6)
-    positive = np.all((six >= tol) & (six <= np.pi - tol), axis=1)
+    positive = ~polytope.at_bound(six).any(axis=1)
     if positive.all():
         return ["positive"] * positive.size
     # opposite pairs in slot order: (0,5), (1,4), (2,3)
@@ -441,9 +446,9 @@ def minimal_face(sys):
     """
     face = _Face(sys)
     ang = np.full(face.free.shape, np.pi / 3.0)
+    stop = _RELATIVE_STOP * np.linalg.norm(face.b_edge)
     for _ in range(_CENTRE_STEPS):
-        _, d = face.step(ang, face.error(ang), 0.0,
-                         1e-14 * np.linalg.norm(face.b_edge), barrier=True)
+        _, d = face.step(ang, face.error(ang), 0.0, stop, barrier=True)
         alpha = min(1.0, _TO_BOUNDARY * np.min(-ang[d < 0.0] / d[d < 0.0],
                                                initial=np.inf))
         ang = ang + alpha * d
@@ -482,11 +487,11 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
 def _maximize(sys, tol, max_iter, start, face_of):
     """``maximize_volume``, with ``face_of()`` the closure's minimal face.
 
-    Only a point with a slot within ``polytope.BOUNDARY_TOL`` of 0 or pi
-    can have flat tetrahedra, active slots or a face to look up, so only
-    there does it classify the tetrahedra and the slots and call
-    ``face_of``; and ``volume_upper`` has kink terms only when the first
-    face has linear tetrahedra.
+    Only a point with a slot at a bound (``polytope.at_bound``) can have
+    flat tetrahedra, active slots or a face to look up, so only there does
+    it classify the tetrahedra and call ``face_of``; the active slots are
+    the ones at a bound, on the equalities or off them.  ``volume_upper``
+    has kink terms only when the first face has linear tetrahedra.
     """
     face = first = _Face(sys)
     y = np.zeros(face.b_edge.size) if start is None else np.array(start, float)
@@ -522,12 +527,12 @@ def _maximize(sys, tol, max_iter, start, face_of):
         drift = run.y[first.cols] @ -_SIGNS
         upper += np.sum(np.pi * np.maximum(drift, 0)
                         - run.ang[first.linear, first.p] * drift)
-    bounded = np.any(np.minimum(x, np.pi - x) <= polytope.BOUNDARY_TOL)
+    bounded = polytope.at_bound(x)
     flat, active, fixed = (), frozenset(), frozenset()
-    if bounded:
+    if bounded.any():
         flat = tuple(np.flatnonzero(
             np.array(classify_tetrahedra(x)) == "flat").tolist())
-        active = polytope.classify_membership(sys, x).flat
+        active = frozenset(np.flatnonzero(bounded).tolist())
         fixed = face_of()[0].fixed
     return OptimizationResult(
         x, volume, run.status, flat, active, run.residual,
@@ -540,11 +545,12 @@ def certify(sys, p, fixed=None):
 
     Fits the gradient -log|2 sin theta| over the free angles into the span of
     the equality rows: minimum-norm multipliers, one per row, the fitted
-    values F on the angles at 0 or pi, and the residual recomputed from them.
-    With A_f the free columns and g_f the gradient on them, ``_minres``
-    solves A_f A_f^T lam = A_f g_f matrix-free in ``fit_iterations`` steps,
-    until |A_f (g_f - A_f^T lam)| <= 1e-14 |A_f g_f|; from lam = 0 it stays
-    in range(A_f), so the fit is the minimum-norm one.
+    values F on the angles at a bound (those with a slot in the membership's
+    ``flat``), and the residual recomputed from them.  With A_f the free
+    columns and g_f the gradient on them, ``_minres`` solves
+    A_f A_f^T lam = A_f g_f matrix-free in ``fit_iterations`` steps, until
+    |A_f (g_f - A_f^T lam)| <= ``_RELATIVE_STOP`` |A_f g_f|; from lam = 0 it
+    stays in range(A_f), so the fit is the minimum-norm one.
 
     The bounds are certified in closed form.  Toward a closure point the fit
     turns the one-sided derivative into a sum over the angles at 0 or pi.  A
@@ -563,7 +569,8 @@ def certify(sys, p, fixed=None):
         raise ValueError("cannot certify an infeasible point "
                          "(equality violation %g)" % membership.equality_violation)
     theta = polytope.to_angles(p)
-    free = (theta > tol) & (theta < np.pi - tol)
+    free = np.ones(theta.size, dtype=bool)
+    free[polytope.angle_of(list(membership.flat))] = False
     g = 2.0 * lob.volume_gradient(theta)  # each angle sits on two slots
     # with every angle free, the rows and g as they are: no masked copies
     pick = slice(None) if free.all() else free
@@ -574,7 +581,7 @@ def certify(sys, p, fixed=None):
 
     rhs = scatter(g[pick])
     lam, iters = _minres(lambda y: scatter(y[rows].sum(axis=1)), rhs,
-                         1e-14 * np.linalg.norm(rhs))
+                         _RELATIVE_STOP * np.linalg.norm(rhs))
     fitted = lam[sys.rows].sum(axis=1)
     residual = float(np.max(np.abs(fitted[pick] - g[pick]), initial=0.0))
     active = tuple((int(i), float(fitted[i])) for i in np.flatnonzero(~free))

@@ -22,7 +22,9 @@ from .triangulation import PAIR_OF
 
 ORDERING_CONVENTION = "tet-lex;edges=01,02,03,12,13,23"
 
-BOUNDARY_TOL = 1e-8  # at 0 or pi, and on the equalities, within this
+# A slot is at a bound when it is strictly closer than this to 0 or pi
+# (``at_bound``); a point is on the equalities, and in the box, within it.
+BOUNDARY_TOL = 1e-8
 
 # The sampler treats a direction, or an entry of one, below this as zero.
 _SAMPLE_ZERO = 1e-15
@@ -37,6 +39,14 @@ def to_angles(x):
     """The angle vector of a slot vector: the mean of each pair's slots."""
     six = np.asarray(x, dtype=float).reshape(-1, 6)
     return (0.5 * (six[:, :3] + six[:, :2:-1])).ravel()
+
+
+def at_bound(x):
+    """Where the slots of ``x`` sit at 0 or pi: strictly within
+    ``BOUNDARY_TOL`` of either, or NaN.  The one at-bound rule; an angle is
+    at a bound when a slot of it is."""
+    x = np.asarray(x, dtype=float)
+    return ~((x >= BOUNDARY_TOL) & (x <= np.pi - BOUNDARY_TOL))
 
 
 def angle_of(slots):
@@ -75,8 +85,8 @@ class LinearSystem:
 @dataclass(frozen=True)
 class Membership:
     kind: str  # "interior" | "boundary" | "infeasible"
-    flat: frozenset = frozenset()  # the slots at 0 or pi
-    equality_violation: float = 0.0
+    flat: frozenset  # the slots at a bound, whatever the kind
+    equality_violation: float
 
 
 def build_constraints(idx):
@@ -100,27 +110,24 @@ def _equality_errors(sys, x):
 
 
 def classify_membership(sys, x):
-    """Interior / boundary(J) / infeasible classification of a slot vector
-    at tolerance ``BOUNDARY_TOL``; opposite slots must agree within it, and
-    a vector with a NaN or infinite slot is infeasible."""
+    """Interior / boundary(J) / infeasible classification of a slot vector:
+    on the equalities, opposite slots agreeing, and in the box, all within
+    ``BOUNDARY_TOL``, with J the slots ``at_bound``; a vector with a NaN or
+    infinite slot is infeasible."""
     tol = BOUNDARY_TOL
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.dim,):
         raise ValueError("angle vector has length %d, expected %d"
                          % (x.size, sys.dim))
     violation = float(np.max(np.abs(_equality_errors(sys, x))))
+    flat = frozenset(np.flatnonzero(at_bound(x)).tolist())
     # negated tests, so that a NaN slot or violation reads as infeasible
     if not (violation <= tol and np.all((x >= -tol) & (x <= np.pi + tol))):
-        return Membership("infeasible", equality_violation=violation)
-    at_bound = (x < tol) | (x > np.pi - tol)
-    if at_bound.any():
-        return Membership("boundary",
-                          flat=frozenset(np.flatnonzero(at_bound).tolist()),
-                          equality_violation=violation)
-    return Membership("interior", equality_violation=violation)
+        return Membership("infeasible", flat, violation)
+    return Membership("boundary" if flat else "interior", flat, violation)
 
 
-def interior_point(sys, pinned=None):
+def interior_point(sys):
     """``(x, fixed)``: a slot vector x in the relative interior of the
     minimal face, and the slots the face fixes at 0 or pi; None when the
     closure is empty.  From the homogenised Freund-Roundy-Todd program
@@ -133,34 +140,25 @@ def interior_point(sys, pinned=None):
     relative interior of the minimal face.  The closure is empty exactly
     when the program is infeasible (HiGHS status 2); any other failure
     raises ValueError, so that it never reads as an empty closure.
-    ``pinned`` maps slots to 0 or pi and adds the rows theta_a = v tau for
-    their angles, i.e. the minimal face of the closure cut by those pins;
-    the interior of the cut closure is empty when ``fixed`` holds a slot
-    outside ``pinned``.
     """
     import scipy.optimize
     import scipy.sparse
 
-    pinned = pinned or {}
     n = sys.rows.shape[0]
-    slots = np.array(sorted(pinned), dtype=int)
     eye = scipy.sparse.identity(n, format="csr")
     # COO -> CSR sums the duplicate entries of coefficient-2 angles
     a = scipy.sparse.csr_array(
         (np.ones(3 * n), (sys.rows.ravel(), np.repeat(np.arange(n), 3))),
         shape=(sys.b.size, n))
-    rows = scipy.sparse.vstack([a, eye[angle_of(slots)]])
-    rhs = np.concatenate([sys.b, [pinned[i] for i in slots]])
     lhs = scipy.sparse.hstack(
-        [rows, scipy.sparse.csr_array(rows.shape), -rhs[:, None]],
-        format="csr")
+        [a, scipy.sparse.csr_array(a.shape), -sys.b[:, None]], format="csr")
     a_ub = scipy.sparse.block_array(
         [[-eye, eye, None], [eye, eye, np.full((n, 1), -np.pi)]],
         format="csr")
     c = np.concatenate([np.zeros(n), -np.ones(n), [0.0]])
     bounds = [(None, None)] * n + [(0.0, 1.0)] * n + [(1.0, None)]
     res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * n),
-                                 A_eq=lhs, b_eq=np.zeros(lhs.shape[0]),
+                                 A_eq=lhs, b_eq=np.zeros(sys.b.size),
                                  bounds=bounds, method="highs")
     if res.status == 2:  # infeasible
         return None
@@ -168,7 +166,6 @@ def interior_point(sys, pinned=None):
         raise ValueError("interior-point LP failed: " + res.message)
     theta = res.x[:n] / res.x[-1]
     fixed = res.x[n:2 * n] < 0.5
-    fixed[angle_of(slots)] = True
     theta[fixed] = np.pi * (theta[fixed] > 0.5 * np.pi)
     return (to_slots(theta),
             frozenset(np.flatnonzero(to_slots(fixed)).tolist()))
@@ -188,13 +185,14 @@ def sample_closure_points(sys, rng, n_samples, start,
     """Random slot vectors of the closure: random rays from the closure point
     ``start`` scaled to a uniform fraction of the distance to the box; a
     ``boundary_fraction`` share goes all the way to the boundary.  Rays keep
-    the angles where ``start`` sits at 0 or pi, so from a boundary point they
-    sweep the face it lies in instead of stopping at once.  Their directions
-    are Gaussian on the null space of the free columns.  Returns one
-    (n_samples, 6n) array, a sample per row.
+    the angles of ``start`` that are at a bound (``at_bound``), so from a
+    boundary point they sweep the face it lies in instead of stopping at
+    once.  Their directions are Gaussian on the null space of the free
+    columns.  Returns one (n_samples, 6n) array, a sample per row.
     """
     theta = to_angles(start)[:, None]
-    free = np.minimum(theta, np.pi - theta)[:, 0] > BOUNDARY_TOL
+    free = np.ones(theta.size, dtype=bool)
+    free[angle_of(np.flatnonzero(at_bound(start)))] = False
     a = sys.matrix()[:, free]
     _, sv, vh = np.linalg.svd(a)
     # the right singular vectors past the numerical rank span the null space

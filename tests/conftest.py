@@ -69,6 +69,25 @@ def fig8_center(fig8_sys):
 
 
 @pytest.fixture(scope="session")
+def fig8_face_point():
+    """A point of the relative interior of the face of the fig8 closure on
+    which tetrahedron 0 is flat with angle 1 at pi: tetrahedron 1 then has
+    angles (pi - 2 s, s, s), here at s = (pi - 1) / 2."""
+    return polytope.to_slots([0.0, np.pi, 0.0, 1.0, (np.pi - 1.0) / 2.0,
+                              (np.pi - 1.0) / 2.0])
+
+
+@pytest.fixture(scope="session")
+def fig8_tol_point():
+    """A fig8 closure point whose angle 0 is exactly ``BOUNDARY_TOL``: no
+    slot of it is at a bound."""
+    eps = polytope.BOUNDARY_TOL
+    return polytope.to_slots([eps, (np.pi - eps) / 2.0, (np.pi - eps) / 2.0,
+                              np.pi / 4.0, np.pi / 8.0 + 0.75 * eps,
+                              5.0 * np.pi / 8.0 - 0.75 * eps])
+
+
+@pytest.fixture(scope="session")
 def fig8_optimum(fig8_sys):
     res = optimizer.maximize_volume(fig8_sys)
     assert res.status == "converged"
@@ -137,11 +156,12 @@ def load_data(name):
         return triangulation.parse_triangulation(fh.read(), label=name)
 
 
-def flat_pins(*big):
-    """Slot -> angle pins making tetrahedron t flat with angle big[t] at pi;
-    slot k of a tetrahedron carries angle (0, 1, 2, 2, 1, 0)[k]."""
-    return {6 * t + k: np.pi * ((0, 1, 2, 2, 1, 0)[k] == b)
-            for t, b in enumerate(big) for k in range(6)}
+def flat_point(*big):
+    """The slot vector with every tetrahedron t flat, its angle big[t] at
+    pi and the other two at 0."""
+    angles = np.zeros((len(big), 3))
+    angles[np.arange(len(big)), big] = np.pi
+    return polytope.to_slots(angles)
 
 
 def movable_faces(tri):

@@ -375,14 +375,13 @@ def dense_newton_step(tri, face, ang, rhs, shift, barrier=False):
     return sol[:n_edges], d
 
 
-def interior_status(sys_, pinned=None):
+def interior_status(sys_):
     """``closure_status`` from ``polytope.interior_point``: the interior of
-    the (pinned) closure is empty when its minimal face fixes a slot that is
-    not pinned."""
-    found = polytope.interior_point(sys_, pinned)
+    the closure is empty when its minimal face fixes a slot."""
+    found = polytope.interior_point(sys_)
     if found is None:
         return "empty-closure"
-    return "empty-interior" if found[1] - set(pinned or ()) else "ok"
+    return "empty-interior" if found[1] else "ok"
 
 
 def dominance_reference(sys_, p, n_samples, seed):

@@ -94,7 +94,8 @@ def test_criterion_05_dominance(capsys, fig8_sys, fig8_optimum):
          % (rep.worst_gap, rep.worst_directional))
 
 
-def test_criterion_06_derivative_consistency(capsys, fig8_sys):
+def test_criterion_06_derivative_consistency(capsys, fig8_sys,
+                                             fig8_face_point):
     rng = np.random.default_rng(106)
     h = 1e-6
     worst_rel = 0.0
@@ -111,10 +112,9 @@ def test_criterion_06_derivative_consistency(capsys, fig8_sys):
               - lob.volume(polytope.segment(p, q, t - h))) / (2.0 * h)
         worst_rel = max(worst_rel, abs(val - fd) / max(abs(val), 1e-3))
     # extrapolated one-sided limits at a flat-boundary point
-    pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
-    face, fixed = polytope.interior_point(fig8_sys, pinned=pinned)
-    assert fixed == set(pinned)
+    face = fig8_face_point
     flat = polytope.classify_membership(fig8_sys, face).flat
+    assert flat == {0, 1, 2, 3, 4, 5}
     worst_lim = 0.0
     for q in polytope.sample_closure_points(fig8_sys, rng, 10, start=center,
                                             boundary_fraction=0.0):

@@ -205,6 +205,50 @@ def test_solve_certifies_once(capsys, monkeypatch, request, name):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name, calls", [("fig8", 2), ("flatten3", 3)])
+def test_solve_membership_classifications(capsys, monkeypatch, request,
+                                          name, calls):
+    # cmd_solve's call and certify's; on flatten3, whose maximizer has a
+    # flat tetrahedron, also minimal_face's test of its barrier point.  The
+    # solve's own active slots come from the at-bound mask, not from
+    # another classification
+    counted_calls = []
+
+    def counted(*args, **kwargs):
+        counted_calls.append(args)
+        return classify(*args, **kwargs)
+
+    classify = polytope.classify_membership
+    monkeypatch.setattr(polytope, "classify_membership", counted)
+    code, _, _ = run_json(capsys, "solve",
+                          request.getfixturevalue(name + "_path"))
+    assert code == cli.EXIT_OK
+    assert len(counted_calls) == calls
+
+
+@pytest.mark.parametrize("name, max_iter", [("flatten3", "2"),
+                                            ("degenerate4", "3")])
+def test_capped_solve_reports_the_slots_at_a_bound(capsys, request, tmp_path,
+                                                   name, max_iter):
+    # a capped solve stops off the equalities with flat tetrahedra; its
+    # active set still lists the slots at a bound, every flat one's among
+    # them, and the volume report of its point lists the same slots
+    path = request.getfixturevalue(name + "_path")
+    code, report, _ = run_json(capsys, "solve", path, "--max-iter", max_iter)
+    assert code == cli.EXIT_NOT_CONVERGED
+    res = report["results"]
+    assert res["status"] == "iteration-cap"
+    assert res["certificate"] is None and res["equality_violation"] > 1e-8
+    assert len(res["flat_tets"]) == 2
+    flat_slots = {6 * t + k for t in res["flat_tets"] for k in range(6)}
+    assert flat_slots <= set(res["active_set"])
+    angles = tmp_path / "point.json"
+    angles.write_text(polytope.angles_to_json(res["point"]))
+    volume = run_json(capsys, "volume", path, str(angles))[1]["results"]
+    assert volume["membership"] == "infeasible"
+    assert volume["flat_slots"] == res["active_set"]
+
+
 def test_solve_results_are_deterministic(capsys, fig8_path):
     _, rep1, _ = run_json(capsys, "solve", fig8_path, "--seed", "5")
     _, rep2, _ = run_json(capsys, "solve", fig8_path, "--seed", "5")
@@ -251,33 +295,32 @@ def test_solve_one_iteration_report_is_strict_json(capsys, request, name,
     assert math.isfinite(res["kkt_residual"])
 
 
-@pytest.mark.parametrize("name, argv, unpinned, pinned", [
-    ("degenerate4", [], 1, 0),
-    ("degenerate4", ["--starts", "4"], 1, 0),
-    ("flatten3", [], 0, 0),
-    ("fig8", ["--starts", "4"], 0, 0),
-    ("chain141", [], 1, 0),
+@pytest.mark.parametrize("name, argv, lps", [
+    ("degenerate4", [], 1),
+    ("degenerate4", ["--starts", "4"], 1),
+    ("flatten3", [], 0),
+    ("fig8", ["--starts", "4"], 0),
+    ("chain141", [], 1),
 ])
 def test_solve_finds_the_minimal_face_once(capsys, monkeypatch, request,
-                                           name, argv, unpinned, pinned):
-    # the unpinned LP runs only when the closure has no interior, once per
-    # solve: every start and the certificate share its face.  On chain 141,
-    # whose minimal face has linear tetrahedra, the same LP gives the face
-    # that Newton runs on.  No pinned LP runs; flatten3's maximizer has a
-    # flat tetrahedron, but Newton toward the analytic centre finds its
-    # interior
+                                           name, argv, lps):
+    # the LP runs only when the closure has no interior, once per solve:
+    # every start and the certificate share its face.  On chain 141, whose
+    # minimal face has linear tetrahedra, the same LP gives the face that
+    # Newton runs on.  flatten3's maximizer has a flat tetrahedron, but
+    # Newton toward the analytic centre finds its interior
     calls = []
     original = polytope.interior_point
 
-    def counted(sys_, pinned=None):
-        calls.append(bool(pinned))
-        return original(sys_, pinned=pinned)
+    def counted(sys_):
+        calls.append(sys_)
+        return original(sys_)
 
     monkeypatch.setattr(polytope, "interior_point", counted)
     code, _, _ = run_cli(capsys, "solve",
                          request.getfixturevalue(name + "_path"), *argv)
     assert code == cli.EXIT_OK
-    assert (calls.count(False), calls.count(True)) == (unpinned, pinned)
+    assert len(calls) == lps
 
 
 def test_failed_lp_is_not_an_empty_closure(capsys, monkeypatch, fig8_sys,
@@ -359,12 +402,10 @@ def test_certify_center(capsys, fig8_path, center_angles_path):
 
 
 def test_certify_seed_is_recorded_but_inert(capsys, tmp_path, fig8_path,
-                                            fig8_sys):
+                                            fig8_face_point):
     # certify draws no samples, at a boundary point neither
-    pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
     path = tmp_path / "face.json"
-    path.write_text(polytope.angles_to_json(
-        polytope.interior_point(fig8_sys, pinned=pinned)[0]))
+    path.write_text(polytope.angles_to_json(fig8_face_point))
     reports = [run_json(capsys, "certify", fig8_path, str(path),
                         "--seed", seed)[1] for seed in ("1", "2")]
     assert [r["seed"] for r in reports] == [1, 2]

@@ -9,8 +9,8 @@ import pytest
 from cuspforge import lobachevsky as lob
 from cuspforge import optimizer, polytope, triangulation
 
-from conftest import (GEO4_COCYCLE, GEO4_TEXT, cyclic_cover, load_data,
-                      movable_chain, property_chain, relabel)
+from conftest import (GEO4_COCYCLE, GEO4_TEXT, cyclic_cover, flat_point,
+                      load_data, movable_chain, property_chain, relabel)
 from helpers import (dense_newton_step, dominance_reference, fixed_slots,
                      interior_status, lstsq_certificate, null_directions,
                      slot_system)
@@ -99,22 +99,22 @@ def test_maximize_empty_closure(doubled):
 def test_chain_solve_runs_one_unpinned_lp_at_most(fig8, monkeypatch, seed,
                                                    lps):
     # flat tetrahedra at the maximizer (chains 9 and 34) or linear ones on
-    # the minimal face (141 and 161): the LP runs, unpinned and once, only
-    # when the closure has no interior, and its face is the result's.  On
+    # the minimal face (141 and 161): the LP runs once, and only when the
+    # closure has no interior, and its face is the result's.  On
     # chain 34, Newton toward the analytic centre finds the interior that
     # the volume's Newton steps from the centre did not
     sys_ = polytope.build_constraints(
         triangulation.incidence(property_chain(fig8, seed)))
     calls, interior_point = [], polytope.interior_point
 
-    def counted(sys_, pinned=None):
-        calls.append(pinned)
-        return interior_point(sys_, pinned)
+    def counted(sys_):
+        calls.append(sys_)
+        return interior_point(sys_)
 
     monkeypatch.setattr(polytope, "interior_point", counted)
     res = optimizer.maximize_volume(sys_)
     assert res.status == "converged"
-    assert calls == [None] * lps
+    assert len(calls) == lps
     monkeypatch.undo()
     assert res.face_fixed == (interior_point(sys_)[1] if lps else set())
     assert optimizer.certify(sys_, res.point, fixed=res.face_fixed).signs_ok
@@ -256,12 +256,20 @@ def test_certify_single_point_closure(fig8):
         == list(range(3 * tri.n_tets))
 
 
-def test_certify_flags_non_critical_point(fig8, fig8_sys, fig8_center):
+def test_certify_flags_non_critical_point(fig8, fig8_sys, fig8_center,
+                                          fig8_tol_point):
     # an interior point displaced along a null direction is not critical
     basis = null_directions(fig8)
     perturbed = fig8_center + 0.2 * basis[:, 0]
     assert polytope.classify_membership(fig8_sys, perturbed).kind == "interior"
     cert = optimizer.certify(fig8_sys, perturbed)
+    assert cert.gradient_residual > 1e-3
+    # nor is one with an angle exactly BOUNDARY_TOL from 0, which is not at
+    # a bound: no angle is active, so no sign fails
+    cert = optimizer.certify(fig8_sys, fig8_tol_point)
+    assert cert.membership == "interior"
+    assert cert.active_multipliers == ()
+    assert cert.signs_ok
     assert cert.gradient_residual > 1e-3
 
 
@@ -284,14 +292,12 @@ def test_non_finite_point_is_rejected(fig8_sys, fig8_center, value):
         optimizer.dominance_check(fig8_sys, x, 10)
 
 
-def test_certify_boundary_point_finds_improving_direction(fig8_sys):
+def test_certify_boundary_point_finds_improving_direction(fig8_sys,
+                                                         fig8_face_point):
     # a face point with a flat tetrahedron admits improving directions into
     # the polytope, so the sign check must fail there: the fitted values are
     # equal on the three angles, so the margin is -log 2
-    pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
-    point, fixed = polytope.interior_point(fig8_sys, pinned=pinned)
-    assert fixed == set(pinned)
-    cert = optimizer.certify(fig8_sys, point)
+    cert = optimizer.certify(fig8_sys, fig8_face_point)
     assert not cert.signs_ok
     assert cert.membership == "boundary"
     [(tet, margin, face_fixed)] = cert.margins
@@ -303,8 +309,9 @@ def test_certify_rejects_a_movable_zero_angle(fig8_sys):
     # one angle of tetrahedron 0 at 0, the other two positive: the angle is
     # free over the closure, and moving it off 0 gains volume at an
     # unbounded rate
-    point, fixed = polytope.interior_point(fig8_sys, pinned={0: 0.0, 5: 0.0})
-    assert fixed == {0, 5}
+    point = polytope.to_slots([0.0, 0.75 * np.pi, 0.25 * np.pi,
+                               0.25 * np.pi, 0.25 * np.pi, 0.5 * np.pi])
+    assert polytope.classify_membership(fig8_sys, point).flat == {0, 5}
     assert optimizer.classify_tetrahedra(point)[0] == "invalid"
     cert = optimizer.certify(fig8_sys, point)
     assert not cert.signs_ok
@@ -323,11 +330,17 @@ def sampled_signs_ok(sys_, p, n_samples=200):
                        <= 1e-8))
 
 
+# The closure points of chains 12 and 58 with tetrahedron 2, respectively
+# 4, set flat as below: the only ones, and every tetrahedron is flat there,
+# with these angles at pi.
+MOVABLE_ANGLE_BIG = {12: (0, 0, 1, 0, 0), 58: (0, 1, 0, 0, 0, 1)}
+
+
 @pytest.mark.parametrize("seed, tet, zero, expected",
                          [(12, 2, 0, True), (58, 4, 2, False)])
 def test_certify_flat_tetrahedron_with_one_movable_angle(fig8, seed, tet,
                                                          zero, expected):
-    # the closure fixes one angle of the tetrahedron at 0; the pins put
+    # the closure fixes one angle of the tetrahedron at 0; the point puts
     # angle ``zero`` at 0 and the third at pi, so only ``zero`` moves off 0
     tri = property_chain(fig8, seed)
     sys_ = polytope.build_constraints(triangulation.incidence(tri))
@@ -335,8 +348,10 @@ def test_certify_flat_tetrahedron_with_one_movable_angle(fig8, seed, tet,
     [fixed] = set(polytope.angle_of(sorted(own)) % 3)
     angles = np.full(3, np.pi)
     angles[[fixed, zero]] = 0.0
-    pins = dict(enumerate(polytope.to_slots(angles), start=6 * tet))
-    p = polytope.interior_point(sys_, pinned=pins)[0]
+    p = flat_point(*MOVABLE_ANGLE_BIG[seed])
+    np.testing.assert_array_equal(p[6 * tet:6 * tet + 6],
+                                  polytope.to_slots(angles))
+    assert polytope.classify_membership(sys_, p).kind == "boundary"
     cert = optimizer.certify(sys_, p)
     assert [ff for t, _, ff in cert.margins if t == tet] == [False]
     assert cert.signs_ok is expected
@@ -354,11 +369,10 @@ def entropy_grid_max(f_a, f_b, f_c, n=20001):
 
 
 @pytest.mark.parametrize("case", ["pinned-fig8", "degenerate4", "flatten3"])
-def test_margin_is_the_entropy_inequality_maximum(case, fig8_sys):
-    if case == "pinned-fig8":
-        sys_ = fig8_sys
-        pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
-        p = polytope.interior_point(sys_, pinned=pinned)[0]
+def test_margin_is_the_entropy_inequality_maximum(case, fig8_sys,
+                                                  fig8_face_point):
+    if case == "pinned-fig8":  # tetrahedron 0 set flat
+        sys_, p = fig8_sys, fig8_face_point
     else:
         sys_ = polytope.build_constraints(
             triangulation.incidence(load_data(case)))

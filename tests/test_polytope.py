@@ -9,7 +9,7 @@ from scipy.linalg import null_space
 
 from cuspforge import optimizer, polytope, triangulation
 
-from conftest import flat_pins, load_data, movable_chain
+from conftest import flat_point, load_data, movable_chain, property_chain
 from helpers import (angle_matrix, fixed_slots, interior_status,
                      null_directions, slot_system)
 
@@ -69,10 +69,14 @@ def test_regular_point_satisfies_equalities(fig8_sys, fig8_center):
         fig8_sys, fig8_center).equality_violation < 1e-14
 
 
-def test_membership_interior(fig8_sys, fig8_center):
-    m = polytope.classify_membership(fig8_sys, fig8_center)
-    assert m.kind == "interior"
-    assert m.flat == frozenset()
+def test_membership_interior(fig8_sys, fig8_center, fig8_tol_point):
+    # a slot exactly BOUNDARY_TOL from 0 is not at a bound: the rule is
+    # strict, and the tetrahedron classification agrees
+    for x in (fig8_center, fig8_tol_point):
+        m = polytope.classify_membership(fig8_sys, x)
+        assert m.kind == "interior"
+        assert m.flat == frozenset()
+        assert optimizer.classify_tetrahedra(x) == ["positive"] * 2
 
 
 def test_membership_boundary_reports_flat_slots(fig8, fig8_sys, fig8_center):
@@ -161,33 +165,18 @@ def test_interior_point_empty_closure(doubled):
     assert polytope.interior_point(sys_) is None
 
 
-def test_face_point_respects_pins(fig8_sys):
-    pinned = {0: 0.0, 5: 0.0, 2: 0.0, 3: 0.0, 1: np.pi, 4: np.pi}
-    point, fixed = polytope.interior_point(fig8_sys, pinned=pinned)
-    assert fixed == set(pinned)
-    for i, v in pinned.items():
-        assert abs(point[i] - v) < 1e-9
-    free = np.setdiff1d(np.arange(12), sorted(pinned))
-    assert np.min(np.minimum(point[free], np.pi - point[free])) > 0.0
-    assert polytope.classify_membership(
-        fig8_sys, point).equality_violation < 1e-8
-    m = polytope.classify_membership(fig8_sys, point)
-    assert m.kind == "boundary"
-    assert set(pinned) <= set(m.flat)
-
-
-def test_interior_point_single_point_closure(fig8_sys):
-    # both tetrahedra pinned flat: the pinned face is one point, every slot
-    # of it fixed at 0 or pi
-    pinned = flat_pins(0, 1)
-    point, fixed = polytope.interior_point(fig8_sys, pinned=pinned)
-    assert fixed == set(pinned) == set(range(12))
-    np.testing.assert_array_equal(point, [pinned[i] for i in range(12)])
+def test_interior_point_single_point_closure(fig8):
+    # this chain's closure is one point, every slot of it fixed at 0 or pi
+    # and every tetrahedron flat
+    sys_ = polytope.build_constraints(
+        triangulation.incidence(property_chain(fig8, 0)))
+    point, fixed = polytope.interior_point(sys_)
+    assert fixed == set(range(sys_.dim))
+    np.testing.assert_array_equal(point, flat_point(2, 0, 0, 0, 0, 1, 0, 0))
     # from a point that is a face of its own, no ray moves
     rng = np.random.default_rng(14)
-    for x in polytope.sample_closure_points(fig8_sys, rng, 8, point):
+    for x in polytope.sample_closure_points(sys_, rng, 8, point):
         np.testing.assert_array_equal(x, point)
-    assert polytope.interior_point(fig8_sys, pinned=flat_pins(0, 0)) is None
 
 
 def test_interior_point_minimal_face(degenerate4_sys):
@@ -244,7 +233,7 @@ def test_difference_vector_in_null_space(fig8, fig8_sys, fig8_center):
     assert np.max(np.abs(slot_system(fig8)[0] @ a)) < 1e-9
 
 
-def test_sample_closure_points_feasible(fig8_sys):
+def test_sample_closure_points_feasible(fig8_sys, fig8_tol_point):
     rng = np.random.default_rng(12)
     pts = polytope.sample_closure_points(
         fig8_sys, rng, 200, start=polytope.interior_point(fig8_sys)[0])
@@ -257,6 +246,10 @@ def test_sample_closure_points_feasible(fig8_sys):
         if np.min(np.minimum(x, np.pi - x)) < 1e-9:
             hit_boundary += 1
     assert hit_boundary > 10  # boundary_fraction actually reaches faces
+    # from a point with an angle exactly BOUNDARY_TOL, which is not at a
+    # bound, the rays move that angle too
+    pts = polytope.sample_closure_points(fig8_sys, rng, 8, fig8_tol_point)
+    assert np.all(pts[:, 0] != fig8_tol_point[0])
 
 
 def test_angles_json_roundtrip():
