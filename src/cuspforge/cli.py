@@ -4,7 +4,8 @@ Subcommands: solve, certify, dominate, segment, lambda, volume, lemmas,
 move23, check.  Every report is one JSON envelope on stdout; the
 ``results`` payload is deterministic for fixed inputs, flags and seed, while
 ``timings`` are informational only.  ``solve --starts k`` reports the run
-from y = 0 and adds the other starts' volumes and spread as ``multi_start``.
+from y = 0 and adds every start's volume and status, and the spread of the
+converged ones, as ``multi_start``.
 
 Exit codes: 0 ok, 2 parse/usage error or a failed LP, 3 empty closure,
 4 not converged (iteration cap or stall), 5 lemma suite failure.
@@ -193,6 +194,7 @@ def cmd_solve(args):
             "n_starts": args.starts,
             "max_spread": probe.max_spread,
             "volumes": probe.volumes,
+            "statuses": probe.statuses,
         }
     _emit(args, results, timer)
     return EXIT_OK if res.status == "converged" else EXIT_NOT_CONVERGED

@@ -62,6 +62,10 @@ _FLOOR = 1e-13
 # that must reach rounding: ``minimal_face``'s barrier steps and ``certify``'s
 # fit.
 _RELATIVE_STOP = 1e-14
+# How far below 0 ``certify`` lets a flat tetrahedron's margin, or a
+# fitted multiplier below another, fall: a tolerance on multipliers, not on
+# angles.
+_SIGN_TOL = 1e-8
 # A tetrahedron with one angle below _THIN and not the others makes the
 # dual ask for the minimal face (``_descend``).
 _THIN = 1e-3
@@ -121,8 +125,9 @@ class DominanceReport:
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    max_spread: float
+    max_spread: float  # over the converged starts
     volumes: tuple
+    statuses: tuple  # each volume's start's status
     results: tuple = field(repr=False, default=())
 
 
@@ -159,18 +164,22 @@ def _triangle(w):
     (0, 0, pi), pi opposite the longest side, when a side is at least the
     sum of the other two, within rounding (then exactly).  The angle
     opposite the longest side is pi minus the others: so each row sums to
-    pi, and the small angles keep their relative accuracy.
+    pi, and the small angles keep their relative accuracy.  A row's min,
+    sums and product combine its three columns elementwise, left to right:
+    the bits of a reduction over the row, without its per-row loop.
     """
-    side = np.exp(w.min(axis=1, keepdims=True) - w)
-    s = 0.5 * side.sum(axis=1, keepdims=True)
+    side = np.exp(np.minimum(np.minimum(w[:, :1], w[:, 1:2]), w[:, 2:]) - w)
+    s = 0.5 * (side[:, :1] + side[:, 1:2] + side[:, 2:])
     u = s - side
     # a slack within rounding of s is 0: its angles, about sqrt(eps), would
     # be rounding noise that keeps the edge error above any tolerance
     u[u <= _ROUNDING * s] = 0.0
-    ang = 2.0 * np.arctan2(np.sqrt(u.prod(axis=1, keepdims=True) / s), u)
+    prod = u[:, :1] * u[:, 1:2] * u[:, 2:]
+    ang = 2.0 * np.arctan2(np.sqrt(prod / s), u)
     big = _CORNERS == u.argmin(axis=1)[:, None]
     rest = np.where(big, 0.0, ang)
-    return np.where(big, np.pi - rest.sum(axis=1, keepdims=True), rest)
+    return np.where(big, np.pi - (rest[:, :1] + rest[:, 1:2] + rest[:, 2:]),
+                    rest)
 
 
 class _Face:
@@ -197,6 +206,8 @@ class _Face:
         self.fixed = frozenset(fixed)
         self.free = np.ones((n, 3), dtype=bool)
         self.ends = (sys.rows[:, 1:] - n).reshape(n, 3, 2)  # edge rows
+        # the edge rows of each angle's first and second slot, each (n, 3)
+        self.end0, self.end1 = self.ends.transpose(2, 0, 1).copy()
         self.b_edge = sys.b[n:]
         if self.fixed:
             self.free.flat[polytope.angle_of(sorted(self.fixed))] = False
@@ -219,7 +230,7 @@ class _Face:
         tetrahedra at (0, p, pi - p), the Lagrangian there: D(y) where
         w_p = w_q, or where the face has no linear tetrahedra, and the
         volume V of the angles."""
-        w = y[self.ends].sum(axis=2)
+        w = y[self.end0] + y[self.end1]
         if self.fixed:
             ang = self.base.copy()
             ang[self.curved] = _triangle(w[self.curved])
@@ -276,7 +287,7 @@ class _Face:
         array then holds.
         """
         a = ang[self.curved] if self.fixed else ang
-        keep = (a > 0.0).all(axis=1)
+        keep = (a[:, 0] > 0.0) & (a[:, 1] > 0.0) & (a[:, 2] > 0.0)
         n_edges = self.b_edge.size
         if keep.all():
             c, cols = self.curved, self.all_cols
@@ -285,10 +296,10 @@ class _Face:
             cols = np.concatenate([self.pairs[keep].reshape(-1, 4),
                                    self.cols])
         k = a ** -2.0 if barrier else 1.0 / np.tan(a)
-        det = (k[:, :1] * k[:, 1:2] + k[:, 2:] * (k[:, :1] + k[:, 1:2])
-               if barrier else 1.0)
+        if barrier:  # divide by det H, which is 1 for the volume
+            k /= k[:, :1] * k[:, 1:2] + k[:, 2:] * (k[:, :1] + k[:, 1:2])
         # minus the pair weights, pairs (A, B), (B, C), (C, A) in turn
-        kappa = -(k / det)[:, _OFF].ravel()
+        kappa = -k[:, _OFF].ravel()
         m, rows = kappa.size, cols.ravel()
 
         def scatter(v):  # M v, columns as in ``cols``
@@ -374,8 +385,8 @@ def _descend(face, y, tol, max_iter, thin=False):
       the Lagrangian, or the last
       step gained nothing beyond rounding and no new least residual;
     - with ``thin``, as "thin" at a tetrahedron with one angle below
-      ``_THIN`` and not the others: the iterates then tend to a linear
-      tetrahedron, where D has no minimum.
+      ``_THIN`` and not the others, before the cap: the iterates then tend
+      to a linear tetrahedron, where D has no minimum.
     Else it steps, with r the largest residual: shifted by
     mu = min(0.5, r), since D is linear where every tetrahedron is flat (a
     cap of 1 took one more step on covers of a four-tetrahedron fig8
@@ -404,7 +415,7 @@ def _descend(face, y, tol, max_iter, thin=False):
             polished = run
         elif not (gained or residual < best) or value < -slack:
             return run._replace(status="stalled")
-        elif thin and ang.min() < _THIN and (
+        elif thin and iters < max_iter and ang.min() < _THIN and (
                 np.count_nonzero(ang < _THIN, axis=1) == 1).any():
             return run._replace(status="thin")
         if iters >= max_iter:
@@ -563,7 +574,6 @@ def certify(sys, p, fixed=None):
     (default: ``minimal_face``'s); ``margins`` holds (tetrahedron, margin,
     face_fixed) for each flat tetrahedron.
     """
-    tol = polytope.BOUNDARY_TOL
     membership = polytope.classify_membership(sys, p)
     if membership.kind == "infeasible":
         raise ValueError("cannot certify an infeasible point "
@@ -575,14 +585,17 @@ def certify(sys, p, fixed=None):
     # with every angle free, the rows and g as they are: no masked copies
     pick = slice(None) if free.all() else free
     rows = sys.rows[pick]
+    # each angle's three rows as three contiguous rows: A^T y is their sum
+    cols = sys.rows.T.copy()
+    free_cols = cols[:, pick]
 
     def scatter(v):  # A_f v
         return np.bincount(rows.ravel(), np.repeat(v, 3), sys.b.size)
 
     rhs = scatter(g[pick])
-    lam, iters = _minres(lambda y: scatter(y[rows].sum(axis=1)), rhs,
+    lam, iters = _minres(lambda y: scatter(y[free_cols].sum(axis=0)), rhs,
                          _RELATIVE_STOP * np.linalg.norm(rhs))
-    fitted = lam[sys.rows].sum(axis=1)
+    fitted = lam[cols].sum(axis=0)
     residual = float(np.max(np.abs(fitted[pick] - g[pick]), initial=0.0))
     active = tuple((int(i), float(fitted[i])) for i in np.flatnonzero(~free))
     signs_ok, margins = True, []
@@ -597,10 +610,10 @@ def certify(sys, p, fixed=None):
             a, b = (k for k in range(3 * t, 3 * t + 3) if k != c)
             margin = float(-fitted[c] - np.logaddexp(-fitted[a], -fitted[b]))
             if move[a] and move[b]:
-                signs_ok = signs_ok and margin >= -tol
+                signs_ok = signs_ok and margin >= -_SIGN_TOL
             elif move[a] or move[b]:
                 signs_ok = signs_ok and (fitted[a if move[a] else b]
-                                         >= fitted[c] - tol)
+                                         >= fitted[c] - _SIGN_TOL)
             margins.append((int(t), margin, not (move[a] or move[b])))
     return MaximalityCertificate(lam, active, residual, bool(signs_ok), iters,
                                  tuple(margins), membership.kind)
@@ -612,18 +625,22 @@ def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
 
     The first start is y = 0, the others seeded standard normal edge
     multipliers, and all share one lookup of the minimal face; ``results``
-    keeps each start's OptimizationResult.
+    keeps each start's OptimizationResult.  ``volumes`` and ``statuses``
+    hold each start that found a point, and ``max_spread`` is the largest
+    distance between the points of the converged ones: a start stopped at
+    the cap may be anywhere.
     """
     face_of = functools.cache(lambda: minimal_face(sys))
     starts = [None, *np.random.default_rng(seed).standard_normal(
         (n_starts - 1, sys.b.size - sys.rows.shape[0] // 3))]
     results = tuple(_maximize(sys, tol, max_iter, start, face_of)
                     for start in starts)
-    points = [r.point for r in results if r.point is not None]
+    found = [r for r in results if r.point is not None]
+    points = [r.point for r in found if r.status == "converged"]
     spread = max((float(np.linalg.norm(p - q, np.inf))
                   for p, q in combinations(points, 2)), default=0.0)
-    return UniquenessReport(spread, tuple(r.volume for r in results if
-                                          r.point is not None), results)
+    return UniquenessReport(spread, tuple(r.volume for r in found),
+                            tuple(r.status for r in found), results)
 
 
 def dominance_check(sys, p, n_samples, seed=0):

@@ -230,11 +230,15 @@ class IncidenceIndex:
 # blank lines may come anywhere, and spaces and tabs may surround and
 # separate the fields.  Indices are decimal digits of any length.
 _COMMENT_RE = re.compile("#[^\r\n]*")
-_GLUE = "glue[ \t]+[0-9]+[ \t]+[0-9]+[ \t]+[0-9]+[ \t]+[0-3]{4}"
+_GLUE = "glue[ \t]++[0-9]++[ \t]++[0-9]++[ \t]++[0-9]++[ \t]++[0-3]{4}"
 # No group: a group open or closed before the glue lines makes every line's
-# match save it, and the match takes a quarter longer.
-_TEXT_RE = re.compile("[ \t\r\n]*tri 1[ \t]*[\r\n][ \t\r\n]*tets[ \t]+[0-9]+"
-                      "(?:[ \t]*[\r\n][ \t\r\n]*%s)*[ \t\r\n]*" % _GLUE)
+# match save it, and the match takes a quarter longer.  Every quantifier is
+# possessive, so the match keeps no backtracking state: each run it takes
+# ends where the next field's characters start, and a glue line, which is
+# not whitespace, can never be handed back to the trailing whitespace.
+_TEXT_RE = re.compile(
+    "[ \t\r\n]*+tri 1[ \t]*+[\r\n][ \t\r\n]*+tets[ \t]++[0-9]++"
+    "(?:[ \t]*+[\r\n][ \t\r\n]*+%s)*+[ \t\r\n]*+" % _GLUE)
 _NO_GLUE = str.maketrans("", "", "glue")
 
 
@@ -340,18 +344,17 @@ def _classes(size, a, b):
     least node of its connected component.
 
     Each round hooks every root onto the least root it shares an edge with,
-    then jumps pointers until every node points at a root, and drops the
-    edges whose ends now share one.  A label never exceeds its node and
-    only decreases, so when no edge is left each component's root is its
-    least node.
+    then jumps pointers until every node points at a root.  Every edge
+    hooks in every round: one whose ends already share a root hooks that
+    root onto itself, which changes nothing, so no round drops it.  A label
+    never exceeds its node and only decreases, so when every edge's ends
+    share a root each component's root is its least node.
     """
     label = np.arange(size)
     while True:
         la, lb = label[a], label[b]
-        live = la != lb
-        if not live.any():
+        if np.array_equal(la, lb):
             return label
-        a, b, la, lb = a[live], b[live], la[live], lb[live]
         np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
         up = label[label]
         while not np.array_equal(up, label):
@@ -377,7 +380,8 @@ def _edge_of(tri):
     least slots do.
     """
     ends = tri._end_labels.reshape(-1, 16)
-    slot = ends[:, _SLOT_ENDS].min(axis=2).ravel()
+    slot = np.minimum(ends[:, _SLOT_ENDS[:, 0]],
+                      ends[:, _SLOT_ENDS[:, 1]]).ravel()
     return np.unique(slot, return_inverse=True)[1]
 
 
@@ -401,7 +405,7 @@ def vertex_links(tri):
     corners.
     """
     signed = _face_graph(tri, 8, _CORNER_LOCAL, _CORNER_IMAGE).reshape(-1, 2)
-    least, link_of = np.unique(signed.min(axis=1) // 2, return_inverse=True)
+    least, link_of = np.unique(np.minimum(*signed.T) // 2, return_inverse=True)
     ends = tri._end_labels
     roots = np.flatnonzero(ends == np.arange(len(ends)))
     roots = roots[roots % 4 != roots // 4 % 4]  # no end (t, v, v)

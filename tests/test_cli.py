@@ -135,7 +135,8 @@ def test_solve_multi_start_reports_a_probe_result(capsys, fig8_path,
 def test_solve_multi_start_reports_the_first_start(capsys, tmp_path):
     # the report is the run from y = 0, the plain solve's; the other starts
     # only add multi_start.  With 8 iterations some starts stop at the cap,
-    # one of them above the maximum, and that must not become the answer
+    # one of them above the maximum, and that must not become the answer,
+    # nor enter the spread: each start's status labels it
     path = tmp_path / "geo4.tri"
     path.write_text(GEO4_TEXT)
     _, plain, _ = run_json(capsys, "solve", str(path))
@@ -148,7 +149,13 @@ def test_solve_multi_start_reports_the_first_start(capsys, tmp_path):
     assert abs(plain["results"]["volume"] - 2.0298832128193) < 1e-12
     for key in ("point", "volume", "iterations"):
         assert res[key] == plain["results"][key]
-    assert max(res["multi_start"]["volumes"]) > res["volume"] + 0.1
+    ms = res["multi_start"]
+    assert ms["statuses"] == ["converged"] + ["iteration-cap"] * 7
+    assert max(ms["volumes"]) > res["volume"] + 0.1  # 2.2466, capped
+    # one start converged: no spread, though the capped points lie far
+    # apart (start 5 has every tetrahedron flat, at volume 0)
+    assert ms["max_spread"] == 0.0
+    assert ms["volumes"][5] == 0.0
 
 
 def test_solve_boundary_maximizer_report(capsys, degenerate4_path):

@@ -391,6 +391,7 @@ def test_margin_is_the_entropy_inequality_maximum(case, fig8_sys,
 def test_uniqueness_probe(fig8_sys):
     rep = optimizer.uniqueness_probe(fig8_sys, 6, seed=1)
     assert len(rep.volumes) == 6
+    assert rep.statuses == ("converged",) * 6
     assert [r.volume for r in rep.results] == list(rep.volumes)
     assert rep.max_spread < 1e-6
     assert max(rep.volumes) - min(rep.volumes) < 1e-10
@@ -499,6 +500,16 @@ def test_iteration_cap_status(fig8_sys):
     res = optimizer.maximize_volume(fig8_sys, max_iter=1, start=start)
     assert res.status == "iteration-cap"
     assert res.iterations == 1
+    # chain 12's plain run turns thin at some iteration k; capped at k, the
+    # solve stops at the cap, not with the internal "thin"
+    sys_ = polytope.build_constraints(triangulation.incidence(
+        property_chain(load_data("fig8"), 12)))
+    face = optimizer._Face(sys_)
+    run = optimizer._descend(face, np.zeros(face.b_edge.size),
+                             optimizer.DEFAULT_TOL, 100, thin=True)
+    assert run.status == "thin"
+    res = optimizer.maximize_volume(sys_, max_iter=run.iterations)
+    assert (res.status, res.iterations) == ("iteration-cap", run.iterations)
 
 
 def test_degenerate4_boundary_maximizer(degenerate4_sys):
