@@ -7,6 +7,15 @@ move23, check.  Every report is one JSON envelope on stdout; the
 from y = 0 and adds every start's volume and status, and the spread of the
 converged ones, as ``multi_start``.
 
+One dispatcher, ``main``, runs every subcommand.  It alone makes the timer;
+reads each input file once, hashing the bytes it read; builds the
+triangulation, its incidence and constraints, and the angle vectors when
+the command takes a ``path``; and prints the envelope.  A command
+``cmd_*(args, built, timer)`` returns its ``results`` and exit code, and
+writes nothing but ``move23``'s output file.  numpy's floating-point
+warnings are off while a command runs: a huge or non-finite angle shows in
+the report or the error line, never as a warning on stderr.
+
 Exit codes: 0 ok, 2 parse/usage error or a failed LP, 3 empty closure,
 4 not converged (iteration cap or stall), 5 lemma suite failure.
 """
@@ -16,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -38,13 +48,6 @@ EXIT_SUITE_FAILURE = 5
 # reduction (worst near a multiple of pi), and at 1e15 the value is wrong
 # in its second digit.
 LAMBDA_MAX_THETA = 512.0
-
-
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
 
 
 def _default_seed():
@@ -94,67 +97,49 @@ def _plain(value):
     raise TypeError("%s is not JSON serializable" % type(value).__name__)
 
 
-def _emit(args, results, timer):
-    """The report envelope: command, input hashes and seed come from the
-    parsed arguments; a command without ``--seed`` records
-    ``CUSPFORGE_SEED``'s."""
-    inputs = [getattr(args, name) for name in ("path", "angles", "p", "q")
-              if name in args]
-    report = {
-        "command": args.command,
-        "inputs": {path: _sha256(path) for path in inputs},
-        "seed": args.seed if "seed" in args else _default_seed(),
-        "results": results,
-        "timings_ms": timer.phases,
-    }
-    json.dump(report, sys.stdout, indent=2, sort_keys=True, default=_plain)
-    sys.stdout.write("\n")
+def _read(path, inputs):
+    """The text of ``path``, decoded as ``open(path)`` decodes it; records
+    the sha256 of the bytes read in ``inputs``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    inputs[path] = hashlib.sha256(data).hexdigest()
+    return io.TextIOWrapper(io.BytesIO(data)).read()
 
 
-def _load_triangulation(path):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise triangulation.ParseError(str(exc))
-    return triangulation.parse_triangulation(
-        text, label=os.path.basename(path))
-
-
-def _load_angles(path, expected_size):
-    with open(path) as fh:
-        return polytope.angles_from_json(fh.read(), expected_size)
-
-
-def _build(path, timer):
+def _build(args, timer, inputs):
+    """The triangulation at ``args.path``, its incidence and constraints,
+    then the angle vectors of the files the command names, in usage order.
+    An unreadable triangulation is a parse error."""
     with timer.time("parse"):
-        tri = _load_triangulation(path)
+        try:
+            text = _read(args.path, inputs)
+        except OSError as exc:
+            raise triangulation.ParseError(str(exc))
+        tri = triangulation.parse_triangulation(
+            text, label=os.path.basename(args.path))
     with timer.time("incidence"):
         idx = triangulation.incidence(tri)
     with timer.time("constraints"):
         sys_ = polytope.build_constraints(idx)
-    return tri, idx, sys_
+    points = [polytope.angles_from_json(_read(getattr(args, name), inputs),
+                                        sys_.dim)
+              for name in ("angles", "p", "q") if name in args]
+    return tri, idx, sys_, points
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (args, built, timer) -> (results, exit code), where built is
+# _build's (tri, idx, sys, points) for a command with a path, else None
 
-def cmd_solve(args):
-    timer = _Timer()
-    tri, idx, sys_ = _build(args.path, timer)
+def cmd_solve(args, built, timer):
+    _, _, sys_, _ = built
     with timer.time("maximize"):
-        probe = None
-        if args.starts > 1:
-            probe = optimizer.uniqueness_probe(
-                sys_, args.starts, seed=args.seed, tol=args.tol,
-                max_iter=args.max_iter)
-            res = probe.results[0]
-        else:
-            res = optimizer.maximize_volume(
-                sys_, tol=args.tol, max_iter=args.max_iter)
+        probe = optimizer.uniqueness_probe(
+            sys_, args.starts, seed=args.seed, tol=args.tol,
+            max_iter=args.max_iter)
+    res = probe.results[0]
     if res.status == "empty-closure":
-        _emit(args, {"status": res.status}, timer)
-        return EXIT_EMPTY_CLOSURE
+        return {"status": res.status}, EXIT_EMPTY_CLOSURE
     # a run that stopped off the equalities has no certificate
     membership = polytope.classify_membership(sys_, res.point)
     with timer.time("certify"):
@@ -189,88 +174,53 @@ def cmd_solve(args):
     }
     if membership.kind == "infeasible":
         results["equality_violation"] = membership.equality_violation
-    if probe is not None:
+    if args.starts > 1:
         results["multi_start"] = {
             "n_starts": args.starts,
             "max_spread": probe.max_spread,
             "volumes": probe.volumes,
             "statuses": probe.statuses,
         }
-    _emit(args, results, timer)
-    return EXIT_OK if res.status == "converged" else EXIT_NOT_CONVERGED
+    return results, (EXIT_OK if res.status == "converged"
+                     else EXIT_NOT_CONVERGED)
 
 
-def cmd_certify(args):
-    timer = _Timer()
-    tri, idx, sys_ = _build(args.path, timer)
-    p = _load_angles(args.angles, sys_.dim)
+def cmd_certify(args, built, timer):
+    _, _, sys_, (p,) = built
     with timer.time("certify"):
         cert = optimizer.certify(sys_, p)
-    results = {
-        "membership": cert.membership,
-        "gradient_residual": cert.gradient_residual,
-        "signs_ok": cert.signs_ok,
-        "margins": cert.margins,
-        "fit_iterations": cert.fit_iterations,
-        "multipliers": cert.multipliers,
-        "active_multipliers": [[i, v] for i, v in cert.active_multipliers],
-    }
-    _emit(args, results, timer)
-    return EXIT_OK
+    return vars(cert), EXIT_OK
 
 
-def cmd_dominate(args):
-    timer = _Timer()
-    tri, idx, sys_ = _build(args.path, timer)
-    p = _load_angles(args.angles, sys_.dim)
+def cmd_dominate(args, built, timer):
+    _, _, sys_, (p,) = built
     with timer.time("dominate"):
         rep = optimizer.dominance_check(sys_, p, args.samples, seed=args.seed)
-    results = {
-        "all_dominated": rep.all_dominated,
-        "worst_gap": rep.worst_gap,
-        "worst_directional": rep.worst_directional,
-        "samples": args.samples,
-        "informative_samples": rep.informative_samples,
-    }
-    _emit(args, results, timer)
-    return EXIT_OK
+    return {**vars(rep), "samples": args.samples}, EXIT_OK
 
 
-def cmd_volume(args):
-    timer = _Timer()
-    tri, idx, sys_ = _build(args.path, timer)
-    x = _load_angles(args.angles, sys_.dim)
+def cmd_volume(args, built, timer):
+    _, _, sys_, (x,) = built
     membership = polytope.classify_membership(sys_, x)
     with timer.time("volume"):
         vol = lobachevsky.volume(x)
-    results = {
-        "volume": vol,
-        "membership": membership.kind,
-        "flat_slots": sorted(membership.flat),
-    }
-    _emit(args, results, timer)
-    return EXIT_OK
+    return {"volume": vol, "membership": membership.kind,
+            "flat_slots": sorted(membership.flat)}, EXIT_OK
 
 
-def cmd_lambda(args):
+def cmd_lambda(args, built, timer):
     if not math.isfinite(args.theta):
         raise ValueError("theta must be finite, got %r" % args.theta)
     if abs(args.theta) > LAMBDA_MAX_THETA:
         raise ValueError("|theta| must be at most %g, got %r"
                          % (LAMBDA_MAX_THETA, args.theta))
-    timer = _Timer()
     with timer.time("eval"):
         value = lobachevsky.lobachevsky(args.theta)
-    results = {"theta": args.theta, "lambda": value}
-    _emit(args, results, timer)
-    return EXIT_OK
+    return {"theta": args.theta, "lambda": value}, EXIT_OK
 
 
-def cmd_segment(args):
-    timer = _Timer()
-    tri, idx, sys_ = _build(args.path, timer)
-    p = _load_angles(args.p, sys_.dim)
-    q = _load_angles(args.q, sys_.dim)
+def cmd_segment(args, built, timer):
+    _, _, sys_, (p, q) = built
     memberships = [polytope.classify_membership(sys_, x) for x in (p, q)]
     for name, membership in zip("pq", memberships):
         if membership.kind == "infeasible":
@@ -286,14 +236,12 @@ def cmd_segment(args):
                 polytope.segment(p, q, t)).sum(axis=1),
             "derivative": lobachevsky.segment_derivative(p, q, t),
         }
-    _emit(args, results, timer)
-    return EXIT_OK
+    return results, EXIT_OK
 
 
-def cmd_lemmas(args):
+def cmd_lemmas(args, built, timer):
     from . import geometry  # only this command needs it
 
-    timer = _Timer()
     worst = geometry.suite(np.random.default_rng(args.seed), args.samples,
                            timer.time)
     checks = {
@@ -310,35 +258,30 @@ def cmd_lemmas(args):
         "passed": checks,
         "failing": sorted(k for k, ok in checks.items() if not ok),
     }
-    _emit(args, results, timer)
-    return EXIT_OK if all(checks.values()) else EXIT_SUITE_FAILURE
+    return results, EXIT_OK if all(checks.values()) else EXIT_SUITE_FAILURE
 
 
-def cmd_move23(args):
-    timer = _Timer()
-    tri, idx, sys_ = _build(args.path, timer)
+def cmd_move23(args, built, timer):
+    tri, idx, _, _ = built
     with timer.time("move"):
         moved = triangulation.pachner_23(tri, (args.tet, args.face))
     with open(args.out, "w") as fh:
         fh.write(triangulation.format_triangulation(
             moved, comment="2-3 move on face (%d, %d) of %s"
             % (args.tet, args.face, os.path.basename(args.path))))
-    results = {
+    return {
         "before": {"tets": tri.n_tets, "edge_classes": idx.n_edges},
         "after": {"tets": moved.n_tets,
                   "edge_classes": triangulation.incidence(moved).n_edges},
         "out": args.out,
-    }
-    _emit(args, results, timer)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_check(args):
-    timer = _Timer()
-    tri, idx, sys_ = _build(args.path, timer)
+def cmd_check(args, built, timer):
+    tri, idx, _, _ = built
     with timer.time("combinatorics"):
         links = triangulation.vertex_links(tri)
-    results = {
+    return {
         "tets": tri.n_tets,
         "edge_classes": [{"id": e, "degree": degree} for e, degree
                          in enumerate(np.bincount(idx.edge_of).tolist())],
@@ -350,9 +293,7 @@ def cmd_check(args):
         "is_cusped": all(l.euler_characteristic == 0 for l in links),
         "incidence_size": idx.size,
         "triples": 4 * tri.n_tets,
-    }
-    _emit(args, results, timer)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +342,24 @@ def build_parser():
 
 
 def main(argv=None):
+    """The one dispatcher.  The envelope's command, input hashes and seed
+    come from the parsed arguments; a command without ``--seed`` records
+    ``CUSPFORGE_SEED``'s."""
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        timer, inputs = _Timer(), {}
+        with np.errstate(all="ignore"):
+            built = _build(args, timer, inputs) if "path" in args else None
+            results, code = args.fn(args, built, timer)
+        json.dump({
+            "command": args.command,
+            "inputs": inputs,
+            "seed": args.seed if "seed" in args else _default_seed(),
+            "results": results,
+            "timings_ms": timer.phases,
+        }, sys.stdout, indent=2, sort_keys=True, default=_plain)
+        sys.stdout.write("\n")
+        return code
     except triangulation.ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -624,17 +624,19 @@ def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
     """Multi-start consistency check for the uniqueness of the maximizer.
 
     The first start is y = 0, the others seeded standard normal edge
-    multipliers, and all share one lookup of the minimal face; ``results``
-    keeps each start's OptimizationResult.  ``volumes`` and ``statuses``
+    multipliers, drawn one start at a time; one start builds no generator,
+    so it is ``maximize_volume``'s run whatever the seed.  All starts share
+    one lookup of the minimal face; ``results`` keeps each start's
+    OptimizationResult.  ``volumes`` and ``statuses``
     hold each start that found a point, and ``max_spread`` is the largest
     distance between the points of the converged ones: a start stopped at
     the cap may be anywhere.
     """
     face_of = functools.cache(lambda: minimal_face(sys))
-    starts = [None, *np.random.default_rng(seed).standard_normal(
-        (n_starts - 1, sys.b.size - sys.rows.shape[0] // 3))]
-    results = tuple(_maximize(sys, tol, max_iter, start, face_of)
-                    for start in starts)
+    rng = np.random.default_rng(seed) if n_starts > 1 else None
+    edges = sys.b.size - sys.rows.shape[0] // 3
+    starts = [None, *(rng.standard_normal(edges) for _ in range(1, n_starts))]
+    results = tuple(_maximize(sys, tol, max_iter, y, face_of) for y in starts)
     found = [r for r in results if r.point is not None]
     points = [r.point for r in found if r.status == "converged"]
     spread = max((float(np.linalg.norm(p - q, np.inf))

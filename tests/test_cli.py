@@ -1,5 +1,6 @@
 """The command-line front end: reports, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -271,6 +272,25 @@ def test_solve_empty_closure_exit_code(capsys, doubled_path):
     assert report["results"]["status"] == "empty-closure"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("dominate", "{fig8}", "{center}", "--samples", "50"), cli.EXIT_OK),
+    (("volume", "{fig8}", "{center}"), cli.EXIT_OK),
+    (("lambda", "1.0"), cli.EXIT_OK),
+    (("move23", "{fig8}", "0", "0", "{out}"), cli.EXIT_OK),
+    (("solve", "{doubled}"), cli.EXIT_EMPTY_CLOSURE),
+], ids=["dominate", "volume", "lambda", "move23", "solve-empty-closure"])
+def test_report_validates_against_the_schema(capsys, tmp_path, fig8_path,
+                                             center_angles_path, doubled_path,
+                                             argv, expected):
+    paths = {"fig8": fig8_path, "center": center_angles_path,
+             "doubled": doubled_path, "out": str(tmp_path / "moved.tri")}
+    code, report, err = run_json(capsys, *(a.format(**paths) for a in argv))
+    assert (code, err) == (expected, "")
+    validate_schema(report)
+    if expected == cli.EXIT_EMPTY_CLOSURE:
+        assert report["results"] == {"status": "empty-closure"}
+
+
 def test_solve_iteration_cap_exit_code(capsys, fig8, tmp_path):
     # on fig8 itself (and its 3-tet retriangulation) the point of the minimal
     # face is already the maximizer; after two 2-3 moves it is not, and one
@@ -376,7 +396,7 @@ def test_solve_off_the_equalities_reports_and_exits_4(capsys, monkeypatch,
     stalled = optimizer.OptimizationResult(
         point, 2.0, "stalled", (), frozenset(), 3e-4,
         17, frozenset(), 40, 2.5)
-    monkeypatch.setattr(optimizer, "maximize_volume",
+    monkeypatch.setattr(optimizer, "_maximize",
                         lambda *args, **kwargs: stalled)
     code, out, err = run_cli(capsys, "solve", fig8_path)
     assert code == cli.EXIT_NOT_CONVERGED
@@ -570,6 +590,21 @@ def test_move23_writes_valid_file(capsys, fig8_path, tmp_path):
     assert moved.n_tets == 3
 
 
+def test_move23_in_place_records_the_input_it_read(capsys, fig8_path,
+                                                   tmp_path):
+    # the output overwrites the input: the envelope hashes the fig8 bytes
+    # the command parsed, not the three-tetrahedron file it wrote
+    path = tmp_path / "fig8.tri"
+    with open(fig8_path, "rb") as fh:
+        path.write_bytes(fh.read())
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    code, report, _ = run_json(capsys, "move23", str(path), "0", "0",
+                               str(path))
+    assert code == 0
+    assert report["inputs"] == {str(path): digest}
+    assert triangulation.parse_triangulation(path.read_text()).n_tets == 3
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.tri"
     bad.write_text("tri 1\ntets 1\nglue 0 0 zero\n")
@@ -684,6 +719,42 @@ def test_angle_file_in_another_ordering_exit_code(capsys, fig8_path,
     assert (code, out) == (cli.EXIT_PARSE, "")
     assert err == "error: angle file ordering %r is not %r\n" % (
         other, polytope.ORDERING_CONVENTION)
+
+
+# Finite angle files past half the float range: a slot pair's sum
+# overflows in polytope.to_angles, or its difference in the equality errors
+HUGE_ANGLES = {
+    "sum": ([1e308, -1e308, 1.7e308, 1.7e308, -1e308, 1e308] * 2, "nan",
+            list(range(12))),
+    "difference": ([1.7e308, 1, 1, 1, 1, -1.7e308] * 2, "inf",
+                   [0, 5, 6, 11]),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails
+@pytest.mark.parametrize("name", sorted(HUGE_ANGLES))
+def test_huge_finite_angles_warn_nothing(capsys, tmp_path, fig8_path,
+                                         center_angles_path, name):
+    # the report or the error line says the point is off the closure, and
+    # stderr holds nothing else
+    angles, violation, flat = HUGE_ANGLES[name]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(angles))
+    code, report, err = run_json(capsys, "volume", fig8_path, str(path))
+    assert (code, err) == (cli.EXIT_OK, "")
+    res = report["results"]
+    assert (res["membership"], res["flat_slots"]) == ("infeasible", flat)
+    assert math.isfinite(res["volume"])
+    for argv, line in [
+            (("certify", fig8_path, str(path)),
+             "cannot certify an infeasible point (equality violation %s)"
+             % violation),
+            (("dominate", fig8_path, str(path), "--samples", "20"),
+             "reference point is infeasible"),
+            (("segment", fig8_path, str(path), center_angles_path),
+             "p is not in the closure (violation %s)" % violation)]:
+        assert run_cli(capsys, *argv) == (cli.EXIT_PARSE, "",
+                                          "error: %s\n" % line)
 
 
 def test_zero_samples_is_a_usage_error(capsys, fig8_path, center_angles_path):

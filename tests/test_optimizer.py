@@ -695,6 +695,32 @@ def test_volume_upper_bounds_covers_and_their_iterates(fold):
     assert uppers[0] - exact > 1.0  # the centre is far from the maximum
 
 
+def test_volume_upper_is_the_dual_at_the_last_multipliers(fig8, monkeypatch):
+    # D at the last multipliers y takes each linear tetrahedron's p at the
+    # end, 0 or pi, that maximizes the Lagrangian, not at the reported p.
+    # Chain 141 capped at 21 iterations stops on a face that fixes one of
+    # the first face's linear tetrahedra flat, with the drift w_q - w_p off
+    # 0; the Lagrangian at the reported angles is 0.096 lower there
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(descend(*args, **kwargs))
+        return runs[-1]
+
+    descend = optimizer._descend
+    monkeypatch.setattr(optimizer, "_descend", recorded)
+    sys_ = polytope.build_constraints(
+        triangulation.incidence(property_chain(fig8, 141)))
+    res = optimizer.maximize_volume(sys_, max_iter=21)
+    first = optimizer.minimal_face(sys_)[0]
+    y = runs[-1].y
+    drift = y[first.cols] @ -optimizer._SIGNS
+    best = first.dual(y, np.where(drift > 0.0, np.pi, 0.0))[1]
+    assert res.volume_upper == pytest.approx(best, rel=1e-12)
+    reported = first.dual(y, runs[-1].ang[first.linear, first.p])[1]
+    assert best - reported > 0.05
+
+
 def test_solve_and_certify_build_no_matrix(monkeypatch):
     def no_matrix(self):
         raise AssertionError("LinearSystem.matrix called")
