@@ -51,22 +51,30 @@ LAMBDA_MAX_THETA = 512.0
 
 
 def _default_seed():
+    """The seed that ``CUSPFORGE_SEED`` sets, by ``--seed``'s rule."""
     text = os.environ.get("CUSPFORGE_SEED", "0")
     try:
-        return int(text)
+        return _at_least(0)(text)
     except ValueError:
-        raise ValueError("CUSPFORGE_SEED must be an integer, got %r"
-                         % text) from None
+        rule = "an integer"
+    except argparse.ArgumentTypeError:
+        rule = "a non-negative integer"
+    raise ValueError("CUSPFORGE_SEED must be %s, got %r" % (rule, text))
 
 
-def _positive_int(text):
-    """argparse type for sample, start and iteration counts: a sampled check
-    over zero samples passes vacuously, and a solve with zero iterations
-    reports no residual."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
+def _at_least(low):
+    """argparse type for an integer of at least ``low``: 1 for sample, start
+    and iteration counts, since a sampled check over zero samples passes
+    vacuously and a solve with zero iterations reports no residual; 0 for
+    seeds, since numpy's generator rejects a negative one."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (low, value))
+        return value
+    return integer
 
 
 def _positive_float(text):
@@ -79,15 +87,14 @@ def _positive_float(text):
     return value
 
 
-class _Timer:
-    def __init__(self):
-        self.phases = {}
+class _Timer(dict):
+    """The milliseconds of each timed phase, by name."""
 
     @contextlib.contextmanager
     def time(self, name):
         t0 = time.perf_counter()
         yield
-        self.phases[name] = round(1000.0 * (time.perf_counter() - t0), 3)
+        self[name] = round(1000.0 * (time.perf_counter() - t0), 3)
 
 
 def _plain(value):
@@ -144,7 +151,7 @@ def cmd_solve(args, built, timer):
     membership = polytope.classify_membership(sys_, res.point)
     with timer.time("certify"):
         cert = None if membership.kind == "infeasible" else optimizer.certify(
-            sys_, res.point, fixed=res.face_fixed)
+            sys_, res.point)
     with timer.time("classify"):
         classes = optimizer.classify_tetrahedra(res.point)
     tol = optimizer.COMPLETE_TOL
@@ -252,13 +259,10 @@ def cmd_lemmas(args, built, timer):
         "sine_ratio": worst["sine_ratio_rel_spread"] < 1e-9,
         "entropy": worst["entropy_lhs_max"] <= 1e-12,
     }
-    results = {
-        "samples": args.samples,
-        "worst": worst,
-        "passed": checks,
-        "failing": sorted(k for k, ok in checks.items() if not ok),
-    }
-    return results, EXIT_OK if all(checks.values()) else EXIT_SUITE_FAILURE
+    failing = sorted(k for k, ok in checks.items() if not ok)
+    results = {"samples": args.samples, "worst": worst, "passed": checks,
+               "failing": failing}
+    return results, EXIT_SUITE_FAILURE if failing else EXIT_OK
 
 
 def cmd_move23(args, built, timer):
@@ -309,11 +313,11 @@ def build_parser():
         "path": {}, "angles": {}, "p": {}, "q": {}, "out": {},
         "theta": {"type": float}, "tet": {"type": int}, "face": {"type": int},
         "--tol": {"type": _positive_float, "default": optimizer.DEFAULT_TOL},
-        "--max-iter": {"type": _positive_int,
+        "--max-iter": {"type": _at_least(1),
                        "default": optimizer.DEFAULT_MAX_ITER},
-        "--seed": {"type": int, "default": _default_seed()},
-        "--starts": {"type": _positive_int, "default": 1},
-        "--samples": {"type": _positive_int, "default": 1000},
+        "--seed": {"type": _at_least(0), "default": _default_seed()},
+        "--starts": {"type": _at_least(1), "default": 1},
+        "--samples": {"type": _at_least(1), "default": 1000},
     }
 
     def add(name, fn, help, *arguments, **defaults):
@@ -356,7 +360,7 @@ def main(argv=None):
             "inputs": inputs,
             "seed": args.seed if "seed" in args else _default_seed(),
             "results": results,
-            "timings_ms": timer.phases,
+            "timings_ms": timer,
         }, sys.stdout, indent=2, sort_keys=True, default=_plain)
         sys.stdout.write("\n")
         return code

@@ -99,7 +99,6 @@ class OptimizationResult:
     active_set: frozenset  # the slots at 0 or pi
     kkt_residual: float  # the largest edge-equation error at point
     iterations: int
-    face_fixed: frozenset  # the slots the minimal face fixes
     inner_iterations: int  # MINRES steps of the Newton steps
     volume_upper: float  # D at the last multipliers: >= the maximum volume
 
@@ -441,6 +440,7 @@ def _descend(face, y, tol, max_iter, thin=False):
         ang, value, volume = trial
 
 
+@functools.lru_cache(maxsize=1)
 def minimal_face(sys):
     """The minimal face of the closure as ``(face, ang)``: a ``_Face``, whose
     ``fixed`` holds the slots it fixes at 0 or pi, and the angles of a point
@@ -454,6 +454,11 @@ def minimal_face(sys):
     equalities, the closure has interior, the face fixes nothing and no LP
     runs; from the centre, neither the start nor the step count depends on
     how the triangulation is labeled.  Else the interior-point LP decides.
+
+    It keeps its last answer, so the solves, certificate and samples of one
+    system share one lookup.  The key is the system object itself: a
+    ``LinearSystem`` hashes by identity, and ``build_constraints`` makes
+    its arrays read-only, so a kept face cannot go stale.
     """
     face = _Face(sys)
     ang = np.full(face.free.shape, np.pi / 3.0)
@@ -486,23 +491,13 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     is fixed flat, and Newton runs on from its multipliers.
     ``iterations``, at most ``max_iter`` but for the first iteration of a
     run, counts the iterates whose residual was taken, over all runs;
-    ``inner_iterations`` sums the MINRES steps.  ``face_fixed`` is the
-    minimal face's, looked up only when the point has an angle at 0 or pi.
+    ``inner_iterations`` sums the MINRES steps.  Only a point with a slot at
+    a bound (``polytope.at_bound``) can have flat tetrahedra or active
+    slots, so only there does it classify the tetrahedra; the active slots
+    are the ones at a bound, on the equalities or off them.
     ``volume_upper`` is D at the last multipliers on the face that Newton
-    ran on first, a bound on the maximum whatever the status.
-    """
-    return _maximize(sys, tol, max_iter, start,
-                     functools.cache(lambda: minimal_face(sys)))
-
-
-def _maximize(sys, tol, max_iter, start, face_of):
-    """``maximize_volume``, with ``face_of()`` the closure's minimal face.
-
-    Only a point with a slot at a bound (``polytope.at_bound``) can have
-    flat tetrahedra, active slots or a face to look up, so only there does
-    it classify the tetrahedra and call ``face_of``; the active slots are
-    the ones at a bound, on the equalities or off them.  ``volume_upper``
-    has kink terms only when the first face has linear tetrahedra.
+    ran on first, a bound on the maximum whatever the status; it has kink
+    terms only when that face has linear tetrahedra.
     """
     face = first = _Face(sys)
     y = np.zeros(face.b_edge.size) if start is None else np.array(start, float)
@@ -510,11 +505,11 @@ def _maximize(sys, tol, max_iter, start, face_of):
         raise ValueError("start must hold a finite multiplier per edge")
     runs = [_descend(face, y, tol, max_iter, thin=True)]
     if runs[0].status in ("stalled", "thin") and runs[0].iterations < max_iter:
-        found = face_of()
+        found = minimal_face(sys)
         if found is None:
             return OptimizationResult(None, np.nan, "empty-closure", (),
                                       frozenset(), np.nan, runs[0].iterations,
-                                      frozenset(), runs[0].inner, np.nan)
+                                      runs[0].inner, np.nan)
         if found[0].fixed or runs[0].status == "thin":
             face = first = found[0]
             y = np.zeros_like(y) if face.fixed else runs[0].y
@@ -539,19 +534,18 @@ def _maximize(sys, tol, max_iter, start, face_of):
         upper += np.sum(np.pi * np.maximum(drift, 0)
                         - run.ang[first.linear, first.p] * drift)
     bounded = polytope.at_bound(x)
-    flat, active, fixed = (), frozenset(), frozenset()
+    flat, active = (), frozenset()
     if bounded.any():
         flat = tuple(np.flatnonzero(
             np.array(classify_tetrahedra(x)) == "flat").tolist())
         active = frozenset(np.flatnonzero(bounded).tolist())
-        fixed = face_of()[0].fixed
     return OptimizationResult(
         x, volume, run.status, flat, active, run.residual,
-        sum(r.iterations for r in runs), fixed, sum(r.inner for r in runs),
+        sum(r.iterations for r in runs), sum(r.inner for r in runs),
         float(upper))
 
 
-def certify(sys, p, fixed=None):
+def certify(sys, p):
     """Least-squares KKT certificate at a feasible slot vector.
 
     Fits the gradient -log|2 sin theta| over the free angles into the span of
@@ -570,8 +564,9 @@ def certify(sys, p, fixed=None):
     c - b = F_B - F_C; it is <= 0 for all x, y >= 0 iff the margin
     -F_C - log(e^-F_A + e^-F_B) is >= 0, and for y = 0 iff F_A >= F_C.  Any
     other angle at 0 or pi adds an unbounded log(1/t).  signs_ok applies
-    this to the angles that the minimal face leaves free, all but ``fixed``
-    (default: ``minimal_face``'s); ``margins`` holds (tetrahedron, margin,
+    this to the angles that the minimal face leaves free, all but the
+    ``fixed`` slots of ``minimal_face``, which a solve of the same system
+    has already looked up; ``margins`` holds (tetrahedron, margin,
     face_fixed) for each flat tetrahedron.
     """
     membership = polytope.classify_membership(sys, p)
@@ -600,9 +595,8 @@ def certify(sys, p, fixed=None):
     active = tuple((int(i), float(fitted[i])) for i in np.flatnonzero(~free))
     signs_ok, margins = True, []
     if not free.all():
-        fixed = minimal_face(sys)[0].fixed if fixed is None else fixed
         move = np.ones_like(free)
-        move[polytope.angle_of(sorted(fixed))] = 0
+        move[polytope.angle_of(sorted(minimal_face(sys)[0].fixed))] = 0
         flat = np.repeat(np.array(classify_tetrahedra(p)) == "flat", 3)
         signs_ok = not np.any(~free & move & ~flat)
         for t in np.flatnonzero(flat[::3]):
@@ -625,18 +619,17 @@ def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
 
     The first start is y = 0, the others seeded standard normal edge
     multipliers, drawn one start at a time; one start builds no generator,
-    so it is ``maximize_volume``'s run whatever the seed.  All starts share
-    one lookup of the minimal face; ``results`` keeps each start's
-    OptimizationResult.  ``volumes`` and ``statuses``
-    hold each start that found a point, and ``max_spread`` is the largest
-    distance between the points of the converged ones: a start stopped at
-    the cap may be anywhere.
+    so it is ``maximize_volume``'s run whatever the seed.  Each start is one
+    ``maximize_volume``, and all share ``minimal_face``'s one lookup;
+    ``results`` keeps each start's OptimizationResult.  ``volumes`` and
+    ``statuses`` hold each start that found a point, and ``max_spread`` is
+    the largest distance between the points of the converged ones: a start
+    stopped at the cap may be anywhere.
     """
-    face_of = functools.cache(lambda: minimal_face(sys))
     rng = np.random.default_rng(seed) if n_starts > 1 else None
     edges = sys.b.size - sys.rows.shape[0] // 3
     starts = [None, *(rng.standard_normal(edges) for _ in range(1, n_starts))]
-    results = tuple(_maximize(sys, tol, max_iter, y, face_of) for y in starts)
+    results = tuple(maximize_volume(sys, tol, max_iter, y) for y in starts)
     found = [r for r in results if r.point is not None]
     points = [r.point for r in found if r.status == "converged"]
     spread = max((float(np.linalg.norm(p - q, np.inf))

@@ -55,12 +55,14 @@ def angle_of(slots):
     return 3 * (slots // 6) + PAIR_OF[slots % 6]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """The equalities A theta = b over the 3n angles, plus the implicit box:
     row t < n sums tetrahedron t, row n + e the angles around edge class e.
     ``rows[a]`` holds angle a's tetrahedron row, then the edge rows of its two
-    slots; when they are one row, the angle has coefficient 2 there."""
+    slots; when they are one row, the angle has coefficient 2 there.  A
+    system hashes and compares by identity, the key under which
+    ``optimizer.minimal_face`` keeps its face."""
 
     rows: np.ndarray  # (3n, 3) integers
     b: np.ndarray     # pi on the n tetrahedron rows, 2 pi on the edge rows
@@ -91,13 +93,16 @@ class Membership:
 
 def build_constraints(idx):
     """LinearSystem for an IncidenceIndex: angle 3 t + k lies in tetrahedron
-    row t and in the edge rows of slots 6 t + k and 6 t + 5 - k."""
+    row t and in the edge rows of slots 6 t + k and 6 t + 5 - k.  Both
+    arrays are read-only, so that what is computed from a system stays
+    true of it."""
     n = idx.n_tets
     edge_of = idx.edge_of.reshape(n, 6)
     rows = np.column_stack([np.repeat(np.arange(n), 3),
                             n + edge_of[:, :3].ravel(),
                             n + edge_of[:, :2:-1].ravel()])
     b = np.repeat([np.pi, 2.0 * np.pi], [n, idx.n_edges])
+    rows.flags.writeable = b.flags.writeable = False
     return LinearSystem(rows, b)
 
 

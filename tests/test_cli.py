@@ -119,13 +119,13 @@ def test_solve_multi_start_releases_rejected_pins(capsys, tmp_path):
 def test_solve_multi_start_reports_a_probe_result(capsys, fig8_path,
                                                 monkeypatch):
     calls = []
-    original = optimizer._maximize
+    original = optimizer.maximize_volume
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "_maximize", counted)
+    monkeypatch.setattr(optimizer, "maximize_volume", counted)
     code, report, _ = run_json(capsys, "solve", fig8_path, "--starts", "3")
     assert code == 0
     assert len(calls) == 3  # one solve per start, no re-solve of the best
@@ -291,6 +291,39 @@ def test_report_validates_against_the_schema(capsys, tmp_path, fig8_path,
         assert report["results"] == {"status": "empty-closure"}
 
 
+def test_schema_holds_every_command_to_its_results(capsys, tmp_path,
+                                                  fig8_path, flatten3_path):
+    # every command's report validates, a boundary certificate with a flat
+    # tetrahedron's margin included; a results payload of the wrong shape
+    # does not
+    jsonschema = pytest.importorskip("jsonschema")
+    _, solved, _ = run_json(capsys, "solve", flatten3_path)
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"angles": solved["results"]["point"]}))
+    moved = str(tmp_path / "moved.tri")
+    reports = {"solve": solved}
+    for argv in (("check", flatten3_path), ("certify", flatten3_path, p),
+                 ("dominate", flatten3_path, p, "--samples", "5"),
+                 ("volume", flatten3_path, p), ("lambda", "1.0"),
+                 ("lemmas", "--samples", "5"),
+                 ("move23", fig8_path, "0", "0", moved),
+                 ("segment", flatten3_path, p, p, "--samples", "2")):
+        code, reports[argv[0]], _ = run_json(capsys, *map(str, argv))
+        assert code == cli.EXIT_OK
+    assert reports["certify"]["results"]["margins"]
+    for report in reports.values():
+        validate_schema(report)
+    reports["dominate"]["results"]["worst_gap"] = None  # none informative
+    validate_schema(reports["dominate"])
+    reports["lemmas"]["results"]["failing"] = 5
+    del reports["certify"]["results"]["signs_ok"]
+    reports["check"]["results"]["extra"] = 1
+    reports["lambda"]["seed"] = -1
+    for name in ("lemmas", "certify", "check", "lambda"):
+        with pytest.raises(jsonschema.ValidationError):
+            validate_schema(reports[name])
+
+
 def test_solve_iteration_cap_exit_code(capsys, fig8, tmp_path):
     # on fig8 itself (and its 3-tet retriangulation) the point of the minimal
     # face is already the maximizer; after two 2-3 moves it is not, and one
@@ -386,6 +419,25 @@ def test_solve_stall_exit_code(capsys, flatten3_path):
     assert abs(res["volume"] - 2.029883212819307) < 1e-10
 
 
+def test_capped_solve_of_an_empty_closure_reports(capsys, fig8, tmp_path):
+    # property chain 95 has an empty closure.  Capped at 3 iterations the
+    # dual stops with two tetrahedra flat, off the edge equations, before
+    # it can find the closure empty: a capped report with no certificate,
+    # where looking the face up at the flat point once raised a TypeError
+    path = tmp_path / "chain95.tri"
+    path.write_text(triangulation.format_triangulation(
+        property_chain(fig8, 95)))
+    assert run_cli(capsys, "solve", str(path))[0] == cli.EXIT_EMPTY_CLOSURE
+    code, report, err = run_json(capsys, "solve", str(path),
+                                 "--max-iter", "3")
+    assert (code, err) == (cli.EXIT_NOT_CONVERGED, "")
+    validate_schema(report)
+    res = report["results"]
+    assert (res["status"], res["flat_tets"]) == ("iteration-cap", [1, 4])
+    assert res["certificate"] is None
+    assert res["equality_violation"] > 1.0
+
+
 def test_solve_off_the_equalities_reports_and_exits_4(capsys, monkeypatch,
                                                      fig8_path, fig8_sys,
                                                      fig8_center):
@@ -394,9 +446,8 @@ def test_solve_off_the_equalities_reports_and_exits_4(capsys, monkeypatch,
     point = fig8_center.copy()
     point[[0, 5]] += 1e-4  # one angle of tetrahedron 0, both its slots
     stalled = optimizer.OptimizationResult(
-        point, 2.0, "stalled", (), frozenset(), 3e-4,
-        17, frozenset(), 40, 2.5)
-    monkeypatch.setattr(optimizer, "_maximize",
+        point, 2.0, "stalled", (), frozenset(), 3e-4, 17, 40, 2.5)
+    monkeypatch.setattr(optimizer, "maximize_volume",
                         lambda *args, **kwargs: stalled)
     code, out, err = run_cli(capsys, "solve", fig8_path)
     assert code == cli.EXIT_NOT_CONVERGED
@@ -672,11 +723,13 @@ def test_bad_seed_env_var_is_a_usage_error(capsys, monkeypatch, fig8_path):
     message = "error: CUSPFORGE_SEED must be an integer, got 'abc'\n"
     assert (out.returncode, out.stdout, out.stderr) \
         == (cli.EXIT_PARSE, "", message)
-    monkeypatch.setenv("CUSPFORGE_SEED", "1.5")
-    for argv in (["check", fig8_path], ["lemmas", "--samples", "5"]):
-        assert run_cli(capsys, *argv) == (
-            cli.EXIT_PARSE, "",
-            "error: CUSPFORGE_SEED must be an integer, got '1.5'\n")
+    for value, rule in (("1.5", "an integer"),
+                        ("-5", "a non-negative integer")):
+        monkeypatch.setenv("CUSPFORGE_SEED", value)
+        for argv in (["check", fig8_path], ["lemmas", "--samples", "5"]):
+            assert run_cli(capsys, *argv) == (
+                cli.EXIT_PARSE, "",
+                "error: CUSPFORGE_SEED must be %s, got %r\n" % (rule, value))
 
 
 def test_seed_env_var_default(capsys, monkeypatch):
@@ -776,8 +829,15 @@ def test_zero_samples_is_a_usage_error(capsys, fig8_path, center_angles_path):
     (["solve", "FIG8", "--tol", "0"], "--tol"),
     (["solve", "FIG8", "--tol", "-1"], "--tol"),
     (["solve", "FIG8", "--tol", "inf"], "--tol"),
+    # numpy's generator takes no negative seed, on any command
+    (["solve", "FIG8", "--seed", "-1"], "--seed"),
+    (["solve", "FIG8", "--starts", "2", "--seed", "-1"], "--seed"),
+    (["certify", "FIG8", "p.json", "--seed", "-1"], "--seed"),
+    (["dominate", "FIG8", "p.json", "--seed", "-1"], "--seed"),
+    (["lemmas", "--samples", "5", "--seed", "-1"], "--seed"),
 ], ids=["max-iter=0", "starts=0", "starts=-3", "tol=nan", "tol=0", "tol=-1",
-        "tol=inf"])
+        "tol=inf", "solve-seed=-1", "starts-seed=-1", "certify-seed=-1",
+        "dominate-seed=-1", "lemmas-seed=-1"])
 def test_vacuous_or_endless_numeric_flag_is_a_usage_error(capsys, fig8_path,
                                                           argv, flag):
     with pytest.raises(SystemExit) as exc:

@@ -116,8 +116,9 @@ def test_chain_solve_runs_one_unpinned_lp_at_most(fig8, monkeypatch, seed,
     assert res.status == "converged"
     assert len(calls) == lps
     monkeypatch.undo()
-    assert res.face_fixed == (interior_point(sys_)[1] if lps else set())
-    assert optimizer.certify(sys_, res.point, fixed=res.face_fixed).signs_ok
+    assert optimizer.minimal_face(sys_)[0].fixed == (
+        interior_point(sys_)[1] if lps else set())
+    assert optimizer.certify(sys_, res.point).signs_ok
 
 
 # Property chains whose minimal face has linear tetrahedra, and the volumes
@@ -139,7 +140,7 @@ def test_linear_face_chain_maximum(fig8, seed):
     assert res.volume_upper >= LINEAR_FACE_VOLUMES[seed] - 1e-11
     assert polytope.classify_membership(
         sys_, res.point).equality_violation < 1e-9
-    assert optimizer.certify(sys_, res.point, fixed=res.face_fixed).signs_ok
+    assert optimizer.certify(sys_, res.point).signs_ok
 
 
 def classify_tetrahedra_loop(p, tol=polytope.BOUNDARY_TOL):
@@ -453,7 +454,7 @@ def assert_every_start_at_the_maximum(sys_, rep, volume):
     for r in rep.results:
         assert r.status == "converged"
         assert abs(r.volume - volume) < 1e-9
-        cert = optimizer.certify(sys_, r.point, fixed=r.face_fixed)
+        cert = optimizer.certify(sys_, r.point)
         assert cert.signs_ok
 
 
@@ -521,8 +522,9 @@ def test_degenerate4_boundary_maximizer(degenerate4_sys):
     assert abs(res.volume - 1.7619532174) < 1e-8
     assert res.flat_tets == (0, 3)
     # the minimal face fixes both flat tetrahedra, as the LP says
-    assert res.face_fixed == polytope.interior_point(degenerate4_sys)[1]
-    assert res.face_fixed == set(range(6)) | set(range(18, 24))
+    fixed = optimizer.minimal_face(degenerate4_sys)[0].fixed
+    assert fixed == polytope.interior_point(degenerate4_sys)[1]
+    assert fixed == set(range(6)) | set(range(18, 24))
     cert = optimizer.certify(degenerate4_sys, res.point)
     assert cert.gradient_residual < 1e-6
     # both flat tetrahedra are flat on the whole closure: their negative
@@ -534,6 +536,39 @@ def test_degenerate4_boundary_maximizer(degenerate4_sys):
     dom = optimizer.dominance_check(degenerate4_sys, res.point, 200, seed=4)
     assert dom.all_dominated
     assert np.isfinite(dom.worst_gap)  # some sample is away from the point
+
+
+def test_minimal_face_is_looked_up_once_per_system(monkeypatch):
+    # the solve, the certificate, the samples and a 4-start probe of one
+    # degenerate4 system share one LP; a system built again from the same
+    # file is another key and runs it again.  The arrays are read-only, so
+    # no kept face can go stale
+    calls, interior_point = [], polytope.interior_point
+
+    def counted(sys_):
+        calls.append(sys_)
+        return interior_point(sys_)
+
+    def build():
+        return polytope.build_constraints(
+            triangulation.incidence(load_data("degenerate4")))
+
+    monkeypatch.setattr(polytope, "interior_point", counted)
+    sys_ = build()
+    res = optimizer.maximize_volume(sys_)
+    assert optimizer.certify(sys_, res.point).signs_ok
+    assert optimizer.dominance_check(sys_, res.point, 20, seed=1) \
+        .all_dominated
+    rep = optimizer.uniqueness_probe(sys_, 4)
+    assert rep.statuses == ("converged",) * 4
+    assert calls == [sys_]
+    again = build()
+    optimizer.certify(again, res.point)
+    assert calls == [sys_, again]
+    with pytest.raises(ValueError, match="read-only"):
+        again.rows[0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        again.b[0] = 0.0
 
 
 def slots_of(tets):
@@ -565,11 +600,8 @@ def test_flattening_chain_maximizer(fig8):
     [(tet, margin, face_fixed)] = cert.margins
     assert tet == 3 and not face_fixed
     assert abs(margin) < 1e-9
-    # the closure's minimal face fixes no slot; handed to certify, it gives
-    # the same certificate
-    assert res.face_fixed == frozenset()
-    given = optimizer.certify(sys_, res.point, fixed=res.face_fixed)
-    assert (given.signs_ok, given.margins) == (cert.signs_ok, cert.margins)
+    # the closure's minimal face fixes no slot
+    assert optimizer.minimal_face(sys_)[0].fixed == frozenset()
 
 
 def test_maximize_rejects_start_off_the_face(degenerate4_sys):
@@ -652,7 +684,7 @@ def test_moves272_off_the_covers():
         t0 = time.perf_counter()
         res = optimizer.maximize_volume(sys_)
         assert res.status == "converged"
-        cert = optimizer.certify(sys_, res.point, fixed=res.face_fixed)
+        cert = optimizer.certify(sys_, res.point)
         elapsed.append(time.perf_counter() - t0)
     assert abs(res.volume - MOVES272_VOLUME) <= 1e-10 * MOVES272_VOLUME
     assert len(res.flat_tets) == 14
@@ -739,4 +771,4 @@ def test_solve_and_certify_build_no_matrix(monkeypatch):
     res = optimizer.maximize_volume(sys_)
     assert res.status == "converged"
     assert abs(res.volume - 512 * FIG8_VOLUME) <= 1e-12
-    assert optimizer.certify(sys_, res.point, fixed=res.face_fixed).signs_ok
+    assert optimizer.certify(sys_, res.point).signs_ok
