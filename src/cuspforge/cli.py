@@ -16,8 +16,9 @@ writes nothing but ``move23``'s output file.  numpy's floating-point
 warnings are off while a command runs: a huge or non-finite angle shows in
 the report or the error line, never as a warning on stderr.
 
-Exit codes: 0 ok, 2 parse/usage error or a failed LP, 3 empty closure,
-4 not converged (iteration cap or stall), 5 lemma suite failure.
+Exit codes: 0 ok, 2 parse/usage error, a failed LP or an input too large
+to allocate, 3 empty closure, 4 not converged (iteration cap or stall),
+5 lemma suite failure.
 """
 
 from __future__ import annotations
@@ -367,7 +368,9 @@ def main(argv=None):
     except triangulation.ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    except (triangulation.TriangulationError, ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # a TriangulationError is a ValueError; numpy raises MemoryError for
+        # an array too large to allocate
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
 

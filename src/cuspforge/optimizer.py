@@ -577,21 +577,15 @@ def certify(sys, p):
     free = np.ones(theta.size, dtype=bool)
     free[polytope.angle_of(list(membership.flat))] = False
     g = 2.0 * lob.volume_gradient(theta)  # each angle sits on two slots
-    # with every angle free, the rows and g as they are: no masked copies
-    pick = slice(None) if free.all() else free
-    rows = sys.rows[pick]
-    # each angle's three rows as three contiguous rows: A^T y is their sum
+    # A_f v is A v with the angles at a bound set to 0; cols holds each
+    # angle's three rows contiguously, so A^T y is their sum
+    mask = free.astype(float)
     cols = sys.rows.T.copy()
-    free_cols = cols[:, pick]
-
-    def scatter(v):  # A_f v
-        return np.bincount(rows.ravel(), np.repeat(v, 3), sys.b.size)
-
-    rhs = scatter(g[pick])
-    lam, iters = _minres(lambda y: scatter(y[free_cols].sum(axis=0)), rhs,
+    rhs = sys.apply(np.where(free, g, 0.0))
+    lam, iters = _minres(lambda y: sys.apply(mask * y[cols].sum(axis=0)), rhs,
                          _RELATIVE_STOP * np.linalg.norm(rhs))
     fitted = lam[cols].sum(axis=0)
-    residual = float(np.max(np.abs(fitted[pick] - g[pick]), initial=0.0))
+    residual = float(np.max(np.abs(fitted - g)[free], initial=0.0))
     active = tuple((int(i), float(fitted[i])) for i in np.flatnonzero(~free))
     signs_ok, margins = True, []
     if not free.all():

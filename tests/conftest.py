@@ -1,4 +1,6 @@
+import functools
 import itertools
+import json
 import os
 import random
 import sys
@@ -8,11 +10,54 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from cuspforge import optimizer, polytope, triangulation  # noqa: E402
+from cuspforge import cli, optimizer, polytope, triangulation  # noqa: E402
 
 from helpers import face_lists  # noqa: E402
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+
+# The exit code of each solve status; lemmas exits 5 when a check fails,
+# and every other report exits 0.
+SOLVE_EXIT = {"converged": 0, "empty-closure": 3, "stalled": 4,
+              "iteration-cap": 4}
+
+
+@functools.cache
+def _validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    with open(os.path.join(DATA_DIR, os.pardir, "docs",
+                           "report_schema.json")) as fh:
+        schema = json.load(fh)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def validate_schema(report):
+    """Validate ``report`` against docs/report_schema.json."""
+    _validator().validate(report)
+
+
+def run_cli(capsys, *argv):
+    """``cuspforge argv`` in process, as (exit code, report): the one gate
+    of every report.  Stdout must be strict JSON (no NaN or Infinity),
+    valid against the schema, with the exit code the report calls for and
+    nothing on stderr.  A usage or input error, exit 2, prints nothing on
+    stdout, and its stderr takes the report's place."""
+    try:
+        code = cli.main(list(map(str, argv)))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    if code == cli.EXIT_PARSE:
+        assert out == ""
+        return code, err
+    report = json.loads(out, parse_constant=pytest.fail)  # NaN, Infinity
+    validate_schema(report)
+    res = report["results"]
+    expected = (SOLVE_EXIT[res["status"]] if report["command"] == "solve"
+                else cli.EXIT_SUITE_FAILURE if res.get("failing") else 0)
+    assert (code, err) == (expected, "")
+    return code, report
+
 
 # Two tetrahedra glued by the identity along all four faces: six edge
 # classes of degree two and four spherical vertex links, so the angle

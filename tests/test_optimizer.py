@@ -10,7 +10,8 @@ from cuspforge import lobachevsky as lob
 from cuspforge import optimizer, polytope, triangulation
 
 from conftest import (GEO4_COCYCLE, GEO4_TEXT, cyclic_cover, flat_point,
-                      load_data, movable_chain, property_chain, relabel)
+                      load_data, movable_chain, property_chain, relabel,
+                      run_cli)
 from helpers import (dense_newton_step, dominance_reference, fixed_slots,
                      interior_status, lstsq_certificate, null_directions,
                      slot_system)
@@ -36,7 +37,8 @@ def test_fig8_maximizer_is_regular(fig8_sys, fig8_optimum, fig8_center):
     assert res.kkt_residual < 1e-8
 
 
-def test_maximize_respects_custom_start(fig8_sys, fig8_center):
+def test_maximize_respects_custom_start(capsys, monkeypatch, fig8_path,
+                                        fig8_sys, fig8_center):
     # a start holds one multiplier per edge class; this one flattens both
     # tetrahedra, and Newton still reaches the regular point
     start = np.random.default_rng(30).standard_normal(2)
@@ -46,6 +48,15 @@ def test_maximize_respects_custom_start(fig8_sys, fig8_center):
     assert res.status == "converged"
     assert res.iterations > 1
     assert np.max(np.abs(res.point - fig8_center)) < 1e-6
+    # with the full step as the only length, the first step fails the
+    # Armijo test and the line search stalls.  Seed 30 draws this start
+    # second: the report, from y = 0, converges and lists the stall
+    monkeypatch.setattr(optimizer, "_HALVINGS", np.array([1.0]))
+    res = optimizer.maximize_volume(fig8_sys, start=start)
+    assert (res.status, res.iterations) == ("stalled", 1)
+    res = run_cli(capsys, "solve", fig8_path, "--starts", "2", "--seed",
+                  "30")[1]["results"]
+    assert res["multi_start"]["statuses"] == ["converged", "stalled"]
 
 
 def test_ascent_step_count_does_not_depend_on_the_labeling():
