@@ -622,8 +622,9 @@ def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
     """
     rng = np.random.default_rng(seed) if n_starts > 1 else None
     edges = sys.b.size - sys.rows.shape[0] // 3
-    starts = [None, *(rng.standard_normal(edges) for _ in range(1, n_starts))]
-    results = tuple(maximize_volume(sys, tol, max_iter, y) for y in starts)
+    results = tuple(maximize_volume(sys, tol, max_iter,
+                                    rng.standard_normal(edges) if i else None)
+                    for i in range(n_starts))
     found = [r for r in results if r.point is not None]
     points = [r.point for r in found if r.status == "converged"]
     spread = max((float(np.linalg.norm(p - q, np.inf))

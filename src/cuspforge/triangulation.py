@@ -180,20 +180,22 @@ class Triangulation:
         return "Triangulation(%s, %d tets)" % (name, self.n_tets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field has no truth value
 class VertexLink:
-    """The link of vertex class ``id``.  ``corner_ids`` are the ids 4 t + v
-    of its corner triangles (t, v), ascending; ``corners``, the (t, v)
-    pairs, is built on first read."""
+    """The link of vertex class ``id``.  ``corner_ids`` holds the ids
+    4 t + v of its corner triangles (t, v), ascending, as a read-only
+    integer array (int32 but past 2**31 corners): a slice of one array
+    that all links of a triangulation share.  ``corners``, the (t, v) pairs as a tuple, is built on first
+    read."""
 
     id: int
     euler_characteristic: int
     orientable: bool
-    corner_ids: tuple
+    corner_ids: np.ndarray
 
     @cached_property
     def corners(self):
-        return tuple(divmod(c, 4) for c in self.corner_ids)
+        return tuple(divmod(c, 4) for c in self.corner_ids.tolist())
 
 
 @dataclass(frozen=True, eq=False)  # an array field has no truth value
@@ -219,7 +221,7 @@ class IncidenceIndex:
 
     @cached_property
     def edges(self):
-        return tuple(_members(self.edge_of))
+        return tuple(tuple(m.tolist()) for m in _members(self.edge_of))
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +388,15 @@ def _edge_of(tri):
 
 
 def _members(ids):
-    """For each id 0..k-1, the tuple of the ascending positions holding it."""
-    order = np.argsort(ids, kind="stable").tolist()
+    """For each id 0..k-1, the ascending positions holding it: read-only
+    slices of one stable argsort of ``ids``, held as int32 (half the bytes
+    of intp) whenever every position fits."""
+    order = np.argsort(ids, kind="stable")
+    if order.size <= 2**31:
+        order = order.astype(np.int32)
+    order.flags.writeable = False
     stops = np.cumsum(np.bincount(ids)).tolist()
-    return [tuple(order[i:j]) for i, j in zip([0] + stops, stops)]
+    return [order[i:j] for i, j in zip([0] + stops, stops)]
 
 
 def vertex_links(tri):

@@ -409,6 +409,37 @@ def test_uniqueness_probe(fig8_sys):
     assert max(rep.volumes) - min(rep.volumes) < 1e-10
 
 
+def test_uniqueness_probe_draws_each_start_when_its_solve_runs(
+        fig8_sys, monkeypatch):
+    # the number of starts drawn when each solve begins, and its start
+    drawn, begun, given = [], [], []
+    default_rng, solve = np.random.default_rng, optimizer.maximize_volume
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, size):
+            drawn.append(self.rng.standard_normal(size))
+            return drawn[-1]
+
+    def recorded(sys_, tol, max_iter, y):
+        begun.append(len(drawn))
+        given.append(y)
+        return solve(sys_, tol, max_iter, y)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    monkeypatch.setattr(optimizer, "maximize_volume", recorded)
+    rep = optimizer.uniqueness_probe(fig8_sys, 4, seed=1)
+    assert begun == [0, 1, 2, 3]
+    assert rep.statuses == ("converged",) * 4
+    # the draws keep their order: start i is draw i of default_rng(seed)
+    rng = default_rng(1)
+    assert given[0] is None
+    assert all(np.array_equal(y, rng.standard_normal(y.size))
+               for y in given[1:])
+
+
 def test_dominance_at_optimum(fig8_sys, fig8_optimum):
     rep = optimizer.dominance_check(fig8_sys, fig8_optimum.point, 200, seed=2)
     assert rep.all_dominated

@@ -1,6 +1,7 @@
 """Gluing data, parsing, derived combinatorics, and the 2-3 move."""
 
 import random
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
@@ -247,6 +248,27 @@ def test_links_and_edges_match_oracles_on_a_large_cover():
     assert tri.n_tets == 512
     assert _check_against_oracles([tri]) == 0
     assert len(tr.incidence(tri).edges) == 512
+
+
+def test_corner_ids_share_one_read_only_array_on_a_4096_cover():
+    base = tr.parse_triangulation(GEO4_TEXT)
+    tri = relabel(cyclic_cover(base, GEO4_COCYCLE, 1024), random.Random(3))
+    tri._end_labels  # cached on the triangulation, not kept by the links
+    tracemalloc.start()
+    try:
+        links = tr.vertex_links(tri)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # 4 bytes a corner in the shared array and a few hundred a link; a
+    # Python int and tuple slot a corner would keep about 36
+    assert kept < 10 * 4 * tri.n_tets
+    assert [l.corner_ids.tolist() for l in links] == [
+        [4 * t + v for t, v in c] for c in corner_classes(tri)]
+    for l in links:
+        assert l.corner_ids.dtype.kind == "i"
+        assert not l.corner_ids.flags.writeable
+        assert (np.diff(l.corner_ids) > 0).all()
 
 
 # ---------------------------------------------------------------------------
