@@ -148,13 +148,13 @@ def cmd_solve(args, built, timer):
     res = probe.results[0]
     if res.status == "empty-closure":
         return {"status": res.status}, EXIT_EMPTY_CLOSURE
-    # a run that stopped off the equalities has no certificate
+    # the one classification of the point; a run that stopped off the
+    # equalities has no certificate
     membership = polytope.classify_membership(sys_, res.point)
     with timer.time("certify"):
         cert = None if membership.kind == "infeasible" else optimizer.certify(
             sys_, res.point)
-    with timer.time("classify"):
-        classes = optimizer.classify_tetrahedra(res.point)
+    classes = membership.tetrahedra
     tol = optimizer.COMPLETE_TOL
     candidate = (res.status == "converged" and cert is not None
                  and cert.signs_ok and cert.gradient_residual < tol
@@ -170,8 +170,8 @@ def cmd_solve(args, built, timer):
         "iterations": res.iterations,
         "inner_iterations": res.inner_iterations,
         "kkt_residual": res.kkt_residual,
-        "flat_tets": list(res.flat_tets),
-        "active_set": sorted(res.active_set),
+        "flat_tets": [t for t, c in enumerate(classes) if c == "flat"],
+        "active_set": sorted(membership.flat),
         "tetrahedra": classes,
         "certificate": None if cert is None else {
             "gradient_residual": cert.gradient_residual,

@@ -95,8 +95,6 @@ class OptimizationResult:
     point: np.ndarray | None
     volume: float
     status: str  # "converged" | "stalled" | "iteration-cap" | "empty-closure"
-    flat_tets: tuple
-    active_set: frozenset  # the slots at 0 or pi
     kkt_residual: float  # the largest edge-equation error at point
     iterations: int
     inner_iterations: int  # MINRES steps of the Newton steps
@@ -124,35 +122,17 @@ class DominanceReport:
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    max_spread: float  # over the converged starts
+    max_spread: float | None  # over the converged starts; None below two
     volumes: tuple
     statuses: tuple  # each volume's start's status
     results: tuple = field(repr=False, default=())
 
 
 def classify_tetrahedra(p):
-    """Per-tetrahedron classification: positive / flat / invalid.
-
-    Flat means the (0, 0, pi) pattern on opposite edge pairs within
-    tol = ``polytope.BOUNDARY_TOL``; positive means no slot at a bound
-    (``polytope.at_bound``); anything else is invalid.  Invalid tetrahedra
-    do occur at closure points, and at maximizers: when the closure forces
-    one angle to 0, a tetrahedron keeps the angles (0, a, pi - a).  When
-    every tetrahedron is positive, as at every cover's maximizer, that one
-    test is the answer.
-    """
-    tol = polytope.BOUNDARY_TOL
-    six = np.asarray(p, dtype=float).reshape(-1, 6)
-    positive = ~polytope.at_bound(six).any(axis=1)
-    if positive.all():
-        return ["positive"] * positive.size
-    # opposite pairs in slot order: (0,5), (1,4), (2,3)
-    pairs_ok = np.all(np.abs(six[:, :3] - six[:, :2:-1]) <= tol, axis=1)
-    pair_vals = np.sort(polytope.to_angles(p).reshape(-1, 3), axis=1)
-    flat = (pairs_ok & np.all(np.abs(pair_vals - [0.0, 0.0, np.pi]) <= tol,
-                              axis=1))
-    return np.where(positive, "positive",
-                    np.where(flat, "flat", "invalid")).tolist()
+    """Per-tetrahedron classification of slot vector p, positive / flat /
+    invalid, with no linear system at hand: ``polytope.tetrahedron_classes``
+    of p's ``at_bound`` mask, the rule behind ``Membership.tetrahedra``."""
+    return polytope.tetrahedron_classes(p, polytope.at_bound(p))
 
 
 def _triangle(w):
@@ -491,10 +471,9 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     is fixed flat, and Newton runs on from its multipliers.
     ``iterations``, at most ``max_iter`` but for the first iteration of a
     run, counts the iterates whose residual was taken, over all runs;
-    ``inner_iterations`` sums the MINRES steps.  Only a point with a slot at
-    a bound (``polytope.at_bound``) can have flat tetrahedra or active
-    slots, so only there does it classify the tetrahedra; the active slots
-    are the ones at a bound, on the equalities or off them.
+    ``inner_iterations`` sums the MINRES steps.  It classifies nothing: which
+    slots sit at a bound and which tetrahedra are flat are facts about the
+    point, which ``polytope.classify_membership`` gives.
     ``volume_upper`` is D at the last multipliers on the face that Newton
     ran on first, a bound on the maximum whatever the status; it has kink
     terms only when that face has linear tetrahedra.
@@ -507,9 +486,9 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     if runs[0].status in ("stalled", "thin") and runs[0].iterations < max_iter:
         found = minimal_face(sys)
         if found is None:
-            return OptimizationResult(None, np.nan, "empty-closure", (),
-                                      frozenset(), np.nan, runs[0].iterations,
-                                      runs[0].inner, np.nan)
+            return OptimizationResult(None, np.nan, "empty-closure", np.nan,
+                                      runs[0].iterations, runs[0].inner,
+                                      np.nan)
         if found[0].fixed or runs[0].status == "thin":
             face = first = found[0]
             y = np.zeros_like(y) if face.fixed else runs[0].y
@@ -533,14 +512,8 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         drift = run.y[first.cols] @ -_SIGNS
         upper += np.sum(np.pi * np.maximum(drift, 0)
                         - run.ang[first.linear, first.p] * drift)
-    bounded = polytope.at_bound(x)
-    flat, active = (), frozenset()
-    if bounded.any():
-        flat = tuple(np.flatnonzero(
-            np.array(classify_tetrahedra(x)) == "flat").tolist())
-        active = frozenset(np.flatnonzero(bounded).tolist())
     return OptimizationResult(
-        x, volume, run.status, flat, active, run.residual,
+        x, volume, run.status, run.residual,
         sum(r.iterations for r in runs), sum(r.inner for r in runs),
         float(upper))
 
@@ -567,12 +540,13 @@ def certify(sys, p):
     this to the angles that the minimal face leaves free, all but the
     ``fixed`` slots of ``minimal_face``, which a solve of the same system
     has already looked up; ``margins`` holds (tetrahedron, margin,
-    face_fixed) for each flat tetrahedron.
+    face_fixed) for each flat tetrahedron, as the membership's
+    ``tetrahedra`` says: the point is classified once.
     """
     membership = polytope.classify_membership(sys, p)
     if membership.kind == "infeasible":
-        raise ValueError("cannot certify an infeasible point "
-                         "(equality violation %g)" % membership.equality_violation)
+        raise ValueError("cannot certify an infeasible point (equality "
+                         "violation %g)" % membership.equality_violation)
     theta = polytope.to_angles(p)
     free = np.ones(theta.size, dtype=bool)
     free[polytope.angle_of(list(membership.flat))] = False
@@ -591,7 +565,7 @@ def certify(sys, p):
     if not free.all():
         move = np.ones_like(free)
         move[polytope.angle_of(sorted(minimal_face(sys)[0].fixed))] = 0
-        flat = np.repeat(np.array(classify_tetrahedra(p)) == "flat", 3)
+        flat = np.repeat(np.array(membership.tetrahedra) == "flat", 3)
         signs_ok = not np.any(~free & move & ~flat)
         for t in np.flatnonzero(flat[::3]):
             c = 3 * t + int(np.argmax(theta[3 * t:3 * t + 3]))
@@ -617,8 +591,9 @@ def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
     ``maximize_volume``, and all share ``minimal_face``'s one lookup;
     ``results`` keeps each start's OptimizationResult.  ``volumes`` and
     ``statuses`` hold each start that found a point, and ``max_spread`` is
-    the largest distance between the points of the converged ones: a start
-    stopped at the cap may be anywhere.
+    the largest distance between the points of the converged ones, None
+    when fewer than two converged: a start stopped at the cap may be
+    anywhere.
     """
     rng = np.random.default_rng(seed) if n_starts > 1 else None
     edges = sys.b.size - sys.rows.shape[0] // 3
@@ -628,7 +603,7 @@ def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
     found = [r for r in results if r.point is not None]
     points = [r.point for r in found if r.status == "converged"]
     spread = max((float(np.linalg.norm(p - q, np.inf))
-                  for p, q in combinations(points, 2)), default=0.0)
+                  for p, q in combinations(points, 2)), default=None)
     return UniquenessReport(spread, tuple(r.volume for r in found),
                             tuple(r.status for r in found), results)
 

@@ -49,6 +49,29 @@ def at_bound(x):
     return ~((x >= BOUNDARY_TOL) & (x <= np.pi - BOUNDARY_TOL))
 
 
+def tetrahedron_classes(x, bounded, split=None):
+    """Each tetrahedron of slot vector ``x`` as "positive", "flat" or
+    "invalid", from ``bounded``, its ``at_bound`` mask, and ``split``, each
+    angle's difference between its two slots (taken from x when not given).
+    The one flat rule: flat means opposite slots agreeing and the angles
+    (0, 0, pi), all within ``BOUNDARY_TOL``; positive means no slot at a
+    bound; anything else is invalid.  Invalid tetrahedra do occur at
+    closure points, and at maximizers: when the closure forces one angle to
+    0, a tetrahedron keeps the angles (0, a, pi - a).  When no slot is at a
+    bound, as at every cover's maximizer, that one test is the answer."""
+    positive = ~bounded.reshape(-1, 6).any(axis=1)
+    if positive.all():
+        return ["positive"] * positive.size
+    six = np.asarray(x, dtype=float).reshape(-1, 6)
+    split = six[:, :3] - six[:, :2:-1] if split is None else split
+    angles = np.sort(to_angles(x).reshape(-1, 3), axis=1)
+    flat = (np.all(np.abs(split).reshape(-1, 3) <= BOUNDARY_TOL, axis=1)
+            & np.all(np.abs(angles - [0.0, 0.0, np.pi]) <= BOUNDARY_TOL,
+                     axis=1))
+    return np.where(positive, "positive",
+                    np.where(flat, "flat", "invalid")).tolist()
+
+
 def angle_of(slots):
     """The angle carried by each slot of ``slots``."""
     slots = np.asarray(slots, dtype=int)
@@ -86,9 +109,14 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class Membership:
+    """What ``classify_membership`` finds at a slot vector, whatever its
+    kind: the slots at a bound and each tetrahedron's class come from one
+    ``at_bound`` mask, so a caller needs no second classification."""
+
     kind: str  # "interior" | "boundary" | "infeasible"
-    flat: frozenset  # the slots at a bound, whatever the kind
+    flat: frozenset  # the slots at a bound
     equality_violation: float
+    tetrahedra: list  # per tetrahedron, as ``tetrahedron_classes`` says
 
 
 def build_constraints(idx):
@@ -118,18 +146,24 @@ def classify_membership(sys, x):
     """Interior / boundary(J) / infeasible classification of a slot vector:
     on the equalities, opposite slots agreeing, and in the box, all within
     ``BOUNDARY_TOL``, with J the slots ``at_bound``; a vector with a NaN or
-    infinite slot is infeasible."""
+    infinite slot is infeasible.  The one classifier of a point: its
+    ``tetrahedra`` come from the same mask and the slot differences of the
+    equality errors."""
     tol = BOUNDARY_TOL
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.dim,):
         raise ValueError("angle vector has length %d, expected %d"
                          % (x.size, sys.dim))
-    violation = float(np.max(np.abs(_equality_errors(sys, x))))
-    flat = frozenset(np.flatnonzero(at_bound(x)).tolist())
+    errors = _equality_errors(sys, x)
+    violation = float(np.max(np.abs(errors)))
+    bounded = at_bound(x)
+    flat = frozenset(np.flatnonzero(bounded).tolist())
+    tetrahedra = tetrahedron_classes(x, bounded, errors[sys.b.size:])
     # negated tests, so that a NaN slot or violation reads as infeasible
     if not (violation <= tol and np.all((x >= -tol) & (x <= np.pi + tol))):
-        return Membership("infeasible", flat, violation)
-    return Membership("boundary" if flat else "interior", flat, violation)
+        return Membership("infeasible", flat, violation, tetrahedra)
+    return Membership("boundary" if flat else "interior", flat, violation,
+                      tetrahedra)
 
 
 def interior_point(sys):

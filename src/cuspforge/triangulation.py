@@ -185,8 +185,8 @@ class VertexLink:
     """The link of vertex class ``id``.  ``corner_ids`` holds the ids
     4 t + v of its corner triangles (t, v), ascending, as a read-only
     integer array (int32 but past 2**31 corners): a slice of one array
-    that all links of a triangulation share.  ``corners``, the (t, v) pairs as a tuple, is built on first
-    read."""
+    that all links of a triangulation share.  ``corners``, the (t, v) pairs
+    as a tuple, is built on first read."""
 
     id: int
     euler_characteristic: int

@@ -159,9 +159,9 @@ def test_solve_multi_start_reports_the_first_start(capsys, tmp_path):
     ms = res["multi_start"]
     assert ms["statuses"] == ["converged"] + ["iteration-cap"] * 7
     assert max(ms["volumes"]) > res["volume"] + 0.1  # 2.2466, capped
-    # one start converged: no spread, though the capped points lie far
-    # apart (start 5 has every tetrahedron flat, at volume 0)
-    assert ms["max_spread"] == 0.0
+    # one start converged: no spread to report, though the capped points
+    # lie far apart (start 5 has every tetrahedron flat, at volume 0)
+    assert ms["max_spread"] is None
     assert ms["volumes"][5] == 0.0
     # the y = 0 start converges on the benchmark's labeling of GEO4 too
     path.write_text(covers.cover_text(1, 1))
@@ -223,24 +223,34 @@ def test_solve_certifies_once(capsys, monkeypatch, request, name):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name, calls", [("fig8", 2), ("flatten3", 3)])
-def test_solve_membership_classifications(capsys, monkeypatch, request,
-                                          name, calls):
-    # cmd_solve's call and certify's; on flatten3, whose maximizer has a
-    # flat tetrahedron, also minimal_face's test of its barrier point.  The
-    # solve's own active slots come from the at-bound mask, not from
-    # another classification
-    counted_calls = []
+@pytest.mark.parametrize("name", ["fig8", "flatten3", "degenerate4"])
+def test_solve_classifies_its_point_twice(capsys, monkeypatch, request, name):
+    # the solved point is classified, and tested for slots at a bound, once
+    # in cmd_solve and once in certify: maximize_volume classifies nothing,
+    # and nothing calls classify_tetrahedra.  flatten3's and degenerate4's
+    # maximizers have flat tetrahedra, and flatten3's minimal_face also
+    # tests its barrier point, which is not the solved one
+    seen = {"classify_membership": [], "at_bound": [],
+            "classify_tetrahedra": []}
 
-    def counted(*args, **kwargs):
-        counted_calls.append(args)
-        return classify(*args, **kwargs)
+    def counted(module, attr):
+        def wrapper(*args):
+            seen[attr].append(np.array(args[-1], dtype=float))
+            return fn(*args)
+        fn = getattr(module, attr)
+        monkeypatch.setattr(module, attr, wrapper)
 
-    classify = polytope.classify_membership
-    monkeypatch.setattr(polytope, "classify_membership", counted)
-    code, _ = run_cli(capsys, "solve", request.getfixturevalue(name + "_path"))
+    counted(polytope, "classify_membership")
+    counted(polytope, "at_bound")
+    counted(optimizer, "classify_tetrahedra")
+    code, report = run_cli(capsys, "solve",
+                           request.getfixturevalue(name + "_path"))
     assert code == cli.EXIT_OK
-    assert len(counted_calls) == calls
+    point = report["results"]["point"]
+    assert {key: sum(np.array_equal(x, point) for x in calls)
+            for key, calls in seen.items()} == {
+        "classify_membership": 2, "at_bound": 2, "classify_tetrahedra": 0}
+    assert not seen["classify_tetrahedra"]  # on no point at all
 
 
 @pytest.mark.parametrize("name, max_iter", [("flatten3", "2"),
@@ -273,6 +283,12 @@ def test_solve_results_are_deterministic(capsys, fig8_path):
     blob1 = json.dumps(rep1["results"], sort_keys=True)
     blob2 = json.dumps(rep2["results"], sort_keys=True)
     assert blob1 == blob2
+    # the envelope's dump hook writes numpy values as Python ones and
+    # rejects anything else, as json does
+    assert json.dumps([np.arange(2), np.float64(0.5)],
+                      default=cli._plain) == "[[0, 1], 0.5]"
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        json.dumps({0}, default=cli._plain)
 
 
 def test_solve_empty_closure_exit_code(capsys, doubled_path):
@@ -444,7 +460,7 @@ def test_solve_off_the_equalities_reports_and_exits_4(capsys, monkeypatch,
     point = fig8_center.copy()
     point[[0, 5]] += 1e-4  # one angle of tetrahedron 0, both its slots
     stalled = optimizer.OptimizationResult(
-        point, 2.0, "stalled", (), frozenset(), 3e-4, 17, 40, 2.5)
+        point, 2.0, "stalled", 3e-4, 17, 40, 2.5)
     monkeypatch.setattr(optimizer, "maximize_volume",
                         lambda *args, **kwargs: stalled)
     code, report = run_cli(capsys, "solve", fig8_path)
@@ -783,12 +799,12 @@ HUGE_ANGLES = {
 }
 
 
-@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails
 @pytest.mark.parametrize("name", sorted(HUGE_ANGLES))
 def test_huge_finite_angles_warn_nothing(capsys, tmp_path, fig8_path,
                                          center_angles_path, name):
     # the report or the error line says the point is off the closure, and
-    # stderr holds nothing else
+    # stderr holds nothing else; a numpy overflow warning would fail the
+    # test, as every warning does (pyproject.toml's filterwarnings)
     angles, violation, flat = HUGE_ANGLES[name]
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(angles))

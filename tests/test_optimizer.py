@@ -32,8 +32,9 @@ def test_fig8_maximizer_is_regular(fig8_sys, fig8_optimum, fig8_center):
     assert res.status == "converged"
     assert np.max(np.abs(res.point - fig8_center)) < 1e-7
     assert abs(res.volume - lob.volume(fig8_center)) < 1e-12
-    assert res.flat_tets == ()
-    assert not res.active_set
+    membership = polytope.classify_membership(fig8_sys, res.point)
+    assert membership.tetrahedra == ["positive"] * 2
+    assert not membership.flat
     assert res.kkt_residual < 1e-8
 
 
@@ -43,7 +44,7 @@ def test_maximize_respects_custom_start(capsys, monkeypatch, fig8_path,
     # tetrahedra, and Newton still reaches the regular point
     start = np.random.default_rng(30).standard_normal(2)
     first = optimizer.maximize_volume(fig8_sys, max_iter=1, start=start)
-    assert first.flat_tets == (0, 1)
+    assert optimizer.classify_tetrahedra(first.point) == ["flat"] * 2
     res = optimizer.maximize_volume(fig8_sys, start=start)
     assert res.status == "converged"
     assert res.iterations > 1
@@ -189,6 +190,13 @@ def test_classify_tetrahedra_matches_loop():
     classes = optimizer.classify_tetrahedra(x)
     assert classes == classify_tetrahedra_loop(x)
     assert {"positive", "flat", "invalid"} <= set(classes)
+    # the membership's classes, from its own slot differences, are the
+    # same; the system, a cover of GEO4 of x's size, sets only the length
+    assert x.size % 24 == 0
+    system = polytope.build_constraints(triangulation.incidence(cyclic_cover(
+        triangulation.parse_triangulation(GEO4_TEXT), GEO4_COCYCLE,
+        x.size // 24)))
+    assert polytope.classify_membership(system, x).tetrahedra == classes
 
 
 def test_classify_tetrahedra_patterns():
@@ -562,7 +570,9 @@ def test_degenerate4_boundary_maximizer(degenerate4_sys):
     res = optimizer.maximize_volume(degenerate4_sys)
     assert res.status == "converged"
     assert abs(res.volume - 1.7619532174) < 1e-8
-    assert res.flat_tets == (0, 3)
+    assert polytope.classify_membership(
+        degenerate4_sys, res.point).tetrahedra == [
+            "flat", "positive", "positive", "flat"]
     # the minimal face fixes both flat tetrahedra, as the LP says
     fixed = optimizer.minimal_face(degenerate4_sys)[0].fixed
     assert fixed == polytope.interior_point(degenerate4_sys)[1]
@@ -618,6 +628,11 @@ def slots_of(tets):
     return {6 * t + k for t in tets for k in range(6)}
 
 
+def flat_tets(membership):
+    """The tetrahedra that ``membership`` calls flat, ascending."""
+    return [t for t, c in enumerate(membership.tetrahedra) if c == "flat"]
+
+
 def test_flattening_chain_maximizer(fig8):
     # three 2-3 moves: the interior is not empty, but the maximizer has
     # tetrahedron 3 flat; the other four are the geometric 4-tet
@@ -629,12 +644,12 @@ def test_flattening_chain_maximizer(fig8):
     res = optimizer.maximize_volume(sys_)
     assert res.status == "converged"
     assert abs(res.volume - 2.029883212819307) < 1e-10
-    assert res.flat_tets == (3,)
-    assert optimizer.classify_tetrahedra(res.point)[3] == "flat"
+    membership = polytope.classify_membership(sys_, res.point)
+    assert flat_tets(membership) == [3]
+    assert optimizer.classify_tetrahedra(res.point) == membership.tetrahedra
     # the slots at 0 or pi are the six of the flat tetrahedron
-    assert res.active_set == slots_of(res.flat_tets) == set(range(18, 24))
-    assert polytope.classify_membership(
-        sys_, res.point).equality_violation < 1e-12
+    assert membership.flat == slots_of([3]) == set(range(18, 24))
+    assert membership.equality_violation < 1e-12
     # the flat tetrahedron can move, and it is non-improving with margin 0:
     # the degenerate-triangle case of the paper's inequality
     cert = optimizer.certify(sys_, res.point)
@@ -729,9 +744,10 @@ def test_moves272_off_the_covers():
         cert = optimizer.certify(sys_, res.point)
         elapsed.append(time.perf_counter() - t0)
     assert abs(res.volume - MOVES272_VOLUME) <= 1e-10 * MOVES272_VOLUME
-    assert len(res.flat_tets) == 14
-    assert res.active_set == slots_of(res.flat_tets)
-    assert len(res.active_set) == 84
+    membership = polytope.classify_membership(sys_, res.point)
+    assert len(flat_tets(membership)) == 14
+    assert membership.flat == slots_of(flat_tets(membership))
+    assert len(membership.flat) == 84
     assert cert.signs_ok
     assert min(elapsed) < 1.0
 

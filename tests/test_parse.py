@@ -235,6 +235,11 @@ FAULTS = {
 def test_canonical_text_parses_to_its_triangulation(corpus):
     for tri, text in corpus:
         assert outcome(text) == arrays(tri)
+    # the repr names the label, or says there is none
+    tri, text = corpus[0]
+    for label, name in (("input", "input"), (None, "<unnamed>")):
+        assert repr(tr.parse_triangulation(text, label=label)) == (
+            "Triangulation(%s, %d tets)" % (name, tri.n_tets))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
