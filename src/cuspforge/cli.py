@@ -154,7 +154,7 @@ def cmd_solve(args, built, timer):
     with timer.time("certify"):
         cert = None if membership.kind == "infeasible" else optimizer.certify(
             sys_, res.point)
-    classes = membership.tetrahedra
+    classes = list(membership.tetrahedra)
     tol = optimizer.COMPLETE_TOL
     candidate = (res.status == "converged" and cert is not None
                  and cert.signs_ok and cert.gradient_residual < tol

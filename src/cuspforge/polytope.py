@@ -49,13 +49,12 @@ def at_bound(x):
     return ~((x >= BOUNDARY_TOL) & (x <= np.pi - BOUNDARY_TOL))
 
 
-def tetrahedron_classes(x, bounded, split=None):
+def tetrahedron_classes(x, bounded):
     """Each tetrahedron of slot vector ``x`` as "positive", "flat" or
-    "invalid", from ``bounded``, its ``at_bound`` mask, and ``split``, each
-    angle's difference between its two slots (taken from x when not given).
-    The one flat rule: flat means opposite slots agreeing and the angles
-    (0, 0, pi), all within ``BOUNDARY_TOL``; positive means no slot at a
-    bound; anything else is invalid.  Invalid tetrahedra do occur at
+    "invalid", given ``bounded``, its ``at_bound`` mask.  The one flat
+    rule: flat means opposite slots agreeing and the angles (0, 0, pi), all
+    within ``BOUNDARY_TOL``; positive means no slot at a bound; anything
+    else is invalid.  Invalid tetrahedra do occur at
     closure points, and at maximizers: when the closure forces one angle to
     0, a tetrahedron keeps the angles (0, a, pi - a).  When no slot is at a
     bound, as at every cover's maximizer, that one test is the answer."""
@@ -63,7 +62,7 @@ def tetrahedron_classes(x, bounded, split=None):
     if positive.all():
         return ["positive"] * positive.size
     six = np.asarray(x, dtype=float).reshape(-1, 6)
-    split = six[:, :3] - six[:, :2:-1] if split is None else split
+    split = six[:, :3] - six[:, :2:-1]
     angles = np.sort(to_angles(x).reshape(-1, 3), axis=1)
     flat = (np.all(np.abs(split).reshape(-1, 3) <= BOUNDARY_TOL, axis=1)
             & np.all(np.abs(angles - [0.0, 0.0, np.pi]) <= BOUNDARY_TOL,
@@ -116,7 +115,7 @@ class Membership:
     kind: str  # "interior" | "boundary" | "infeasible"
     flat: frozenset  # the slots at a bound
     equality_violation: float
-    tetrahedra: list  # per tetrahedron, as ``tetrahedron_classes`` says
+    tetrahedra: tuple  # per tetrahedron, as ``tetrahedron_classes`` says
 
 
 def build_constraints(idx):
@@ -147,8 +146,7 @@ def classify_membership(sys, x):
     on the equalities, opposite slots agreeing, and in the box, all within
     ``BOUNDARY_TOL``, with J the slots ``at_bound``; a vector with a NaN or
     infinite slot is infeasible.  The one classifier of a point: its
-    ``tetrahedra`` come from the same mask and the slot differences of the
-    equality errors."""
+    ``tetrahedra`` come from the same ``at_bound`` mask."""
     tol = BOUNDARY_TOL
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.dim,):
@@ -158,7 +156,7 @@ def classify_membership(sys, x):
     violation = float(np.max(np.abs(errors)))
     bounded = at_bound(x)
     flat = frozenset(np.flatnonzero(bounded).tolist())
-    tetrahedra = tetrahedron_classes(x, bounded, errors[sys.b.size:])
+    tetrahedra = tuple(tetrahedron_classes(x, bounded))
     # negated tests, so that a NaN slot or violation reads as infeasible
     if not (violation <= tol and np.all((x >= -tol) & (x <= np.pi + tol))):
         return Membership("infeasible", flat, violation, tetrahedra)

@@ -33,7 +33,7 @@ def test_fig8_maximizer_is_regular(fig8_sys, fig8_optimum, fig8_center):
     assert np.max(np.abs(res.point - fig8_center)) < 1e-7
     assert abs(res.volume - lob.volume(fig8_center)) < 1e-12
     membership = polytope.classify_membership(fig8_sys, res.point)
-    assert membership.tetrahedra == ["positive"] * 2
+    assert membership.tetrahedra == ("positive",) * 2
     assert not membership.flat
     assert res.kkt_residual < 1e-8
 
@@ -190,21 +190,22 @@ def test_classify_tetrahedra_matches_loop():
     classes = optimizer.classify_tetrahedra(x)
     assert classes == classify_tetrahedra_loop(x)
     assert {"positive", "flat", "invalid"} <= set(classes)
-    # the membership's classes, from its own slot differences, are the
-    # same; the system, a cover of GEO4 of x's size, sets only the length
-    assert x.size % 24 == 0
-    system = polytope.build_constraints(triangulation.incidence(cyclic_cover(
-        triangulation.parse_triangulation(GEO4_TEXT), GEO4_COCYCLE,
-        x.size // 24)))
-    assert polytope.classify_membership(system, x).tetrahedra == classes
 
 
 def test_classify_tetrahedra_patterns():
     positive = np.full(6, np.pi / 3)
     flat = np.array([0.0, 0.0, np.pi, np.pi, 0.0, 0.0])
     invalid = np.array([0.0, 0.2, np.pi - 0.2, np.pi - 0.2, 0.2, 0.0])
-    x = np.concatenate([positive, flat, invalid])
-    assert optimizer.classify_tetrahedra(x) == ["positive", "flat", "invalid"]
+    x = np.concatenate([positive, flat, invalid, positive])
+    classes = ["positive", "flat", "invalid", "positive"]
+    assert optimizer.classify_tetrahedra(x) == classes
+    assert classify_tetrahedra_loop(x) == classes
+    # the membership's classes, on a 4-tetrahedron system that sets only
+    # the length, are the same
+    system = polytope.build_constraints(triangulation.incidence(
+        triangulation.parse_triangulation(GEO4_TEXT)))
+    assert polytope.classify_membership(system, x).tetrahedra == tuple(
+        classes)
 
 
 def test_certify_at_optimum(fig8_sys, fig8_optimum):
@@ -571,8 +572,8 @@ def test_degenerate4_boundary_maximizer(degenerate4_sys):
     assert res.status == "converged"
     assert abs(res.volume - 1.7619532174) < 1e-8
     assert polytope.classify_membership(
-        degenerate4_sys, res.point).tetrahedra == [
-            "flat", "positive", "positive", "flat"]
+        degenerate4_sys, res.point).tetrahedra == (
+            "flat", "positive", "positive", "flat")
     # the minimal face fixes both flat tetrahedra, as the LP says
     fixed = optimizer.minimal_face(degenerate4_sys)[0].fixed
     assert fixed == polytope.interior_point(degenerate4_sys)[1]
@@ -646,7 +647,8 @@ def test_flattening_chain_maximizer(fig8):
     assert abs(res.volume - 2.029883212819307) < 1e-10
     membership = polytope.classify_membership(sys_, res.point)
     assert flat_tets(membership) == [3]
-    assert optimizer.classify_tetrahedra(res.point) == membership.tetrahedra
+    assert optimizer.classify_tetrahedra(res.point) == list(
+        membership.tetrahedra)
     # the slots at 0 or pi are the six of the flat tetrahedron
     assert membership.flat == slots_of([3]) == set(range(18, 24))
     assert membership.equality_violation < 1e-12
