@@ -51,18 +51,6 @@ EXIT_SUITE_FAILURE = 5
 LAMBDA_MAX_THETA = 512.0
 
 
-def _default_seed():
-    """The seed that ``CUSPFORGE_SEED`` sets, by ``--seed``'s rule."""
-    text = os.environ.get("CUSPFORGE_SEED", "0")
-    try:
-        return _at_least(0)(text)
-    except ValueError:
-        rule = "an integer"
-    except argparse.ArgumentTypeError:
-        rule = "a non-negative integer"
-    raise ValueError("CUSPFORGE_SEED must be %s, got %r" % (rule, text))
-
-
 def _at_least(low):
     """argparse type for an integer of at least ``low``: 1 for sample, start
     and iteration counts, since a sampled check over zero samples passes
@@ -123,8 +111,7 @@ def _build(args, timer, inputs):
             text = _read(args.path, inputs)
         except OSError as exc:
             raise triangulation.ParseError(str(exc))
-        tri = triangulation.parse_triangulation(
-            text, label=os.path.basename(args.path))
+        tri = triangulation.parse_triangulation(text)
     with timer.time("incidence"):
         idx = triangulation.incidence(tri)
     with timer.time("constraints"):
@@ -316,7 +303,7 @@ def build_parser():
         "--tol": {"type": _positive_float, "default": optimizer.DEFAULT_TOL},
         "--max-iter": {"type": _at_least(1),
                        "default": optimizer.DEFAULT_MAX_ITER},
-        "--seed": {"type": _at_least(0), "default": _default_seed()},
+        "--seed": {"type": _at_least(0), "default": 0},
         "--starts": {"type": _at_least(1), "default": 1},
         "--samples": {"type": _at_least(1), "default": 1000},
     }
@@ -349,7 +336,7 @@ def build_parser():
 def main(argv=None):
     """The one dispatcher.  The envelope's command, input hashes and seed
     come from the parsed arguments; a command without ``--seed`` records
-    ``CUSPFORGE_SEED``'s."""
+    seed 0."""
     try:
         args = build_parser().parse_args(argv)
         timer, inputs = _Timer(), {}
@@ -359,7 +346,7 @@ def main(argv=None):
         json.dump({
             "command": args.command,
             "inputs": inputs,
-            "seed": args.seed if "seed" in args else _default_seed(),
+            "seed": getattr(args, "seed", 0),
             "results": results,
             "timings_ms": timer,
         }, sys.stdout, indent=2, sort_keys=True, default=_plain)

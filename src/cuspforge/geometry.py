@@ -31,6 +31,12 @@ from .triangulation import PAIR_OF, VERTEX_PAIRS
 
 _SUM_TOL = 1e-12
 
+# ``random_tetrahedra`` redraws a tetrahedron with an angle below this.
+MIN_DRAWN_ANGLE = 1e-3
+# ``length_identity`` refuses a tetrahedron with an angle below this:
+# log sin theta(e) diverges as theta(e) goes to 0.
+MIN_IDENTITY_ANGLE = 1e-6
+
 # ``suite`` draws and checks this many tetrahedra at a time, so that its
 # memory does not grow with the sample count.
 _BLOCK = 256
@@ -104,14 +110,16 @@ class Tetrahedra:
                                          * chord[:, _VERT, _R]))
 
 
-def length_identity(tets, min_angle=1e-6):
+def length_identity(tets):
     """The per-tetrahedron constant of W(e) - log sin(theta(e)) and the worst
     deviation of the six edges from it, as two (k,) arrays.
 
-    The decorated-tetrahedron length identity says the spread is zero.
+    The decorated-tetrahedron length identity says the spread is zero.  A
+    batch with an angle below ``MIN_IDENTITY_ANGLE`` is a ValueError.
     """
-    if tets.angles.min() < min_angle:
-        raise ValueError("near-flat tetrahedron (angle below %g)" % min_angle)
+    if tets.angles.min() < MIN_IDENTITY_ANGLE:
+        raise ValueError("near-flat tetrahedron (angle below %g)"
+                         % MIN_IDENTITY_ANGLE)
     d = tets.average - np.log(np.sin(tets.angles[:, PAIR_OF]))
     constant = d.mean(axis=1)
     return constant, abs(d - constant[:, None]).max(axis=1)
@@ -129,16 +137,16 @@ def triangle_slack(tets):
     return (terms.sum(axis=2) - 2.0 * top) / top
 
 
-def random_tetrahedra(rng, k, min_angle=1e-3):
+def random_tetrahedra(rng, k):
     """k random non-flat decorated tetrahedra, drawn one at a time: Dirichlet
-    angles redrawn while one is below ``min_angle``, then four log-uniform
-    decorations."""
+    angles redrawn while one is below ``MIN_DRAWN_ANGLE``, then four
+    log-uniform decorations."""
     angles = np.empty((k, 3))
     logs = np.empty((k, 4))
     for i in range(k):
         while True:
             raw = rng.dirichlet((1.0, 1.0, 1.0)) * math.pi
-            if raw.min() >= min_angle:
+            if raw.min() >= MIN_DRAWN_ANGLE:
                 break
         angles[i] = raw
         logs[i] = [rng.uniform(-1.2, 1.2) for _ in range(4)]

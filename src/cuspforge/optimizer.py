@@ -537,11 +537,11 @@ def certify(sys, p):
     c - b = F_B - F_C; it is <= 0 for all x, y >= 0 iff the margin
     -F_C - log(e^-F_A + e^-F_B) is >= 0, and for y = 0 iff F_A >= F_C.  Any
     other angle at 0 or pi adds an unbounded log(1/t).  signs_ok applies
-    this to the angles that the minimal face leaves free, all but the
-    ``fixed`` slots of ``minimal_face``, which a solve of the same system
-    has already looked up; ``margins`` holds (tetrahedron, margin,
-    face_fixed) for each flat tetrahedron, as the membership's
-    ``tetrahedra`` says: the point is classified once.
+    this to the angles left free by the face of ``minimal_face`` (its
+    ``free`` mask), which a solve of the same system has already looked
+    up; ``margins`` holds (tetrahedron, margin, face_fixed) for each flat
+    tetrahedron, as the membership's ``tetrahedra`` says: the point is
+    classified once.
     """
     membership = polytope.classify_membership(sys, p)
     if membership.kind == "infeasible":
@@ -563,8 +563,7 @@ def certify(sys, p):
     active = tuple((int(i), float(fitted[i])) for i in np.flatnonzero(~free))
     signs_ok, margins = True, []
     if not free.all():
-        move = np.ones_like(free)
-        move[polytope.angle_of(sorted(minimal_face(sys)[0].fixed))] = 0
+        move = minimal_face(sys)[0].free.ravel()
         flat = np.repeat(np.array(membership.tetrahedra) == "flat", 3)
         signs_ok = not np.any(~free & move & ~flat)
         for t in np.flatnonzero(flat[::3]):

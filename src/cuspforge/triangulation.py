@@ -135,7 +135,7 @@ class Triangulation:
     constructor copies both (n, 4) integer arrays and checks every gluing.
     """
 
-    def __init__(self, face_tet, face_perm, label=None):
+    def __init__(self, face_tet, face_perm):
         face_tet = np.array(face_tet, dtype=np.int64)
         face_perm = np.array(face_perm, dtype=np.int64)
         if face_tet.shape != face_perm.shape or face_tet.shape[1:] != (4,):
@@ -153,7 +153,6 @@ class Triangulation:
         self.n_tets = len(face_tet)
         self.face_tet, self.face_perm = face_tet, face_perm
         face_tet.flags.writeable = face_perm.flags.writeable = False
-        self.label = label
 
     @cached_property
     def _end_labels(self):
@@ -176,8 +175,7 @@ class Triangulation:
                 and np.array_equal(self.face_perm, other.face_perm))
 
     def __repr__(self):
-        name = self.label or "<unnamed>"
-        return "Triangulation(%s, %d tets)" % (name, self.n_tets)
+        return "Triangulation(%d tets)" % self.n_tets
 
 
 @dataclass(frozen=True, eq=False)  # an array field has no truth value
@@ -185,17 +183,12 @@ class VertexLink:
     """The link of vertex class ``id``.  ``corner_ids`` holds the ids
     4 t + v of its corner triangles (t, v), ascending, as a read-only
     integer array (int32 but past 2**31 corners): a slice of one array
-    that all links of a triangulation share.  ``corners``, the (t, v) pairs
-    as a tuple, is built on first read."""
+    that all links of a triangulation share."""
 
     id: int
     euler_characteristic: int
     orientable: bool
     corner_ids: np.ndarray
-
-    @cached_property
-    def corners(self):
-        return tuple(divmod(c, 4) for c in self.corner_ids.tolist())
 
 
 @dataclass(frozen=True, eq=False)  # an array field has no truth value
@@ -244,7 +237,7 @@ _TEXT_RE = re.compile(
 _NO_GLUE = str.maketrans("", "", "glue")
 
 
-def parse_triangulation(text, label=None):
+def parse_triangulation(text):
     """Parse gluing-format text (see the .tri format in the README).
 
     One pattern matches the whole text, comments removed, and numpy reads
@@ -269,7 +262,7 @@ def parse_triangulation(text, label=None):
                 perm[face] = _DIGITS_ROW[digits]
                 try:
                     return Triangulation(target.reshape(-1, 4),
-                                         perm.reshape(-1, 4), label)
+                                         perm.reshape(-1, 4))
                 except TriangulationError as err:
                     fault = err.fault
     raise _parse_error(text, fault)
@@ -487,6 +480,4 @@ def pachner_23(tri, face):
     out_tet[4 * new + 2] = np.roll(new, -1)
     out_tet[4 * new + 3] = np.roll(new, 1)
     out_perm[4 * new + 2] = out_perm[4 * new + 3] = _DIGITS_ROW[132]
-    label = "%s+23" % tri.label if tri.label else None
-    return Triangulation(out_tet.reshape(-1, 4), out_perm.reshape(-1, 4),
-                         label)
+    return Triangulation(out_tet.reshape(-1, 4), out_perm.reshape(-1, 4))

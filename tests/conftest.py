@@ -94,7 +94,7 @@ def fig8_path():
 @pytest.fixture(scope="session")
 def fig8(fig8_path):
     with open(fig8_path) as fh:
-        return triangulation.parse_triangulation(fh.read(), label="fig8")
+        return triangulation.parse_triangulation(fh.read())
 
 
 @pytest.fixture(scope="session")
@@ -141,13 +141,12 @@ def fig8_optimum(fig8_sys):
 
 @pytest.fixture(scope="session")
 def doubled():
-    return triangulation.parse_triangulation(DOUBLED_TEXT, label="doubled")
+    return triangulation.parse_triangulation(DOUBLED_TEXT)
 
 
 @pytest.fixture(scope="session")
 def self_glued():
-    return triangulation.parse_triangulation(SELF_GLUED_TEXT,
-                                             label="self-glued")
+    return triangulation.parse_triangulation(SELF_GLUED_TEXT)
 
 
 @pytest.fixture(scope="session")
@@ -185,7 +184,7 @@ def gieseking_path():
 @pytest.fixture(scope="session")
 def gieseking(gieseking_path):
     with open(gieseking_path) as fh:
-        return triangulation.parse_triangulation(fh.read(), label="gieseking")
+        return triangulation.parse_triangulation(fh.read())
 
 
 @pytest.fixture()
@@ -198,7 +197,7 @@ def doubled_path(tmp_path):
 def load_data(name):
     """The triangulation ``data/<name>.tri``."""
     with open(os.path.join(DATA_DIR, name + ".tri")) as fh:
-        return triangulation.parse_triangulation(fh.read(), label=name)
+        return triangulation.parse_triangulation(fh.read())
 
 
 def flat_point(*big):
@@ -246,14 +245,14 @@ def property_chain(fig8, seed):
     return random_chain(fig8, rng, rng.randrange(7))
 
 
-def from_gluings(n_tets, gluings, label=None):
+def from_gluings(n_tets, gluings):
     """The triangulation of ``n_tets`` tetrahedra with ``gluings``, a dict
     (t, f) -> (target tet, permutation as a sequence), through its .tri text
     and ``parse_triangulation``, which validates it."""
     return triangulation.parse_triangulation(
         "tri 1\ntets %d\n" % n_tets + "".join(
             "glue %d %d %d %s\n" % (t, f, t2, "".join(map(str, perm)))
-            for (t, f), (t2, perm) in sorted(gluings.items())), label=label)
+            for (t, f), (t2, perm) in sorted(gluings.items())))
 
 
 def random_gluing(rng, n_tets):
@@ -281,7 +280,7 @@ def relabel(tri, rng):
         s, s2 = sigma[t], sigma[t2]
         gluings[(order[t], s[f])] = (
             order[t2], [s2[perm[s.index(w)]] for w in range(4)])
-    return from_gluings(tri.n_tets, gluings, label=tri.label)
+    return from_gluings(tri.n_tets, gluings)
 
 
 def cyclic_cover(tri, cocycle, fold):
@@ -304,4 +303,4 @@ def cyclic_cover(tri, cocycle, fold):
         for t, f in faces:
             k2 = (k + shift[(t, f)]) % fold
             gluings[(k * n + t, f)] = (k2 * n + targets[t][f], perms[t][f])
-    return from_gluings(fold * n, gluings, label=tri.label)
+    return from_gluings(fold * n, gluings)

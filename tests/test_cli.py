@@ -108,11 +108,10 @@ def test_solve_multi_start(capsys, fig8_path):
     assert ms["max_spread"] < 1e-6
 
 
-def test_solve_multi_start_releases_rejected_pins(capsys, tmp_path):
-    # a regression case of the pinned primal ascent: with every pin kept,
-    # one start of this probe converged at 1.962782 with a tetrahedron
-    # pinned flat that its certificate rejects.  The dual has no pins, and
-    # every start must reach V8
+def test_solve_multi_start_reaches_the_maximum_from_every_start(capsys,
+                                                                 tmp_path):
+    # a regression case of the old primal ascent, one of whose starts here
+    # stopped at 1.962782: every start must reach V8
     path = tmp_path / "geo4.tri"
     path.write_text(GEO4_TEXT)
     code, report = run_cli(capsys, "solve", str(path), "--starts", "8",
@@ -730,31 +729,15 @@ def test_dominate_rejects_an_infeasible_point(capsys, fig8_path, tmp_path):
         cli.EXIT_PARSE, "error: reference point is infeasible\n")
 
 
-def test_bad_seed_env_var_is_a_usage_error(capsys, monkeypatch, fig8_path):
-    # the parser reads the variable for its defaults, so every subcommand
-    # meets it; the console script prints one line, no traceback
-    env = dict(os.environ, CUSPFORGE_SEED="abc")
-    out = subprocess.run([sys.executable, "-m", "cuspforge.cli", "lambda",
-                          "1.0"], capture_output=True, text=True, env=env)
-    message = "error: CUSPFORGE_SEED must be an integer, got 'abc'\n"
-    assert (out.returncode, out.stdout, out.stderr) \
-        == (cli.EXIT_PARSE, "", message)
-    for value, rule in (("1.5", "an integer"),
-                        ("-5", "a non-negative integer"),
-                        ("-1", "a non-negative integer")):
-        monkeypatch.setenv("CUSPFORGE_SEED", value)
-        for argv in (["check", fig8_path], ["lemmas", "--samples", "5"],
-                     ["lambda", "1.0"]):
-            assert run_cli(capsys, *argv) == (
-                cli.EXIT_PARSE,
-                "error: CUSPFORGE_SEED must be %s, got %r\n" % (rule, value))
-
-
-def test_seed_env_var_default(capsys, monkeypatch):
-    monkeypatch.setenv("CUSPFORGE_SEED", "77")
-    code, report = run_cli(capsys, "lemmas", "--samples", "5")
-    assert code == 0
-    assert report["seed"] == 77
+@pytest.mark.parametrize("value", ["abc", "-1", "77"])
+def test_the_environment_sets_no_seed(capsys, monkeypatch, fig8_path, value):
+    # the seed comes from argv alone: no value of the variable, malformed
+    # or not, reaches the exit code or the report
+    monkeypatch.setenv("CUSPFORGE_SEED", value)
+    for argv in (["check", fig8_path], ["lemmas", "--samples", "5"],
+                 ["lambda", "1.0"]):
+        code, report = run_cli(capsys, *argv)
+        assert (code, report["seed"]) == (cli.EXIT_OK, 0)
 
 
 @pytest.mark.parametrize("content", ['{"foo": 1}', '{"angles": {"a": 1}}'])

@@ -154,9 +154,11 @@ def test_triangle_inequality_degenerate_family():
     assert 1.0 <= ratio <= 1.001
 
 
-def test_random_tetrahedron_respects_min_angle():
-    tets = geometry.random_tetrahedra(np.random.default_rng(27), 50,
-                                      min_angle=0.05)
+def test_random_tetrahedron_respects_min_angle(monkeypatch):
+    # the draw reads geometry's floor; at 0.05 about one Dirichlet draw in
+    # ten has an angle below it, so the redraw loop runs
+    monkeypatch.setattr(geometry, "MIN_DRAWN_ANGLE", 0.05)
+    tets = geometry.random_tetrahedra(np.random.default_rng(27), 50)
     assert tets.angles.shape == (50, 3)
     assert tets.angles.min() >= 0.05
     assert (tets.decorations > 0).all()

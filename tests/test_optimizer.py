@@ -60,7 +60,7 @@ def test_maximize_respects_custom_start(capsys, monkeypatch, fig8_path,
     assert res["multi_start"]["statuses"] == ["converged", "stalled"]
 
 
-def test_ascent_step_count_does_not_depend_on_the_labeling():
+def test_newton_step_count_does_not_depend_on_the_labeling():
     # GEO4 and its covers of 32 and 256 tetrahedra: the Newton step count is
     # one for all labelings, and neither it nor the MINRES step count rises
     # above what the solver took when these bounds were set
@@ -108,8 +108,7 @@ def test_maximize_empty_closure(doubled):
 
 @pytest.mark.parametrize("seed, lps", [(9, 0), (34, 0), (141, 1),
                                        (161, 1)])
-def test_chain_solve_runs_one_unpinned_lp_at_most(fig8, monkeypatch, seed,
-                                                   lps):
+def test_chain_solve_runs_one_lp_at_most(fig8, monkeypatch, seed, lps):
     # flat tetrahedra at the maximizer (chains 9 and 34) or linear ones on
     # the minimal face (141 and 161): the LP runs once, and only when the
     # closure has no interior, and its face is the result's.  On
@@ -389,10 +388,10 @@ def entropy_grid_max(f_a, f_b, f_c, n=20001):
     return float(lob.entropy_inequality(x, 1.0 - x, a, b, c).max())
 
 
-@pytest.mark.parametrize("case", ["pinned-fig8", "degenerate4", "flatten3"])
+@pytest.mark.parametrize("case", ["flat-fig8", "degenerate4", "flatten3"])
 def test_margin_is_the_entropy_inequality_maximum(case, fig8_sys,
                                                   fig8_face_point):
-    if case == "pinned-fig8":  # tetrahedron 0 set flat
+    if case == "flat-fig8":  # tetrahedron 0 set flat
         sys_, p = fig8_sys, fig8_face_point
     else:
         sys_ = polytope.build_constraints(
@@ -493,10 +492,8 @@ def test_dominance_scores_all_samples_in_one_call(fig8_sys, fig8_optimum,
     assert sorted(calls) == ["boundary_derivative_limit", "lobachevsky"]
 
 
-# Seeds whose probe on GEO4_TEXT left a start of the pinned primal ascent
-# converged below the maximum, with a tetrahedron pinned flat that its
-# certificate rejects, until such pins were released.  The dual has no pins;
-# these seeds stay as regression cases.
+# Seeds whose probe on GEO4_TEXT left a start of the old primal ascent
+# below the maximum; they stay as regression cases.
 STUCK_PROBE_SEEDS = (48, 49, 63, 253)
 
 
@@ -510,7 +507,7 @@ def assert_every_start_at_the_maximum(sys_, rep, volume):
 
 
 @pytest.mark.parametrize("seed", STUCK_PROBE_SEEDS)
-def test_probe_releases_rejected_pins(seed):
+def test_probe_reaches_the_maximum_from_every_start(seed):
     sys_ = polytope.build_constraints(
         triangulation.incidence(triangulation.parse_triangulation(GEO4_TEXT)))
     rep = optimizer.uniqueness_probe(sys_, 8, seed=seed)
@@ -520,8 +517,8 @@ def test_probe_releases_rejected_pins(seed):
 
 
 @pytest.mark.parametrize("seed", [60, 61])
-def test_chain_probe_releases_rejected_pins(fig8, seed):
-    # chains whose probe needed the release of rejected pins; their
+def test_chain_probe_reaches_the_maximum_from_every_start(fig8, seed):
+    # chains on whose probe the old primal ascent stopped short; their
     # maximizers are complete structures with a flat tetrahedron
     sys_ = polytope.build_constraints(
         triangulation.incidence(property_chain(fig8, seed)))

