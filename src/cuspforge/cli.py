@@ -216,16 +216,16 @@ def cmd_lambda(args, built, timer):
 
 def cmd_segment(args, built, timer):
     _, _, sys_, (p, q) = built
-    memberships = [polytope.classify_membership(sys_, x) for x in (p, q)]
-    for name, membership in zip("pq", memberships):
+    for name, x in zip("pq", (p, q)):
+        membership = polytope.classify_membership(sys_, x)
         if membership.kind == "infeasible":
             raise ValueError("%s is not in the closure (violation %g)"
                              % (name, membership.equality_violation))
     with timer.time("segment"):
         t = np.arange(1, args.samples + 1) / (args.samples + 1)
+        limit = lobachevsky.boundary_derivative_limit(p, q)
         results = {
-            "derivative_limit": lobachevsky.boundary_derivative_limit(
-                p, q, memberships[0].flat),
+            "derivative_limit": None if limit == math.inf else limit,
             "t": t,
             "volume": 0.5 * lobachevsky.lobachevsky(
                 polytope.segment(p, q, t)).sum(axis=1),

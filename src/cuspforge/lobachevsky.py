@@ -10,17 +10,18 @@ or scatters.  So an evaluation costs about twenty-five array
 operations whatever its size.  Volume is half the sum of Lobachevsky values
 over all slots; derivatives along segments use the difference vector
 a = q - p with the 0*log(0) convention, and the one-sided limit at a
-boundary point is a smooth sum plus an entropy sum.  The derivative helpers
-and the entropy inequality take a batch and return an array, or a float for
-one input.
+boundary point is a smooth sum plus an entropy sum, over the slots that
+``polytope.at_bound``, the one at-bound rule, puts at 0 or pi.  The
+derivative helpers and the entropy inequality take a batch and return an
+array, or a float for one input.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# |sin| below this is treated as an exact zero of sin (angle in {0, pi})
-_SIN_ZERO = 1e-12
+from . import polytope
+
 # The least argument of the derivatives' logs: log 0 reads as a finite
 # log 1e-300, which adds exactly 0 where its coefficient is 0.
 _LOG_FLOOR = 1e-300
@@ -153,33 +154,28 @@ def segment_derivative(p, q, t):
     return value if t.ndim else float(value)
 
 
-def boundary_derivative_limit(p, q, flat):
+def boundary_derivative_limit(p, q):
     """One-sided derivative limit of vol along the segment from p toward q,
     a float for one q or an array for the rows of a (k, 6n) array.
 
-    ``flat`` is the set of slots where p sits at 0 or pi.  The limit is
-    -(smooth + entropy) / 2 with smooth the a log|sin p| sum over free slots
-    and entropy the a log|a| sum over flat slots.  (The log t contributions
-    of the flat slots cancel within each flat tetrahedron because the
-    difference vector sums to zero over its triples.)
+    With a = q - p and J the slots of p ``polytope.at_bound``, the limit is
+    -(smooth + entropy) / 2 with smooth the a log|sin p| sum over the other
+    slots and entropy the a log|a| sum over J.  The slots of J add
+    -(sum of a over J) log t / 2 more, which cancels within each flat
+    tetrahedron, since a sums to zero over its triples.  A lone angle at 0
+    that q opens, as in a tetrahedron (0, x, pi - x), leaves that sum
+    positive, and the limit is +inf where it exceeds ``BOUNDARY_TOL``.
     """
     p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    a = q - p
-    in_flat = np.zeros(p.size, dtype=bool)
-    in_flat[list(flat)] = True
-    s = np.abs(np.sin(p))
-    bad = (~in_flat) & (s < _SIN_ZERO)
-    if bad.any():
-        raise ValueError(
-            "inconsistent flat set: slot %d has angle at {0, pi} but is not "
-            "marked flat" % int(np.argmax(bad)))
-    weight = np.where(in_flat, 0.0, np.log(np.maximum(s, _LOG_FLOOR)))
-    smooth = (a * weight).sum(axis=-1)
-    entropy = np.where(in_flat, a * np.log(np.maximum(np.abs(a), _LOG_FLOOR)),
+    a = np.asarray(q, dtype=float) - p
+    bound = polytope.at_bound(p)
+    s = np.where(bound, 1.0, np.abs(np.sin(p)))
+    smooth = (a * np.log(np.maximum(s, _LOG_FLOOR))).sum(axis=-1)
+    entropy = np.where(bound, a * np.log(np.maximum(np.abs(a), _LOG_FLOOR)),
                        0.0).sum(axis=-1)
-    value = -0.5 * (smooth + entropy)
-    return value if q.ndim > 1 else float(value)
+    opens = np.where(bound, a, 0.0).sum(axis=-1) > polytope.BOUNDARY_TOL
+    value = np.where(opens, np.inf, -0.5 * (smooth + entropy))
+    return value if a.ndim > 1 else float(value)
 
 
 def entropy_inequality(x, y, a, b, c):

@@ -55,8 +55,9 @@ COMPLETE_TOL = 1e-6
 # the distance to the box that a step leaving it takes.
 _CENTRE_STEPS = 8
 _TO_BOUNDARY = 0.75
-# The least MINRES stop of a Newton step, and the KKT residual below which
-# a converged iterate takes no further step.
+# The least MINRES stop of a Newton step below 793 edge classes (above,
+# ``_descend`` stops at ``_ROUNDING`` sqrt(edges)), and the KKT residual
+# below which a converged iterate takes no further step.
 _FLOOR = 1e-13
 # MINRES's stop relative to the norm of the right-hand side, for the solves
 # that must reach rounding: ``minimal_face``'s barrier steps and ``certify``'s
@@ -79,7 +80,8 @@ _OFF = np.array([2, 0, 1])
 # The step lengths that ``_descend``'s line search tries, in turn.
 _HALVINGS = 0.5 ** np.arange(60)
 # ``_triangle``: a slack at most this share of s is rounding, and a row's
-# three angle positions.
+# three angle positions.  Times sqrt(edges), the rounding in the norm of
+# ``_descend``'s edge error.
 _ROUNDING = 16.0 * np.finfo(float).eps
 _CORNERS = np.arange(3)
 # ``dominance_check``: a sample farther than _STRICT_DISTANCE from the point
@@ -116,7 +118,7 @@ class MaximalityCertificate:
 class DominanceReport:
     all_dominated: bool
     worst_gap: float | None  # None when no sample is informative
-    worst_directional: float
+    worst_directional: float | None  # None when a limit is +inf
     informative_samples: int  # samples farther than _STRICT_DISTANCE
 
 
@@ -369,13 +371,17 @@ def _descend(face, y, tol, max_iter, thin=False):
     Else it steps, with r the largest residual: shifted by
     mu = min(0.5, r), since D is linear where every tetrahedron is flat (a
     cap of 1 took one more step on covers of a four-tetrahedron fig8
-    triangulation), and with MINRES
-    stopped at the forcing term min(0.1, r) r, at least ``_FLOOR``.  The
+    triangulation), and with MINRES stopped at the forcing term
+    min(0.1, r) r, at least ``_FLOOR`` and the rounding level of the edge
+    error's 2-norm, ``_ROUNDING`` sqrt(edges): at 10^6 edge classes that is
+    above ``_FLOOR``, and MINRES would run hundreds of steps resolving
+    rounding noise; below 793 it is ``_FLOOR`` itself.  The
     step length halves until the Armijo rule holds, up to rounding, for the
     Lagrangian at the new p, along which the Newton direction descends even
     where w_p = w_q fails by the inexact steps.
     """
     p = np.full(face.linear.size, 0.5 * np.pi)
+    floor = max(_FLOOR, _ROUNDING * math.sqrt(face.b_edge.size))
     ang, value, volume = face.dual(y, p)
     best, gained, iters, inner, polished = np.inf, True, 0, 0, None
     while True:
@@ -401,7 +407,7 @@ def _descend(face, y, tol, max_iter, thin=False):
             return run if ok else run._replace(status="iteration-cap")
         best = min(best, residual)
         dy, d = face.step(ang, kkt, min(0.5, residual),
-                          max(min(0.1, residual) * residual, _FLOOR))
+                          max(min(0.1, residual) * residual, floor))
         inner += face.inner
         slope = float(error @ dy)
         if face.linear.size:  # the Lagrangian at the new p
@@ -620,8 +626,7 @@ def dominance_check(sys, p, n_samples, seed=0):
     a single point, where the check is vacuous.
     """
     p = np.asarray(p, dtype=float)
-    membership = polytope.classify_membership(sys, p)
-    if membership.kind == "infeasible":
+    if polytope.classify_membership(sys, p).kind == "infeasible":
         raise ValueError("reference point is infeasible")
     rng = np.random.default_rng(seed)
     vp = lob.volume(p)
@@ -629,9 +634,10 @@ def dominance_check(sys, p, n_samples, seed=0):
         sys, rng, n_samples, polytope.to_slots(minimal_face(sys)[1]))
     gaps = vp - 0.5 * lob.lobachevsky(samples).sum(axis=1)
     far = np.max(np.abs(samples - p), axis=1) > _STRICT_DISTANCE
-    limits = lob.boundary_derivative_limit(p, samples, membership.flat)
+    limits = lob.boundary_derivative_limit(p, samples)
     failed = (np.where(far, gaps <= 0.0, gaps < -_NEAR_GAP)
               | (limits > _DIRECTIONAL_TOL))
+    worst = float(limits.max(initial=-np.inf))
     return DominanceReport(
         not failed.any(), float(gaps[far].min()) if far.any() else None,
-        float(limits.max(initial=-np.inf)), int(far.sum()))
+        None if worst == np.inf else worst, int(far.sum()))

@@ -99,12 +99,6 @@ class LinearSystem:
         return np.bincount(self.rows.ravel(), np.repeat(theta, 3),
                            self.b.size)
 
-    def matrix(self):
-        """A as a dense (n + N, 3n) array; add.at sums repeated rows."""
-        a = np.zeros((self.b.size, self.rows.shape[0]))
-        np.add.at(a, (self.rows, np.arange(a.shape[1])[:, None]), 1.0)
-        return a
-
 
 @dataclass(frozen=True)
 class Membership:
@@ -225,12 +219,17 @@ def sample_closure_points(sys, rng, n_samples, start,
     the angles of ``start`` that are at a bound (``at_bound``), so from a
     boundary point they sweep the face it lies in instead of stopping at
     once.  Their directions are Gaussian on the null space of the free
-    columns.  Returns one (n_samples, 6n) array, a sample per row.
+    columns, from an SVD of their dense block of A, the package's one dense
+    matrix: ``np.add.at`` sums a column's repeated rows, so an angle whose
+    two slots lie in one edge class has coefficient 2 there.
+    Returns one (n_samples, 6n) array, a sample per row.
     """
     theta = to_angles(start)[:, None]
     free = np.ones(theta.size, dtype=bool)
     free[angle_of(np.flatnonzero(at_bound(start)))] = False
-    a = sys.matrix()[:, free]
+    cols = np.flatnonzero(free)
+    a = np.zeros((sys.b.size, cols.size))
+    np.add.at(a, (sys.rows[cols], np.arange(cols.size)[:, None]), 1.0)
     _, sv, vh = np.linalg.svd(a)
     # the right singular vectors past the numerical rank span the null space
     rank_tol = np.finfo(float).eps * max(a.shape) * sv.max(initial=0.0)

@@ -5,6 +5,7 @@ import os
 import random
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,12 @@ from cuspforge import cli, optimizer, polytope, triangulation  # noqa: E402
 from helpers import face_lists  # noqa: E402
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+
+# The volume of the figure-eight knot complement, 3 Cl_2(2 pi / 3), from
+# mpmath's Clausen function, as the benchmark's oracle computes it: the
+# double 2.0298832128193072.
+with mpmath.workdps(30):
+    V8 = float(3 * mpmath.clsin(2, 2 * mpmath.pi / 3))
 
 # The exit code of each solve status; lemmas exits 5 when a check fails,
 # and every other report exits 0.

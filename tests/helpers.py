@@ -389,8 +389,8 @@ def dominance_reference(sys_, p, n_samples, seed):
     the same draws, then each sample's volume and one-sided derivative limit
     on their own, with the verdict and the worst values updated per sample.
     A sample farther than 1e-4 (max norm) must have less volume than p, a
-    nearer one at most 1e-10 more, and no limit may exceed 1e-10."""
-    flat = polytope.classify_membership(sys_, p).flat
+    nearer one at most 1e-10 more, and no limit may exceed 1e-10; the
+    worst limit is None when one is +inf."""
     samples = polytope.sample_closure_points(
         sys_, np.random.default_rng(seed), n_samples,
         polytope.to_slots(optimizer.minimal_face(sys_)[1]))
@@ -402,10 +402,12 @@ def dominance_reference(sys_, p, n_samples, seed):
         if far:
             informative += 1
             worst_gap = gap if worst_gap is None else min(worst_gap, gap)
-        limit = lobachevsky.boundary_derivative_limit(p, q, flat)
+        limit = lobachevsky.boundary_derivative_limit(p, q)
         worst_dir = max(worst_dir, limit)
         ok = ok and (gap > 0.0 if far else gap >= -1e-10) and limit <= 1e-10
-    return optimizer.DominanceReport(ok, worst_gap, worst_dir, informative)
+    return optimizer.DominanceReport(
+        ok, worst_gap, None if worst_dir == math.inf else worst_dir,
+        informative)
 
 
 def entropy_reference(rng, samples):

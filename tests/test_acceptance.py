@@ -15,13 +15,12 @@ from cuspforge import lobachevsky as lob
 from cuspforge import optimizer, polytope
 from cuspforge import triangulation as tr
 
-from conftest import movable_chain, movable_face
+from conftest import V8, movable_chain, movable_face
 from helpers import (aitken_limit, closure_status, interior_status,
                      lobachevsky_quadrature, null_directions, slot_system)
 
 LAMBDA_PI_6 = 0.50747080320482681   # quadrature oracle, frozen
 LAMBDA_PI_3 = 0.33831386880321788   # quadrature oracle, frozen
-FIG8_VOLUME = 2.0298832128193072    # 6 * LAMBDA_PI_3
 
 
 def emit(capsys, num, name, ok, detail):
@@ -57,7 +56,7 @@ def test_criterion_02_fig8_end_to_end(capsys, fig8_path):
     dist = float(np.max(np.abs(res.point - np.pi / 3.0)))
     vol_err = abs(res.volume - oracle_vol)
     ok = (res.status == "converged" and dist < 1e-6 and vol_err < 1e-6
-          and abs(oracle_vol - FIG8_VOLUME) < 1e-12 and elapsed < 1.0)
+          and abs(oracle_vol - V8) < 1e-12 and elapsed < 1.0)
     emit(capsys, 2, "fig8-end-to-end", ok,
          "dist %.3g, vol err %.3g, %.2fs" % (dist, vol_err, elapsed))
 
@@ -113,12 +112,11 @@ def test_criterion_06_derivative_consistency(capsys, fig8_sys,
         worst_rel = max(worst_rel, abs(val - fd) / max(abs(val), 1e-3))
     # extrapolated one-sided limits at a flat-boundary point
     face = fig8_face_point
-    flat = polytope.classify_membership(fig8_sys, face).flat
-    assert flat == {0, 1, 2, 3, 4, 5}
+    assert polytope.classify_membership(fig8_sys, face).flat == set(range(6))
     worst_lim = 0.0
     for q in polytope.sample_closure_points(fig8_sys, rng, 10, start=center,
                                             boundary_fraction=0.0):
-        limit = lob.boundary_derivative_limit(face, q, flat)
+        limit = lob.boundary_derivative_limit(face, q)
         vals = lob.segment_derivative(face, q, [1e-4, 5e-5, 2.5e-5])
         worst_lim = max(worst_lim, abs(limit - aitken_limit(vals)))
     ok = worst_rel < 1e-6 and worst_lim < 1e-4

@@ -12,7 +12,7 @@ import pytest
 
 from cuspforge import cli, optimizer, polytope, triangulation
 
-from conftest import (DATA_DIR, GEO4_TEXT, property_chain, run_cli,
+from conftest import (DATA_DIR, GEO4_TEXT, V8, property_chain, run_cli,
                       validate_schema)
 
 # the benchmark's cover builder, perfbench/covers.py
@@ -64,14 +64,14 @@ def test_solve_fig8(capsys, fig8_path):
     report = run_cli(capsys, "solve", fig8_path)[1]
     res = report["results"]
     assert res["status"] == "converged"
-    assert abs(res["volume"] - 2.0298832128193072) < 1e-9
+    assert abs(res["volume"] - V8) < 1e-9
     assert np.max(np.abs(np.array(res["point"]) - np.pi / 3.0)) < 1e-7
     assert res["tetrahedra"] == ["positive", "positive"]
     assert res["candidate_complete"] is True
     assert res["certificate"]["signs_ok"] is True
     assert fig8_path in report["inputs"]
     # the dual's bound: at least the maximum, and the gap is its excess
-    assert res["volume_upper"] >= 2.0298832128193072 - 1e-14
+    assert res["volume_upper"] >= V8 - 1e-14
     assert res["gap"] == res["volume_upper"] - res["volume"]
     assert abs(res["gap"]) < 1e-9
     # the schema requires the bound with the volume
@@ -152,7 +152,7 @@ def test_solve_multi_start_reports_the_first_start(capsys, tmp_path):
     assert code == cli.EXIT_OK
     res = report["results"]
     assert res["status"] == "converged"
-    assert abs(plain["results"]["volume"] - 2.0298832128193) < 1e-12
+    assert abs(plain["results"]["volume"] - V8) < 1e-12
     for key in ("point", "volume", "iterations"):
         assert res[key] == plain["results"][key]
     ms = res["multi_start"]
@@ -196,7 +196,7 @@ def test_solve_flat_complete_structure(capsys, flatten3_path):
     report = run_cli(capsys, "solve", flatten3_path)[1]
     res = report["results"]
     assert res["status"] == "converged"
-    assert abs(res["volume"] - 2.029883212819307) < 1e-10
+    assert abs(res["volume"] - V8) < 1e-10
     assert res["flat_tets"] == [3]
     assert res["certificate"]["signs_ok"] is True
     [[tet, margin, face_fixed]] = res["certificate"]["margins"]
@@ -431,7 +431,7 @@ def test_solve_stall_exit_code(capsys, flatten3_path):
     res = report["results"]
     assert res["status"] == "stalled"
     assert res["iterations"] < 2000
-    assert abs(res["volume"] - 2.029883212819307) < 1e-10
+    assert abs(res["volume"] - V8) < 1e-10
 
 
 def test_capped_solve_of_an_empty_closure_reports(capsys, fig8, tmp_path):
@@ -499,7 +499,7 @@ def test_certify_seed_is_recorded_but_inert(capsys, tmp_path, fig8_path,
 
 def test_volume_center(capsys, fig8_path, center_angles_path):
     report = run_cli(capsys, "volume", fig8_path, center_angles_path)[1]
-    assert abs(report["results"]["volume"] - 2.0298832128193072) < 1e-12
+    assert abs(report["results"]["volume"] - V8) < 1e-12
     assert report["results"]["membership"] == "interior"
 
 
@@ -582,6 +582,25 @@ def test_segment_rejects_infeasible_endpoint(capsys, fig8_path, tmp_path,
     q_path.write_text(polytope.angles_to_json(fig8_center))
     assert run_cli(capsys, "segment", fig8_path, p_path, q_path) == (
         cli.EXIT_PARSE, "error: p is not in the closure (violation 0.5)\n")
+
+
+def test_a_limit_at_a_lone_zero_angle_is_null(capsys, fig8_path, tmp_path,
+                                              center_angles_path):
+    # tetrahedron 0 has the angles (0, 3 pi / 4, pi / 4), not flat, and both
+    # the segment to the centre and dominate's samples open the zero angle:
+    # the one-sided limit is +inf, which the reports give as null
+    p_path = tmp_path / "p.json"
+    p_path.write_text(polytope.angles_to_json(polytope.to_slots(
+        [0.0, 0.75 * np.pi, 0.25 * np.pi, 0.25 * np.pi, 0.25 * np.pi,
+         0.5 * np.pi])))
+    res = run_cli(capsys, "segment", fig8_path, p_path, center_angles_path,
+                  "--samples", 3)[1]["results"]
+    assert res["derivative_limit"] is None
+    assert all(np.isfinite(res["derivative"]))
+    res = run_cli(capsys, "dominate", fig8_path, p_path, "--samples",
+                  50)[1]["results"]
+    assert res["worst_directional"] is None
+    assert res["all_dominated"] is False
 
 
 def test_an_array_too_large_to_allocate_is_an_input_error(
@@ -851,7 +870,7 @@ def test_solve_gieseking(capsys, gieseking_path):
     report = run_cli(capsys, "solve", gieseking_path)[1]
     res = report["results"]
     assert res["status"] == "converged"
-    assert abs(res["volume"] - 2.029883212819307 / 2) < 1e-10
+    assert abs(res["volume"] - V8 / 2) < 1e-10
     assert np.allclose(res["point"], np.pi / 3, rtol=0.0, atol=1e-10)
     assert res["candidate_complete"] is True
 

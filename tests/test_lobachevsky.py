@@ -154,8 +154,9 @@ def test_boundary_limit_interior_case_is_directional_derivative(fig8_sys):
     p, q = polytope.sample_closure_points(
         fig8_sys, rng, 2, start=polytope.interior_point(fig8_sys)[0],
         boundary_fraction=0.0)
-    limit = lob.boundary_derivative_limit(p, q, frozenset())
-    # no slot is flat: the smooth sum alone, the derivative at p
+    assert not polytope.at_bound(p).any()
+    limit = lob.boundary_derivative_limit(p, q)
+    # no slot is at a bound: the smooth sum alone, the derivative at p
     assert limit == -0.5 * np.sum((q - p) * np.log(np.abs(np.sin(p))))
     ts = [1e-3, 5e-4, 2.5e-4]
     vals = [lob.segment_derivative(p, q, t) for t in ts]
@@ -167,8 +168,8 @@ def test_boundary_limit_matches_extrapolated_derivative_flat_case():
     # interior target that keeps both triple sums fixed
     p = np.array([0.0, 0.0, np.pi, 0.4, 0.6, np.pi - 1.0])
     q = np.array([0.3, 0.5, np.pi - 0.8, 0.5, 0.8, np.pi - 1.3])
-    flat = frozenset({0, 1, 2})
-    limit = lob.boundary_derivative_limit(p, q, flat)
+    assert list(np.flatnonzero(polytope.at_bound(p))) == [0, 1, 2]
+    limit = lob.boundary_derivative_limit(p, q)
     ts = [1e-4, 5e-5, 2.5e-5]
     vals = [lob.segment_derivative(p, q, t) for t in ts]
     assert abs(limit - aitken_limit(vals)) < 1e-6
@@ -178,22 +179,31 @@ def test_boundary_limit_of_a_batch_is_row_by_row(degenerate4_sys):
     # at the maximizer tetrahedra 0 and 3 are flat, so both sums take part
     from cuspforge import optimizer
     p = optimizer.maximize_volume(degenerate4_sys).point
-    flat = polytope.classify_membership(degenerate4_sys, p).flat
-    assert flat
+    assert polytope.classify_membership(degenerate4_sys, p).flat
     qs = polytope.sample_closure_points(
         degenerate4_sys, np.random.default_rng(8), 50,
         polytope.interior_point(degenerate4_sys)[0])
-    batch = lob.boundary_derivative_limit(p, qs, flat)
+    batch = lob.boundary_derivative_limit(p, qs)
     assert batch.shape == (50,)
-    assert list(batch) == [lob.boundary_derivative_limit(p, q, flat)
-                           for q in qs]
+    assert list(batch) == [lob.boundary_derivative_limit(p, q) for q in qs]
 
 
-def test_boundary_limit_rejects_inconsistent_flat_set():
+def test_boundary_limit_is_infinite_where_a_lone_zero_opens():
+    # a triple (0, 0.5, pi - 0.5) is not flat: moving its zero angle off 0
+    # leaves -(0.2 / 2) log t, and the derivative grows without bound
     p = np.array([0.0, 0.5, np.pi - 0.5])
     q = np.array([0.2, 0.6, np.pi - 0.8])
-    with pytest.raises(ValueError):
-        lob.boundary_derivative_limit(p, q, frozenset())
+    assert lob.boundary_derivative_limit(p, q) == np.inf
+    vals = lob.segment_derivative(p, q, [1e-3, 1e-6, 1e-9])
+    np.testing.assert_allclose(np.diff(vals), 0.1 * np.log(1e3), atol=1e-3)
+    # a direction that keeps the zero angle at 0 has a finite limit, and in
+    # a batch only the opening row is infinite
+    keep = np.array([0.0, 0.3, np.pi - 0.3])
+    limits = lob.boundary_derivative_limit(p, np.array([q, keep]))
+    assert limits[0] == np.inf
+    assert limits[1] == lob.boundary_derivative_limit(p, keep)
+    assert limits[1] == -0.5 * np.sum((keep - p)[1:]
+                                      * np.log(np.sin(p[1:])))
 
 
 def test_entropy_inequality_equality_case_exact():

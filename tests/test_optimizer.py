@@ -9,7 +9,7 @@ import pytest
 from cuspforge import lobachevsky as lob
 from cuspforge import optimizer, polytope, triangulation
 
-from conftest import (GEO4_COCYCLE, GEO4_TEXT, cyclic_cover, flat_point,
+from conftest import (GEO4_COCYCLE, GEO4_TEXT, V8, cyclic_cover, flat_point,
                       load_data, movable_chain, property_chain, relabel,
                       run_cli)
 from helpers import (dense_newton_step, dominance_reference, fixed_slots,
@@ -19,8 +19,6 @@ from helpers import (dense_newton_step, dominance_reference, fixed_slots,
 # Property-test seeds whose chain has a non-empty closure; the closure of
 # seed 0 is a single point.
 CHAIN_SEEDS_WITH_CLOSURE = (0, 1, 3, 4, 7, 8, 9, 11, 12, 13, 14, 15)
-
-FIG8_VOLUME = 2.0298832128193072
 
 # Property-test seeds whose minimal face has linear tetrahedra (an angle at
 # 0, the other two free), the bordered case of the Newton step.
@@ -73,7 +71,7 @@ def test_newton_step_count_does_not_depend_on_the_labeling():
             res = optimizer.maximize_volume(
                 polytope.build_constraints(triangulation.incidence(t)))
             assert res.status == "converged"
-            assert abs(res.volume - fold * 2.029883212819307) < 1e-10 * fold
+            assert abs(res.volume - fold * V8) < 1e-10 * fold
             steps.add(res.iterations)
             inner_steps.add(res.inner_iterations)
         assert len(steps) == 1, (fold, steps)
@@ -93,7 +91,7 @@ def test_centre_start_needs_no_lp(monkeypatch):
     monkeypatch.setattr(polytope, "interior_point", no_lp)
     res = optimizer.maximize_volume(sys_)
     assert res.status == "converged"
-    assert abs(res.volume - 2.029883212819307) < 1e-10
+    assert abs(res.volume - V8) < 1e-10
     assert polytope.classify_membership(
         sys_, res.point).equality_violation < 1e-12
 
@@ -341,12 +339,11 @@ def test_certify_rejects_a_movable_zero_angle(fig8_sys):
 def sampled_signs_ok(sys_, p, n_samples=200):
     """No sampled one-sided derivative limit from p toward the closure is
     positive."""
-    flat = polytope.classify_membership(sys_, p).flat
     rng = np.random.default_rng(0)
     origin = polytope.interior_point(sys_)[0]
     samples = polytope.sample_closure_points(sys_, rng, n_samples,
                                              start=origin)
-    return bool(np.all(lob.boundary_derivative_limit(p, samples, flat)
+    return bool(np.all(lob.boundary_derivative_limit(p, samples)
                        <= 1e-8))
 
 
@@ -466,6 +463,19 @@ def test_dominance_rejected_at_non_optimum(fig8, fig8_sys, fig8_center):
     assert rep == dominance_reference(fig8_sys, perturbed, 200, 3)
 
 
+def test_dominance_rejected_by_the_one_sided_limit_alone(fig8_sys,
+                                                         fig8_face_point):
+    # at a point with tetrahedron 0 flat, the one sample has less volume
+    # (a positive gap), so only the finite, positive one-sided derivative
+    # limit toward it, the paper's boundary argument, rejects the point
+    rep = optimizer.dominance_check(fig8_sys, fig8_face_point, 1, seed=2)
+    assert rep.informative_samples == 1
+    assert rep.worst_gap > 0.4
+    assert 2.0 < rep.worst_directional < 2.1
+    assert not rep.all_dominated
+    assert rep == dominance_reference(fig8_sys, fig8_face_point, 1, 2)
+
+
 @pytest.mark.parametrize("n_samples, seed", [(1, 0), (50, 5), (1000, 9)])
 def test_dominance_matches_the_per_sample_loop(degenerate4_sys, n_samples,
                                                seed):
@@ -511,7 +521,7 @@ def test_probe_reaches_the_maximum_from_every_start(seed):
     sys_ = polytope.build_constraints(
         triangulation.incidence(triangulation.parse_triangulation(GEO4_TEXT)))
     rep = optimizer.uniqueness_probe(sys_, 8, seed=seed)
-    assert_every_start_at_the_maximum(sys_, rep, FIG8_VOLUME)
+    assert_every_start_at_the_maximum(sys_, rep, V8)
     # the starts are distinct multipliers, not one point eight times
     assert len({r.iterations for r in rep.results}) > 1
 
@@ -523,7 +533,7 @@ def test_chain_probe_reaches_the_maximum_from_every_start(fig8, seed):
     sys_ = polytope.build_constraints(
         triangulation.incidence(property_chain(fig8, seed)))
     rep = optimizer.uniqueness_probe(sys_, 8, seed=seed)
-    assert_every_start_at_the_maximum(sys_, rep, FIG8_VOLUME)
+    assert_every_start_at_the_maximum(sys_, rep, V8)
 
 
 @pytest.mark.parametrize("name", [
@@ -641,7 +651,7 @@ def test_flattening_chain_maximizer(fig8):
     assert interior_status(sys_) == "ok"
     res = optimizer.maximize_volume(sys_)
     assert res.status == "converged"
-    assert abs(res.volume - 2.029883212819307) < 1e-10
+    assert abs(res.volume - V8) < 1e-10
     membership = polytope.classify_membership(sys_, res.point)
     assert flat_tets(membership) == [3]
     assert optimizer.classify_tetrahedra(res.point) == list(
@@ -757,8 +767,8 @@ def upper_at_least(res, exact):
 
 
 @pytest.mark.parametrize("name, exact", [
-    ("fig8", FIG8_VOLUME), ("gieseking", FIG8_VOLUME / 2.0),
-    ("flatten3", FIG8_VOLUME)])
+    ("fig8", V8), ("gieseking", V8 / 2.0),
+    ("flatten3", V8)])
 def test_volume_upper_bounds_the_fixtures(name, exact):
     res = optimizer.maximize_volume(
         polytope.build_constraints(triangulation.incidence(load_data(name))))
@@ -773,7 +783,7 @@ def test_volume_upper_bounds_covers_and_their_iterates(fold):
     # exactly fold V8
     sys_ = polytope.build_constraints(triangulation.incidence(cyclic_cover(
         triangulation.parse_triangulation(GEO4_TEXT), GEO4_COCYCLE, fold)))
-    exact = fold * FIG8_VOLUME
+    exact = fold * V8
     res = optimizer.maximize_volume(sys_)
     assert res.status == "converged"
     assert upper_at_least(res, exact)
@@ -811,10 +821,11 @@ def test_volume_upper_is_the_dual_at_the_last_multipliers(fig8, monkeypatch):
 
 
 def test_solve_and_certify_build_no_matrix(monkeypatch):
-    def no_matrix(self):
-        raise AssertionError("LinearSystem.matrix called")
+    # the sampler behind dominate is the one stage that builds a dense block
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("sample_closure_points called")
 
-    monkeypatch.setattr(polytope.LinearSystem, "matrix", no_matrix)
+    monkeypatch.setattr(polytope, "sample_closure_points", no_matrix)
     for name in ("fig8", "gieseking", "flatten3", "degenerate4"):
         sys_ = polytope.build_constraints(
             triangulation.incidence(load_data(name)))
@@ -827,5 +838,34 @@ def test_solve_and_certify_build_no_matrix(monkeypatch):
     assert sys_.b.size == 2 * 2048  # one edge class per tetrahedron
     res = optimizer.maximize_volume(sys_)
     assert res.status == "converged"
-    assert abs(res.volume - 512 * FIG8_VOLUME) <= 1e-12
+    assert abs(res.volume - 512 * V8) <= 1e-12
     assert optimizer.certify(sys_, res.point).signs_ok
+
+
+def test_the_newton_step_stops_at_the_rounding_of_its_edge_error(
+        monkeypatch):
+    # MINRES's least stop grows like eps sqrt(edges), the rounding in the
+    # 2-norm of the edge error: at 1,024 edge classes it lies above the
+    # absolute floor 1e-13, with which a 10^6-tetrahedron cover took 871
+    # MINRES steps where the rounding stop takes 25; below 793 it is 1e-13
+    stops = []
+    step = optimizer._Face.step
+
+    def recorded(self, ang, rhs, shift, stop, barrier=False):
+        if not barrier:
+            stops.append(stop)
+        return step(self, ang, rhs, shift, stop, barrier)
+
+    monkeypatch.setattr(optimizer._Face, "step", recorded)
+    base = triangulation.parse_triangulation(GEO4_TEXT)
+    sys_ = polytope.build_constraints(triangulation.incidence(
+        cyclic_cover(base, GEO4_COCYCLE, 256)))
+    assert sys_.b.size == 2 * 1024  # one edge class per tetrahedron
+    res = optimizer.maximize_volume(sys_)
+    assert res.status == "converged"
+    assert abs(res.volume - 256 * V8) <= 1e-12
+    assert min(stops) == 16.0 * np.finfo(float).eps * 32.0 > 1.1e-13
+    stops.clear()
+    assert optimizer.maximize_volume(polytope.build_constraints(
+        triangulation.incidence(base))).status == "converged"
+    assert min(stops) == 1e-13

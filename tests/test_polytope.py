@@ -9,7 +9,8 @@ from scipy.linalg import null_space
 
 from cuspforge import optimizer, polytope, triangulation
 
-from conftest import flat_point, load_data, movable_chain, property_chain
+from conftest import (V8, flat_point, load_data, movable_chain,
+                      property_chain)
 from helpers import (angle_matrix, fixed_slots, interior_status,
                      null_directions, slot_system)
 
@@ -20,8 +21,9 @@ def test_constraint_shapes_and_rhs(fig8_sys):
     np.testing.assert_allclose(fig8_sys.b[:2], np.pi)
     np.testing.assert_allclose(fig8_sys.b[2:], 2.0 * np.pi)
     # tetrahedron rows hold their three angles; the edge rows hold each
-    # angle twice, once per slot
-    a = fig8_sys.matrix()
+    # angle twice, once per slot; the columns of A are its products with
+    # the unit angle vectors
+    a = np.column_stack([fig8_sys.apply(e) for e in np.eye(6)])
     np.testing.assert_array_equal(a[:2], np.repeat(np.eye(2), 3, axis=1))
     np.testing.assert_array_equal(a[2:].sum(axis=0), 2.0)
 
@@ -34,7 +36,7 @@ def test_rows_of_slot_index_the_nonzero_rows(name, fig8):
     tri = movable_chain(fig8, 5) if name == "chain5" else load_data(name)
     idx = triangulation.incidence(tri)
     sys_ = polytope.build_constraints(idx)
-    n, rows, a = tri.n_tets, sys_.rows, sys_.matrix()
+    n, rows, a = tri.n_tets, sys_.rows, angle_matrix(tri)
     assert rows.shape == (3 * n, 3)
     for s in range(sys_.dim):
         t, k = divmod(s, 6)
@@ -46,14 +48,13 @@ def test_rows_of_slot_index_the_nonzero_rows(name, fig8):
 
 
 @pytest.mark.parametrize("name, doubled, volume", [
-    ("fig8", 4, 2.029883212819307), ("gieseking", 3, 2.029883212819307 / 2)])
+    ("fig8", 4, V8), ("gieseking", 3, V8 / 2)])
 def test_angles_in_one_edge_class_have_coefficient_two(name, doubled, volume):
     # an angle whose two slots lie in one edge class adds 2 to its row: four
     # of fig8's six angles and all three of gieseking's
     tri = load_data(name)
     sys_ = polytope.build_constraints(triangulation.incidence(tri))
-    a = sys_.matrix()
-    np.testing.assert_array_equal(a, angle_matrix(tri))
+    a = angle_matrix(tri)
     assert np.count_nonzero(a == 2.0) == doubled
     rng = np.random.default_rng(14)
     theta = rng.standard_normal(a.shape[1])
@@ -139,7 +140,7 @@ def test_membership_rejects_wrong_length(fig8_sys):
         polytope.classify_membership(fig8_sys, np.zeros(5))
 
 
-def test_null_space_annihilates_rows(fig8, fig8_sys):
+def test_null_space_annihilates_rows(fig8):
     # the slot system's null directions have equal opposite slots, and their
     # angles span the null space of the angle rows
     basis = null_directions(fig8)
@@ -148,8 +149,8 @@ def test_null_space_annihilates_rows(fig8, fig8_sys):
     six = basis.T.reshape(-1, 2, 6)
     np.testing.assert_allclose(six[:, :, :3], six[:, :, :2:-1], atol=1e-12)
     angles = np.array([polytope.to_angles(d) for d in basis.T]).T
-    assert np.max(np.abs(fig8_sys.matrix() @ angles)) < 1e-12
-    assert null_space(fig8_sys.matrix()).shape[1] == basis.shape[1]
+    assert np.max(np.abs(angle_matrix(fig8) @ angles)) < 1e-12
+    assert null_space(angle_matrix(fig8)).shape[1] == basis.shape[1]
 
 
 def test_interior_point_fig8(fig8_sys):

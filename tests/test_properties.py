@@ -13,10 +13,8 @@ from cuspforge import optimizer, polytope
 from cuspforge import lobachevsky as lob
 from cuspforge import triangulation as tr
 
-from conftest import property_chain, run_cli
+from conftest import V8, property_chain, run_cli
 from helpers import closure_status, interior_status, slot_system
-
-FIG8_VOLUME = 2.029883212819307
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -39,7 +37,7 @@ def test_random_chain(seed, fig8, tmp_path, capsys):
         return
     assert res.status == "converged"
     if report["candidate_complete"]:
-        assert abs(res.volume - FIG8_VOLUME) <= 1e-9
+        assert abs(res.volume - V8) <= 1e-9
     if not report["certificate"]["signs_ok"]:
         return
     # the closed-form certificate against the sampled oracle; not
