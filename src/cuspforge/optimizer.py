@@ -282,9 +282,13 @@ class _Face:
         # minus the pair weights, pairs (A, B), (B, C), (C, A) in turn
         kappa = -k[:, _OFF].ravel()
         m, rows = kappa.size, cols.ravel()
+        # the entries' signs in the order of ``rows``: scaling a repeated v
+        # by them gives the bits of v[:, None] * _SIGNS, about three times
+        # as fast as that broadcast over an axis of four
+        signs = np.tile(_SIGNS, cols.shape[0])
 
         def scatter(v):  # M v, columns as in ``cols``
-            return np.bincount(rows, (v[:, None] * _SIGNS).ravel(), n_edges)
+            return np.bincount(rows, np.repeat(v, 4) * signs, n_edges)
 
         def apply(x):
             u = x[:n_edges][cols] @ _SIGNS  # M^T x
