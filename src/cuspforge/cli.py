@@ -148,15 +148,9 @@ def cmd_solve(args, built, timer):
                  and "invalid" not in classes
                  and all(abs(m) <= tol for _, m, _ in cert.margins))
     results = {
-        "status": res.status,
-        "volume": res.volume,
-        "volume_upper": res.volume_upper,
+        **vars(res),
         "gap": res.volume_upper - res.volume,
-        "point": res.point,
         "ordering": polytope.ORDERING_CONVENTION,
-        "iterations": res.iterations,
-        "inner_iterations": res.inner_iterations,
-        "kkt_residual": res.kkt_residual,
         "flat_tets": [t for t, c in enumerate(classes) if c == "flat"],
         "active_set": sorted(membership.flat),
         "tetrahedra": classes,
@@ -227,8 +221,7 @@ def cmd_segment(args, built, timer):
         results = {
             "derivative_limit": None if limit == math.inf else limit,
             "t": t,
-            "volume": 0.5 * lobachevsky.lobachevsky(
-                polytope.segment(p, q, t)).sum(axis=1),
+            "volume": lobachevsky.volume(polytope.segment(p, q, t)),
             "derivative": lobachevsky.segment_derivative(p, q, t),
         }
     return results, EXIT_OK

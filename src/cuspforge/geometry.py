@@ -21,7 +21,6 @@ entropy inequality at flat points.
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
@@ -73,7 +72,7 @@ class Tetrahedra:
     at a finite vertex of a vertical face.
     """
 
-    def __init__(self, angles, decorations=None):
+    def __init__(self, angles, decorations):
         angles = np.array(angles, dtype=float, ndmin=2)
         if angles.ndim != 2 or angles.shape[1] != 3:
             raise ValueError("need three dihedral angles per tetrahedron")
@@ -85,8 +84,6 @@ class Tetrahedra:
             raise ValueError("dihedral angles must sum to pi (off by %g)"
                              % off)
         k = len(angles)
-        if decorations is None:
-            decorations = np.ones((k, 4))
         decorations = np.array(decorations, dtype=float, ndmin=2)
         if decorations.shape != (k, 4):
             raise ValueError("need exactly four decoration parameters")
@@ -153,7 +150,7 @@ def random_tetrahedra(rng, k):
     return Tetrahedra(angles, np.exp(logs))
 
 
-def suite(rng, samples, phase=contextlib.nullcontext):
+def suite(rng, samples, phase):
     """The worst case of each sampled identity, keyed as the ``lemmas``
     report's ``worst``.
 

@@ -12,8 +12,8 @@ over all slots; derivatives along segments use the difference vector
 a = q - p with the 0*log(0) convention, and the one-sided limit at a
 boundary point is a smooth sum plus an entropy sum, over the slots that
 ``polytope.at_bound``, the one at-bound rule, puts at 0 or pi.  The
-derivative helpers and the entropy inequality take a batch and return an
-array, or a float for one input.
+volume, the derivative helpers and the entropy inequality take a batch and
+return an array, or a float for one input.
 """
 
 from __future__ import annotations
@@ -126,8 +126,10 @@ def lobachevsky(theta):
 
 
 def volume(x):
-    """Volume of an angle vector: half the sum of Lobachevsky values."""
-    return 0.5 * float(_lobachevsky(np.asarray(x, dtype=float)).sum())
+    """Volume of an angle vector, half the sum of its Lobachevsky values: a
+    float for one vector, an array for the rows of a (k, m) batch."""
+    value = 0.5 * _lobachevsky(np.asarray(x, dtype=float)).sum(axis=-1)
+    return value if np.ndim(x) > 1 else float(value)
 
 
 def volume_gradient(x):

@@ -221,7 +221,7 @@ class _Face:
         else:  # every tetrahedron curved
             ang = _triangle(w)
         # each angle sits on two slots, so V is twice lob.volume
-        half = lob.volume(ang)
+        half = lob.volume(ang.ravel())
         return (ang, 2.0 * (np.pi * y.sum() + half) - np.vdot(w, ang),
                 2.0 * half)
 
@@ -636,7 +636,7 @@ def dominance_check(sys, p, n_samples, seed=0):
     vp = lob.volume(p)
     samples = polytope.sample_closure_points(
         sys, rng, n_samples, polytope.to_slots(minimal_face(sys)[1]))
-    gaps = vp - 0.5 * lob.lobachevsky(samples).sum(axis=1)
+    gaps = vp - lob.volume(samples)
     far = np.max(np.abs(samples - p), axis=1) > _STRICT_DISTANCE
     limits = lob.boundary_derivative_limit(p, samples)
     failed = (np.where(far, gaps <= 0.0, gaps < -_NEAR_GAP)

@@ -26,8 +26,10 @@ ORDERING_CONVENTION = "tet-lex;edges=01,02,03,12,13,23"
 # (``at_bound``); a point is on the equalities, and in the box, within it.
 BOUNDARY_TOL = 1e-8
 
-# The sampler treats a direction, or an entry of one, below this as zero.
+# The sampler treats a direction, or an entry of one, below this as zero,
+# and sends this share of its rays all the way to the box.
 _SAMPLE_ZERO = 1e-15
+_BOUNDARY_FRACTION = 0.25
 
 
 def to_slots(theta):
@@ -211,11 +213,10 @@ def segment(p, q, t):
     return (1.0 - t) * np.asarray(p, dtype=float) + t * np.asarray(q, float)
 
 
-def sample_closure_points(sys, rng, n_samples, start,
-                          boundary_fraction=0.25):
+def sample_closure_points(sys, rng, n_samples, start):
     """Random slot vectors of the closure: random rays from the closure point
     ``start`` scaled to a uniform fraction of the distance to the box; a
-    ``boundary_fraction`` share goes all the way to the boundary.  Rays keep
+    ``_BOUNDARY_FRACTION`` share goes all the way to the boundary.  Rays keep
     the angles of ``start`` that are at a bound (``at_bound``), so from a
     boundary point they sweep the face it lies in instead of stopping at
     once.  Their directions are Gaussian on the null space of the free
@@ -244,7 +245,7 @@ def sample_closure_points(sys, rng, n_samples, start,
         reach = np.where(d < -_SAMPLE_ZERO, -theta / d, reach)
     # the largest alpha with theta + alpha d inside the box, 0 when d = 0
     alpha = np.where(zero, 0.0, np.min(reach, axis=0, initial=np.inf))
-    to_box = rng.uniform(size=n_samples) < boundary_fraction
+    to_box = rng.uniform(size=n_samples) < _BOUNDARY_FRACTION
     t = np.where(to_box, alpha, alpha * rng.uniform(size=n_samples))
     return to_slots((theta + t * d).T).reshape(n_samples, sys.dim)
 
@@ -252,18 +253,11 @@ def sample_closure_points(sys, rng, n_samples, start,
 # ---------------------------------------------------------------------------
 # Serialization
 
-def angles_to_json(x):
-    """JSON array of coordinates in the deterministic incidence order."""
-    return json.dumps({
-        "ordering": ORDERING_CONVENTION,
-        "angles": [float(v) for v in np.asarray(x, dtype=float)],
-    }, indent=2) + "\n"
-
-
-def angles_from_json(text, expected_size=None):
-    """Angle vector from ``angles_to_json`` output or a bare JSON array;
-    ValueError on anything else, an ``ordering`` other than
-    ``ORDERING_CONVENTION`` included."""
+def angles_from_json(text, expected_size):
+    """Angle vector of ``expected_size`` slots from an object
+    ``{"ordering": ORDERING_CONVENTION, "angles": [...]}``, whose ordering
+    may be left out, or from a bare JSON array; ValueError on anything else,
+    another ``ordering`` or length included."""
     flat_finite = "angle vector must be a flat array of finite numbers"
     try:
         data = json.loads(text)
@@ -285,7 +279,7 @@ def angles_from_json(text, expected_size=None):
         raise ValueError(flat_finite) from None
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise ValueError(flat_finite)
-    if expected_size is not None and x.size != expected_size:
+    if x.size != expected_size:
         raise ValueError("angle vector has length %d, expected %d"
                          % (x.size, expected_size))
     return x

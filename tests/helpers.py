@@ -11,6 +11,7 @@ and the Newton step.  The sampled checks, which score all their samples in
 one array pass, are checked against per-sample loops over the same draws.
 """
 
+import json
 import math
 import warnings
 from itertools import combinations, product
@@ -22,6 +23,14 @@ from scipy.optimize import linprog
 
 from cuspforge import lobachevsky, optimizer, polytope
 from cuspforge.triangulation import PERMS
+
+
+def angles_text(x):
+    """Slot vector ``x`` as the text of an angle file: the documented object
+    with the ordering and the angles, which ``polytope.angles_from_json``
+    reads."""
+    return json.dumps({"ordering": polytope.ORDERING_CONVENTION,
+                       "angles": [float(v) for v in x]})
 
 
 def lobachevsky_quadrature(theta):

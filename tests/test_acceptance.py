@@ -93,14 +93,15 @@ def test_criterion_05_dominance(capsys, fig8_sys, fig8_optimum):
          % (rep.worst_gap, rep.worst_directional))
 
 
-def test_criterion_06_derivative_consistency(capsys, fig8_sys,
-                                             fig8_face_point):
+def test_criterion_06_derivative_consistency(capsys, monkeypatch,
+                                             fig8_sys, fig8_face_point):
+    # no ray goes all the way to the box
+    monkeypatch.setattr(polytope, "_BOUNDARY_FRACTION", 0.0)
     rng = np.random.default_rng(106)
     h = 1e-6
     worst_rel = 0.0
     center = polytope.interior_point(fig8_sys)[0]
-    pts = polytope.sample_closure_points(fig8_sys, rng, 200, start=center,
-                                         boundary_fraction=0.0)
+    pts = polytope.sample_closure_points(fig8_sys, rng, 200, start=center)
     for p, q in zip(pts[::2], pts[1::2]):
         # shrink toward the interior point so t +- h stays interior
         p = center + 0.9 * (p - center)
@@ -114,8 +115,7 @@ def test_criterion_06_derivative_consistency(capsys, fig8_sys,
     face = fig8_face_point
     assert polytope.classify_membership(fig8_sys, face).flat == set(range(6))
     worst_lim = 0.0
-    for q in polytope.sample_closure_points(fig8_sys, rng, 10, start=center,
-                                            boundary_fraction=0.0):
+    for q in polytope.sample_closure_points(fig8_sys, rng, 10, start=center):
         limit = lob.boundary_derivative_limit(face, q)
         vals = lob.segment_derivative(face, q, [1e-4, 5e-5, 2.5e-5])
         worst_lim = max(worst_lim, abs(limit - aitken_limit(vals)))
@@ -151,7 +151,8 @@ def test_criterion_09_triangle_inequality(capsys):
     tets = geometry.random_tetrahedra(np.random.default_rng(109), 1000)
     worst = geometry.triangle_slack(tets).min()
     eps = 1e-4
-    thin = geometry.Tetrahedra([eps, eps, math.pi - 2.0 * eps])
+    thin = geometry.Tetrahedra([eps, eps, math.pi - 2.0 * eps],
+                               np.ones(4))
     exps = sorted(np.exp(thin.average[0, :3]))
     ratio = (exps[0] + exps[1]) / exps[2]
     ok = worst >= -1e-12 and 1.0 <= ratio <= 1.001

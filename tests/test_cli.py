@@ -14,6 +14,7 @@ from cuspforge import cli, optimizer, polytope, triangulation
 
 from conftest import (DATA_DIR, GEO4_TEXT, V8, property_chain, run_cli,
                       validate_schema)
+from helpers import angles_text
 
 # the benchmark's cover builder, perfbench/covers.py
 sys.path.append(os.path.join(DATA_DIR, os.pardir, "perfbench"))
@@ -23,7 +24,7 @@ import covers  # noqa: E402
 @pytest.fixture()
 def center_angles_path(tmp_path, fig8_center):
     path = tmp_path / "center.json"
-    path.write_text(polytope.angles_to_json(fig8_center))
+    path.write_text(angles_text(fig8_center))
     return str(path)
 
 
@@ -269,7 +270,7 @@ def test_capped_solve_reports_the_slots_at_a_bound(capsys, request, tmp_path,
     flat_slots = {6 * t + k for t in res["flat_tets"] for k in range(6)}
     assert flat_slots <= set(res["active_set"])
     angles = tmp_path / "point.json"
-    angles.write_text(polytope.angles_to_json(res["point"]))
+    angles.write_text(angles_text(res["point"]))
     volume = run_cli(capsys, "volume", path, str(angles))[1]["results"]
     assert volume["membership"] == "infeasible"
     assert volume["flat_slots"] == res["active_set"]
@@ -486,7 +487,7 @@ def test_certify_seed_is_recorded_but_inert(capsys, tmp_path, fig8_path,
                                             fig8_face_point):
     # certify draws no samples, at a boundary point neither
     path = tmp_path / "face.json"
-    path.write_text(polytope.angles_to_json(fig8_face_point))
+    path.write_text(angles_text(fig8_face_point))
     reports = [run_cli(capsys, "certify", fig8_path, str(path),
                        "--seed", seed)[1] for seed in ("1", "2")]
     assert [r["seed"] for r in reports] == [1, 2]
@@ -544,20 +545,22 @@ def test_lambda_command(capsys):
     assert abs(report["results"]["lambda"] - 0.50747080320482681) < 1e-14
 
 
-def test_segment_report(capsys, fig8_path, tmp_path, fig8_sys, fig8_center):
+def test_segment_report(capsys, monkeypatch, fig8_path, tmp_path, fig8_sys,
+                        fig8_center):
     # from the centre toward a closure point drawn from the LP's point, and
     # from the maximizer that solve reports toward one drawn from it
     maximizer = run_cli(capsys, "solve", fig8_path)[1]["results"]["point"]
+    # no ray goes all the way to the box
+    monkeypatch.setattr(polytope, "_BOUNDARY_FRACTION", 0.0)
     p_path = tmp_path / "p.json"
     q_path = tmp_path / "q.json"
     for p, seed, start, n in [
             (fig8_center, 40, polytope.interior_point(fig8_sys)[0], 10),
             (maximizer, 1, maximizer, 5)]:
         q = polytope.sample_closure_points(
-            fig8_sys, np.random.default_rng(seed), 1, start=start,
-            boundary_fraction=0.0)[0]
-        p_path.write_text(polytope.angles_to_json(p))
-        q_path.write_text(polytope.angles_to_json(q))
+            fig8_sys, np.random.default_rng(seed), 1, start=start)[0]
+        p_path.write_text(angles_text(p))
+        q_path.write_text(angles_text(q))
         report = run_cli(capsys, "segment", fig8_path, p_path, q_path,
                          "--samples", n)[1]
         assert report["command"] == "segment"
@@ -578,8 +581,8 @@ def test_segment_rejects_infeasible_endpoint(capsys, fig8_path, tmp_path,
     bad[0] += 0.5
     p_path = tmp_path / "p.json"
     q_path = tmp_path / "q.json"
-    p_path.write_text(polytope.angles_to_json(bad))
-    q_path.write_text(polytope.angles_to_json(fig8_center))
+    p_path.write_text(angles_text(bad))
+    q_path.write_text(angles_text(fig8_center))
     assert run_cli(capsys, "segment", fig8_path, p_path, q_path) == (
         cli.EXIT_PARSE, "error: p is not in the closure (violation 0.5)\n")
 
@@ -590,7 +593,7 @@ def test_a_limit_at_a_lone_zero_angle_is_null(capsys, fig8_path, tmp_path,
     # the segment to the centre and dominate's samples open the zero angle:
     # the one-sided limit is +inf, which the reports give as null
     p_path = tmp_path / "p.json"
-    p_path.write_text(polytope.angles_to_json(polytope.to_slots(
+    p_path.write_text(angles_text(polytope.to_slots(
         [0.0, 0.75 * np.pi, 0.25 * np.pi, 0.25 * np.pi, 0.25 * np.pi,
          0.5 * np.pi])))
     res = run_cli(capsys, "segment", fig8_path, p_path, center_angles_path,
@@ -903,21 +906,22 @@ def test_lambda_bound(capsys):
             "error: |theta| must be at most 512, got %r\n" % theta)
 
 
-def test_cli_import_does_not_load_scipy(tmp_path, fig8_path, fig8_sys,
-                                       fig8_center, flatten3_path):
+def test_cli_import_does_not_load_scipy(monkeypatch, tmp_path, fig8_path,
+                                       fig8_sys, fig8_center, flatten3_path):
     # the commands that never solve an LP start and run without scipy,
     # whose import would dominate their run time; so do solve, with one
     # start or several, and dominate when the closure has interior: Newton
     # from the centre of the box toward the analytic centre then finds the
     # minimal face with no LP, also on flatten3, whose maximizer has
     # tetrahedron 3 flat
+    # no ray goes all the way to the box
+    monkeypatch.setattr(polytope, "_BOUNDARY_FRACTION", 0.0)
     rng = np.random.default_rng(41)
     q = polytope.sample_closure_points(
-        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys)[0],
-        boundary_fraction=0.0)[0]
+        fig8_sys, rng, 1, start=polytope.interior_point(fig8_sys)[0])[0]
     p_path, q_path = tmp_path / "p.json", tmp_path / "q.json"
-    p_path.write_text(polytope.angles_to_json(fig8_center))
-    q_path.write_text(polytope.angles_to_json(q))
+    p_path.write_text(angles_text(fig8_center))
+    q_path.write_text(angles_text(q))
     commands = [
         ["lambda", "1.0"],
         ["check", fig8_path],

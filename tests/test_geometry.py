@@ -14,14 +14,17 @@ from cuspforge.triangulation import PAIR_OF, VERTEX_PAIRS
 from helpers import (decorated_edge_length_oracle, entropy_reference,
                      halfspace_distance)
 
+# unit decorations of one tetrahedron
+UNIT = [1.0, 1.0, 1.0, 1.0]
+
 
 def test_construction_validates_angles():
     with pytest.raises(ValueError, match="positive"):
-        geometry.Tetrahedra([-0.1, 1.0, math.pi - 0.9])
+        geometry.Tetrahedra([-0.1, 1.0, math.pi - 0.9], UNIT)
     with pytest.raises(ValueError, match="sum"):
-        geometry.Tetrahedra([1.0, 1.0, 1.0])
+        geometry.Tetrahedra([1.0, 1.0, 1.0], UNIT)
     with pytest.raises(ValueError, match="three"):
-        geometry.Tetrahedra([[1.0, 1.0, math.pi - 2.0, 0.0]])
+        geometry.Tetrahedra([[1.0, 1.0, math.pi - 2.0, 0.0]], UNIT)
 
 
 def test_angle_reextraction_roundtrip():
@@ -35,7 +38,7 @@ def test_angle_reextraction_roundtrip():
 
 
 def test_opposite_edges_carry_equal_angles():
-    tets = geometry.Tetrahedra([0.7, 1.1, math.pi - 1.8])
+    tets = geometry.Tetrahedra([0.7, 1.1, math.pi - 1.8], UNIT)
     theta = tets.angles[:, PAIR_OF]
     for k in range(6):
         assert set(VERTEX_PAIRS[k]).isdisjoint(VERTEX_PAIRS[5 - k])
@@ -125,7 +128,7 @@ def test_length_identity_decoration_invariant():
 
 def test_length_identity_rejects_near_flat():
     tets = geometry.Tetrahedra([[1.0, 1.0, math.pi - 2.0],
-                                [1e-8, 1e-8, math.pi - 2e-8]])
+                                [1e-8, 1e-8, math.pi - 2e-8]], [UNIT, UNIT])
     with pytest.raises(ValueError, match="flat"):
         geometry.length_identity(tets)
 
@@ -148,7 +151,7 @@ def test_triangle_inequality_all_vertices():
 
 def test_triangle_inequality_degenerate_family():
     eps = 1e-4
-    tets = geometry.Tetrahedra([eps, eps, math.pi - 2.0 * eps])
+    tets = geometry.Tetrahedra([eps, eps, math.pi - 2.0 * eps], UNIT)
     exps = sorted(np.exp(tets.average[0, :3]))
     ratio = (exps[0] + exps[1]) / exps[2]
     assert 1.0 <= ratio <= 1.001
@@ -201,7 +204,7 @@ def test_suite_does_not_depend_on_block_boundaries(seed):
     # the suite draws exactly what one tetrahedron at a time draws
     samples = geometry._BLOCK + 1
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    worst = geometry.suite(rng, samples)
+    worst = geometry.suite(rng, samples, contextlib.nullcontext)
     ref = _one_at_a_time(ref_rng, samples)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert worst.keys() == ref.keys()
@@ -232,7 +235,8 @@ def test_suite_memory_does_not_grow_with_samples():
     def peak(blocks):
         tracemalloc.start()
         try:
-            geometry.suite(np.random.default_rng(0), blocks * geometry._BLOCK)
+            geometry.suite(np.random.default_rng(0), blocks * geometry._BLOCK,
+                           contextlib.nullcontext)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

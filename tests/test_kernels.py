@@ -39,6 +39,16 @@ def test_volume_half_sum_matches_direct_sum():
     assert lob.volume(x) == 0.5 * float(np.sum(lob.lobachevsky(x)))
 
 
+def test_volume_of_a_batch_is_one_per_row():
+    # a float for one vector, and for a stacked batch each row's volume, to
+    # the bit
+    rows = np.random.default_rng(10).uniform(0.0, np.pi, size=(5, 24))
+    assert isinstance(lob.volume(rows[0]), float)
+    batch = lob.volume(rows)
+    assert batch.shape == (5,)
+    assert batch.tolist() == [lob.volume(x) for x in rows]
+
+
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64),
@@ -100,7 +110,7 @@ def dual_rows(face, y, p):
         ang[face.linear, face.p], ang[face.linear, face.q] = p, np.pi - p
     else:
         ang = triangle_rows(w)
-    half = lob.volume(ang)
+    half = lob.volume(ang.ravel())
     return ang, 2.0 * (np.pi * y.sum() + half) - np.vdot(w, ang), 2.0 * half
 
 

@@ -102,11 +102,12 @@ def test_volume_gradient_diverges_at_bounds():
     assert abs(g[2] + 0.5 * np.log(2.0)) < 1e-15
 
 
-def test_segment_derivative_matches_finite_differences(fig8_sys):
+def test_segment_derivative_matches_finite_differences(monkeypatch, fig8_sys):
+    # no ray goes all the way to the box
+    monkeypatch.setattr(polytope, "_BOUNDARY_FRACTION", 0.0)
     rng = np.random.default_rng(3)
     pts = polytope.sample_closure_points(
-        fig8_sys, rng, 8, start=polytope.interior_point(fig8_sys)[0],
-        boundary_fraction=0.0)
+        fig8_sys, rng, 8, start=polytope.interior_point(fig8_sys)[0])
     h = 1e-6
     for p, q in zip(pts[::2], pts[1::2]):
         for t in (0.25, 0.5, 0.75):
@@ -149,11 +150,13 @@ def test_segment_derivative_of_a_t_array_is_one_per_t(fig8_sys):
         lob.segment_derivative(p, q, np.array([0.5, 1.0]))
 
 
-def test_boundary_limit_interior_case_is_directional_derivative(fig8_sys):
+def test_boundary_limit_interior_case_is_directional_derivative(monkeypatch,
+                                                                fig8_sys):
+    # no ray goes all the way to the box
+    monkeypatch.setattr(polytope, "_BOUNDARY_FRACTION", 0.0)
     rng = np.random.default_rng(5)
     p, q = polytope.sample_closure_points(
-        fig8_sys, rng, 2, start=polytope.interior_point(fig8_sys)[0],
-        boundary_fraction=0.0)
+        fig8_sys, rng, 2, start=polytope.interior_point(fig8_sys)[0])
     assert not polytope.at_bound(p).any()
     limit = lob.boundary_derivative_limit(p, q)
     # no slot is at a bound: the smooth sum alone, the derivative at p

@@ -221,9 +221,13 @@ def certify_points(sys_):
     res = optimizer.maximize_volume(sys_)
     assert res.status == "converged"
     origin = polytope.interior_point(sys_)[0]
-    inner, outer = (polytope.sample_closure_points(
-        sys_, rng, 1, start=origin, boundary_fraction=fraction)[0]
-        for fraction in (0.0, 1.0))
+    points = []
+    for fraction in (0.0, 1.0):  # no ray to the box, then every ray
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polytope, "_BOUNDARY_FRACTION", fraction)
+            points.append(polytope.sample_closure_points(
+                sys_, rng, 1, start=origin)[0])
+    inner, outer = points
     return {"maximizer": res.point, "interior": inner, "boundary": outer}
 
 
@@ -405,6 +409,28 @@ def test_margin_is_the_entropy_inequality_maximum(case, fig8_sys,
                                              fitted[c])) < 1e-8
 
 
+def test_certify_rejects_a_flat_margin_just_below_zero():
+    # flatten3's maximizer has tetrahedron 3 flat at margin 0.  A sample
+    # drawn from it keeps that tetrahedron flat, and a step of 1e-4 toward
+    # one moves the margin to about -5e-6, between _SIGN_TOL (1e-8) and
+    # 1e-4: tetrahedron 3 is the only one at a bound, and its margin is the
+    # only sign condition that fails
+    sys_ = polytope.build_constraints(
+        triangulation.incidence(load_data("flatten3")))
+    res = optimizer.maximize_volume(sys_)
+    q = polytope.sample_closure_points(sys_, np.random.default_rng(0), 1,
+                                       res.point)[0]
+    p = polytope.segment(res.point, q, 1e-4)
+    membership = polytope.classify_membership(sys_, p)
+    assert membership.flat == set(range(18, 24))
+    assert membership.tetrahedra == ("positive",) * 3 + ("flat", "positive")
+    cert = optimizer.certify(sys_, p)
+    [(tet, margin, face_fixed)] = cert.margins
+    assert tet == 3 and not face_fixed
+    assert -1e-4 < margin < -1e-8
+    assert not cert.signs_ok
+
+
 def test_uniqueness_probe(fig8_sys):
     rep = optimizer.uniqueness_probe(fig8_sys, 6, seed=1)
     assert len(rep.volumes) == 6
@@ -491,15 +517,17 @@ def test_dominance_matches_the_per_sample_loop(degenerate4_sys, n_samples,
 
 def test_dominance_scores_all_samples_in_one_call(fig8_sys, fig8_optimum,
                                                  monkeypatch):
+    # the volume of p, then of the whole batch, then every limit at once
     calls = []
-    for name in ("lobachevsky", "boundary_derivative_limit"):
+    for name in ("volume", "boundary_derivative_limit"):
         def counted(*args, _name=name, _fn=getattr(lob, name)):
-            calls.append(_name)
+            calls.append((_name, np.shape(args[-1])))
             return _fn(*args)
 
         monkeypatch.setattr(lob, name, counted)
     optimizer.dominance_check(fig8_sys, fig8_optimum.point, 200, seed=2)
-    assert sorted(calls) == ["boundary_derivative_limit", "lobachevsky"]
+    assert calls == [("volume", (12,)), ("volume", (200, 12)),
+                     ("boundary_derivative_limit", (200, 12))]
 
 
 # Seeds whose probe on GEO4_TEXT left a start of the old primal ascent
@@ -569,6 +597,21 @@ def test_iteration_cap_status(fig8_sys):
     assert run.status == "thin"
     res = optimizer.maximize_volume(sys_, max_iter=run.iterations)
     assert (res.status, res.iterations) == ("iteration-cap", run.iterations)
+
+
+def test_a_small_residual_with_a_large_gap_is_not_converged(fig8):
+    # chain 69's iterate 14 has KKT residual 8.3e-3 and |gap| = |y . error|
+    # at 4.9e-2 of |D|, iterate 18 residual 2.9e-3 and |gap| 2.4e-2, and no
+    # earlier iterate has both below 1e-2.  At tol 1e-2 a run capped at 18
+    # has not converged: the residual alone does not end a run
+    sys_ = polytope.build_constraints(triangulation.incidence(
+        property_chain(fig8, 69)))
+    tol = 1e-2
+    res = optimizer.maximize_volume(sys_, tol=tol, max_iter=18)
+    assert res.kkt_residual < tol
+    gap = res.volume_upper - res.volume  # y . error, here negative
+    assert abs(gap) > tol * max(1.0, abs(res.volume_upper))
+    assert (res.status, res.iterations) == ("iteration-cap", 18)
 
 
 def test_degenerate4_boundary_maximizer(degenerate4_sys):

@@ -10,8 +10,8 @@ from scipy.linalg import null_space
 from cuspforge import optimizer, polytope, triangulation
 
 from conftest import flat_point, load_data, movable_chain, property_chain
-from helpers import (angle_matrix, fixed_slots, interior_status,
-                     null_directions, slot_system)
+from helpers import (angle_matrix, angles_text, fixed_slots,
+                     interior_status, null_directions, slot_system)
 
 
 def test_constraint_shapes_and_rhs(fig8_sys):
@@ -246,7 +246,7 @@ def test_sample_closure_points_feasible(fig8_sys, fig8_tol_point):
         assert np.all(x >= -1e-12) and np.all(x <= np.pi + 1e-12)
         if np.min(np.minimum(x, np.pi - x)) < 1e-9:
             hit_boundary += 1
-    assert hit_boundary > 10  # boundary_fraction actually reaches faces
+    assert hit_boundary > 10  # the boundary share actually reaches faces
     # from a point with an angle exactly BOUNDARY_TOL, which is not at a
     # bound, the rays move that angle too
     pts = polytope.sample_closure_points(fig8_sys, rng, 8, fig8_tol_point)
@@ -255,30 +255,29 @@ def test_sample_closure_points_feasible(fig8_sys, fig8_tol_point):
 
 def test_angles_json_roundtrip():
     x = np.linspace(0.1, 3.0, 12)
-    text = polytope.angles_to_json(x)
-    back = polytope.angles_from_json(text, expected_size=12)
+    back = polytope.angles_from_json(angles_text(x), 12)
     np.testing.assert_allclose(back, x, atol=0.0)
 
 
 def test_angles_json_accepts_bare_array():
-    back = polytope.angles_from_json("[1.0, 2.0]")
+    back = polytope.angles_from_json("[1.0, 2.0]", 2)
     np.testing.assert_allclose(back, [1.0, 2.0])
 
 
 def test_angles_json_rejects_bad_input():
     with pytest.raises(ValueError):
-        polytope.angles_from_json("[1.0, 2.0]", expected_size=3)
+        polytope.angles_from_json("[1.0, 2.0]", 3)
     with pytest.raises(ValueError):
-        polytope.angles_from_json('{"angles": [1.0, "NaN"]}')
+        polytope.angles_from_json('{"angles": [1.0, "NaN"]}', 2)
     # deeper than the JSON decoder recurses
     for text in ("[" * 100000, '{"angles": ' + "[" * 100000 + "1"
                  + "]" * 100000 + "}"):
         with pytest.raises(ValueError, match="flat array of finite"):
-            polytope.angles_from_json(text)
+            polytope.angles_from_json(text, 1)
     # another slot order; without the key the convention is assumed
     other = "tet-lex;edges=23,13,12,03,02,01"
     with pytest.raises(ValueError, match="ordering"):
         polytope.angles_from_json(json.dumps({"ordering": other,
-                                              "angles": [1.0]}))
-    assert polytope.angles_from_json('{"angles": [1.0]}').tolist() == [1.0]
+                                              "angles": [1.0]}), 1)
+    assert polytope.angles_from_json('{"angles": [1.0]}', 1).tolist() == [1.0]
 
