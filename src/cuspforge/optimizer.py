@@ -206,7 +206,7 @@ class _Face:
         self.pairs = self.ends[self.curved][:, _PAIRS].reshape(-1, 3, 4)
         self.all_cols = np.concatenate([self.pairs.reshape(-1, 4), self.cols])
 
-    def dual(self, y, p=0.0):
+    def dual(self, y, p):
         """The angles theta*(y) as rows (A, B, C), with the linear
         tetrahedra at (0, p, pi - p), the Lagrangian there: D(y) where
         w_p = w_q, or where the face has no linear tetrahedra, and the
@@ -238,14 +238,15 @@ class _Face:
                                          self.b_edge.size)
 
     def step(self, ang, rhs, shift, stop, barrier=False):
-        """Newton direction dy of the dual at angles ``ang`` = theta*(y), and
-        in an angle array the change of p on each linear tetrahedron.
+        """Newton direction dy of the dual at angles ``ang`` = theta*(y), in
+        an angle array the change of p on each linear tetrahedron, and the
+        MINRES step count.
 
         With M_c the edge rows' columns of A - C and B - C of the curved
         tetrahedra that ang does not flatten, H their volume Hessians in
         (A, B) and M_z the linear columns, (dy, dp) solves
         [[M_c H^-1 M_c^T - shift, M_z], [M_z^T, 0]] (dy, dp) = rhs by
-        ``_minres`` to the residual ``stop``; ``inner`` records its steps.
+        ``_minres`` to the residual ``stop``, in the returned step count.
         ``rhs`` holds the edge error, then the drift w_q - w_p of each linear
         tetrahedron, which a full step takes out.  Flat tetrahedra add
         nothing: D is linear where theta* is flat.  The angles change by
@@ -300,13 +301,13 @@ class _Face:
         if barrier:  # on a face with no linear tetrahedra
             g = (1.0 / a - 1.0 / a[:, [1, 2, 0]]).ravel()  # of 1/theta
             rhs = rhs + scatter(kappa * g)
-        sol, self.inner = _minres(apply, rhs, stop)
+        sol, inner = _minres(apply, rhs, stop)
         d = np.zeros(ang.shape)
         d[self.linear, self.p] = sol[n_edges:]
         if barrier:
             t = (kappa * (sol[cols[:m]] @ _SIGNS - g)).reshape(-1, 3)
             d[c] = t - t[:, _OFF]
-        return sol[:n_edges], d
+        return sol[:n_edges], d, inner
 
 
 def _minres(apply, rhs, stop):
@@ -410,9 +411,9 @@ def _descend(face, y, tol, max_iter, thin=False):
         if iters >= max_iter:
             return run if ok else run._replace(status="iteration-cap")
         best = min(best, residual)
-        dy, d = face.step(ang, kkt, min(0.5, residual),
-                          max(min(0.1, residual) * residual, floor))
-        inner += face.inner
+        dy, d, steps = face.step(ang, kkt, min(0.5, residual),
+                                 max(min(0.1, residual) * residual, floor))
+        inner += steps
         slope = float(error @ dy)
         if face.linear.size:  # the Lagrangian at the new p
             dp = d[face.linear, face.p]
@@ -454,7 +455,7 @@ def minimal_face(sys):
     ang = np.full(face.free.shape, np.pi / 3.0)
     stop = _RELATIVE_STOP * np.linalg.norm(face.b_edge)
     for _ in range(_CENTRE_STEPS):
-        _, d = face.step(ang, face.error(ang), 0.0, stop, barrier=True)
+        _, d, _ = face.step(ang, face.error(ang), 0.0, stop, barrier=True)
         alpha = min(1.0, _TO_BOUNDARY * np.min(-ang[d < 0.0] / d[d < 0.0],
                                                initial=np.inf))
         ang = ang + alpha * d
@@ -516,12 +517,12 @@ def maximize_volume(sys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     run = runs[-1]
     x, volume = polytope.to_slots(run.ang), run.volume
     # D on the first face is V + y . error, and on each of its linear
-    # tetrahedra pi max(drift, 0) - p drift with the drift w_q - w_p
-    upper = volume + run.y @ first.error(run.ang)
-    if first.linear.size:
-        drift = run.y[first.cols] @ -_SIGNS
-        upper += np.sum(np.pi * np.maximum(drift, 0)
-                        - run.ang[first.linear, first.p] * drift)
+    # tetrahedra pi max(drift, 0) - p drift with the drift w_q - w_p: the
+    # two parts of the KKT residual
+    kkt = first.kkt(run.y, run.ang)
+    drift = kkt[first.b_edge.size:]
+    upper = volume + run.y @ kkt[:first.b_edge.size] + np.sum(
+        np.pi * np.maximum(drift, 0) - run.ang[first.linear, first.p] * drift)
     return OptimizationResult(
         x, volume, run.status, run.residual,
         sum(r.iterations for r in runs), sum(r.inner for r in runs),

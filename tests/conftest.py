@@ -1,5 +1,4 @@
 import functools
-import itertools
 import json
 import os
 import random
@@ -10,10 +9,14 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+# the benchmark's combinatorics, perfbench/covers.py
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir,
+                             "perfbench"))
 
 from cuspforge import cli, optimizer, polytope, triangulation  # noqa: E402
 
-from helpers import face_lists  # noqa: E402
+import covers  # noqa: E402
+from helpers import gluings_of  # noqa: E402
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -79,8 +82,10 @@ SELF_GLUED_TEXT = "tri 1\ntets 1\n" + "".join(
 
 
 # A geometric four-tetrahedron triangulation of the figure-eight knot
-# complement, in a labeling on which the ascent from the LP's point took
-# four more steps than on most others.
+# complement: the benchmark's covers.GEO4_TEXT relabeled by covers.relabel
+# with random.Random(108), written out so that it stays fixed.  It was kept
+# as a labeling on which a solver since removed took more steps than on
+# most others.
 GEO4_TEXT = "tri 1\ntets 4\n" + "".join(
     "glue %s\n" % g for g in (
         "0 0 2 2130", "0 1 1 1320", "0 2 3 3210", "0 3 1 1032",
@@ -255,11 +260,10 @@ def property_chain(fig8, seed):
 def from_gluings(n_tets, gluings):
     """The triangulation of ``n_tets`` tetrahedra with ``gluings``, a dict
     (t, f) -> (target tet, permutation as a sequence), through its .tri text
-    and ``parse_triangulation``, which validates it."""
-    return triangulation.parse_triangulation(
-        "tri 1\ntets %d\n" % n_tets + "".join(
-            "glue %d %d %d %s\n" % (t, f, t2, "".join(map(str, perm)))
-            for (t, f), (t2, perm) in sorted(gluings.items())))
+    (``covers.format_tri``) and ``parse_triangulation``, which validates
+    it."""
+    return triangulation.parse_triangulation(covers.format_tri(n_tets,
+                                                               gluings))
 
 
 def random_gluing(rng, n_tets):
@@ -277,37 +281,15 @@ def random_gluing(rng, n_tets):
 
 def relabel(tri, rng):
     """``tri`` with its tetrahedra permuted and the vertices of each one
-    relabeled, both drawn by ``rng``."""
-    order = rng.sample(range(tri.n_tets), tri.n_tets)
-    sigma = [rng.sample(range(4), 4) for _ in range(tri.n_tets)]
-    targets, perms = face_lists(tri)
-    gluings = {}
-    for t, f in itertools.product(range(tri.n_tets), range(4)):
-        t2, perm = targets[t][f], perms[t][f]
-        s, s2 = sigma[t], sigma[t2]
-        gluings[(order[t], s[f])] = (
-            order[t2], [s2[perm[s.index(w)]] for w in range(4)])
-    return from_gluings(tri.n_tets, gluings)
+    relabeled, both shuffled by ``rng`` (``covers.relabel``)."""
+    return from_gluings(*covers.relabel(*gluings_of(tri), rng))
 
 
 def cyclic_cover(tri, cocycle, fold):
-    """The ``fold``-fold cyclic cover of ``tri``: sheet k of tetrahedron t is
-    k n + t, and crossing the i-th face pairing (t, f) < (t', f'), in sorted
-    order, moves from sheet k to sheet k + cocycle[i] mod fold (back across
-    it, to k - cocycle[i]).  The cover is unbranched when the cocycle sums
-    to zero around every edge class."""
-    n = tri.n_tets
-    targets, perms = face_lists(tri)
-    faces = list(itertools.product(range(n), range(4)))
-    pairs = sorted(((t, f), (targets[t][f], perms[t][f][f]))
-                   for t, f in faces
-                   if (t, f) < (targets[t][f], perms[t][f][f]))
-    shift = {}
-    for (face, back), c in zip(pairs, cocycle, strict=True):
-        shift[face], shift[back] = c, -c
-    gluings = {}
-    for k in range(fold):
-        for t, f in faces:
-            k2 = (k + shift[(t, f)]) % fold
-            gluings[(k * n + t, f)] = (k2 * n + targets[t][f], perms[t][f])
-    return from_gluings(fold * n, gluings)
+    """The ``fold``-fold cyclic cover of ``tri`` (``covers.cyclic_cover``):
+    sheet k of tetrahedron t is k n + t, and crossing the i-th face pairing
+    (t, f) < (t', f'), in sorted order, moves from sheet k to sheet
+    k + cocycle[i] mod fold (back across it, to k - cocycle[i]).  The cover
+    is unbranched when the cocycle sums to zero around every edge class."""
+    return from_gluings(*covers.cyclic_cover(*gluings_of(tri), cocycle,
+                                             fold))

@@ -1,20 +1,23 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the library code paths it checks:
-quadrature instead of the series kernel, breadth-first orbit enumeration
-instead of the library's array labeller, explicit surface assembly for
-links, point-to-point hyperbolic distances for decorated edge lengths,
-box-bounded linear programs over a slot system built from those orbits and
-the vertex triples for the shape of the angle polytope, and dense
-least-squares solves in angle coordinates for the certificate's multipliers
-and the Newton step.  The sampled checks, which score all their samples in
-one array pass, are checked against per-sample loops over the same draws.
+quadrature instead of the series kernel; breadth-first orbits instead of
+the library's array labeller, with the edge classes and each vertex link's
+Euler characteristic from the benchmark's ``perfbench/covers.py`` (which
+shares no code with the library, reached through ``gluings_of``) and each
+link's orientability from side directions; point-to-point hyperbolic
+distances for decorated edge lengths; box-bounded linear programs over a
+slot system built from those orbits and the vertex triples for the shape
+of the angle polytope; and dense least-squares solves in angle coordinates
+for the certificate's multipliers and the Newton step.  The sampled
+checks, which score all their samples in one array pass, are checked
+against per-sample loops over the same draws.
 """
 
 import json
 import math
 import warnings
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -23,6 +26,8 @@ from scipy.optimize import linprog
 
 from cuspforge import lobachevsky, optimizer, polytope
 from cuspforge.triangulation import PERMS
+
+import covers
 
 
 def angles_text(x):
@@ -43,42 +48,20 @@ def lobachevsky_quadrature(theta):
     return val
 
 
-def face_lists(tri):
-    """The gluings of ``tri`` as nested lists read from its face arrays:
-    face (t, f) is glued to tetrahedron targets[t][f] by the permutation
-    perms[t][f], which carries vertex v to perms[t][f][v]."""
-    return tri.face_tet.tolist(), PERMS[tri.face_perm].tolist()
+def gluings_of(tri):
+    """``tri`` as the gluing data of ``perfbench/covers.py``, read from its
+    face arrays: (n, {(t, f): (t2, perm)}), face (t, f) glued to
+    tetrahedron t2 by the tuple perm, which carries vertex v to perm[v]."""
+    perms = PERMS[tri.face_perm].tolist()
+    return tri.n_tets, {(t, f): (t2, tuple(perms[t][f]))
+                        for t, row in enumerate(tri.face_tet.tolist())
+                        for f, t2 in enumerate(row)}
 
 
-def orbit_edge_classes(tri):
-    """Edge orbits by breadth-first search over the gluing-induced maps."""
-    slots = [(t, p) for t in range(tri.n_tets)
-             for p in combinations(range(4), 2)]
-    neighbors = {s: set() for s in slots}
-    targets, perms = face_lists(tri)
-    for t, f in product(range(tri.n_tets), range(4)):
-        t2, perm = targets[t][f], perms[t][f]
-        verts = [v for v in range(4) if v != f]
-        for a, b in combinations(verts, 2):
-            image = tuple(sorted((perm[a], perm[b])))
-            neighbors[(t, (a, b))].add((t2, image))
-            neighbors[(t2, image)].add((t, (a, b)))
-    seen = set()
-    orbits = []
-    for s in slots:
-        if s in seen:
-            continue
-        frontier = [s]
-        orbit = set()
-        while frontier:
-            cur = frontier.pop()
-            if cur in orbit:
-                continue
-            orbit.add(cur)
-            frontier.extend(neighbors[cur] - orbit)
-        seen |= orbit
-        orbits.append(frozenset(orbit))
-    return orbits
+def edge_orbits(tri):
+    """The edge orbits of ``covers.edge_classes`` as ascending slot lists,
+    in order of their least slots."""
+    return [sorted(o) for o in covers.edge_classes(*gluings_of(tri))]
 
 
 def _orbit(start, nbrs):
@@ -96,11 +79,12 @@ def _orbit(start, nbrs):
 def corner_classes(tri):
     """The vertex classes as sorted lists of corners (t, v), in order of
     their least corners: orbits of the corners across the glued faces."""
-    targets, perms = face_lists(tri)
+    _, gluings = gluings_of(tri)
 
     def neighbors(item):
         t, v = item
-        return [(targets[t][f], perms[t][f][v]) for f in range(4) if f != v]
+        return [(gluings[t, f][0], gluings[t, f][1][v])
+                for f in range(4) if f != v]
 
     seen = set()
     classes = []
@@ -113,27 +97,17 @@ def corner_classes(tri):
 
 
 def assemble_links(tri):
-    """Vertex links by explicit surface assembly.
+    """Vertex links by surface assembly.
 
     Returns a list of (chi, n_triangles, orientable) per vertex class, in
-    order of each class's least corner, computed from scratch: triangles are
-    corners (t, v), edges are glued side pairs, vertices are breadth-first
-    orbits of triangle corners.  Orientability comes from side directions:
-    each triangle is first traversed along its labels u != v in ascending
-    cyclic order, and two triangles glued along a side are compatibly
-    oriented when they traverse that side in opposite directions.
+    order of each class's least corner.  The triangles are the corners
+    (t, v) of the class, and chi is ``covers.cusps``'.  Orientability comes
+    from side directions: each triangle is first traversed along its labels
+    u != v in ascending cyclic order, and two triangles glued along a side
+    are compatibly oriented when they traverse that side in opposite
+    directions.
     """
-    targets, perms = face_lists(tri)
-
-    def corner_neighbors(item):
-        t, v, u = item
-        out = []
-        for f in range(4):
-            if f in (v, u):
-                continue
-            t2, perm = targets[t][f], perms[t][f]
-            out.append((t2, perm[v], perm[u]))
-        return out
+    n, gluings = gluings_of(tri)
 
     def direction(v, x, y):
         """+1 when the side x -> y of a triangle at vertex v follows the
@@ -152,7 +126,7 @@ def assemble_links(tri):
                 if f == v:
                     continue
                 x, y = [u for u in range(4) if u not in (v, f)]
-                t2, perm = targets[t][f], perms[t][f]
+                t2, perm = gluings[t, f]
                 other = (t2, perm[v])
                 want = -orient[(t, v)] * direction(v, x, y) \
                     * direction(perm[v], perm[x], perm[y])
@@ -163,29 +137,8 @@ def assemble_links(tri):
                     return False
         return True
 
-    results = []
-    for group in corner_classes(tri):
-        faces = len(group)
-        sides = set()
-        for t, v in group:
-            for f in range(4):
-                if f == v:
-                    continue
-                t2, perm = targets[t][f], perms[t][f]
-                sides.add(frozenset([(t, v, f), (t2, perm[v], perm[f])]))
-        edges = len(sides)
-        corner_set = {(t, v, u) for t, v in group for u in range(4) if u != v}
-        vertex_orbits = set()
-        done = set()
-        for item in corner_set:
-            if item in done:
-                continue
-            o = _orbit(item, corner_neighbors)
-            done |= o
-            vertex_orbits.add(o)
-        chi = len(vertex_orbits) - edges + faces
-        results.append((chi, faces, oriented(group)))
-    return results
+    return [(chi, len(group), oriented(group)) for chi, group in zip(
+        covers.cusps(n, gluings), corner_classes(tri), strict=True)]
 
 
 def halfspace_distance(p1, p2):
@@ -242,7 +195,7 @@ def slot_system(tri):
     one row per vertex of each tetrahedron, whose three edges sum to pi,
     then one row per edge orbit, whose slots sum to 2 pi."""
     n = tri.n_tets
-    orbits = orbit_edge_classes(tri)
+    orbits = edge_orbits(tri)
     a_eq = np.zeros((4 * n + len(orbits), 6 * n))
     for t in range(n):
         for v in range(4):
@@ -250,8 +203,7 @@ def slot_system(tri):
                 if v in pair:
                     a_eq[4 * t + v, 6 * t + k] = 1.0
     for e, orbit in enumerate(orbits):
-        for t, pair in orbit:
-            a_eq[4 * n + e, 6 * t + PAIRS.index(pair)] = 1.0
+        a_eq[4 * n + e, orbit] = 1.0
     b_eq = np.repeat([np.pi, 2.0 * np.pi], [4 * n, len(orbits)])
     return a_eq, b_eq
 
@@ -305,14 +257,13 @@ def angle_matrix(tri):
     There is one row per tetrahedron, summing its angles, then one per edge
     orbit, where each slot of an angle in the orbit adds 1."""
     n = tri.n_tets
-    orbits = orbit_edge_classes(tri)
+    orbits = edge_orbits(tri)
     a = np.zeros((n + len(orbits), 3 * n))
     for t in range(n):
         a[t, 3 * t:3 * t + 3] = 1.0
     for e, orbit in enumerate(orbits):
-        for t, pair in orbit:
-            k = PAIRS.index(pair)
-            a[n + e, 3 * t + min(k, OPPOSITE[k])] += 1.0
+        for s in orbit:
+            a[n + e, 3 * (s // 6) + min(s % 6, OPPOSITE[s % 6])] += 1.0
     return a
 
 

@@ -12,13 +12,10 @@ import pytest
 
 from cuspforge import cli, optimizer, polytope, triangulation
 
+import covers
 from conftest import (DATA_DIR, GEO4_TEXT, V8, property_chain, run_cli,
                       validate_schema)
 from helpers import angles_text
-
-# the benchmark's cover builder, perfbench/covers.py
-sys.path.append(os.path.join(DATA_DIR, os.pardir, "perfbench"))
-import covers  # noqa: E402
 
 
 @pytest.fixture()

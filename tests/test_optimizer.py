@@ -502,6 +502,35 @@ def test_dominance_rejected_by_the_one_sided_limit_alone(fig8_sys,
     assert rep == dominance_reference(fig8_sys, fig8_face_point, 1, 2)
 
 
+# Two tetrahedra with one torus cusp, each tetrahedron linear, (0, p, pi - p),
+# at every point of the closure: the volume is 0 on all of it.
+LINEAR_TEXT = "tri 1\ntets 2\n" + "".join(
+    "glue %s\n" % g for g in (
+        "0 0 1 0132", "0 1 1 0321", "0 2 1 0213", "0 3 1 3012",
+        "1 0 0 0132", "1 1 0 0213", "1 2 0 1230", "1 3 0 0321"))
+
+
+def test_dominance_rejects_a_tie_at_rounding_level():
+    # every far sample ties with the maximizer, its gap rounding of either
+    # sign; a tie is no domination, so a gap at or below 0 must fail the
+    # check however small it is
+    sys_ = polytope.build_constraints(triangulation.incidence(
+        triangulation.parse_triangulation(LINEAR_TEXT)))
+    res = optimizer.maximize_volume(sys_)
+    assert (res.status, res.volume) == ("converged", 0.0)
+    assert polytope.classify_membership(sys_, res.point).tetrahedra == (
+        "invalid", "invalid")
+    samples = polytope.sample_closure_points(
+        sys_, np.random.default_rng(5), 200,
+        polytope.to_slots(optimizer.minimal_face(sys_)[1]))
+    assert np.abs(lob.volume(samples)).max() < 1e-12
+    rep = optimizer.dominance_check(sys_, res.point, 200, seed=5)
+    assert rep.informative_samples == 200
+    assert rep.worst_gap <= 0.0
+    assert not rep.all_dominated
+    assert rep == dominance_reference(sys_, res.point, 200, 5)
+
+
 @pytest.mark.parametrize("n_samples, seed", [(1, 0), (50, 5), (1000, 9)])
 def test_dominance_matches_the_per_sample_loop(degenerate4_sys, n_samples,
                                                seed):
@@ -726,7 +755,8 @@ def test_maximize_rejects_start_off_the_face(degenerate4_sys):
 def assert_step_matches_dense(tri, face, ang, rhs, shift, barrier=False):
     # the dual step gives the change of p on the linear tetrahedra only;
     # the barrier step, the change of every angle
-    dy, d = face.step(ang, rhs, shift, 1e-14 * np.linalg.norm(rhs), barrier)
+    dy, d, _ = face.step(ang, rhs, shift, 1e-14 * np.linalg.norm(rhs),
+                         barrier)
     dy_ref, d_ref = dense_newton_step(tri, face, ang, rhs, shift, barrier)
     if not barrier:
         d, d_ref = (x[face.linear, face.p] for x in (d, d_ref))

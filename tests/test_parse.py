@@ -23,7 +23,7 @@ FOLDS = (1, 3, 16, 48, 64)  # covers of 4 to 256 tetrahedra
 @pytest.fixture(scope="module")
 def corpus():
     """(triangulation, canonical text) of the data files but moves272, whose
-    1,088 tetrahedra would slow every case, 30 random gluings of 2-12
+    272 tetrahedra would slow every case, 30 random gluings of 2-12
     tetrahedra and covers of 4-256 tetrahedra."""
     rng = random.Random(18)
     geo4 = tr.parse_triangulation(GEO4_TEXT)

@@ -13,7 +13,7 @@ from cuspforge import triangulation as tr
 from conftest import (GEO4_COCYCLE, GEO4_TEXT, SELF_GLUED_TEXT, cyclic_cover,
                       from_gluings, load_data, movable_chain, movable_face,
                       movable_faces, random_gluing, relabel)
-from helpers import assemble_links, corner_classes, orbit_edge_classes
+from helpers import assemble_links, corner_classes, edge_orbits
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +118,6 @@ def test_constructor_rejects_empty_or_misshapen_arrays(face_tet, face_perm,
 # ---------------------------------------------------------------------------
 # edge classes and vertex links
 
-def _slot_orbits(tri):
-    """The oracle's edge orbits as ascending slot lists, by least slot."""
-    return sorted(sorted(6 * t + tr.VERTEX_PAIRS.index(pair) for t, pair in o)
-                  for o in orbit_edge_classes(tri))
-
-
 def _is_cusped(tri):
     return all(l.euler_characteristic == 0 for l in tr.vertex_links(tri))
 
@@ -131,7 +125,7 @@ def _is_cusped(tri):
 def test_fig8_edge_classes(fig8):
     edges = tr.incidence(fig8).edges
     assert [len(e) for e in edges] == [6, 6]
-    assert [list(e) for e in edges] == _slot_orbits(fig8)
+    assert [list(e) for e in edges] == edge_orbits(fig8)
 
 
 def test_fig8_vertex_link_is_a_torus(fig8):
@@ -147,7 +141,7 @@ def test_fig8_vertex_link_is_a_torus(fig8):
 def test_doubled_combinatorics(doubled):
     edges = tr.incidence(doubled).edges
     assert [len(e) for e in edges] == [2] * 6
-    assert [list(e) for e in edges] == _slot_orbits(doubled)
+    assert [list(e) for e in edges] == edge_orbits(doubled)
     links = tr.vertex_links(doubled)
     assert [l.euler_characteristic for l in links] == [2, 2, 2, 2]
     assert not _is_cusped(doubled)
@@ -156,7 +150,7 @@ def test_doubled_combinatorics(doubled):
 
 def test_self_glued_matches_oracles(self_glued):
     assert [list(e) for e in tr.incidence(self_glued).edges] \
-        == _slot_orbits(self_glued)
+        == edge_orbits(self_glued)
     links = tr.vertex_links(self_glued)
     assert sorted((l.euler_characteristic, len(l.corner_ids), l.orientable)
                   for l in links) == sorted(assemble_links(self_glued))
@@ -200,7 +194,7 @@ def _check_against_oracles(tris):
             [4 * t + v for t, v in corners] for corners in corner_classes(tri)]
         non_orientable += not all(l.orientable for l in links)
         # edge class e is the e-th orbit by least slot
-        orbits = _slot_orbits(tri)
+        orbits = edge_orbits(tri)
         idx = tr.incidence(tri)
         assert [list(e) for e in idx.edges] == orbits
         assert idx.n_edges == len(orbits)
@@ -278,12 +272,10 @@ def test_corner_ids_share_one_read_only_array_on_a_4096_cover():
 def test_incidence_slot_order(fig8, fig8_idx):
     # slot 6 t + k is edge VERTEX_PAIRS[k] of tetrahedron t
     assert fig8_idx.size == 12
-    for orbit in orbit_edge_classes(fig8):
-        slots = [6 * t + tr.VERTEX_PAIRS.index(p) for t, p in orbit]
+    for slots in edge_orbits(fig8):
         assert {fig8_idx.edge_of[s] for s in slots} == {fig8_idx.edge_of[
             slots[0]]}
-        assert sorted(slots) == list(fig8_idx.edges[fig8_idx.edge_of[
-            slots[0]]])
+        assert slots == list(fig8_idx.edges[fig8_idx.edge_of[slots[0]]])
 
 
 def test_incidence_edge_partition(fig8_idx):
@@ -352,7 +344,7 @@ def test_pachner_23_adds_one_degree_three_edge_and_keeps_links(fig8):
     tris = [fig8, tr.parse_triangulation(GEO4_TEXT)] + _random_gluings()
     non_orientable = moves = 0
     for tri in tris:
-        orbits = orbit_edge_classes(tri)
+        orbits = edge_orbits(tri)
         links = sorted((chi, orientable)
                        for chi, _, orientable in assemble_links(tri))
         non_orientable += not all(o for _, o in links)
@@ -361,10 +353,10 @@ def test_pachner_23_adds_one_degree_three_edge_and_keeps_links(fig8):
             moves += 1
             n = moved.n_tets
             assert n == tri.n_tets + 1
-            after = orbit_edge_classes(moved)
+            after = edge_orbits(moved)
             assert len(after) == len(orbits) + 1
-            # the new edge 01 of the three new tetrahedra
-            assert frozenset((t, (0, 1)) for t in range(n - 3, n)) in after
+            # the new edge 01, slot 0, of the three new tetrahedra
+            assert list(range(6 * (n - 3), 6 * n, 6)) in after
             assert sorted((chi, orientable) for chi, _, orientable
                           in assemble_links(moved)) == links
     assert non_orientable > 10
