@@ -591,13 +591,12 @@ def certify(sys, p):
                                  tuple(margins), membership.kind)
 
 
-def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
-                     max_iter=DEFAULT_MAX_ITER):
+def uniqueness_probe(sys, n_starts, seed, tol, max_iter):
     """Multi-start consistency check for the uniqueness of the maximizer.
 
     The first start is y = 0, the others seeded standard normal edge
-    multipliers, drawn one start at a time; one start builds no generator,
-    so it is ``maximize_volume``'s run whatever the seed.  Each start is one
+    multipliers, drawn one start at a time, so one start is
+    ``maximize_volume``'s run whatever the seed.  Each start is one
     ``maximize_volume``, and all share ``minimal_face``'s one lookup;
     ``results`` keeps each start's OptimizationResult.  ``volumes`` and
     ``statuses`` hold each start that found a point, and ``max_spread`` is
@@ -605,7 +604,7 @@ def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
     when fewer than two converged: a start stopped at the cap may be
     anywhere.
     """
-    rng = np.random.default_rng(seed) if n_starts > 1 else None
+    rng = np.random.default_rng(seed)
     edges = sys.b.size - sys.rows.shape[0] // 3
     results = tuple(maximize_volume(sys, tol, max_iter,
                                     rng.standard_normal(edges) if i else None)
@@ -618,7 +617,7 @@ def uniqueness_probe(sys, n_starts, seed=0, tol=DEFAULT_TOL,
                             tuple(r.status for r in found), results)
 
 
-def dominance_check(sys, p, n_samples, seed=0):
+def dominance_check(sys, p, n_samples, seed):
     """Sampled verification that p dominates the closure.
 
     Checks vol(p) >= vol(q) for sampled closure points q (strictly when q is

@@ -76,7 +76,8 @@ def test_criterion_03_maximality_certificate(capsys, fig8, fig8_sys,
 
 
 def test_criterion_04_uniqueness(capsys, fig8_sys):
-    rep = optimizer.uniqueness_probe(fig8_sys, 20, seed=104)
+    rep = optimizer.uniqueness_probe(fig8_sys, 20, 104, optimizer.DEFAULT_TOL,
+                                     optimizer.DEFAULT_MAX_ITER)
     vol_range = max(rep.volumes) - min(rep.volumes)
     ok = rep.max_spread < 1e-5 and vol_range < 1e-8
     emit(capsys, 4, "uniqueness", ok,

@@ -316,7 +316,9 @@ def test_schema_holds_every_command_to_its_results(capsys, tmp_path,
                                                   fig8_path, flatten3_path):
     # every command's report passes the gate, a boundary certificate with a
     # flat tetrahedron's margin included; a results payload of the wrong
-    # shape does not validate
+    # shape does not validate, nor does a solve's with a misspelt status or
+    # class, a missing or an extra key, or an empty closure's status beside
+    # a point
     jsonschema = pytest.importorskip("jsonschema")
     _, solved = run_cli(capsys, "solve", flatten3_path)
     p = tmp_path / "p.json"
@@ -338,9 +340,16 @@ def test_schema_holds_every_command_to_its_results(capsys, tmp_path,
     del reports["certify"]["results"]["signs_ok"]
     reports["check"]["results"]["extra"] = 1
     reports["lambda"]["seed"] = -1
-    for name in ("lemmas", "certify", "check", "lambda"):
+    res = solved["results"]
+    broken = [{**res, "status": "convergd"}, {**res, "extra": 1},
+              {**res, "tetrahedra": ["flatt"] + res["tetrahedra"][1:]},
+              {k: v for k, v in res.items() if k != "certificate"},
+              {**res, "status": "empty-closure"}]
+    for report in ([reports[name] for name in
+                    ("lemmas", "certify", "check", "lambda")]
+                   + [{**solved, "results": r} for r in broken]):
         with pytest.raises(jsonschema.ValidationError):
-            validate_schema(reports[name])
+            validate_schema(report)
 
 
 def test_solve_iteration_cap_exit_code(capsys, fig8, tmp_path):
@@ -701,36 +710,9 @@ def test_parse_error_exit_code(capsys, tmp_path):
         cli.EXIT_PARSE, "parse error: line 2: unglued face (0, 1)\n")
 
 
-def test_validation_error_names_its_line(capsys, tmp_path):
-    bad = tmp_path / "bad.tri"
-    bad.write_text("tri 1\ntets 1\n" + "".join(
-        "glue 0 %d 0 %s\n" % (f, "1023" if f == 1 else "1032")
-        for f in range(4)))
-    code, err = run_cli(capsys, "check", str(bad))
-    assert code == cli.EXIT_PARSE
-    assert "parse error: line 3: non-involutive gluing at face (0, 0)" in err
-
-
-def test_huge_tetrahedron_count_exit_code(capsys, tmp_path):
-    bad = tmp_path / "huge.tri"
-    bad.write_text("tri 1\ntets 1000000000000\n"
-                   "glue 0 0 0 1032\nglue 0 1 0 1032\n")
-    code, err = run_cli(capsys, "check", str(bad))
-    assert code == cli.EXIT_PARSE
-    assert "parse error: line 2: unglued face (0, 2)" in err
-
-
 def test_missing_file_exit_code(capsys, tmp_path):
     code, err = run_cli(capsys, "check", str(tmp_path / "nope.tri"))
     assert code == cli.EXIT_PARSE
-
-
-def test_malformed_tets_line_exit_code(capsys, tmp_path):
-    bad = tmp_path / "bad.tri"
-    bad.write_text("tri 1\ntets x\n")
-    assert run_cli(capsys, "check", bad) == (
-        cli.EXIT_PARSE,
-        "parse error: line 2: expected 'tets <N>', got 'tets x'\n")
 
 
 def test_move23_rejects_an_invalid_face(capsys, fig8_path, tmp_path):

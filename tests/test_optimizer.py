@@ -311,7 +311,7 @@ def test_non_finite_point_is_rejected(fig8_sys, fig8_center, value):
     with pytest.raises(ValueError, match="infeasible"):
         optimizer.certify(fig8_sys, x)
     with pytest.raises(ValueError, match="infeasible"):
-        optimizer.dominance_check(fig8_sys, x, 10)
+        optimizer.dominance_check(fig8_sys, x, 10, seed=0)
 
 
 def test_certify_boundary_point_finds_improving_direction(fig8_sys,
@@ -432,7 +432,8 @@ def test_certify_rejects_a_flat_margin_just_below_zero():
 
 
 def test_uniqueness_probe(fig8_sys):
-    rep = optimizer.uniqueness_probe(fig8_sys, 6, seed=1)
+    rep = optimizer.uniqueness_probe(fig8_sys, 6, 1, optimizer.DEFAULT_TOL,
+                                     optimizer.DEFAULT_MAX_ITER)
     assert len(rep.volumes) == 6
     assert rep.statuses == ("converged",) * 6
     assert [r.volume for r in rep.results] == list(rep.volumes)
@@ -461,7 +462,8 @@ def test_uniqueness_probe_draws_each_start_when_its_solve_runs(
 
     monkeypatch.setattr(np.random, "default_rng", Recording)
     monkeypatch.setattr(optimizer, "maximize_volume", recorded)
-    rep = optimizer.uniqueness_probe(fig8_sys, 4, seed=1)
+    rep = optimizer.uniqueness_probe(fig8_sys, 4, 1, optimizer.DEFAULT_TOL,
+                                     optimizer.DEFAULT_MAX_ITER)
     assert begun == [0, 1, 2, 3]
     assert rep.statuses == ("converged",) * 4
     # the draws keep their order: start i is draw i of default_rng(seed)
@@ -577,7 +579,8 @@ def assert_every_start_at_the_maximum(sys_, rep, volume):
 def test_probe_reaches_the_maximum_from_every_start(seed):
     sys_ = polytope.build_constraints(
         triangulation.incidence(triangulation.parse_triangulation(GEO4_TEXT)))
-    rep = optimizer.uniqueness_probe(sys_, 8, seed=seed)
+    rep = optimizer.uniqueness_probe(sys_, 8, seed, optimizer.DEFAULT_TOL,
+                                     optimizer.DEFAULT_MAX_ITER)
     assert_every_start_at_the_maximum(sys_, rep, V8)
     # the starts are distinct multipliers, not one point eight times
     assert len({r.iterations for r in rep.results}) > 1
@@ -589,7 +592,8 @@ def test_chain_probe_reaches_the_maximum_from_every_start(fig8, seed):
     # maximizers are complete structures with a flat tetrahedron
     sys_ = polytope.build_constraints(
         triangulation.incidence(property_chain(fig8, seed)))
-    rep = optimizer.uniqueness_probe(sys_, 8, seed=seed)
+    rep = optimizer.uniqueness_probe(sys_, 8, seed, optimizer.DEFAULT_TOL,
+                                     optimizer.DEFAULT_MAX_ITER)
     assert_every_start_at_the_maximum(sys_, rep, V8)
 
 
@@ -691,7 +695,8 @@ def test_minimal_face_is_looked_up_once_per_system(monkeypatch):
     assert optimizer.certify(sys_, res.point).signs_ok
     assert optimizer.dominance_check(sys_, res.point, 20, seed=1) \
         .all_dominated
-    rep = optimizer.uniqueness_probe(sys_, 4)
+    rep = optimizer.uniqueness_probe(sys_, 4, 0, optimizer.DEFAULT_TOL,
+                                     optimizer.DEFAULT_MAX_ITER)
     assert rep.statuses == ("converged",) * 4
     assert calls == [sys_]
     again = build()

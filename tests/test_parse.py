@@ -67,7 +67,10 @@ VARIANTS = {
     "trailing-comment": lambda text, rng: _edit_line(
         text, rng, lambda g: "glue %s  # a comment" % " ".join(g)),
     "comment-on-every-line": lambda text, rng: text.replace("\n", "#c\n"),
-    "blank-lines": lambda text, rng: text.replace("\n", "\n\n", 2) + "\n",
+    "spaced-comment-on-every-line": lambda text, rng: text.replace(
+        "\n", "  # c\n"),
+    "blank-lines": lambda text, rng: (
+        "\n" + text.replace("\n", "\n\n", 2) + "\n"),
     "whitespace-lines": lambda text, rng: text.replace("\n", "\n \t\n"),
     "tabs": lambda text, rng: _edit_line(
         text, rng, lambda g: "glue\t" + "\t".join(g)),
@@ -226,6 +229,9 @@ FAULTS = {
         *error("expected format line 'tri 1'", 1)),
     "no-tets-line": lambda tri, text, rng: (
         "tri 1\n", *error("missing 'tets <N>' line", 1)),
+    "malformed-tets-line": lambda tri, text, rng: (
+        text.replace("tets %d" % tri.n_tets, "tets x", 1),
+        *error("expected 'tets <N>', got 'tets x'", 2)),
 }
 
 

@@ -19,20 +19,6 @@ from helpers import assemble_links, corner_classes, edge_orbits
 # ---------------------------------------------------------------------------
 # parsing
 
-def test_parse_format_roundtrip(fig8):
-    text = tr.format_triangulation(fig8, comment="roundtrip")
-    again = tr.parse_triangulation(text)
-    assert again == fig8
-
-
-def test_parse_ignores_comments_and_blank_lines():
-    text = "# header comment\n\ntri 1\ntets 2  # trailing\n" + "\n".join(
-        "glue %d %d %d 0123" % (t, f, 1 - t)
-        for t in range(2) for f in range(4)) + "\n"
-    tri = tr.parse_triangulation(text)
-    assert tri.n_tets == 2
-
-
 @pytest.mark.parametrize("text,fragment", [
     ("", "empty"),
     ("tri 2\ntets 1\n", "tri 1"),
